@@ -14,19 +14,27 @@ exactly p words share the set. Both directions are checked exhaustively
 here, as is the t = 2n boundary case, where equality of periods and root
 conjugacy is conjectural and words of large period empirically factor as
 u v 01 v^R u against u v 10 v^R u with u a palindrome.
+
+Every scan over words goes through the package's one word scan,
+``words.factor_keys``: counts are numbers of distinct keys, and the checks
+walk only the classes of two or more words from ``words.factor_classes``.
+Budgets are charged the scan's buffers (``words.scan_nbytes``) up front.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .budget import Budget, BudgetExceededError, BudgetMeter
-from .words import Word, are_root_conjugate, lyndon_count, lyndon_words, period
+from .words import (SCAN_CHUNK_BITS, Word, are_root_conjugate, factor_classes, factor_keys,
+                    key_bitmap, lyndon_count, lyndon_words, period, scan_nbytes, sorted_runs)
 
 BRUTE_MAX_T = 24
-_CHUNK_BITS = 18
 
 
 class OutOfValidityRegion(ValueError):
@@ -56,75 +64,64 @@ class EqualFactorPair:
     root_conjugate: bool
 
 
-# -- grouping words by factor set ---------------------------------------------
+# -- scanning all words of one length ---------------------------------------
 
-def _factor_bitmap(code: int, t: int, n: int) -> int:
-    bm = 0
-    mask = (1 << n) - 1
-    for sh in range(t - n, -1, -1):
-        bm |= 1 << ((code >> sh) & mask)
-    return bm
-
-
-def group_words_by_factors(t: int, n: int,
-                           budget: Budget | None = None) -> dict[int, list[int]]:
-    """Map factor-set bitmap -> ascending codes of the words producing it."""
-    if n < 1 or t < n:
-        raise ValueError("need 1 <= n <= t")
-    if t > BRUTE_MAX_T:
-        raise ValueError(f"t beyond {BRUTE_MAX_T} is out of budget")
-    meter = BudgetMeter(budget or Budget.default())
-    meter.charge_memory((1 << t) * 64, f"groups for t={t}")
-    groups: dict[int, list[int]] = {}
-    mask = (1 << n) - 1
-    shifts = range(t - n, -1, -1)
-    for code in range(1 << t):
-        bm = 0
-        for sh in shifts:
-            bm |= 1 << ((code >> sh) & mask)
-        groups.setdefault(bm, []).append(code)
-    return groups
-
-
-def _count_chunk(args) -> list[int]:
-    t, n, start, stop = args
-    mask = (1 << n) - 1
-    shifts = range(t - n, -1, -1)
-    seen = set()
-    add = seen.add
-    for code in range(start, stop):
-        bm = 0
-        for sh in shifts:
-            bm |= 1 << ((code >> sh) & mask)
-        add(bm)
-    return sorted(seen)
-
-
-def count_T_bruteforce(t: int, n: int, budget: Budget | None = None) -> TCell:
-    """T(t, n) by scanning all 2^t words (chunked; worker-count independent)."""
+def _scan_meter(t: int, n: int, budget: Budget | None, words: int) -> BudgetMeter:
+    """Validate a scan of length-t words; charge the buffers for ``words`` at once."""
     if n < 1:
         raise ValueError("factor length must be positive")
     if t < n:
         raise ValueError(f"words of length {t} have no length-{n} factors")
     if t > BRUTE_MAX_T:
         raise ValueError(f"t beyond {BRUTE_MAX_T} is out of budget")
+    meter = BudgetMeter(budget or Budget.default())
+    meter.charge_memory(scan_nbytes(n, t, words), f"scan of length {t}")
+    return meter
+
+
+def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[Word, int]]]:
+    """In bitmap order, every class of two or more words of length t with one
+    factor set: its words ascending, each with its minimal period."""
+    _scan_meter(t, n, budget, 1 << t)
+    return [[(w, period(w).period) for w in (Word(t, c) for c in codes.tolist())]
+            for codes in factor_classes(n, t, 0, 1 << t)[1]]
+
+
+def group_words_by_factors(t: int, n: int,
+                           budget: Budget | None = None) -> dict[int, list[int]]:
+    """Map factor-set bitmap -> ascending codes of the words producing it."""
+    _scan_meter(t, n, budget, 1 << t)
+    keys = factor_keys(n, t, range(1 << t))
+    order, starts = sorted_runs(keys)
+    return {key_bitmap(keys[run[0]]): run.tolist() for run in np.split(order, starts[1:])}
+
+
+def _count_chunk(args) -> np.ndarray:
+    t, n, start, stop = args
+    keys = factor_keys(n, t, range(start, stop))
+    order, starts = sorted_runs(keys)
+    return keys[order[starts]]
+
+
+def count_T_bruteforce(t: int, n: int, budget: Budget | None = None) -> TCell:
+    """T(t, n) by scanning all 2^t words (chunked; worker-count independent)."""
     budget = budget or Budget.default()
-    meter = BudgetMeter(budget)
-    meter.charge_memory(min(1 << t, 1 << _CHUNK_BITS) * 64 * budget.workers,
-                        f"T({t},{n}) scan")
-    tasks = [(t, n, start, min(start + (1 << _CHUNK_BITS), 1 << t))
-             for start in range(0, 1 << t, 1 << _CHUNK_BITS)]
-    seen: set[int] = set()
-    if budget.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=budget.workers) as ex:
-            for part in ex.map(_count_chunk, tasks):
-                seen.update(part)
-                meter.check_time(f"T({t},{n})")
-    else:
-        for task in tasks:
-            seen.update(_count_chunk(task))
+    chunk = 1 << min(t, SCAN_CHUNK_BITS)
+    workers = min(budget.workers, 1 << max(t - SCAN_CHUNK_BITS, 0))
+    meter = _scan_meter(t, n, budget, chunk * workers)
+    tasks = [(t, n, start, start + chunk) for start in range(0, 1 << t, chunk)]
+    parts: list[np.ndarray] = []
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for part in (pool.map if pool else map)(_count_chunk, tasks):
+            parts.append(part)
+            meter.charge_memory(part.nbytes, f"T({t},{n}) chunk keys")
             meter.check_time(f"T({t},{n})")
-    return TCell(t, n, len(seen), "brute")
+    if len(parts) == 1:
+        return TCell(t, n, len(parts[0]), "brute")
+    meter.release_memory(scan_nbytes(n, t, chunk * workers))
+    merged = np.concatenate(parts)
+    meter.charge_memory(scan_nbytes(n, t, len(merged)), f"T({t},{n}) merge")
+    return TCell(t, n, len(sorted_runs(merged)[1]), "brute")
 
 
 def count_T_closed(t: int, n: int) -> TCell:
@@ -141,20 +138,10 @@ def equal_factor_pairs(t: int, n: int,
                        budget: Budget | None = None) -> list[EqualFactorPair]:
     """All unordered pairs of distinct words sharing a factor set, annotated
     with periods and root conjugacy; ordered by (first, second) code."""
-    groups = group_words_by_factors(t, n, budget)
-    out = []
-    for bm in sorted(groups):
-        codes = groups[bm]
-        if len(codes) < 2:
-            continue
-        ws = [Word(t, c) for c in codes]
-        pis = {w: period(w).period for w in ws}
-        for a, b in combinations(ws, 2):
-            out.append(EqualFactorPair(
-                w=a, w2=b, n=n,
-                period_w=pis[a], period_w2=pis[b],
-                root_conjugate=are_root_conjugate(a, b)))
-    return out
+    return [EqualFactorPair(w=a, w2=b, n=n, period_w=pa, period_w2=pb,
+                            root_conjugate=are_root_conjugate(a, b))
+            for cls in _shared_classes(t, n, budget)
+            for (a, pa), (b, pb) in combinations(cls, 2)]
 
 
 @dataclass(frozen=True)
@@ -215,15 +202,12 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
             f"characterization needs n >= k+1 (t={t}, n={n}, k={k}); "
             "pass allow_out_of_region=True to scan anyway")
 
-    groups = group_words_by_factors(t, n, budget)
+    nontrivial = _shared_classes(t, n, budget)
     counterexamples: list[dict] = []
-    nontrivial = {bm: codes for bm, codes in groups.items() if len(codes) > 1}
 
     forward_ok = True
-    for bm in sorted(nontrivial):
-        ws = [Word(t, c) for c in nontrivial[bm]]
-        pis = [period(w).period for w in ws]
-        for (a, pa), (b, pb) in combinations(zip(ws, pis), 2):
+    for cls in nontrivial:
+        for (a, pa), (b, pb) in combinations(cls, 2):
             bad = pa != pb or pa > k + 1 or not are_root_conjugate(a, b)
             if bad:
                 forward_ok = False
@@ -243,9 +227,9 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
                 backward.add(frozenset(w.code for w in cls))
             if not in_region:
                 continue
-            fsets = {_factor_bitmap(w.code, t, n) for w in cls}
+            keys = factor_keys(n, t, [w.code for w in cls])
             ok = (len(cls) == p
-                  and len(fsets) == 1
+                  and (keys == keys[0]).all()
                   and all(period(w).period == p for w in cls)
                   and all(are_root_conjugate(a, b) for a, b in combinations(cls, 2)))
             if not ok:
@@ -255,7 +239,7 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
                         "direction": "backward", "root": str(r),
                         "class": sorted(str(w) for w in cls)})
     if in_region:
-        found = {frozenset(codes) for codes in nontrivial.values()}
+        found = {frozenset(w.code for w, _ in cls) for cls in nontrivial}
         if found != backward:
             backward_ok = False
             counterexamples.append({
@@ -344,22 +328,15 @@ def check_conjecture_2n(n: int, budget: Budget | None = None) -> Conjecture2nRep
     if n < 1:
         raise ValueError("order must be positive")
     t = 2 * n
-    groups = group_words_by_factors(t, n, budget)
     period_violations: list[dict] = []
     conjugacy_violations: list[dict] = []
     high_pairs: list[dict] = []
     shape_misses: list[dict] = []
     law_misses: list[dict] = []
     pair_count = 0
-    nontrivial = 0
-    for bm in sorted(groups):
-        codes = groups[bm]
-        if len(codes) < 2:
-            continue
-        nontrivial += 1
-        ws = [Word(t, c) for c in codes]
-        pis = [period(w).period for w in ws]
-        for (x, px), (y, py) in combinations(zip(ws, pis), 2):
+    classes = _shared_classes(t, n, budget)
+    for cls in classes:
+        for (x, px), (y, py) in combinations(cls, 2):
             pair_count += 1
             entry = {"words": [str(x), str(y)], "periods": [px, py]}
             if px != py:
@@ -375,7 +352,7 @@ def check_conjecture_2n(n: int, budget: Budget | None = None) -> Conjecture2nRep
                 elif all(px != n + len(s["u"]) for s in shapes):
                     law_misses.append(entry)
     return Conjecture2nReport(
-        n=n, t=t, pair_count=pair_count, nontrivial_classes=nontrivial,
+        n=n, t=t, pair_count=pair_count, nontrivial_classes=len(classes),
         period_violations=tuple(period_violations),
         conjugacy_violations=tuple(conjugacy_violations),
         high_period_pairs=tuple(high_pairs),

@@ -20,26 +20,27 @@ witness n + (first depth). It is circularly representable iff some closed
 walk of length d >= 1 returns to its start vertex having covered exactly S;
 the shortest circular witness is the least such d (a lone vertex needs a
 self-loop, covered by a singleton rule). Brute-force scans over all words
-provide an independent oracle for every statistic.
+and circular words, through the package's single word scan
+``words.factor_keys``, provide an independent oracle for every statistic.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .budget import Budget, BudgetMeter
 from .factorsets import FactorSet
-from .words import Word
+from .words import SCAN_CHUNK_BITS, Word, factor_keys, scan_nbytes, sorted_runs
 
 ARRAY_MAX_ORDER = 4      # dense per-shard arrays up to here
 HARD_MAX_ORDER = 5       # beyond is out of scope
 UNSEEN = 255             # depth sentinel in uint8 arrays
 CHECKPOINT_VERSION = 1
-_CHUNK_BITS = 21         # brute-force scan chunk: 2^21 codes
 
 
 @dataclass(frozen=True)
@@ -548,52 +549,12 @@ def _load_checkpoint(path: str, n: int, width: int) -> dict[int, tuple[bytes, by
 
 # -- brute-force oracle -------------------------------------------------------
 
-def _linear_chunk_sets(n: int, ell: int, start: int, stop: int) -> np.ndarray:
-    """Distinct factor-set bitmaps over codes [start, stop) of length ell."""
-    mask = (1 << n) - 1
-    codes = np.arange(start, stop, dtype=np.uint32)
-    bm = np.zeros(codes.size, np.uint32)
-    one = np.uint32(1)
-    for i in range(ell - n + 1):
-        bm |= one << ((codes >> (ell - n - i)) & mask).astype(np.uint32)
-    return np.unique(bm)
-
-
-def _circular_chunk_sets(n: int, ell: int, start: int, stop: int) -> np.ndarray:
-    """Distinct cyclic factor-set bitmaps over codes [start, stop), ell >= n."""
-    mask = np.uint32((1 << n) - 1)
-    codes = np.arange(start, stop, dtype=np.uint32)
-    bm = np.zeros(codes.size, np.uint32)
-    one = np.uint32(1)
-    for p in range(ell):
-        if p + n <= ell:
-            w = (codes >> (ell - n - p)) & mask
-        else:
-            k = p + n - ell
-            w = ((codes & np.uint32((1 << (n - k)) - 1)) << k) | (codes >> (ell - k))
-        bm |= one << w
-    return np.unique(bm)
-
-
 def _chunk_worker(args):
-    kind, n, ell, start, stop = args
-    fn = _linear_chunk_sets if kind == "lin" else _circular_chunk_sets
-    return kind, ell, fn(n, ell, start, stop)
-
-
-def _tiny_circular_sets(n: int, ell: int) -> list[int]:
-    """Cyclic factor sets of the 2^ell circular words shorter than n."""
-    out = []
-    for code in range(1 << ell):
-        bits = [(code >> (ell - 1 - i)) & 1 for i in range(ell)]
-        bm = 0
-        for p in range(ell):
-            w = 0
-            for j in range(n):
-                w = (w << 1) | bits[(p + j) % ell]
-            bm |= 1 << w
-        out.append(bm)
-    return out
+    """The distinct factor sets of one chunk and the least code giving each."""
+    circ, n, ell, start, stop = args
+    keys = factor_keys(n, ell, range(start, stop), circular=bool(circ))
+    order, starts = sorted_runs(keys)
+    return circ, ell, keys[order[starts]], start + order[starts]
 
 
 def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
@@ -602,7 +563,7 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
 
     Exact only when max_len is at least the true mu/nu for the order; the
     caller picks max_len. Scans are chunked over contiguous code ranges and
-    merged by set-union, so results do not depend on the worker count.
+    folded in length order, so results do not depend on the worker count.
     """
     if not 1 <= n <= ARRAY_MAX_ORDER:
         raise ValueError(f"brute force supports orders 1..{ARRAY_MAX_ORDER}")
@@ -610,44 +571,28 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
         raise ValueError("max_len must be at least the order")
     budget = budget or Budget.default()
     meter = BudgetMeter(budget)
-    meter.charge_memory((1 << _CHUNK_BITS) * 16 * min(budget.workers, 4), "scan buffers")
-    width = 1 << n
+    chunk = 1 << min(max_len, SCAN_CHUNK_BITS)
+    meter.charge_memory(scan_nbytes(n, max_len, chunk, circular=True) * budget.workers,
+                        "scan buffers")
 
-    first_lin = np.zeros(1 << width, np.int64)
-    first_circ = np.zeros(1 << width, np.int64)
-    for ell in range(1, min(n, max_len + 1)):
-        for bm in _tiny_circular_sets(n, ell):
-            if first_circ[bm] == 0:
-                first_circ[bm] = ell
-
-    tasks = []
-    for ell in range(n, max_len + 1):
-        for start in range(0, 1 << ell, 1 << _CHUNK_BITS):
-            stop = min(start + (1 << _CHUNK_BITS), 1 << ell)
-            tasks.append(("lin", n, ell, start, stop))
-            tasks.append(("circ", n, ell, start, stop))
-
-    per_len: dict[tuple[str, int], list[np.ndarray]] = {}
-    if budget.workers > 1:
-        with ProcessPoolExecutor(max_workers=budget.workers) as ex:
-            for kind, ell, sets in ex.map(_chunk_worker, tasks, chunksize=4):
-                per_len.setdefault((kind, ell), []).append(sets)
-                meter.check_time(f"{kind} length {ell}")
-    else:
-        for task in tasks:
-            kind, ell, sets = _chunk_worker(task)
-            per_len.setdefault((kind, ell), []).append(sets)
-            meter.note(scanned=f"{kind} length {ell}")
-            meter.check_time(f"{kind} length {ell}")
-
-    for ell in range(n, max_len + 1):
-        for kind, firsts in (("lin", first_lin), ("circ", first_circ)):
-            parts = per_len.get((kind, ell))
-            if not parts:
-                continue
-            sets = np.unique(np.concatenate(parts))
-            fresh = sets[firsts[sets] == 0]
-            firsts[fresh] = ell
+    # per set, ordinary then circular: the shortest witness length (0: none)
+    # and the least code of that length giving the set
+    first = np.zeros((2, 1 << (1 << n)), np.int64)
+    least = np.zeros_like(first)
+    tasks = [(circ, n, ell, start, min(start + chunk, 1 << ell))
+             for ell in range(1, max_len + 1) for start in range(0, 1 << ell, chunk)
+             for circ in (0, 1) if circ or ell >= n]
+    # chunks come back in task order (length, then code ascending) for any
+    # worker count, so the first chunk to record a set has its least witness
+    with ProcessPoolExecutor(budget.workers) if budget.workers > 1 else nullcontext() as pool:
+        scans = pool.map(_chunk_worker, tasks, chunksize=4) if pool else map(_chunk_worker, tasks)
+        for circ, ell, sets, codes in scans:
+            fresh = first[circ, sets] == 0
+            first[circ, sets[fresh]] = ell
+            least[circ, sets[fresh]] = codes[fresh]
+            meter.note(scanned=f"length {ell}")
+            meter.check_time(f"length {ell}")
+    first_lin, first_circ = first
 
     rep = first_lin != 0
     circ = first_circ != 0
@@ -658,8 +603,9 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
     scw_hist = {int(l): int(c) for l, c in
                 zip(*np.unique(first_circ[circ], return_counts=True))}
 
-    longest = _bf_lexleast(n, mu, first_lin, circular=False)
-    longest_circ = _bf_lexleast(n, nu, first_circ, circular=True)
+    # the lexicographically least witness of extremal length
+    longest = Word(mu, int(least[0][first_lin == mu].min()))
+    longest_circ = Word(nu, int(least[1][first_circ == nu].min()))
 
     return EnumerationResult(
         n=n, circ_count=int(circ.sum()), rep_count=int(rep.sum()),
@@ -669,35 +615,3 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
         rep_sets=tuple(int(s) for s in np.flatnonzero(rep)) if collect_sets else None,
         circ_sets=tuple(int(s) for s in np.flatnonzero(circ)) if collect_sets else None,
     )
-
-
-def _bf_lexleast(n: int, ell: int, firsts: np.ndarray, circular: bool) -> Word:
-    """Least code of length ell whose factor set is first witnessed at ell."""
-    target = firsts == ell
-    if circular and ell < n:
-        for code, bm in enumerate(_tiny_circular_sets(n, ell)):
-            if target[bm]:
-                return Word(ell, code)
-        raise AssertionError("no extremal circular word found")
-    mask = (1 << n) - 1
-    for start in range(0, 1 << ell, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << ell)
-        codes = np.arange(start, stop, dtype=np.uint32)
-        bm = np.zeros(codes.size, np.uint32)
-        one = np.uint32(1)
-        if circular:
-            for p in range(ell):
-                if p + n <= ell:
-                    w = (codes >> (ell - n - p)) & mask
-                else:
-                    k = p + n - ell
-                    w = (((codes & np.uint32((1 << (n - k)) - 1)) << k)
-                         | (codes >> (ell - k)))
-                bm |= one << w
-        else:
-            for i in range(ell - n + 1):
-                bm |= one << ((codes >> (ell - n - i)) & np.uint32(mask))
-        hits = np.flatnonzero(target[bm])
-        if hits.size:
-            return Word(ell, start + int(hits[0]))
-    raise AssertionError("no extremal word found at the extremal length")

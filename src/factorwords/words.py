@@ -6,14 +6,18 @@ equal-length words coincides with numeric order on codes. Positions are
 1-based throughout: ``w.letter(1)`` is the leftmost letter.
 
 Also provides minimal periods and roots, (root-)conjugacy, the Möbius
-function, Lyndon word counting/enumeration, and lexicographically least
-de Bruijn words.
+function, Lyndon word counting/enumeration, lexicographically least
+de Bruijn words, and the package's one word scan: ``factor_keys`` turns a
+batch of word codes into canonical factor-set keys with numpy, and
+``factor_classes`` groups a range of codes by factor set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 
 class InvalidLength(ValueError):
@@ -241,3 +245,106 @@ def debruijn(n: int) -> Word:
         if n % len(bits) == 0:
             chunks.append("".join(map(str, bits)))
     return Word.from_text("".join(chunks))
+
+
+# -- the word scan ----------------------------------------------------------------
+
+_BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
+# codes per scan call in the chunked scans: on the order-4 oracle, 2^18 ran
+# faster and with a third of the worker memory of 2^21
+SCAN_CHUNK_BITS = 18
+
+
+def _scan_dtypes(n: int, ell: int, circular: bool):
+    """Letters read per word, the code dtype, and the key dtype and width."""
+    span = ell + n - 1 if circular else ell
+    code_dt = np.dtype(np.uint32 if span <= 32 else np.uint64)
+    if n <= _BITMAP_MAX_ORDER:
+        return span, code_dt, np.min_scalar_type((1 << (1 << n)) - 1), 1
+    return span, code_dt, np.min_scalar_type(1 << n), span - n + 1
+
+
+def factor_keys(n: int, ell: int, codes, circular: bool = False) -> np.ndarray:
+    """One canonical factor-set key per word of length ``ell``, for a range,
+    sequence or array of codes. Keys are equal exactly when the words' sets
+    of length-n factors, read ordinarily or circularly (short circular words
+    wrap repeatedly, as in ``circular_factors``), are equal, and they sort as
+    the sets' bitmaps do. For 2^n <= 64 the key is the bitmap, in the least
+    unsigned dtype holding it; otherwise a row with one entry per factor
+    occurrence: the distinct factor codes plus one, ascending, left-padded
+    with zeros, which compared from the last column back order as bitmaps.
+    """
+    if n < 1 or ell < 1:
+        raise ValueError("lengths must be positive")
+    if ell < n and not circular:
+        raise InvalidLength(f"a word of length {ell} has no factors of length {n}")
+    span, code_dt, key_dt, width = _scan_dtypes(n, ell, circular)
+    if span > 64:
+        raise ValueError("the scan reads at most 64 letters per word")
+    dt = code_dt.type
+    codes = (np.arange(codes.start, codes.stop, dtype=dt) if isinstance(codes, range)
+             else np.asarray(codes, dt))
+    ext, got = codes, ell
+    while got < span:  # append the word's first letters, cyclically
+        take = min(ell, span - got)
+        ext = (ext << dt(take)) | (codes >> dt(ell - take))
+        got += take
+    mask = dt((1 << n) - 1)
+    shifts = [dt(sh) for sh in range(span - n, -1, -1)]
+    if n <= _BITMAP_MAX_ORDER:
+        one = key_dt.type(1)
+        keys = np.zeros(codes.size, key_dt)
+        for sh in shifts:
+            keys |= one << ((ext >> sh) & mask).astype(key_dt)
+        return keys
+    keys = np.empty((codes.size, width), key_dt)
+    for i, sh in enumerate(shifts):
+        keys[:, i] = (ext >> sh) & mask
+    keys += key_dt.type(1)
+    keys.sort(axis=1)
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = 0
+    keys.sort(axis=1)
+    return keys
+
+
+def key_bitmap(key) -> int:
+    """The membership bitmap that one key of ``factor_keys`` stands for."""
+    return int(key) if np.ndim(key) == 0 else sum(1 << (int(c) - 1) for c in key if c)
+
+
+def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable order sorting ``keys`` (bitmap order) and the positions in
+    it where each run of equal keys starts."""
+    rows = keys.reshape(len(keys), -1)
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    fresh = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(np.concatenate(([len(keys) > 0], fresh)))
+
+
+def factor_classes(n: int, ell: int, start: int, stop: int,
+                   circular: bool = False) -> tuple[int, list[np.ndarray]]:
+    """Group the codes in [start, stop) of length ``ell`` by factor set.
+
+    Returns the number of distinct sets and, in bitmap order, the ascending
+    codes of every set that two or more of the words share.
+    """
+    keys = factor_keys(n, ell, range(start, stop), circular)
+    order, starts = sorted_runs(keys)
+    ends = np.append(starts[1:], order.size)
+    shared = ends - starts > 1
+    return starts.size, [start + order[a:b] for a, b in zip(starts[shared], ends[shared])]
+
+
+def scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
+    """An upper bound on the bytes held at once by ``factor_keys`` on a range
+    of ``count`` codes, then ``sorted_runs`` (not the lists ``factor_classes``
+    returns): per word, the larger of making the keys (codes, extension, keys,
+    temporaries) and sorting them (keys, copy, order, buffer, run starts).
+    """
+    _, code_dt, key_dt, width = _scan_dtypes(n, ell, circular)
+    key = key_dt.itemsize * width
+    making = (code_dt.itemsize * (3 if circular else 2) + key
+              + (3 * key_dt.itemsize if n <= _BITMAP_MAX_ORDER else width))
+    sorting = 2 * key + 8 * 3 + width + 2
+    return count * max(making, sorting)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from factorwords import (Budget, OutOfValidityRegion, Word, check_conjecture_2n,
-                         check_theorem1, count_T_bruteforce, count_T_closed,
-                         counterexample_family, equal_factor_pairs,
+from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
+                         check_conjecture_2n, check_theorem1, count_T_bruteforce,
+                         count_T_closed, counterexample_family, equal_factor_pairs,
                          group_words_by_factors, period, t_table)
 
 
@@ -30,6 +30,23 @@ class TestBruteForce:
         a = count_T_bruteforce(12, 4, Budget.default(workers=1))
         b = count_T_bruteforce(12, 4, Budget.default(workers=4))
         assert a.value == b.value
+
+    def test_pool_path_matches_one_worker(self):
+        # t = 19 is two chunks of 2^18, so two workers really start the pool;
+        # n = 5 keys are bitmaps, n = 10 keys are rows (and in closed-form range)
+        for n in (5, 10):
+            one = count_T_bruteforce(19, n, Budget.default(workers=1))
+            two = count_T_bruteforce(19, n, Budget.default(workers=2))
+            assert one == two
+        assert one.value == count_T_closed(19, 10).value
+
+    def test_memory_budget_covers_the_scan(self):
+        tiny = Budget(max_memory_bytes=8 << 20)
+        with pytest.raises(BudgetExceededError):
+            check_conjecture_2n(10, tiny)
+        with pytest.raises(BudgetExceededError):
+            count_T_bruteforce(20, 10, tiny)
+        assert check_conjecture_2n(10, Budget(max_memory_bytes=100 << 20)).passed
 
 
 class TestClosedForm:

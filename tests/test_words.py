@@ -1,10 +1,17 @@
-"""Word primitives: periods, conjugacy, Lyndon words, de Bruijn words."""
+"""Word primitives: periods, conjugacy, Lyndon words, de Bruijn words,
+and the word-scan kernel."""
+
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factorwords import (InvalidLength, Word, are_conjugate, are_root_conjugate,
                          circular_factors, debruijn, divisors, factors,
                          lyndon_count, lyndon_words, mobius, period, root)
+from factorwords.words import (factor_classes, factor_keys, key_bitmap, scan_nbytes,
+                               sorted_runs)
 
 
 def w(text):
@@ -216,3 +223,69 @@ class TestFactorSubsetRelation:
                             for cs_code in
                             [word.repeated_to(ell + n - 1).segment(i + 1, i + n).code]]
                     assert (fs == cs) == all(c in fs for c in wrap)
+
+
+@st.composite
+def word_batches(draw):
+    """(n, ell, circular, codes): a few words of one length, circular ones
+    possibly shorter than n."""
+    n = draw(st.integers(1, 10))
+    circular = draw(st.booleans())
+    ell = draw(st.integers(1 if circular else n, 40))
+    codes = draw(st.lists(st.integers(0, (1 << ell) - 1), min_size=1, max_size=8))
+    return n, ell, circular, codes
+
+
+class TestScanKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(word_batches())
+    @example((5, 3, True, [0b011, 0b110, 0b101, 0b000]))  # wraps more than once
+    @example((10, 1, True, [0, 1]))
+    @example((7, 12, False, [0b010101010101, 0b101010101010, 0b011011011011]))
+    def test_keys_match_factor_extraction(self, batch):
+        n, ell, circular, codes = batch
+        extract = circular_factors if circular else factors
+        sets = [extract(Word(ell, c), n).members for c in codes]
+        keys = factor_keys(n, ell, codes, circular)
+        assert [key_bitmap(k) for k in keys] == sets
+        # keys sort as the bitmaps do, and equal keys are exactly equal sets
+        order, starts = sorted_runs(keys)
+        assert [sets[i] for i in order] == sorted(sets)
+        assert [sets[order[i]] for i in starts] == sorted(set(sets))
+
+    def test_classes_against_direct_grouping(self):
+        for n, ell, circular in ((2, 9, False), (3, 7, True), (7, 12, False), (8, 5, True)):
+            extract = circular_factors if circular else factors
+            direct: dict[int, list[int]] = {}
+            for c in range(1 << ell):
+                direct.setdefault(extract(Word(ell, c), n).members, []).append(c)
+            count, shared = factor_classes(n, ell, 0, 1 << ell, circular)
+            assert count == len(direct)
+            assert [g.tolist() for g in shared] == [
+                direct[bm] for bm in sorted(direct) if len(direct[bm]) > 1]
+
+    def test_validation(self):
+        with pytest.raises(InvalidLength):
+            factor_keys(4, 3, [0])
+        with pytest.raises(ValueError):
+            factor_keys(0, 3, [0])
+        with pytest.raises(ValueError):
+            factor_keys(10, 60, [0], circular=True)
+
+    @pytest.mark.parametrize("n,ell,circular", [
+        (3, 16, False), (4, 16, True), (5, 16, False), (6, 16, True),
+        (7, 16, False), (8, 16, True), (10, 18, False), (17, 18, False),
+        (10, 17, True),
+    ])
+    def test_scan_nbytes_bounds_the_buffers(self, n, ell, circular):
+        # budgets charge scan_nbytes before a scan, so it must not undercount
+        tracemalloc.start()
+        try:
+            keys = factor_keys(n, ell, range(1 << ell), circular)
+            order, starts = sorted_runs(keys)
+            distinct = keys[order[starts]]  # as the counting scan takes them
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(distinct) == len(starts)
+        assert peak <= scan_nbytes(n, ell, 1 << ell, circular)
