@@ -149,7 +149,7 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, **opts):
         _fail_usage("provide a set or --full")
     else:
         fs = FactorSet.parse(set_spec, order=order, hex_bitmap=as_hex)
-    result = (shortest_circular_witness if circular else shortest_witness)(fs)
+    result = (shortest_circular_witness if circular else shortest_witness)(fs, cfg.budget)
     if cfg.output_format == "json":
         _emit_json(cfg, "witness", {
             "set": fs.to_text(), "n": order, "circular": circular,

@@ -134,14 +134,26 @@ def count_T_closed(t: int, n: int) -> TCell:
 
 # -- equal-factor structure -----------------------------------------------------
 
+# Bytes per EqualFactorPair in the result list: tracemalloc's peak while
+# building the pairs was 137 per pair at (t, n) = (9, 1), (10, 1) and (11, 2),
+# and the peak RSS grew by 152 per pair at (10, 1); the larger is charged.
+_PAIR_BYTES = 152
+
+
 def equal_factor_pairs(t: int, n: int,
                        budget: Budget | None = None) -> list[EqualFactorPair]:
     """All unordered pairs of distinct words sharing a factor set, annotated
-    with periods and root conjugacy; ordered by (first, second) code."""
+    with periods and root conjugacy; class by class in factor-bitmap order,
+    each class's pairs ordered by (first, second) code.
+
+    The pairs are charged against the budget before any is built."""
+    classes = _shared_classes(t, n, budget)
+    pairs = sum(len(cls) * (len(cls) - 1) // 2 for cls in classes)
+    BudgetMeter(budget or Budget.default()).charge_memory(
+        pairs * _PAIR_BYTES, f"{pairs} equal-factor pairs of length {t}")
     return [EqualFactorPair(w=a, w2=b, n=n, period_w=pa, period_w2=pb,
                             root_conjugate=are_root_conjugate(a, b))
-            for cls in _shared_classes(t, n, budget)
-            for (a, pa), (b, pb) in combinations(cls, 2)]
+            for cls in classes for (a, pa), (b, pb) in combinations(cls, 2)]
 
 
 @dataclass(frozen=True)
@@ -206,16 +218,17 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
     counterexamples: list[dict] = []
 
     forward_ok = True
-    for cls in nontrivial:
-        for (a, pa), (b, pb) in combinations(cls, 2):
-            bad = pa != pb or pa > k + 1 or not are_root_conjugate(a, b)
-            if bad:
-                forward_ok = False
-                if len(counterexamples) < _COUNTEREXAMPLE_CAP:
-                    counterexamples.append({
-                        "direction": "forward", "words": [str(a), str(b)],
-                        "periods": [pa, pb],
-                        "root_conjugate": are_root_conjugate(a, b)})
+    pairs = ((a, pa, b, pb) for cls in nontrivial
+             for (a, pa), (b, pb) in combinations(cls, 2))
+    for a, pa, b, pb in pairs:
+        if len(counterexamples) == _COUNTEREXAMPLE_CAP:
+            break  # forward_ok is False and no further pair can be recorded
+        if not (pa == pb and pa <= k + 1 and are_root_conjugate(a, b)):
+            forward_ok = False
+            counterexamples.append({
+                "direction": "forward", "words": [str(a), str(b)],
+                "periods": [pa, pb],
+                "root_conjugate": are_root_conjugate(a, b)})
 
     backward_ok = True
     backward: set[frozenset[int]] = set()

@@ -4,10 +4,14 @@ A FactorSet is a set of length-n binary words stored as a 2^n-bit membership
 table (bit code(x) set iff x is a member). On top of it live:
 
   * factor extraction from ordinary and circular words,
-  * the directed (n-1)-overlap graph,
-  * representability tests: does some word have exactly this factor set?
-  * shortest (circular) witness search over (covered-subset, current-vertex)
-    states, with lexicographically-least tie-breaking,
+  * the directed (n-1)-overlap graph and its strong components,
+  * structural representability tests: does some word have exactly this
+    factor set? (the overlap graph unilaterally connected, or strongly
+    connected for circular words),
+  * shortest (circular) witness search: one layered search over
+    (covered-subset, current-vertex) states, pruned backwards to the shortest
+    walks for lexicographically-least tie-breaking; the circular search runs
+    once, from the least member,
   * prefix/suffix projection of a set one order down, and the pair /
     skeleton / net bookkeeping used by the counting bounds.
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .budget import Budget, BudgetMeter
 from .words import InvalidLength, Word
 
 
@@ -196,7 +201,7 @@ class OverlapGraph:
         for x in vertices.codes():
             adj[x] = tuple(
                 y for y in (_succ(x, 0, wmask), _succ(x, 1, wmask))
-                if y in vertices)
+                if vertices.members >> y & 1)
         self.adjacency = adj
 
     def successors(self, x: int) -> tuple[int, ...]:
@@ -207,34 +212,47 @@ class OverlapGraph:
 
     def strongly_connected(self) -> bool:
         """Every vertex reaches every vertex (single vertex counts)."""
-        verts = list(self.adjacency)
-        if not verts:
-            return False
-        if len(verts) == 1:
-            return True
-        start = verts[0]
-        if len(self._reach(start, forward=True)) != len(verts):
-            return False
-        return len(self._reach(start, forward=False)) == len(verts)
+        return len(self.strong_components()) == 1
 
-    def _reach(self, start: int, forward: bool) -> set[int]:
-        n = self.order
-        wmask = (1 << n) - 1
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if forward:
-                nbrs = self.adjacency[v]
-            else:
-                nbrs = tuple(
-                    p for p in ((v >> 1), (v >> 1) | (1 << (n - 1)))
-                    if p in self.vertices and v in self.adjacency[p])
-            for w in nbrs:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+    def strong_components(self) -> list[list[int]]:
+        """The strongly connected components in topological order, sources
+        first (Tarjan's algorithm, iterative)."""
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []
+        on_stack: set[int] = set()
+        comps: list[list[int]] = []
+        for root in self.adjacency:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(self.adjacency[root]))]
+            while work:
+                v, succs = work[-1]
+                for w in succs:
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        stack.append(w)
+                        on_stack.add(w)
+                        work.append((w, iter(self.adjacency[w])))
+                        break
+                    if w in on_stack:
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    if work:
+                        u = work[-1][0]
+                        low[u] = min(low[u], low[v])
+                    if low[v] == index[v]:
+                        comp = []
+                        while not comp or comp[-1] != v:
+                            comp.append(stack.pop())
+                            on_stack.discard(comp[-1])
+                        comps.append(comp)
+        comps.reverse()  # Tarjan emits each component after all it reaches
+        return comps
 
 
 # -- representability ------------------------------------------------------
@@ -255,239 +273,149 @@ def is_circ_representable(fs: FactorSet) -> bool:
 def is_representable(fs: FactorSet) -> bool:
     """Whether some ordinary word has exactly this factor set.
 
-    Reachability of full coverage in the product space
-    (covered subset, current vertex) over the overlap graph. A greedy
-    walk-to-nearest-uncovered pass answers most instances; the exhaustive
-    product-space search settles the rest.
+    Decided structurally: the overlap graph must be unilaterally connected,
+    i.e. its condensation must be a directed path (Bang-Jensen & Gutin,
+    *Digraphs*, section 2). A lone vertex counts. A witness is a walk
+    visiting every vertex, which crosses the strong components in
+    topological order; conversely such a walk can cover each component
+    before taking an edge to the next one.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
-    if _greedy_cover(fs):
-        return True
-    return _min_cover_depth(fs) is not None
-
-
-def _greedy_cover(fs: FactorSet) -> bool:
-    """Try to cover the set by repeatedly walking to the nearest uncovered
-    vertex; sound but not complete."""
     g = OverlapGraph(fs)
-    total = len(fs)
-    for start in fs.codes():
-        covered = {start}
-        v = start
-        while len(covered) < total:
-            # BFS from v through the induced graph to any uncovered vertex
-            prev: dict[int, int | None] = {v: None}
-            queue = [v]
-            goal = None
-            while queue and goal is None:
-                nxt = []
-                for a in queue:
-                    for bneigh in g.successors(a):
-                        if bneigh not in prev:
-                            prev[bneigh] = a
-                            if bneigh not in covered:
-                                goal = bneigh
-                                break
-                            nxt.append(bneigh)
-                    if goal is not None:
-                        break
-                queue = nxt
-            if goal is None:
-                break
-            node: int | None = goal
-            while node is not None:
-                covered.add(node)
-                node = prev[node]
-            v = goal
-        if len(covered) == total:
-            return True
-    return False
+    comps = g.strong_components()
+    return all(any(y in nxt for x in comp for y in g.successors(x))
+               for comp, nxt in zip(comps, map(set, comps[1:])))
 
 
-def _min_cover_depth(fs: FactorSet) -> int | None:
-    """Minimal number of walk edges from any single-vertex start to full
-    coverage, or None when the set is not representable."""
+# -- witness search over (covered subset, current vertex) states -----------
+
+# Bytes per state reached by the layered search (its layer map, frontier
+# and pruned sets): tracemalloc's peak over the states reached on
+# FactorSet.full(4) was 69 for shortest_witness and 83 for
+# shortest_circular_witness; the larger is charged.
+_STATE_BYTES = 84
+
+
+def _least_cover_walk(fs: FactorSet, starts: list[int], goals: set[int],
+                      budget: Budget | None) -> Word | None:
+    """The lexicographically least word u . letters whose walk is a shortest
+    one from a start state to a goal state, or None when no goal is reachable.
+    The start states are distinct single-member states ({u}, u).
+
+    States are (covered << order) | vertex over the overlap graph. A forward
+    breadth-first search records the layer of each state it reaches and stops
+    after the first layer holding a goal. Every state on a shortest walk sits
+    in the layer of its step, so pruning backwards (G_d = the goals of the
+    last layer, G_k = the states of layer k with a successor in G_(k+1),
+    found among the predecessors of G_(k+1)) leaves exactly the states of
+    shortest walks. The walk then takes the least start vertex in G_0 and, at
+    each step, the least letter staying in G_(k+1).
+    """
     n = fs.order
     wmask = (1 << n) - 1
-    sm = fs.members
-    starts = [((1 << v) << n) | v for v in fs.codes()]
-    seen = set(starts)
-    if any((st >> n) == sm for st in starts):
-        return 0
+    # moves[v]: (letter, next vertex, its bit) for each member successor;
+    # preds[x]: the member predecessors of x
+    moves: list[tuple[tuple[int, int, int], ...]] = [()] * (1 << n)
+    preds: list[list[int]] = [[] for _ in range(1 << n)]
+    for v in fs.codes():
+        moves[v] = tuple((b, x, 1 << x) for b in (0, 1)
+                         if fs.members >> (x := _succ(v, b, wmask)) & 1)
+        for _, x, _ in moves[v]:
+            preds[x].append(v)
+    meter = BudgetMeter(budget) if budget is not None else None
+
+    layer_of = dict.fromkeys(starts, 0)
     frontier = starts
     d = 0
-    while frontier:
+    while goals.isdisjoint(frontier):
         d += 1
         nxt = []
         for st in frontier:
-            v = st & wmask
             cov = st >> n
-            for b in (0, 1):
-                x = _succ(v, b, wmask)
-                if not (sm >> x) & 1:
-                    continue
-                nst = ((cov | (1 << x)) << n) | x
-                if nst not in seen:
-                    if (nst >> n) == sm:
-                        return d
-                    seen.add(nst)
+            for _, x, bit in moves[st & wmask]:
+                nst = ((cov | bit) << n) | x
+                if nst not in layer_of:
+                    layer_of[nst] = d
                     nxt.append(nst)
+        if not nxt:
+            return None
         frontier = nxt
-    return None
+        if meter is not None:
+            meter.note(depth=d, states=len(layer_of), frontier=len(nxt))
+            meter.charge_memory(len(nxt) * _STATE_BYTES, f"witness search depth {d}")
+            meter.check_time(f"witness search depth {d}")
 
-
-def _backward_dist(fs: FactorSet, targets: list[int], levels: int) -> dict[int, int]:
-    """Min steps from each product-space state forward to any target state,
-    via BFS on reversed edges, out to ``levels`` levels."""
-    n = fs.order
-    sm = fs.members
-    top = 1 << (n - 1)
-    dist = {st: 0 for st in targets}
-    frontier = list(dist)
-    for r in range(1, levels + 1):
-        nxt = []
-        for st in frontier:
-            x = st & ((1 << n) - 1)
+    good = goals.intersection(frontier)
+    pruned = [good]
+    for k in range(d - 1, -1, -1):
+        good = set()
+        for st in pruned[-1]:
+            x = st & wmask
             cov = st >> n
-            for v in (x >> 1, (x >> 1) | top):
-                if not (sm >> v) & 1:
-                    continue
-                if (cov >> v) & 1:
-                    p = (cov << n) | v
-                    if p not in dist:
-                        dist[p] = r
-                        nxt.append(p)
-                cov2 = cov & ~(1 << x)
-                if v != x and (cov2 >> v) & 1:
-                    p = (cov2 << n) | v
-                    if p not in dist:
-                        dist[p] = r
-                        nxt.append(p)
-        frontier = nxt
-    return dist
-
-
-def _greedy_letters(fs: FactorSet, u: int, dist: dict[int, int], d: int) -> list[int]:
-    """Lexicographically least appended-letter sequence realizing a walk of
-    exactly d edges from ({u}, u) to a target, guided by backward distances."""
-    n = fs.order
-    wmask = (1 << n) - 1
-    sm = fs.members
-    cov, v = 1 << u, u
-    letters = []
-    for r in range(d, 0, -1):
-        for b in (0, 1):
-            x = _succ(v, b, wmask)
-            if not (sm >> x) & 1:
-                continue
-            nst = ((cov | (1 << x)) << n) | x
-            if dist.get(nst) == r - 1:
-                letters.append(b)
-                cov |= 1 << x
-                v = x
+            for v in preds[x]:
+                # the step v -> x either newly covered x or did not
+                for p in ((cov << n) | v, ((cov ^ (1 << x)) << n) | v):
+                    if layer_of.get(p) == k:
+                        good.add(p)
+        pruned.append(good)
+    pruned.reverse()
+    st = min(pruned[0])  # start states ({u}, u) order as u does
+    code = st & wmask
+    for good in pruned[1:]:
+        cov = st >> n
+        for b, x, bit in moves[st & wmask]:
+            st = ((cov | bit) << n) | x
+            if st in good:
+                code = (code << 1) | b
                 break
         else:
-            raise AssertionError("witness reconstruction lost the target")
-    return letters
+            raise AssertionError("witness reconstruction lost the goal")
+    return Word(n + d, code)
 
 
-def shortest_witness(fs: FactorSet) -> WitnessResult:
+def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResult:
     """Shortest ordinary witness, lexicographically least among minimal.
 
-    Breadth-first search over (covered, current-vertex) states started from
+    One layered search over (covered, current-vertex) states started from
     every single-member state; a walk of d edges corresponds to a witness of
-    length order + d.
+    length order + d. With a budget, each layer is charged against its
+    memory limit and checked against its time limit.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
     n = fs.order
-    d = _min_cover_depth(fs)
-    if d is None:
-        return WitnessResult(False)
-    sm = fs.members
-    targets = [(sm << n) | v for v in fs.codes()]
-    dist = _backward_dist(fs, targets, d)
-    for u in fs.codes():
-        if dist.get(((1 << u) << n) | u) == d:
-            break
-    else:
-        raise AssertionError("no start attains the BFS minimum")
-    letters = _greedy_letters(fs, u, dist, d)
-    code = u
-    for b in letters:
-        code = (code << 1) | b
-    return WitnessResult(True, n + d, Word(n + d, code))
+    w = _least_cover_walk(fs, [((1 << u) << n) | u for u in fs.codes()],
+                          {(fs.members << n) | v for v in fs.codes()}, budget)
+    return WitnessResult(False) if w is None else WitnessResult(True, w.length, w)
 
 
-def shortest_circular_witness(fs: FactorSet) -> WitnessResult:
+def shortest_circular_witness(fs: FactorSet,
+                              budget: Budget | None = None) -> WitnessResult:
     """Shortest circular witness, lexicographically least among minimal.
 
     The witness of length d is a closed covering walk of d edges in the
-    overlap graph; searched per start vertex. Reported length is that of the
-    circular word itself.
+    overlap graph. Such a walk passes through every member, so d is the same
+    from every start, and one layered search from the least member u0 to
+    (whole set, u0) finds it. The witness is the first d letters of that
+    walk's word; as every circular witness read from its start vertex begins
+    with that vertex, starting from the least member gives the lex-least one.
+    Reported length is that of the circular word itself. ``budget`` is used
+    as in shortest_witness.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
     n = fs.order
-    wmask = (1 << n) - 1
-    sm = fs.members
-    members = list(fs.codes())
-    if len(members) == 1:
-        v = members[0]
-        if v == 0 or v == wmask:
-            return WitnessResult(True, 1, Word(1, v & 1))
+    u0 = next(fs.codes())
+    if len(fs) == 1:
+        if u0 == 0 or u0 == (1 << n) - 1:
+            return WitnessResult(True, 1, Word(1, u0 & 1))
         return WitnessResult(False)
-
-    best: dict[int, int] = {}
-    for u in members:
-        du = _closed_cover_depth(fs, u)
-        if du is not None:
-            best[u] = du
-    if not best:
+    w = _least_cover_walk(fs, [((1 << u0) << n) | u0], {(fs.members << n) | u0}, budget)
+    if w is None:
         return WitnessResult(False)
-    d = min(best.values())
-    candidates = []
-    for u in sorted(c for c, du in best.items() if du == d):
-        dist = _backward_dist(fs, [(sm << n) | u], d)
-        letters = _greedy_letters(fs, u, dist, d)
-        code = u
-        for b in letters:
-            code = (code << 1) | b
-        full = Word(n + d, code)
-        candidates.append(full.segment(1, d))
-    witness = min(candidates, key=lambda w: w.code)
-    return WitnessResult(True, d, witness)
-
-
-def _closed_cover_depth(fs: FactorSet, u: int) -> int | None:
-    """Min closed-walk length from u covering the whole set, or None."""
-    n = fs.order
-    wmask = (1 << n) - 1
-    sm = fs.members
-    start = ((1 << u) << n) | u
-    goal = (sm << n) | u
-    seen = {start}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for st in frontier:
-            v = st & wmask
-            cov = st >> n
-            for b in (0, 1):
-                x = _succ(v, b, wmask)
-                if not (sm >> x) & 1:
-                    continue
-                nst = ((cov | (1 << x)) << n) | x
-                if nst not in seen:
-                    if nst == goal:
-                        return d
-                    seen.add(nst)
-                    nxt.append(nst)
-        frontier = nxt
-    return None
+    d = w.length - n
+    return WitnessResult(True, d, w.segment(1, d))
 
 
 # -- one order down: prefixes and suffixes ---------------------------------

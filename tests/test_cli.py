@@ -57,6 +57,11 @@ class TestWitness:
         r = run("witness", "3", "--n", "2", "--hex")  # bits 0,1 = {00, 01}
         assert r.output.strip() == "3 001"
 
+    def test_budget_exhaustion_exits_3(self, run):
+        r = run("witness", "--full", "--n", "5", "--budget-mb", "16")
+        assert r.exit_code == 3
+        assert "budget exhausted" in r.output and "progress:" in r.output
+
     def test_missing_spec_exits_2(self, run):
         assert run("witness", "--n", "2").exit_code == 2
 

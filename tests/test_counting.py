@@ -1,7 +1,11 @@
 """T(t, n) counting, the equal-factor characterization, the 2n boundary."""
 
+from collections import defaultdict
+from itertools import combinations, product
+
 import pytest
 
+import factorwords.counting
 from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
                          check_conjecture_2n, check_theorem1, count_T_bruteforce,
                          count_T_closed, counterexample_family, equal_factor_pairs,
@@ -99,6 +103,24 @@ class TestEqualFactorPairs:
             assert {hit[0].period_w, hit[0].period_w2} == {k, k + 1}
 
 
+    def test_against_string_grouping(self):
+        for n in (1, 2, 3):
+            for t in range(n, 10):
+                groups = defaultdict(list)
+                for bits in product("01", repeat=t):
+                    s = "".join(bits)
+                    groups[frozenset(s[i:i + n] for i in range(t - n + 1))].append(s)
+                expected = sorted(pair for g in groups.values()
+                                  for pair in combinations(sorted(g), 2))
+                got = sorted((str(p.w), str(p.w2)) for p in equal_factor_pairs(t, n))
+                assert got == expected, (t, n)
+
+    def test_memory_budget_covers_the_pairs(self):
+        # one class of 4094 words at n = 1: about 8.4 million pairs
+        with pytest.raises(BudgetExceededError):
+            equal_factor_pairs(12, 1, Budget(max_memory_bytes=64 << 20))
+
+
 class TestTheorem1:
     def test_in_region_pass(self):
         assert check_theorem1(7, 4).passed
@@ -123,6 +145,21 @@ class TestTheorem1:
                     if c.get("direction") == "forward"
                     and set(c["words"]) == {str(x), str(y)}]
             assert hits
+
+    def test_forward_scan_stops_at_the_counterexample_cap(self, monkeypatch):
+        calls = 0
+        conjugate = factorwords.counting.are_root_conjugate
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return conjugate(a, b)
+
+        monkeypatch.setattr(factorwords.counting, "are_root_conjugate", counted)
+        rep = check_theorem1(11, 1, allow_out_of_region=True)
+        assert not rep.forward_ok and len(rep.counterexamples) == 20
+        # one class of 2046 words: 2046 * 2045 / 2 pairs without the cap
+        assert calls < 0.01 * (2046 * 2045 // 2)
 
     def test_class_sizes_equal_periods(self):
         # within the region, each non-singleton class has as many words as

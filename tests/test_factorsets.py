@@ -5,11 +5,14 @@ share no code with the library's bit-table paths.
 """
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorwords import (EmptySet, FactorSet, OverlapGraph, Word, circular_factors,
+from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, OverlapGraph, Word, circular_factors,
                          count_pairs, count_skeletons, debruijn, factors,
                          feasible_net_subsets, incident, is_circ_representable,
                          is_representable, shortest_circular_witness,
@@ -111,6 +114,12 @@ class TestOverlapGraph:
         assert g2.edge_count() == 2  # two self-loops
         assert not g2.strongly_connected()
 
+    def test_strong_components_in_topological_order(self):
+        g = OverlapGraph(fs("00,01,11"))
+        assert g.strong_components() == [[0b00], [0b01], [0b11]]
+        g = OverlapGraph(fs("001,010,100,011,110"))
+        assert [sorted(c) for c in g.strong_components()] == [[1, 2, 3, 4, 6]]
+
     def test_edge_condition(self):
         s = FactorSet.full(3)
         g = OverlapGraph(s)
@@ -158,6 +167,26 @@ class TestRepresentability:
                 assert is_representable(FactorSet(n, members))
 
 
+@st.composite
+def small_factor_sets(draw):
+    """Sets of orders 1..5: factors of a random word, or a uniform random
+    subset of at most 10 members."""
+    n = draw(st.integers(1, 5))
+    top = 1 << n
+    if draw(st.booleans()):
+        ell = draw(st.integers(n, n + 11))
+        return factors(Word(ell, draw(st.integers(0, (1 << ell) - 1))), n)
+    codes = draw(st.lists(st.integers(0, top - 1), min_size=1,
+                          max_size=min(10, top), unique=True))
+    return FactorSet.from_codes(n, codes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_factor_sets())
+def test_structural_decider_agrees_with_search(s):
+    assert is_representable(s) == shortest_witness(s).found
+
+
 class TestWitnesses:
     def test_examples(self):
         r = shortest_witness(fs("00,01"))
@@ -203,6 +232,31 @@ class TestWitnesses:
                     assert circular_factors(rc.witness, n) == s
                 else:
                     assert not rc.found
+
+
+    def test_order_four_histograms_and_reextraction(self, enum_results):
+        r = enum_results[4]
+        for sets, search, extract, histogram in (
+                (r.rep_sets, shortest_witness, factors, r.sw_histogram),
+                (r.circ_sets, shortest_circular_witness, circular_factors,
+                 r.scw_histogram)):
+            lengths = Counter()
+            for members in sets:
+                s = FactorSet(4, members)
+                w = search(s)
+                assert w.found and w.witness.length == w.length
+                assert extract(w.witness, 4) == s
+                lengths[w.length] += 1
+            assert lengths == Counter(histogram)
+
+    def test_budget_stops_the_search(self):
+        for search in (shortest_witness, shortest_circular_witness):
+            with pytest.raises(BudgetExceededError) as exc:
+                search(FactorSet.full(5), Budget(max_memory_bytes=1 << 20))
+            assert exc.value.progress["depth"] >= 1
+            with pytest.raises(BudgetExceededError):
+                search(FactorSet.full(4), Budget(max_seconds=1e-9))
+            assert search(FactorSet.full(4), Budget()) == search(FactorSet.full(4))
 
 
 class TestIncidence:
