@@ -8,25 +8,36 @@ the new one. Breadth-first search from the single-word nodes ({u}, u, u)
 reaches exactly the valid nodes, and the depth of a node is the witness
 length minus n.
 
-The prefix u never changes along an edge, so the search shards into 2^n
-independent scans over (S, v) pairs. Shards merge by elementwise minimum,
-which is associative and commutative: results are identical for any worker
-count. S at order n is a 2^n-bit integer, so a whole shard's state space
-indexes an array of 2^(2^n + n) depths; that is the fast path for n <= 4,
-while n = 5 falls back to dictionaries behind an explicit budget.
+The census drops the prefix and shards by the least member u of S instead.
+A walk covering S only visits members of S, so shard u searches the
+(S, v) states whose vertices are all at least u, indexed densely by
+((S >> u) << n) | v: shard u is 2^u times smaller than shard 0. One
+multi-source layered search from every ({w}, w), w >= u, gives the first
+depth of each set whose least member is u; one search from ({u}, u) gives
+its shortest closed covering walk, whose length is the same from every
+vertex the walk passes through. Each shard reports only the sets whose least
+member is its u, and shards merge by elementwise minimum, which is
+associative and commutative: results are identical for any worker count.
+The dense arrays take 5 bytes per state of shard 0, 2^(2^n + n) states; that
+is the fast path for n <= 4, while n = 5 falls back to prefix-sharded
+dictionaries behind an explicit budget.
 
-A set S is representable iff it appears in some valid node, with shortest
+A set S is representable iff some walk covers exactly S, with shortest
 witness n + (first depth). It is circularly representable iff some closed
 walk of length d >= 1 returns to its start vertex having covered exactly S;
 the shortest circular witness is the least such d (a lone vertex needs a
-self-loop, covered by a singleton rule). Brute-force scans over all words
-and circular words, through the package's single word scan
-``words.factor_keys``, provide an independent oracle for every statistic.
+self-loop, covered by a singleton rule). The extremal witnesses are the least
+of the per-set searches' witnesses over the sets of extremal depth.
+Brute-force scans over all words and circular words, through the package's
+single word scan ``words.factor_keys``, provide an independent oracle for
+every statistic.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -34,13 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .factorsets import FactorSet
+from .factorsets import FactorSet, shortest_circular_witness, shortest_witness
 from .words import SCAN_CHUNK_BITS, Word, factor_keys, scan_nbytes, sorted_runs
 
 ARRAY_MAX_ORDER = 4      # dense per-shard arrays up to here
 HARD_MAX_ORDER = 5       # beyond is out of scope
 UNSEEN = 255             # depth sentinel in uint8 arrays
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2    # 2: dense shards are by least member, not prefix
 
 
 @dataclass(frozen=True)
@@ -91,22 +102,19 @@ class EnumerationResult:
 
 # -- per-shard scans ---------------------------------------------------------
 
-def _scan_shard(n: int, u: int):
-    """Layered BFS over one shard; returns (depth, set_first, circ_first).
+def _layers(n: int, u: int, starts: np.ndarray, depth: np.ndarray,
+            owner: np.ndarray) -> None:
+    """Layered search over shard u from the start states.
 
-    depth[(S << n) | v] is the BFS depth of state (S, v), set_first[S] the
-    first depth at which S appears, circ_first[S] the first depth >= 1 of a
-    state (S, u) closing a walk at the shard prefix.
+    Fills depth[((S >> u) << n) | v] with the first depth of each state
+    (UNSEEN where none); only vertices >= u are entered. Each layer drops
+    the states already seen and keeps one copy of each new one: the position
+    stamped last into ``owner``.
     """
-    width = 1 << n
-    wmask = width - 1
-    depth = np.full((1 << width) << n, UNSEEN, np.uint8)
-    set_first = np.full(1 << width, UNSEEN, np.uint8)
-    circ_first = np.full(1 << width, UNSEEN, np.uint8)
-    start = ((1 << u) << n) | u
-    depth[start] = 0
-    set_first[1 << u] = 0
-    frontier = np.array([start], dtype=np.int64)
+    wmask = (1 << n) - 1
+    depth.fill(UNSEEN)
+    depth[starts] = 0
+    frontier = starts
     d = 0
     while frontier.size:
         d += 1
@@ -115,24 +123,53 @@ def _scan_shard(n: int, u: int):
         nxt = []
         for b in (0, 1):
             s = ((v << 1) & wmask) | b
-            nxt.append(((cov | (np.int64(1) << s)) << n) | s)
-        ns = np.unique(np.concatenate(nxt))
+            c = cov
+            if u:
+                keep = s >= u
+                s, c = s[keep], c[keep]
+            nxt.append(((c | (np.int64(1) << (s - u))) << n) | s)
+        ns = np.concatenate(nxt)
         ns = ns[depth[ns] == UNSEEN]
-        if ns.size == 0:
-            break
+        pos = np.arange(ns.size, dtype=np.int32)
+        owner[ns] = pos
+        ns = ns[owner[ns] == pos]
         depth[ns] = d
-        cs = ns >> n
-        m = set_first[cs] == UNSEEN
-        set_first[cs[m]] = d
-        m = ((ns & wmask) == u) & (circ_first[cs] == UNSEEN)
-        circ_first[cs[m]] = d
         frontier = ns
-    return depth, set_first, circ_first
+
+
+def _shard_nbytes(n: int, u: int) -> int:
+    """Bytes of shard u's arrays: depth and owner per state, two records."""
+    return 5 * ((1 << ((1 << n) - u)) << n) + 2 * (1 << (1 << n))
+
+
+def _scan_shard(n: int, u: int):
+    """Search shard u; returns (set_first, circ_first) over all sets.
+
+    set_first[S] is the first depth at which S is covered, circ_first[S] the
+    first depth >= 1 of a closed walk covering S, both for the sets whose
+    least member is u and UNSEEN elsewhere.
+    """
+    width = 1 << n
+    space = (1 << (width - u)) << n
+    depth = np.empty(space, np.uint8)
+    owner = np.empty(space, np.int32)
+    # ours[k] views the states of S = (2k + 1) << u, the sets with least
+    # member u, which set_first[1 << u::2 << u] lists in the same order
+    ours = depth.reshape(-1, 2, width)[:, 1]
+    set_first = np.full(1 << width, UNSEEN, np.uint8)
+    circ_first = np.full(1 << width, UNSEEN, np.uint8)
+    w = np.arange(u, width, dtype=np.int64)
+    _layers(n, u, ((np.int64(1) << (w - u)) << n) | w, depth, owner)
+    set_first[1 << u::2 << u] = ours.min(axis=1)
+    _layers(n, u, np.array([(1 << n) | u], np.int64), depth, owner)
+    circ_first[1 << u::2 << u] = ours[:, u]
+    circ_first[1 << u] = UNSEEN  # the start itself is no closed walk
+    return set_first, circ_first
 
 
 def _scan_shard_worker(args):
     n, u = args
-    _, set_first, circ_first = _scan_shard(n, u)
+    set_first, circ_first = _scan_shard(n, u)
     return u, set_first.tobytes(), circ_first.tobytes()
 
 
@@ -315,9 +352,8 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     if n > ARRAY_MAX_ORDER:
         return _enumerate_sparse(n, meter, collect_sets, checkpoint_path)
 
-    shard_bytes = ((1 << width) << n) + 2 * (1 << width)
-    meter.charge_memory(shard_bytes * min(budget.workers, width) + 2 * (1 << width),
-                        "shard arrays")
+    in_flight = sum(_shard_nbytes(n, u) for u in range(min(budget.workers, width)))
+    meter.charge_memory(in_flight + 2 * (1 << width), "shard arrays")
 
     done: dict[int, tuple[bytes, bytes]] = {}
     if checkpoint_path:
@@ -333,7 +369,7 @@ def enumerate_representable(n: int, budget: Budget | None = None,
                 meter.check_time(f"shard {u}")
     else:
         for u in pending:
-            _, sf, cf = _scan_shard(n, u)
+            sf, cf = _scan_shard(n, u)
             done[u] = (sf.tobytes(), cf.tobytes())
             if checkpoint_path:
                 _append_checkpoint(checkpoint_path, n, u, *done[u])
@@ -363,8 +399,11 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     for dval, cnt in zip(*np.unique(gcirc[circ], return_counts=True)):
         scw_hist[int(dval)] = int(cnt)
 
-    longest = _lexleast_extremal(n, gset, mu - n, circular=False)
-    longest_circ = _lexleast_extremal(n, gcirc, nu, circular=True)
+    # the least of the extremal sets' lex-least witnesses, all of one length
+    longest = Word(mu, min(shortest_witness(FactorSet(n, int(s))).witness.code
+                           for s in np.flatnonzero(gset == mu - n)))
+    longest_circ = Word(nu, min(shortest_circular_witness(FactorSet(n, int(s))).witness.code
+                                for s in np.flatnonzero(gcirc == nu)))
 
     return EnumerationResult(
         n=n,
@@ -419,97 +458,10 @@ def _enumerate_sparse(n: int, meter: BudgetMeter, collect_sets: bool,
     )
 
 
-# -- extremal witness reconstruction ----------------------------------------
-
-def _lexleast_extremal(n: int, firsts: np.ndarray, d: int, circular: bool) -> Word:
-    """Lexicographically least witness of extremal length.
-
-    firsts holds, per set, the globally minimal depth; target sets are those
-    attaining d. Shards are rescanned in ascending prefix order; the first
-    shard containing a target state yields the least witness prefix, and a
-    backward distance table makes the greedy letter choice exact.
-    """
-    width = 1 << n
-    target = firsts == d
-    for u in range(width):
-        depth, set_first, circ_first = _scan_shard(n, u)
-        if circular:
-            hits = np.flatnonzero((circ_first == d) & target)
-            if hits.size == 0:
-                continue
-            states = (hits.astype(np.int64) << n) | u
-        else:
-            states = np.flatnonzero(depth == d).astype(np.int64)
-            states = states[target[states >> n]]
-            if states.size == 0:
-                continue
-        dist = _backward_dist_shard(n, states, d)
-        letters = _greedy_letters_shard(n, u, dist, d)
-        bits = [(u >> (n - 1 - i)) & 1 for i in range(n)] + letters
-        if circular:
-            bits = bits[:d]
-        code = 0
-        for b in bits:
-            code = (code << 1) | b
-        return Word(len(bits), code)
-    raise AssertionError("no shard contains an extremal witness state")
-
-
-def _backward_dist_shard(n: int, targets: np.ndarray, levels: int) -> np.ndarray:
-    """Min steps to any target, over the whole shard state space."""
-    wmask = (1 << n) - 1
-    dist = np.full((1 << (1 << n)) << n, UNSEEN, np.uint8)
-    frontier = np.unique(targets)
-    dist[frontier] = 0
-    for r in range(1, levels + 1):
-        x = frontier & wmask
-        cov = frontier >> n
-        cands = []
-        for b in (0, 1):
-            v = (x >> 1) | (np.int64(b) << (n - 1))
-            vbit = np.int64(1) << v
-            keep = (cov & vbit) != 0
-            cands.append(((cov << n) | v)[keep])
-            xbit = np.int64(1) << x
-            cov2 = cov & ~xbit
-            keep = ((cov2 & vbit) != 0) & (v != x)
-            cands.append(((cov2 << n) | v)[keep])
-        ns = np.unique(np.concatenate(cands))
-        ns = ns[dist[ns] == UNSEEN]
-        if ns.size == 0:
-            break
-        dist[ns] = r
-        frontier = ns
-    return dist
-
-
-def _greedy_letters_shard(n: int, u: int, dist: np.ndarray, d: int) -> list[int]:
-    wmask = (1 << n) - 1
-    st = ((1 << u) << n) | u
-    if dist[st] != d:
-        raise AssertionError("extremal start state does not attain the depth")
-    cov, v = 1 << u, u
-    letters = []
-    for r in range(d, 0, -1):
-        for b in (0, 1):
-            s = ((v << 1) & wmask) | b
-            nst = ((cov | (1 << s)) << n) | s
-            if dist[nst] == r - 1:
-                letters.append(b)
-                cov |= 1 << s
-                v = s
-                break
-        else:
-            raise AssertionError("greedy reconstruction lost the target")
-    return letters
-
-
 # -- checkpoints -------------------------------------------------------------
 
 def _append_checkpoint(path: str, n: int, u: int, sf: bytes, cf: bytes,
                        sparse: bool = False) -> None:
-    import base64
-    import os
     record: dict = {"record": "shard", "u": u}
     if sparse:
         record["set_first"] = json.loads(sf)
@@ -517,7 +469,7 @@ def _append_checkpoint(path: str, n: int, u: int, sf: bytes, cf: bytes,
     else:
         record["set_first_b64"] = base64.b64encode(sf).decode()
         record["circ_first_b64"] = base64.b64encode(cf).decode()
-    new = not os.path.exists(path)
+    new = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8") as fh:
         if new:
             fh.write(json.dumps({"record": "header",
@@ -525,25 +477,56 @@ def _append_checkpoint(path: str, n: int, u: int, sf: bytes, cf: bytes,
         fh.write(json.dumps(record) + "\n")
 
 
+def _parse_record(line: bytes):
+    """The record on a checkpoint line, or None when the line is torn."""
+    if not line.endswith(b"\n"):
+        return None
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
 def _load_checkpoint(path: str, n: int, width: int) -> dict[int, tuple[bytes, bytes]]:
-    import base64
-    import os
+    """The finished dense shards recorded in a checkpoint file.
+
+    Records are appended whole, so only the last one can be torn, by a run
+    cut mid-write: the file is truncated to the records before it, and that
+    shard is computed again. A header of another order or version, a line
+    that is no record, or a record of the sparse backend does not match.
+    """
     if not os.path.exists(path):
         return {}
+    with open(path, "r+b") as fh:
+        lines = fh.read().splitlines(keepends=True)
+        records = [_parse_record(line) for line in lines]
+        if records and records[-1] is None:
+            fh.truncate(len(b"".join(lines[:-1])))
+            records.pop()
+    if not records:
+        return {}
+    mismatch = ValueError(f"checkpoint {path} does not match this run")
+    if not all(isinstance(rec, dict) for rec in records):
+        raise mismatch
+    header, *shards = records
+    if (header.get("record") != "header" or header.get("version") != CHECKPOINT_VERSION
+            or header.get("n") != n):
+        raise mismatch
     done: dict[int, tuple[bytes, bytes]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("version") != CHECKPOINT_VERSION or header.get("n") != n:
-            raise ValueError(f"checkpoint {path} does not match this run")
-        for line in fh:
-            rec = json.loads(line)
-            if rec.get("record") != "shard":
-                continue
-            u = rec["u"]
-            if not 0 <= u < width:
-                raise ValueError(f"checkpoint shard {u} out of range")
-            done[u] = (base64.b64decode(rec["set_first_b64"]),
-                       base64.b64decode(rec["circ_first_b64"]))
+    for rec in shards:
+        if rec.get("record") != "shard":
+            continue
+        u = rec.get("u")
+        if not isinstance(u, int) or not 0 <= u < width:
+            raise ValueError(f"checkpoint shard {u} out of range")
+        try:
+            sf, cf = (base64.b64decode(rec[key], validate=True)
+                      for key in ("set_first_b64", "circ_first_b64"))
+        except (KeyError, TypeError, ValueError):
+            raise mismatch from None
+        if len(sf) != 1 << width or len(cf) != 1 << width:
+            raise mismatch
+        done[u] = (sf, cf)
     return done
 
 

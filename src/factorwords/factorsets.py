@@ -326,10 +326,18 @@ def _least_cover_walk(fs: FactorSet, starts: list[int], goals: set[int],
     meter = BudgetMeter(budget) if budget is not None else None
 
     layer_of = dict.fromkeys(starts, 0)
+    if meter is not None:
+        meter.note(depth=0, states=len(starts), frontier=len(starts))
+        meter.charge_memory(len(starts) * _STATE_BYTES, "witness search start")
     frontier = starts
     d = 0
     while goals.isdisjoint(frontier):
         d += 1
+        if meter is not None:
+            # a layer has at most two successors per state: charge that
+            # before building it and release what it did not take
+            worst = 2 * len(frontier) * _STATE_BYTES
+            meter.charge_memory(worst, f"witness search depth {d}")
         nxt = []
         for st in frontier:
             cov = st >> n
@@ -342,8 +350,8 @@ def _least_cover_walk(fs: FactorSet, starts: list[int], goals: set[int],
             return None
         frontier = nxt
         if meter is not None:
+            meter.release_memory(worst - len(nxt) * _STATE_BYTES)
             meter.note(depth=d, states=len(layer_of), frontier=len(nxt))
-            meter.charge_memory(len(nxt) * _STATE_BYTES, f"witness search depth {d}")
             meter.check_time(f"witness search depth {d}")
 
     good = goals.intersection(frontier)
@@ -380,7 +388,8 @@ def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResu
     One layered search over (covered, current-vertex) states started from
     every single-member state; a walk of d edges corresponds to a witness of
     length order + d. With a budget, each layer is charged against its
-    memory limit and checked against its time limit.
+    memory limit at its largest possible size before it is built, so the
+    charge never passes the limit, and checked against its time limit.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")

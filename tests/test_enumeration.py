@@ -1,12 +1,16 @@
 """The sharded search, its brute-force oracle, and their bookkeeping."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from factorwords import (Budget, BudgetExceededError, FactorSet, Word,
                          bfs_valid_nodes, bfs_with_parents, brute_force_enumerate,
-                         enumerate_representable, factors, witness_at_depth)
+                         enumerate_representable, factors, is_circ_representable,
+                         is_representable, witness_at_depth)
+from factorwords.enumeration import UNSEEN, _scan_shard
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -45,6 +49,34 @@ class TestEnumerate:
             enumerate_representable(6)
         with pytest.raises(ValueError):
             enumerate_representable(5)  # needs an explicit budget to opt in
+
+
+class TestDeciderAgreement:
+    """The census search and the structural deciders check each other."""
+
+    def test_every_set_small_orders(self, enum_results):
+        for n in (1, 2, 3):
+            rep, circ = set(enum_results[n].rep_sets), set(enum_results[n].circ_sets)
+            for members in range(1, 1 << (1 << n)):
+                s = FactorSet(n, members)
+                assert (members in rep) == is_representable(s)
+                assert (members in circ) == is_circ_representable(s)
+
+    def test_sampled_sets_order_four(self, enum_results):
+        rep, circ = set(enum_results[4].rep_sets), set(enum_results[4].circ_sets)
+        rng = random.Random(4)
+        for _ in range(3000):
+            members = rng.randrange(1, 1 << 16)
+            s = FactorSet(4, members)
+            assert (members in rep) == is_representable(s)
+            assert (members in circ) == is_circ_representable(s)
+
+    def test_shards_report_their_least_member(self):
+        for n in (1, 2, 3, 4):
+            for u in range(1 << n):
+                for firsts in _scan_shard(n, u):
+                    sets = np.flatnonzero(firsts != UNSEEN)
+                    assert np.all(sets & -sets == 1 << u)
 
 
 class TestOracleAgreement:
@@ -177,3 +209,56 @@ class TestCheckpoints:
         enumerate_representable(2, checkpoint_path=path)
         with pytest.raises(ValueError):
             enumerate_representable(3, checkpoint_path=path)
+
+    @pytest.fixture(scope="class")
+    def full_order3(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "full.ckpt"
+        result = enumerate_representable(3, checkpoint_path=str(path))
+        return result.to_json_dict(), path.read_text().splitlines(keepends=True)
+
+    @staticmethod
+    def _shards(path):
+        return [json.loads(line)["u"] for line in path.read_text().splitlines()[1:]]
+
+    @pytest.mark.parametrize("kept", [0, 1, 5, 7])
+    def test_resume_computes_only_missing_shards(self, tmp_path, full_order3, kept):
+        doc, lines = full_order3
+        path = tmp_path / "partial.ckpt"
+        path.write_text("".join(lines[:1 + kept]))
+        resumed = enumerate_representable(3, checkpoint_path=str(path))
+        assert resumed.to_json_dict() == doc
+        shards = self._shards(path)
+        assert shards[:kept] == list(range(kept))
+        assert sorted(shards[kept:]) == list(range(kept, 8))  # 8 - kept appended
+
+    @pytest.mark.parametrize("kept", [0, 4, 7])
+    def test_torn_last_record_recomputed(self, tmp_path, full_order3, kept):
+        doc, lines = full_order3
+        path = tmp_path / "torn.ckpt"
+        torn = lines[1 + kept]
+        path.write_text("".join(lines[:1 + kept]) + torn[:len(torn) // 2])
+        resumed = enumerate_representable(3, checkpoint_path=str(path))
+        assert resumed.to_json_dict() == doc
+        assert sorted(self._shards(path)) == list(range(8))
+        assert self._shards(path)[:kept] == list(range(kept))
+
+    def test_torn_header_starts_afresh(self, tmp_path, full_order3):
+        doc, lines = full_order3
+        path = tmp_path / "header.ckpt"
+        path.write_text(lines[0][:10])
+        assert enumerate_representable(3, checkpoint_path=str(path)).to_json_dict() == doc
+        assert sorted(self._shards(path)) == list(range(8))
+
+    def test_foreign_records_rejected(self, tmp_path, full_order3):
+        _, lines = full_order3
+        sparse = json.dumps({"record": "shard", "u": 1, "set_first": [[2, 0]],
+                             "circ_first": []}) + "\n"
+        for bad in (sparse, "[1, 2]\n", lines[2][:40] + "\n"):
+            path = tmp_path / "foreign.ckpt"
+            path.write_text(lines[0] + lines[1] + bad + lines[3])
+            with pytest.raises(ValueError, match="does not match this run"):
+                enumerate_representable(3, checkpoint_path=str(path))
+        # version 1 sharded by prefix: its records do not merge with these
+        path.write_text(lines[0].replace('"version": 2', '"version": 1') + lines[1])
+        with pytest.raises(ValueError, match="does not match this run"):
+            enumerate_representable(3, checkpoint_path=str(path))

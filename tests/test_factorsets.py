@@ -258,6 +258,16 @@ class TestWitnesses:
                 search(FactorSet.full(4), Budget(max_seconds=1e-9))
             assert search(FactorSet.full(4), Budget()) == search(FactorSet.full(4))
 
+    def test_budget_stop_never_overshoots(self):
+        # each layer is charged at its worst case before it is built, so the
+        # states reached when the search stops fit the budget
+        for search in (shortest_witness, shortest_circular_witness):
+            for mb in (1, 4, 16):
+                budget = Budget(max_memory_bytes=mb << 20)
+                with pytest.raises(BudgetExceededError) as exc:
+                    search(FactorSet.full(5), budget)
+                assert exc.value.progress["states"] * 84 <= budget.max_memory_bytes
+
 
 class TestIncidence:
     def test_examples(self):
