@@ -60,13 +60,15 @@ class BudgetMeter:
     progress: dict = field(default_factory=dict)
 
     def charge_memory(self, nbytes: int, what: str = "") -> None:
-        self.charged_bytes += nbytes
-        if self.charged_bytes > self.budget.max_memory_bytes:
+        """Charge nbytes, or refuse them, leaving the charge as it was."""
+        if self.charged_bytes + nbytes > self.budget.max_memory_bytes:
             raise BudgetExceededError(
-                f"memory budget exceeded ({self.charged_bytes} > "
-                f"{self.budget.max_memory_bytes} bytes){' at ' + what if what else ''}",
+                f"memory budget exceeded (requested {nbytes} with {self.charged_bytes} "
+                f"held, budget {self.budget.max_memory_bytes} bytes)"
+                f"{' at ' + what if what else ''}",
                 self.stats(),
             )
+        self.charged_bytes += nbytes
 
     def release_memory(self, nbytes: int) -> None:
         self.charged_bytes = max(0, self.charged_bytes - nbytes)

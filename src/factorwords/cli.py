@@ -51,7 +51,8 @@ def _common_options(fn):
                       type=click.Choice(["text", "json", "csv", "md"]),
                       help="Output format.")(fn)
     fn = click.option("--workers", default=1, show_default=True,
-                      help="Worker processes for sharded scans.")(fn)
+                      help="Worker processes for sharded scans "
+                           "(--oracle runs in-process).")(fn)
     fn = click.option("--budget-mb", default=None, type=int,
                       help="Memory budget in MiB (default: "
                            "FACTORSET_BUDGET_MB or 2048).")(fn)

@@ -28,9 +28,12 @@ walk of length d >= 1 returns to its start vertex having covered exactly S;
 the shortest circular witness is the least such d (a lone vertex needs a
 self-loop, covered by a singleton rule). The extremal witnesses are the least
 of the per-set searches' witnesses over the sets of extremal depth.
-Brute-force scans over all words and circular words, through the package's
-single word scan ``words.factor_keys``, provide an independent oracle for
-every statistic.
+
+The brute-force oracle shares no code with these searches: the package's one
+word scan, ``words.word_scan``, lists the factor sets of every word and
+circular word up to a length, reading each long word as a prefix key ORed
+with a suffix key from a table built once per call. It runs in-process,
+so its results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -39,14 +42,13 @@ import base64
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .budget import Budget, BudgetMeter
 from .factorsets import FactorSet, shortest_circular_witness, shortest_witness
-from .words import SCAN_CHUNK_BITS, Word, factor_keys, scan_nbytes, sorted_runs
+from .words import Word, word_scan, word_scan_nbytes
 
 ARRAY_MAX_ORDER = 4      # dense per-shard arrays up to here
 HARD_MAX_ORDER = 5       # beyond is out of scope
@@ -532,12 +534,10 @@ def _load_checkpoint(path: str, n: int, width: int) -> dict[int, tuple[bytes, by
 
 # -- brute-force oracle -------------------------------------------------------
 
-def _chunk_worker(args):
-    """The distinct factor sets of one chunk and the least code giving each."""
-    circ, n, ell, start, stop = args
-    keys = factor_keys(n, ell, range(start, stop), circular=bool(circ))
-    order, starts = sorted_runs(keys)
-    return circ, ell, keys[order[starts]], start + order[starts]
+def brute_force_nbytes(n: int, max_len: int) -> int:
+    """The bytes ``brute_force_enumerate`` charges: its per-set arrays and
+    the larger of its two word scans."""
+    return (32 << (1 << n)) + max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
 
 
 def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
@@ -545,8 +545,11 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
     """Independent oracle: scan every word and circular word up to max_len.
 
     Exact only when max_len is at least the true mu/nu for the order; the
-    caller picks max_len. Scans are chunked over contiguous code ranges and
-    folded in length order, so results do not depend on the worker count.
+    caller picks max_len. ``words.word_scan`` lists, length by length in
+    code order, the distinct factor sets of the words (ordinary, then
+    circular) with the least code giving each; the first length to list a
+    set is its shortest witness length. The scan runs in-process, so the
+    result does not depend on ``budget.workers``.
     """
     if not 1 <= n <= ARRAY_MAX_ORDER:
         raise ValueError(f"brute force supports orders 1..{ARRAY_MAX_ORDER}")
@@ -554,22 +557,16 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
         raise ValueError("max_len must be at least the order")
     budget = budget or Budget.default()
     meter = BudgetMeter(budget)
-    chunk = 1 << min(max_len, SCAN_CHUNK_BITS)
-    meter.charge_memory(scan_nbytes(n, max_len, chunk, circular=True) * budget.workers,
-                        "scan buffers")
+    meter.charge_memory(brute_force_nbytes(n, max_len), "scan buffers")
 
     # per set, ordinary then circular: the shortest witness length (0: none)
     # and the least code of that length giving the set
     first = np.zeros((2, 1 << (1 << n)), np.int64)
     least = np.zeros_like(first)
-    tasks = [(circ, n, ell, start, min(start + chunk, 1 << ell))
-             for ell in range(1, max_len + 1) for start in range(0, 1 << ell, chunk)
-             for circ in (0, 1) if circ or ell >= n]
-    # chunks come back in task order (length, then code ascending) for any
-    # worker count, so the first chunk to record a set has its least witness
-    with ProcessPoolExecutor(budget.workers) if budget.workers > 1 else nullcontext() as pool:
-        scans = pool.map(_chunk_worker, tasks, chunksize=4) if pool else map(_chunk_worker, tasks)
-        for circ, ell, sets, codes in scans:
+    for circ in (0, 1):
+        # batches come in length then code order, so the first batch to
+        # list a set has its least witness
+        for ell, sets, codes in word_scan(n, max_len, circular=bool(circ)):
             fresh = first[circ, sets] == 0
             first[circ, sets[fresh]] = ell
             least[circ, sets[fresh]] = codes[fresh]

@@ -8,8 +8,10 @@ equal-length words coincides with numeric order on codes. Positions are
 Also provides minimal periods and roots, (root-)conjugacy, the Möbius
 function, Lyndon word counting/enumeration, lexicographically least
 de Bruijn words, and the package's one word scan: ``factor_keys`` turns a
-batch of word codes into canonical factor-set keys with numpy, and
-``factor_classes`` groups a range of codes by factor set.
+batch of word codes into canonical factor-set keys with numpy,
+``factor_classes`` groups a range of codes by factor set, and ``word_scan``
+lists the distinct factor sets of every word up to a length, reading long
+words as a prefix key joined with a table of suffix keys.
 """
 
 from __future__ import annotations
@@ -250,9 +252,14 @@ def debruijn(n: int) -> Word:
 # -- the word scan ----------------------------------------------------------------
 
 _BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
-# codes per scan call in the chunked scans: on the order-4 oracle, 2^18 ran
-# faster and with a third of the worker memory of 2^21
+# codes per scan call in counting's chunked T(t, n) scan: on the order-4
+# brute-force scan, 2^18 ran faster and with a third of the memory of 2^21
 SCAN_CHUNK_BITS = 18
+# word_scan: suffix letters per table entry, and words or candidates per
+# batch; on the order-4 oracle at length 25, 14 and 14 ran fastest of 12..15
+# each, and batches of 2^14 words, not 2^18, kept its peak RSS 2.7 MB lower
+SPLIT_BITS = 14
+SCAN_BATCH_BITS = 14
 
 
 def _scan_dtypes(n: int, ell: int, circular: bool):
@@ -348,3 +355,107 @@ def scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
               + (3 * key_dt.itemsize if n <= _BITMAP_MAX_ORDER else width))
     sorting = 2 * key + 8 * 3 + width + 2
     return count * max(making, sorting)
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """The position of each distinct key's first occurrence, in key order."""
+    order, starts = sorted_runs(keys)
+    return order[starts]
+
+
+def _suffix_table(n: int, split_bits: int, hlen: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row (t << hlen) | h: the distinct keys of the words t·x·h, over
+    the x of ``split_bits`` letters, for t of n - 1 letters and h of hlen,
+    each with its least x (in the least unsigned dtype holding it) and
+    ordered by that x; rows are padded to one width by repeating their last
+    entry."""
+    xs = np.arange(1 << split_bits, dtype=np.int64)
+    x_dt = np.min_scalar_type((1 << split_bits) - 1)
+    keys, least = [], []
+    for t in range(1 << (n - 1)):
+        for h in range(1 << hlen):
+            row = factor_keys(n, n - 1 + split_bits + hlen, (((t << split_bits) | xs) << hlen) | h)
+            first = np.sort(_firsts(row))
+            keys.append(row[first])
+            least.append(first.astype(x_dt))
+    width = max(map(len, least))
+    tkeys = np.empty((len(keys), width), keys[0].dtype)
+    txs = np.empty((len(keys), width), x_dt)
+    for i, (k, x) in enumerate(zip(keys, least)):
+        tkeys[i], txs[i] = k[-1], x[-1]
+        tkeys[i, :k.size], txs[i, :x.size] = k, x
+    return tkeys, txs
+
+
+def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SPLIT_BITS):
+    """Yield (length, keys, codes) batches listing the distinct factor sets
+    of every word (circular word) of length n..max_len (1..max_len): each
+    batch covers a run of codes of one length, batches come in length then
+    code order, and within a batch ``keys`` are the distinct ``factor_keys``,
+    each with the least code giving it. Orders up to 6 (bitmap keys).
+
+    Lengths below split_bits + n are scanned directly in batches. A longer
+    word c = p·x, with x its last ``split_bits`` letters, t the last n - 1
+    letters of p and h its first n - 1, has F(c) = F(p) | F(t·x), and read
+    circularly F(p) | F(t·x·h): the window reaching past x wraps into h. So
+    one table, of the distinct F(t·x) (F(t·x·h)) per t (pair t, h) with the
+    least x giving each, turns a batch of prefixes into candidates
+    F(p) | table[row(p)] with codes (p << split_bits) | x, laid out in code
+    order, of which the least code per key survives.
+    """
+    if not 1 <= n <= _BITMAP_MAX_ORDER:
+        raise ValueError(f"the word scan supports orders 1..{_BITMAP_MAX_ORDER}")
+    if split_bits < 1:
+        raise ValueError("split_bits must be positive")
+    hlen = n - 1 if circular else 0
+    tmask = (1 << (n - 1)) - 1
+    split = split_bits + n  # the least length read as prefix and suffix
+    if max_len >= split:
+        tkeys, txs = _suffix_table(n, split_bits, hlen)
+        step = max(1, (1 << SCAN_BATCH_BITS) // tkeys.shape[1])
+    for ell in range(1 if circular else n, max_len + 1):
+        if ell < split:
+            chunk = 1 << min(ell, SCAN_BATCH_BITS)
+            for start in range(0, 1 << ell, chunk):
+                keys = factor_keys(n, ell, range(start, start + chunk), circular)
+                first = _firsts(keys)
+                yield ell, keys[first], start + first
+            continue
+        plen = ell - split_bits
+        for start in range(0, 1 << plen, step):
+            p = np.arange(start, min(start + step, 1 << plen), dtype=np.int64)
+            row = ((p & tmask) << hlen) | (p >> (plen - hlen))
+            keys = (factor_keys(n, plen, p)[:, None] | tkeys[row]).ravel()
+            first = _firsts(keys)
+            yield ell, keys[first], ((p << split_bits)[:, None] | txs[row]).ravel()[first]
+
+
+def word_scan_nbytes(n: int, max_len: int, circular: bool = False,
+                     split_bits: int = SPLIT_BITS) -> int:
+    """An upper bound on the bytes held at once while ``word_scan`` runs: one
+    direct chunk's, plus, past the split, the larger of assembling the suffix
+    table (its rows, then the padded copy; at most 2^split_bits entries a
+    row), making one row, and one batch of candidates beside the table. Each
+    scan call also counts the positions, keys and codes it yields, one per
+    word at most, and the caller's hold on the batch before. The sum covers
+    the table's lifetime beside the direct chunks.
+    """
+    key = _scan_dtypes(n, max_len, circular)[2].itemsize
+
+    def scanned(ell, count, circ):
+        return scan_nbytes(n, ell, count, circ) + count * (2 * key + 24)
+
+    split = split_bits + n
+    direct_len = min(max_len, split - 1)
+    direct = scanned(direct_len, 1 << min(direct_len, SCAN_BATCH_BITS), circular)
+    if max_len < split:
+        return direct
+    hlen = n - 1 if circular else 0
+    width = min(1 << split_bits, 1 << (1 << n))
+    x = np.min_scalar_type((1 << split_bits) - 1).itemsize
+    table = (1 << (n - 1 + hlen)) * width * (key + x)
+    # a row's codes: the x range and two int64 temporaries
+    making = table + (24 << split_bits) + scanned(split - 1 + hlen, 1 << split_bits, False)
+    cand = max(1 << SCAN_BATCH_BITS, width)
+    batch = table + cand * 2 * (key + 8) + scanned(max_len - split_bits, cand, False)
+    return direct + max(2 * table, making, batch)

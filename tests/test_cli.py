@@ -91,6 +91,11 @@ class TestEnumerate:
         r = run("enumerate", "--n", "4", "--max-seconds", "1e-9")
         assert r.exit_code == 3
 
+    def test_oracle_budget_exhaustion_exits_3(self, run):
+        r = run("enumerate", "--n", "4", "--oracle", "--budget-mb", "1")
+        assert r.exit_code == 3
+        assert "budget exhausted" in r.output and "progress:" in r.output
+
     def test_order_five_requires_opt_in(self, run):
         assert run("enumerate", "--n", "5").exit_code == 2
         r = run("enumerate", "--n", "5", "--budget-mb", "16")

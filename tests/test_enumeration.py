@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from factorwords import (Budget, BudgetExceededError, FactorSet, Word,
                          bfs_valid_nodes, bfs_with_parents, brute_force_enumerate,
                          enumerate_representable, factors, is_circ_representable,
                          is_representable, witness_at_depth)
-from factorwords.enumeration import UNSEEN, _scan_shard
+from factorwords.budget import BudgetMeter
+from factorwords.enumeration import UNSEEN, _scan_shard, brute_force_nbytes
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -184,6 +186,33 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as exc:
             enumerate_representable(4, Budget(max_memory_bytes=1 << 16))
         assert "charged_bytes" in exc.value.progress
+
+    def test_refused_charge_is_not_held(self):
+        meter = BudgetMeter(Budget(max_memory_bytes=1000))
+        meter.charge_memory(600)
+        with pytest.raises(BudgetExceededError) as exc:
+            meter.charge_memory(500, "more")
+        assert "requested 500 with 600 held" in str(exc.value)
+        assert meter.charged_bytes == exc.value.progress["charged_bytes"] == 600
+        meter.charge_memory(400)  # exactly the budget still fits
+
+    @pytest.mark.parametrize("n,max_len", [(3, 16), (4, 20), (4, 25)])
+    def test_oracle_charge_bounds_its_buffers(self, n, max_len):
+        tracemalloc.start()
+        try:
+            brute_force_enumerate(n, max_len, collect_sets=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= brute_force_nbytes(n, max_len)
+
+    def test_oracle_memory_ceiling_enforced(self):
+        tight = Budget(max_memory_bytes=brute_force_nbytes(4, 25) - 1)
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force_enumerate(4, 25, tight)
+        assert exc.value.progress["charged_bytes"] == 0
+        fits = Budget(max_memory_bytes=brute_force_nbytes(3, 11))
+        assert brute_force_enumerate(3, 11, fits).circ_count == 27
 
     def test_order_five_attempt_reports_progress(self):
         with pytest.raises(BudgetExceededError) as exc:

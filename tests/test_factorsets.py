@@ -267,6 +267,9 @@ class TestWitnesses:
                 with pytest.raises(BudgetExceededError) as exc:
                     search(FactorSet.full(5), budget)
                 assert exc.value.progress["states"] * 84 <= budget.max_memory_bytes
+                # the report holds what was charged, not the refused request
+                assert exc.value.progress["charged_bytes"] <= budget.max_memory_bytes
+                assert "requested" in str(exc.value)
 
 
 class TestIncidence:

@@ -1,8 +1,10 @@
 """Word primitives: periods, conjugacy, Lyndon words, de Bruijn words,
 and the word-scan kernel."""
 
+import functools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from factorwords import (InvalidLength, Word, are_conjugate, are_root_conjugate,
                          circular_factors, debruijn, divisors, factors,
                          lyndon_count, lyndon_words, mobius, period, root)
-from factorwords.words import (factor_classes, factor_keys, key_bitmap, scan_nbytes,
-                               sorted_runs)
+from factorwords.words import (_suffix_table, factor_classes, factor_keys, key_bitmap,
+                               scan_nbytes, sorted_runs, word_scan, word_scan_nbytes)
 
 
 def w(text):
@@ -289,3 +291,95 @@ class TestScanKernel:
             tracemalloc.stop()
         assert len(distinct) == len(starts)
         assert peak <= scan_nbytes(n, ell, 1 << ell, circular)
+
+
+def first_and_least(n, max_len, batches):
+    """Per set, ordinary then circular: the first length listing it (0:
+    none) and the least code of that length giving it."""
+    first = np.zeros((2, 1 << (1 << n)), np.int64)
+    least = np.zeros_like(first)
+    for circ, scan in enumerate(batches):
+        for ell, sets, codes in scan:
+            fresh = first[circ, sets] == 0
+            first[circ, sets[fresh]] = ell
+            least[circ, sets[fresh]] = codes[fresh]
+    return first, least
+
+
+def direct_batches(n, max_len, circular):
+    """One batch per length from a plain scan of every word."""
+    for ell in range(1 if circular else n, max_len + 1):
+        sets, codes = np.unique(factor_keys(n, ell, range(1 << ell), circular),
+                                return_index=True)
+        yield ell, sets, codes
+
+
+@functools.lru_cache(maxsize=None)
+def suffix_table(n, split_bits, hlen):
+    return _suffix_table(n, split_bits, hlen)
+
+
+class TestWordScan:
+    @pytest.mark.parametrize("n,max_len", [(1, 9), (2, 12), (3, 14), (4, 18)])
+    def test_split_scan_matches_direct_scan(self, n, max_len):
+        # split_bits = n and n + 2 run the direct path (circular words
+        # shorter than n included), the ordinary split and the circular wrap;
+        # at 2n, an order-4 table row has keys out of x order, so the least
+        # codes come out right only if the rows are kept in x order
+        want = first_and_least(n, max_len, [direct_batches(n, max_len, c)
+                                            for c in (False, True)])
+        for split_bits in (n, n + 2, 2 * n):
+            got = first_and_least(n, max_len, [word_scan(n, max_len, c, split_bits)
+                                               for c in (False, True)])
+            assert all((g == w).all() for g, w in zip(got, want)), split_bits
+
+    def test_batches_are_distinct_and_in_code_order(self):
+        for circular in (False, True):
+            last = (0, -1)
+            for ell, keys, codes in word_scan(3, 12, circular, split_bits=4):
+                assert len(np.unique(keys)) == len(keys)
+                assert (ell, codes.min()) > last
+                last = (ell, codes.max())
+                assert (factor_keys(3, ell, codes, circular) == keys).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_split_key_is_the_word_key(self, data):
+        # F(p·x) = F(p) | F(t·x), and circularly F(p) | F(t·x·h), with the
+        # suffix key read from the table built for the scan
+        n = data.draw(st.integers(1, 5), "n")
+        split_bits = data.draw(st.integers(1, 5), "split_bits")
+        circular = data.draw(st.booleans(), "circular")
+        ell = data.draw(st.integers(split_bits + n, split_bits + n + 10), "ell")
+        code = data.draw(st.integers(0, (1 << ell) - 1), "code")
+        hlen = n - 1 if circular else 0
+        plen = ell - split_bits
+        p, x = code >> split_bits, code & ((1 << split_bits) - 1)
+        t, h = p & ((1 << (n - 1)) - 1), p >> (plen - hlen)
+        tkeys, txs = suffix_table(n, split_bits, hlen)
+        row = (t << hlen) | h
+        suffix = factor_keys(n, n - 1 + split_bits + hlen,
+                             [(((t << split_bits) | x) << hlen) | h])[0]
+        assert txs[row][tkeys[row] == suffix].min() <= x
+        split = factor_keys(n, plen, [p])[0] | suffix
+        assert split == factor_keys(n, ell, [code], circular)[0]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            next(word_scan(7, 20))
+        with pytest.raises(ValueError):
+            next(word_scan(3, 20, split_bits=0))
+
+    @pytest.mark.parametrize("n,max_len,circular,split_bits", [
+        (3, 16, True, 14), (4, 17, False, 14), (4, 20, False, 14), (4, 20, True, 14),
+        (1, 20, True, 1), (4, 20, True, 6), (5, 20, True, 7), (6, 20, True, 8),
+    ])
+    def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len, circular, split_bits):
+        tracemalloc.start()
+        try:
+            for batch in word_scan(n, max_len, circular, split_bits):
+                pass  # holds each batch while the next one is made
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= word_scan_nbytes(n, max_len, circular, split_bits)
