@@ -17,9 +17,8 @@ from .counting import (Conjecture2nReport, EqualFactorPair, OutOfValidityRegion,
                        check_theorem1, count_T_bruteforce, count_T_closed,
                        counterexample_family, equal_factor_pairs,
                        group_words_by_factors, t_table)
-from .enumeration import (EnumerationResult, SearchNode, bfs_valid_nodes,
-                          bfs_with_parents, brute_force_enumerate,
-                          enumerate_representable, witness_at_depth)
+from .enumeration import (EnumerationResult, brute_force_enumerate,
+                          enumerate_representable)
 from .factorsets import (EmptySet, FactorSet, OverlapGraph, WitnessResult,
                          circular_factors, count_pairs, count_skeletons, factors,
                          feasible_net_subsets, incident, is_circ_representable,
@@ -42,8 +41,7 @@ __all__ = [
     "check_theorem1", "count_T_bruteforce", "count_T_closed",
     "counterexample_family", "equal_factor_pairs", "group_words_by_factors",
     "t_table",
-    "EnumerationResult", "SearchNode", "bfs_valid_nodes", "bfs_with_parents",
-    "brute_force_enumerate", "enumerate_representable", "witness_at_depth",
+    "EnumerationResult", "brute_force_enumerate", "enumerate_representable",
     "EmptySet", "FactorSet", "OverlapGraph", "WitnessResult",
     "circular_factors", "count_pairs", "count_skeletons", "factors",
     "feasible_net_subsets", "incident", "is_circ_representable",

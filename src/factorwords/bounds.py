@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
-from .factorsets import circular_factors
+from .factorsets import _least_cover_walk, _walk_tables, circular_factors, strong_components
 from .words import Word
 
 
@@ -194,25 +193,7 @@ class Digraph:
         self.edges[u].add(v)
 
     def strongly_connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-
-        def reach(adj):
-            seen = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return len(seen) == self.vertex_count
-
-        radj = [set() for _ in range(self.vertex_count)]
-        for v in range(self.vertex_count):
-            for w in self.edges[v]:
-                radj[w].add(v)
-        return reach(self.edges) and reach(radj)
+        return len(strong_components(dict(enumerate(self.edges)))) == 1
 
     def to_text(self) -> str:
         lines = [str(self.vertex_count)]
@@ -292,26 +273,24 @@ def _longest_simple_path(g: Digraph) -> list[int]:
 
 
 def _shortest_path(g: Digraph, s: int, t: int) -> list[int]:
-    if s == t:
-        return [s]
     prev: dict[int, int | None] = {s: None}
-    q = deque([s])
-    while q:
-        v = q.popleft()
+    queue = [s]
+    for v in queue:
+        if v == t:
+            path = [t]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1]
         for w in g.edges[v]:
             if w not in prev:
                 prev[w] = v
-                if w == t:
-                    path = [w]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                q.append(w)
+                queue.append(w)
     raise NotStronglyConnected(f"no path {s} -> {t}")
 
 
 def _optimal_closed_cover(g: Digraph) -> list[int]:
-    """Exact shortest closed covering walk.
+    """Exact shortest closed covering walk, the least vertex sequence among
+    them.
 
     Any covering closed walk passes through vertex 0, so it can be rotated
     to start and end there; one search over (covered, vertex) states from
@@ -320,26 +299,13 @@ def _optimal_closed_cover(g: Digraph) -> list[int]:
     nv = g.vertex_count
     if nv == 1:
         return [0, 0] if 0 in g.edges[0] else [0]
-    full = (1 << nv) - 1
-    start = (1, 0)
-    prev: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-    q = deque([start])
-    while q:
-        st = q.popleft()
-        mask, v = st
-        for w in g.edges[v]:
-            nst = (mask | (1 << w), w)
-            if nst not in prev:
-                prev[nst] = st
-                if nst == (full, 0):
-                    path = [0]
-                    cur = st
-                    while cur is not None:
-                        path.append(cur[1])
-                        cur = prev[cur]
-                    return path[::-1]
-                q.append(nst)
-    raise NotStronglyConnected("no closed covering walk exists")
+    shift = nv.bit_length()  # states are (covered << shift) | vertex
+    adjacency = {v: sorted(e) for v, e in enumerate(g.edges)}
+    walk = _least_cover_walk(*_walk_tables(nv, adjacency), shift, [1 << shift],
+                             {((1 << nv) - 1) << shift}, None)
+    if walk is None:
+        raise NotStronglyConnected("no closed covering walk exists")
+    return walk
 
 
 def hamiltonian_walk(g: Digraph) -> WalkReport:

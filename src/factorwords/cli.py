@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import click
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import counting, enumeration
 from .budget import Budget, BudgetExceededError
@@ -51,8 +52,8 @@ def _common_options(fn):
                       type=click.Choice(["text", "json", "csv", "md"]),
                       help="Output format.")(fn)
     fn = click.option("--workers", default=1, show_default=True,
-                      help="Worker processes for sharded scans "
-                           "(--oracle runs in-process).")(fn)
+                      help="Worker processes for the census's sharded search "
+                           "(everything else runs in-process).")(fn)
     fn = click.option("--budget-mb", default=None, type=int,
                       help="Memory budget in MiB (default: "
                            "FACTORSET_BUDGET_MB or 2048).")(fn)
@@ -107,7 +108,7 @@ def _guard(fn):
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="factorwords")
+@click.version_option(version=__version__, prog_name="factorwords")
 def main():
     """Factor sets of binary words: representability, witnesses, counts."""
 

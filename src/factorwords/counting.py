@@ -23,8 +23,6 @@ Budgets are charged the scan's buffers (``words.scan_nbytes``) up front.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -96,29 +94,20 @@ def group_words_by_factors(t: int, n: int,
     return {key_bitmap(keys[run[0]]): run.tolist() for run in np.split(order, starts[1:])}
 
 
-def _count_chunk(args) -> np.ndarray:
-    t, n, start, stop = args
-    keys = factor_keys(n, t, range(start, stop))
-    order, starts = sorted_runs(keys)
-    return keys[order[starts]]
-
-
 def count_T_bruteforce(t: int, n: int, budget: Budget | None = None) -> TCell:
-    """T(t, n) by scanning all 2^t words (chunked; worker-count independent)."""
-    budget = budget or Budget.default()
+    """T(t, n) by scanning all 2^t words in chunks, in-process."""
     chunk = 1 << min(t, SCAN_CHUNK_BITS)
-    workers = min(budget.workers, 1 << max(t - SCAN_CHUNK_BITS, 0))
-    meter = _scan_meter(t, n, budget, chunk * workers)
-    tasks = [(t, n, start, start + chunk) for start in range(0, 1 << t, chunk)]
+    meter = _scan_meter(t, n, budget, chunk)
     parts: list[np.ndarray] = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for part in (pool.map if pool else map)(_count_chunk, tasks):
-            parts.append(part)
-            meter.charge_memory(part.nbytes, f"T({t},{n}) chunk keys")
-            meter.check_time(f"T({t},{n})")
+    for start in range(0, 1 << t, chunk):
+        keys = factor_keys(n, t, range(start, start + chunk))
+        order, starts = sorted_runs(keys)
+        parts.append(keys[order[starts]])
+        meter.charge_memory(parts[-1].nbytes, f"T({t},{n}) chunk keys")
+        meter.check_time(f"T({t},{n})")
     if len(parts) == 1:
         return TCell(t, n, len(parts[0]), "brute")
-    meter.release_memory(scan_nbytes(n, t, chunk * workers))
+    meter.release_memory(scan_nbytes(n, t, chunk))
     merged = np.concatenate(parts)
     meter.charge_memory(scan_nbytes(n, t, len(merged)), f"T({t},{n}) merge")
     return TCell(t, n, len(sorted_runs(merged)[1]), "brute")

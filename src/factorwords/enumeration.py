@@ -1,23 +1,22 @@
 """Exhaustive enumeration of representable and circularly representable sets.
 
-The search graph has nodes (S, u, v): a set S of length-n words together
-with a length-n prefix u and suffix v. A node is valid when some word with
-prefix u and suffix v has factor set exactly S; appending one letter maps
-(S, u, v) to (S + {x}, u, x) where x drops the first letter of v and appends
-the new one. Breadth-first search from the single-word nodes ({u}, u, u)
-reaches exactly the valid nodes, and the depth of a node is the witness
-length minus n.
+The search runs over states (S, v): a set S of length-n words and a vertex
+v, such that some word ending in v has factor set exactly S. Appending one
+letter maps (S, v) to (S + {x}, x), where x drops the first letter of v and
+appends the new one. Breadth-first search from the single-word states
+({u}, u) reaches exactly these states, and the depth of a state is the
+length of the shortest such word minus n.
 
-The census drops the prefix and shards by the least member u of S instead.
-A walk covering S only visits members of S, so shard u searches the
-(S, v) states whose vertices are all at least u, indexed densely by
-((S >> u) << n) | v: shard u is 2^u times smaller than shard 0. One
-multi-source layered search from every ({w}, w), w >= u, gives the first
-depth of each set whose least member is u; one search from ({u}, u) gives
-its shortest closed covering walk, whose length is the same from every
-vertex the walk passes through. Each shard reports only the sets whose least
-member is its u, and shards merge by elementwise minimum, which is
-associative and commutative: results are identical for any worker count.
+The census shards by the least member u of S. A walk covering S only
+visits members of S, so shard u searches the (S, v) states whose vertices
+are all at least u, indexed densely by ((S >> u) << n) | v: shard u is 2^u
+times smaller than shard 0. One multi-source layered search from every
+({w}, w), w >= u, gives the first depth of each set whose least member is
+u; one search from ({u}, u) gives its shortest closed covering walk, whose
+length is the same from every vertex the walk passes through. Each shard
+reports only the sets whose least member is its u, and shards merge by
+elementwise minimum, which is associative and commutative: results are
+identical for any worker count.
 The dense arrays take 5 bytes per state of shard 0, 2^(2^n + n) states; that
 is the fast path for n <= 4, while n = 5 falls back to prefix-sharded
 dictionaries behind an explicit budget.
@@ -54,15 +53,6 @@ ARRAY_MAX_ORDER = 4      # dense per-shard arrays up to here
 HARD_MAX_ORDER = 5       # beyond is out of scope
 UNSEEN = 255             # depth sentinel in uint8 arrays
 CHECKPOINT_VERSION = 2    # 2: dense shards are by least member, not prefix
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    """A search-graph node: accumulated factor set plus prefix and suffix."""
-
-    covered: FactorSet
-    prefix: Word
-    suffix: Word
 
 
 @dataclass(frozen=True)
@@ -213,114 +203,6 @@ def _scan_shard_sparse(n: int, u: int, meter: BudgetMeter):
         charged = approx
     meter.release_memory(charged)
     return set_first, circ_first
-
-
-# -- streaming valid nodes ---------------------------------------------------
-
-def bfs_valid_nodes(n: int, budget: Budget | None = None):
-    """Yield every valid node exactly once as (SearchNode, depth).
-
-    Nodes come out shard by shard (prefix ascending), in breadth-first
-    layers, states ascending within a layer.
-    """
-    _check_order(n, budget)
-    budget = budget or Budget.default()
-    meter = BudgetMeter(budget)
-    width = 1 << n
-    wmask = width - 1
-    for u in range(width):
-        start = ((1 << u) << n) | u
-        seen = {start}
-        frontier = [start]
-        d = 0
-        charged = 0
-        pre = Word(n, u)
-        yield SearchNode(FactorSet(n, 1 << u), pre, pre), 0
-        while frontier:
-            d += 1
-            nxt = []
-            for st in frontier:
-                v = st & wmask
-                cov = st >> n
-                for b in (0, 1):
-                    s = ((v << 1) & wmask) | b
-                    nst = ((cov | (1 << s)) << n) | s
-                    if nst not in seen:
-                        seen.add(nst)
-                        nxt.append(nst)
-            nxt.sort()
-            for st in nxt:
-                yield SearchNode(FactorSet(n, st >> n), pre, Word(n, st & wmask)), d
-            frontier = nxt
-            meter.note(shard=u, frontier_depth=d, states=len(seen))
-            meter.check_time(f"shard {u} depth {d}")
-            approx = (len(seen) + len(frontier)) * 96
-            meter.release_memory(charged)
-            meter.charge_memory(approx, f"shard {u} depth {d}")
-            charged = approx
-        meter.release_memory(charged)
-
-
-def bfs_with_parents(n: int, budget: Budget | None = None):
-    """Run the search keeping back-pointers for witness reconstruction.
-
-    Returns (nodes, parents): nodes is a list of (SearchNode, depth);
-    parents maps each node to (parent node, appended letter), or to None
-    for the depth-0 roots.
-    """
-    _check_order(n, budget)
-    budget = budget or Budget.default()
-    meter = BudgetMeter(budget)
-    width = 1 << n
-    wmask = width - 1
-    nodes: list[tuple[SearchNode, int]] = []
-    parents: dict[SearchNode, tuple[SearchNode, int] | None] = {}
-    for u in range(width):
-        pre = Word(n, u)
-        start = ((1 << u) << n) | u
-        node_of = {start: SearchNode(FactorSet(n, 1 << u), pre, pre)}
-        parents[node_of[start]] = None
-        nodes.append((node_of[start], 0))
-        frontier = [start]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for st in frontier:
-                v = st & wmask
-                cov = st >> n
-                for b in (0, 1):
-                    s = ((v << 1) & wmask) | b
-                    nst = ((cov | (1 << s)) << n) | s
-                    if nst not in node_of:
-                        child = SearchNode(FactorSet(n, nst >> n), pre, Word(n, s))
-                        node_of[nst] = child
-                        parents[child] = (node_of[st], b)
-                        nodes.append((child, d))
-                        nxt.append(nst)
-            frontier = nxt
-            meter.note(shard=u, frontier_depth=d, states=len(node_of))
-            meter.check_time(f"shard {u} depth {d}")
-    return nodes, parents
-
-
-def witness_at_depth(node: SearchNode,
-                     parents: dict[SearchNode, tuple[SearchNode, int] | None]) -> Word:
-    """Reconstruct a witness word for a node emitted by the search."""
-    if node not in parents:
-        raise ValueError("unknown node: not produced by this search")
-    letters: list[int] = []
-    cur = node
-    while True:
-        entry = parents[cur]
-        if entry is None:
-            break
-        cur, letter = entry
-        letters.append(letter)
-    w = cur.prefix
-    for b in reversed(letters):
-        w = Word(w.length + 1, (w.code << 1) | b)
-    return w
 
 
 # -- full enumeration --------------------------------------------------------
@@ -535,8 +417,9 @@ def _load_checkpoint(path: str, n: int, width: int) -> dict[int, tuple[bytes, by
 # -- brute-force oracle -------------------------------------------------------
 
 def brute_force_nbytes(n: int, max_len: int) -> int:
-    """The bytes ``brute_force_enumerate`` charges: its per-set arrays and
-    the larger of its two word scans."""
+    """The bytes ``brute_force_enumerate`` charges up front: its per-set
+    arrays and the larger of its two word scans' buffers. Each scan charges
+    its suffix table on top while it holds it."""
     return (32 << (1 << n)) + max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
 
 
@@ -566,7 +449,7 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
     for circ in (0, 1):
         # batches come in length then code order, so the first batch to
         # list a set has its least witness
-        for ell, sets, codes in word_scan(n, max_len, circular=bool(circ)):
+        for ell, sets, codes in word_scan(n, max_len, bool(circ), meter=meter):
             fresh = first[circ, sets] == 0
             first[circ, sets[fresh]] = ell
             least[circ, sets[fresh]] = codes[fresh]

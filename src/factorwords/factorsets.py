@@ -11,7 +11,8 @@ table (bit code(x) set iff x is a member). On top of it live:
   * shortest (circular) witness search: one layered search over
     (covered-subset, current-vertex) states, pruned backwards to the shortest
     walks for lexicographically-least tie-breaking; the circular search runs
-    once, from the least member,
+    once, from the least member. The search takes successor tables, so
+    bounds runs its exact covering closed walks on it too,
   * prefix/suffix projection of a set one order down, and the pair /
     skeleton / net bookkeeping used by the counting bounds.
 
@@ -21,7 +22,7 @@ All values are immutable; the searches keep only private state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .budget import Budget, BudgetMeter
 from .words import InvalidLength, Word
@@ -197,11 +198,12 @@ class OverlapGraph:
         self.order = vertices.order
         self.vertices = vertices
         wmask = (1 << self.order) - 1
+        m = vertices.members
         adj: dict[int, tuple[int, ...]] = {}
         for x in vertices.codes():
-            adj[x] = tuple(
-                y for y in (_succ(x, 0, wmask), _succ(x, 1, wmask))
-                if vertices.members >> y & 1)
+            y = _succ(x, 0, wmask)  # even, so the other successor is y + 1
+            pair = m >> y & 3
+            adj[x] = (y, y + 1) if pair == 3 else (y + (pair >> 1),) if pair else ()
         self.adjacency = adj
 
     def successors(self, x: int) -> tuple[int, ...]:
@@ -216,43 +218,51 @@ class OverlapGraph:
 
     def strong_components(self) -> list[list[int]]:
         """The strongly connected components in topological order, sources
-        first (Tarjan's algorithm, iterative)."""
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        stack: list[int] = []
-        on_stack: set[int] = set()
-        comps: list[list[int]] = []
-        for root in self.adjacency:
-            if root in index:
-                continue
-            index[root] = low[root] = len(index)
-            stack.append(root)
-            on_stack.add(root)
-            work = [(root, iter(self.adjacency[root]))]
-            while work:
-                v, succs = work[-1]
-                for w in succs:
-                    if w not in index:
-                        index[w] = low[w] = len(index)
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(self.adjacency[w])))
-                        break
-                    if w in on_stack:
-                        low[v] = min(low[v], index[w])
-                else:
-                    work.pop()
-                    if work:
-                        u = work[-1][0]
-                        low[u] = min(low[u], low[v])
-                    if low[v] == index[v]:
-                        comp = []
-                        while not comp or comp[-1] != v:
-                            comp.append(stack.pop())
-                            on_stack.discard(comp[-1])
-                        comps.append(comp)
-        comps.reverse()  # Tarjan emits each component after all it reaches
-        return comps
+        first."""
+        return strong_components(self.adjacency)
+
+
+def strong_components(adjacency: Mapping[int, Iterable[int]]) -> list[list[int]]:
+    """The strongly connected components of the digraph mapping each vertex
+    to its successors, in topological order, sources first (Tarjan's
+    algorithm, iterative)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    comps: list[list[int]] = []
+    for root in adjacency:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(adjacency[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adjacency[w])))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    comps.append(comp)
+    comps.reverse()  # Tarjan emits each component after all it reaches
+    return comps
 
 
 # -- representability ------------------------------------------------------
@@ -297,32 +307,38 @@ def is_representable(fs: FactorSet) -> bool:
 _STATE_BYTES = 84
 
 
-def _least_cover_walk(fs: FactorSet, starts: list[int], goals: set[int],
-                      budget: Budget | None) -> Word | None:
-    """The lexicographically least word u . letters whose walk is a shortest
-    one from a start state to a goal state, or None when no goal is reachable.
-    The start states are distinct single-member states ({u}, u).
-
-    States are (covered << order) | vertex over the overlap graph. A forward
-    breadth-first search records the layer of each state it reaches and stops
-    after the first layer holding a goal. Every state on a shortest walk sits
-    in the layer of its step, so pruning backwards (G_d = the goals of the
-    last layer, G_k = the states of layer k with a successor in G_(k+1),
-    found among the predecessors of G_(k+1)) leaves exactly the states of
-    shortest walks. The walk then takes the least start vertex in G_0 and, at
-    each step, the least letter staying in G_(k+1).
-    """
-    n = fs.order
-    wmask = (1 << n) - 1
-    # moves[v]: (letter, next vertex, its bit) for each member successor;
-    # preds[x]: the member predecessors of x
-    moves: list[tuple[tuple[int, int, int], ...]] = [()] * (1 << n)
-    preds: list[list[int]] = [[] for _ in range(1 << n)]
-    for v in fs.codes():
-        moves[v] = tuple((b, x, 1 << x) for b in (0, 1)
-                         if fs.members >> (x := _succ(v, b, wmask)) & 1)
-        for _, x, _ in moves[v]:
+def _walk_tables(size: int, adjacency: Mapping[int, Iterable[int]]):
+    """The successor tables of _least_cover_walk for a digraph on the
+    vertices 0..size-1, given as a map from each vertex to its successors in
+    ascending order: moves[v], the (next vertex, its bit) pairs, and
+    preds[x], the vertices with a move to x."""
+    moves: list[tuple[tuple[int, int], ...]] = [()] * size
+    preds: list[list[int]] = [[] for _ in range(size)]
+    for v, succs in adjacency.items():
+        moves[v] = tuple([(x, 1 << x) for x in succs])
+        for x in succs:
             preds[x].append(v)
+    return moves, preds
+
+
+def _least_cover_walk(moves: list[tuple[tuple[int, int], ...]], preds: list[list[int]],
+                      shift: int, starts: list[int], goals: set[int],
+                      budget: Budget | None) -> list[int] | None:
+    """The least vertex sequence, compared vertex by vertex, of a shortest
+    walk from a start state to a goal state, or None when no goal is
+    reachable. States are (covered << shift) | vertex, where covered has the
+    bit 1 << x of every vertex x passed; ``moves`` and ``preds`` are the
+    tables of ``_walk_tables``, and the start states order as their vertices.
+
+    A forward breadth-first search records the layer of each state it
+    reaches and stops after the first layer holding a goal. Every state on a
+    shortest walk sits in the layer of its step, so pruning backwards (G_d =
+    the goals of the last layer, G_k = the states of layer k with a successor
+    in G_(k+1), found among the predecessors of G_(k+1)) leaves exactly the
+    states of shortest walks. The walk then takes the least start vertex in
+    G_0 and, at each step, the least next vertex staying in G_(k+1).
+    """
+    vmask = (1 << shift) - 1
     meter = BudgetMeter(budget) if budget is not None else None
 
     layer_of = dict.fromkeys(starts, 0)
@@ -340,9 +356,9 @@ def _least_cover_walk(fs: FactorSet, starts: list[int], goals: set[int],
             meter.charge_memory(worst, f"witness search depth {d}")
         nxt = []
         for st in frontier:
-            cov = st >> n
-            for _, x, bit in moves[st & wmask]:
-                nst = ((cov | bit) << n) | x
+            cov = st >> shift
+            for x, bit in moves[st & vmask]:
+                nst = ((cov | bit) << shift) | x
                 if nst not in layer_of:
                     layer_of[nst] = d
                     nxt.append(nst)
@@ -359,27 +375,44 @@ def _least_cover_walk(fs: FactorSet, starts: list[int], goals: set[int],
     for k in range(d - 1, -1, -1):
         good = set()
         for st in pruned[-1]:
-            x = st & wmask
-            cov = st >> n
+            x = st & vmask
+            cov = st >> shift
             for v in preds[x]:
                 # the step v -> x either newly covered x or did not
-                for p in ((cov << n) | v, ((cov ^ (1 << x)) << n) | v):
+                for p in ((cov << shift) | v, ((cov ^ (1 << x)) << shift) | v):
                     if layer_of.get(p) == k:
                         good.add(p)
         pruned.append(good)
     pruned.reverse()
-    st = min(pruned[0])  # start states ({u}, u) order as u does
-    code = st & wmask
+    st = min(pruned[0])
+    walk = [st & vmask]
     for good in pruned[1:]:
-        cov = st >> n
-        for b, x, bit in moves[st & wmask]:
-            st = ((cov | bit) << n) | x
+        cov = st >> shift
+        for x, bit in moves[st & vmask]:
+            st = ((cov | bit) << shift) | x
             if st in good:
-                code = (code << 1) | b
+                walk.append(x)
                 break
         else:
-            raise AssertionError("witness reconstruction lost the goal")
-    return Word(n + d, code)
+            raise AssertionError("walk reconstruction lost the goal")
+    return walk
+
+
+def _cover_word(fs: FactorSet, starts: list[int], goals: set[int],
+                budget: Budget | None) -> Word | None:
+    """The least word of a shortest walk over the overlap graph of fs from a
+    start state to a goal state: its first vertex, then the last letter of
+    each next one (on the de Bruijn graph the least next vertex appends the
+    least letter)."""
+    n = fs.order
+    walk = _least_cover_walk(*_walk_tables(1 << n, OverlapGraph(fs).adjacency),
+                             n, starts, goals, budget)
+    if walk is None:
+        return None
+    code = walk[0]
+    for x in walk[1:]:
+        code = (code << 1) | (x & 1)
+    return Word(n + len(walk) - 1, code)
 
 
 def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResult:
@@ -394,8 +427,8 @@ def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResu
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
     n = fs.order
-    w = _least_cover_walk(fs, [((1 << u) << n) | u for u in fs.codes()],
-                          {(fs.members << n) | v for v in fs.codes()}, budget)
+    w = _cover_word(fs, [((1 << u) << n) | u for u in fs.codes()],
+                    {(fs.members << n) | v for v in fs.codes()}, budget)
     return WitnessResult(False) if w is None else WitnessResult(True, w.length, w)
 
 
@@ -420,7 +453,7 @@ def shortest_circular_witness(fs: FactorSet,
         if u0 == 0 or u0 == (1 << n) - 1:
             return WitnessResult(True, 1, Word(1, u0 & 1))
         return WitnessResult(False)
-    w = _least_cover_walk(fs, [((1 << u0) << n) | u0], {(fs.members << n) | u0}, budget)
+    w = _cover_word(fs, [((1 << u0) << n) | u0], {(fs.members << n) | u0}, budget)
     if w is None:
         return WitnessResult(False)
     d = w.length - n

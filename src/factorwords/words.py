@@ -21,6 +21,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .budget import BudgetMeter
+
 
 class InvalidLength(ValueError):
     """A word is too short (or otherwise badly sized) for the operation."""
@@ -363,12 +365,15 @@ def _firsts(keys: np.ndarray) -> np.ndarray:
     return order[starts]
 
 
-def _suffix_table(n: int, split_bits: int, hlen: int) -> tuple[np.ndarray, np.ndarray]:
+def _suffix_table(n: int, split_bits: int, hlen: int,
+                  meter: BudgetMeter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per row (t << hlen) | h: the distinct keys of the words t·x·h, over
     the x of ``split_bits`` letters, for t of n - 1 letters and h of hlen,
     each with its least x (in the least unsigned dtype holding it) and
     ordered by that x; rows are padded to one width by repeating their last
-    entry."""
+    entry. With a meter, each row is charged as it is made and the padded
+    table before it is filled; the rows are released once it is, so the
+    table stays charged."""
     xs = np.arange(1 << split_bits, dtype=np.int64)
     x_dt = np.min_scalar_type((1 << split_bits) - 1)
     keys, least = [], []
@@ -378,16 +383,25 @@ def _suffix_table(n: int, split_bits: int, hlen: int) -> tuple[np.ndarray, np.nd
             first = np.sort(_firsts(row))
             keys.append(row[first])
             least.append(first.astype(x_dt))
+            if meter is not None:
+                meter.charge_memory(keys[-1].nbytes + least[-1].nbytes, "suffix table row")
     width = max(map(len, least))
+    rows = sum(k.nbytes + x.nbytes for k, x in zip(keys, least))
+    if meter is not None:
+        meter.charge_memory(len(keys) * width * (keys[0].itemsize + x_dt.itemsize),
+                            "suffix table")
     tkeys = np.empty((len(keys), width), keys[0].dtype)
     txs = np.empty((len(keys), width), x_dt)
     for i, (k, x) in enumerate(zip(keys, least)):
         tkeys[i], txs[i] = k[-1], x[-1]
         tkeys[i, :k.size], txs[i, :x.size] = k, x
+    if meter is not None:
+        meter.release_memory(rows)
     return tkeys, txs
 
 
-def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SPLIT_BITS):
+def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SPLIT_BITS,
+              meter: BudgetMeter | None = None):
     """Yield (length, keys, codes) batches listing the distinct factor sets
     of every word (circular word) of length n..max_len (1..max_len): each
     batch covers a run of codes of one length, batches come in length then
@@ -402,6 +416,10 @@ def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SP
     least x giving each, turns a batch of prefixes into candidates
     F(p) | table[row(p)] with codes (p << split_bits) | x, laid out in code
     order, of which the least code per key survives.
+
+    ``word_scan_nbytes`` bounds the buffers other than the table. With a
+    meter, the table is charged to it row by row as it is built and
+    released when the scan ends.
     """
     if not 1 <= n <= _BITMAP_MAX_ORDER:
         raise ValueError(f"the word scan supports orders 1..{_BITMAP_MAX_ORDER}")
@@ -411,7 +429,7 @@ def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SP
     tmask = (1 << (n - 1)) - 1
     split = split_bits + n  # the least length read as prefix and suffix
     if max_len >= split:
-        tkeys, txs = _suffix_table(n, split_bits, hlen)
+        tkeys, txs = _suffix_table(n, split_bits, hlen, meter)
         step = max(1, (1 << SCAN_BATCH_BITS) // tkeys.shape[1])
     for ell in range(1 if circular else n, max_len + 1):
         if ell < split:
@@ -428,17 +446,18 @@ def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SP
             keys = (factor_keys(n, plen, p)[:, None] | tkeys[row]).ravel()
             first = _firsts(keys)
             yield ell, keys[first], ((p << split_bits)[:, None] | txs[row]).ravel()[first]
+    if meter is not None and max_len >= split:
+        meter.release_memory(tkeys.nbytes + txs.nbytes)
 
 
 def word_scan_nbytes(n: int, max_len: int, circular: bool = False,
                      split_bits: int = SPLIT_BITS) -> int:
-    """An upper bound on the bytes held at once while ``word_scan`` runs: one
-    direct chunk's, plus, past the split, the larger of assembling the suffix
-    table (its rows, then the padded copy; at most 2^split_bits entries a
-    row), making one row, and one batch of candidates beside the table. Each
-    scan call also counts the positions, keys and codes it yields, one per
-    word at most, and the caller's hold on the batch before. The sum covers
-    the table's lifetime beside the direct chunks.
+    """An upper bound on the bytes ``word_scan`` holds at once beside its
+    suffix table, which a meter passed to it is charged as it is built: one
+    direct chunk's, plus, past the split, the larger of making one table row
+    and one batch of candidates (at most 2^split_bits a row). Each scan call
+    also counts the positions, keys and codes it yields, one per word at
+    most, and the caller's hold on the batch before.
     """
     key = _scan_dtypes(n, max_len, circular)[2].itemsize
 
@@ -452,10 +471,8 @@ def word_scan_nbytes(n: int, max_len: int, circular: bool = False,
         return direct
     hlen = n - 1 if circular else 0
     width = min(1 << split_bits, 1 << (1 << n))
-    x = np.min_scalar_type((1 << split_bits) - 1).itemsize
-    table = (1 << (n - 1 + hlen)) * width * (key + x)
     # a row's codes: the x range and two int64 temporaries
-    making = table + (24 << split_bits) + scanned(split - 1 + hlen, 1 << split_bits, False)
+    making = (24 << split_bits) + scanned(split - 1 + hlen, 1 << split_bits, False)
     cand = max(1 << SCAN_BATCH_BITS, width)
-    batch = table + cand * 2 * (key + 8) + scanned(max_len - split_bits, cand, False)
-    return direct + max(2 * table, making, batch)
+    batch = cand * 2 * (key + 8) + scanned(max_len - split_bits, cand, False)
+    return direct + max(making, batch)

@@ -1,7 +1,7 @@
 """Splice constructions, bound audits, and covering-walk machinery."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -153,6 +153,37 @@ class TestWalks:
                 assert b in g.edges[a]
             assert r.walk[0] == r.walk[-1]
             assert r.optimal_walk[0] == r.optimal_walk[-1]
+
+    def test_optimum_matches_brute_force(self):
+        # the least vertex sequence of a shortest closed walk through 0
+        # covering every vertex, by listing all sequences of each length
+        rng = random.Random(11)
+        for _ in range(150):
+            g = random_strongly_connected(rng, max_vertices=4)
+            nv = g.vertex_count
+            best = next(
+                walk for length in range(1, 2 * nv * nv)
+                for inner in product(range(nv), repeat=length - 1)
+                if set(walk := (0, *inner, 0)) == set(range(nv))
+                and all(b in g.edges[a] for a, b in zip(walk, walk[1:])))
+            r = hamiltonian_walk(g)
+            assert r.optimal_length == len(best) - 1
+            assert r.optimal_walk == best
+
+    def test_strong_connectivity_matches_reachability(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            nv = rng.randint(1, 6)
+            g = Digraph(nv)
+            for u, v in product(range(nv), repeat=2):
+                if rng.random() < 0.3:
+                    g.add_edge(u, v)
+            reach = [{v} | g.edges[v] for v in range(nv)]
+            for k in range(nv):  # transitive closure, Warshall's order
+                for v in range(nv):
+                    if k in reach[v]:
+                        reach[v] |= reach[k]
+            assert g.strongly_connected() == all(len(r) == nv for r in reach)
 
     def test_not_strongly_connected_rejected(self):
         g = Digraph(3)

@@ -96,6 +96,13 @@ class TestEnumerate:
         assert r.exit_code == 3
         assert "budget exhausted" in r.output and "progress:" in r.output
 
+    def test_oracle_runs_in_ten_mib(self, run):
+        # the oracle's suffix tables are charged at their real size
+        full = run("enumerate", "--n", "4", "--oracle", "-f", "json")
+        tight = run("enumerate", "--n", "4", "--oracle", "--budget-mb", "10", "-f", "json")
+        assert tight.exit_code == 0
+        assert json.loads(tight.output)["result"] == json.loads(full.output)["result"]
+
     def test_order_five_requires_opt_in(self, run):
         assert run("enumerate", "--n", "5").exit_code == 2
         r = run("enumerate", "--n", "5", "--budget-mb", "16")

@@ -36,8 +36,9 @@ class TestBruteForce:
         assert a.value == b.value
 
     def test_pool_path_matches_one_worker(self):
-        # t = 19 is two chunks of 2^18, so two workers really start the pool;
-        # n = 5 keys are bitmaps, n = 10 keys are rows (and in closed-form range)
+        # t = 19 is two chunks of 2^18, so the chunks' keys are merged; the
+        # scan runs in-process, so the worker count must not matter. n = 5
+        # keys are bitmaps, n = 10 keys are rows (and in closed-form range)
         for n in (5, 10):
             one = count_T_bruteforce(19, n, Budget.default(workers=1))
             two = count_T_bruteforce(19, n, Budget.default(workers=2))

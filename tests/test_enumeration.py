@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from factorwords import (Budget, BudgetExceededError, FactorSet, Word,
-                         bfs_valid_nodes, bfs_with_parents, brute_force_enumerate,
+from factorwords import (Budget, BudgetExceededError, FactorSet, brute_force_enumerate,
                          enumerate_representable, factors, is_circ_representable,
-                         is_representable, witness_at_depth)
+                         is_representable)
+from factorwords import enumeration
 from factorwords.budget import BudgetMeter
-from factorwords.enumeration import UNSEEN, _scan_shard, brute_force_nbytes
+from factorwords.enumeration import UNSEEN, _layers, _scan_shard, brute_force_nbytes
+from factorwords.factorsets import _cover_word
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -101,68 +102,93 @@ class TestOracleAgreement:
             brute_force_enumerate(3, 2)
 
 
+def reached_states(n):
+    """Each (S, v) state of order n that ``_layers`` reaches in shard u from
+    every ({w}, w), w >= u, as (u, S, v, depth)."""
+    width = 1 << n
+    for u in range(width):
+        space = (1 << (width - u)) << n
+        depth = np.empty(space, np.uint8)
+        w = np.arange(u, width, dtype=np.int64)
+        _layers(n, u, ((np.int64(1) << (w - u)) << n) | w, depth,
+                np.empty(space, np.int32))
+        for i in np.flatnonzero(depth != UNSEEN).tolist():
+            yield u, (i >> n) << u, i & (width - 1), int(depth[i])
+
+
+def reference_depths(n):
+    """A plain dictionary search: the first depth of every (S, v) state."""
+    wmask = (1 << n) - 1
+    depth = {(1 << u, u): 0 for u in range(1 << n)}
+    frontier = list(depth)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for cov, v in frontier:
+            for b in (0, 1):
+                x = ((v << 1) & wmask) | b
+                if (cov | 1 << x, x) not in depth:
+                    depth[cov | 1 << x, x] = d
+                    nxt.append((cov | 1 << x, x))
+        frontier = nxt
+    return depth
+
+
+def cover_word(n, members, v):
+    """The least shortest word with factor set ``members`` ending in v."""
+    fs = FactorSet(n, members)
+    return _cover_word(fs, [((1 << u) << n) | u for u in fs.codes()],
+                       {(members << n) | v}, None)
+
+
 class TestValidNodes:
     def test_roots_and_first_layer_order_one(self):
-        nodes = list(bfs_valid_nodes(1))
-        d0 = [(str(n.prefix), str(n.suffix), n.covered.to_text())
-              for n, d in nodes if d == 0]
-        assert ("0", "0", "0") in d0
-        d1 = [(n.covered.to_text(), str(n.prefix), str(n.suffix))
-              for n, d in nodes if d == 1]
-        assert ("0,1", "0", "1") in d1
+        states = {(s, v): d for u, s, v, d in reached_states(1) if u == 0}
+        assert states[0b01, 0] == 0        # ({0}, 0)
+        assert states[0b11, 1] == 1        # ({0, 1}, 1)
 
     def test_example_node_order_two(self):
-        nodes = list(bfs_valid_nodes(2))
-        hit = [d for n, d in nodes
-               if n.covered.to_text() == "00,01"
-               and str(n.prefix) == "00" and str(n.suffix) == "01"]
-        assert hit == [1]
-        assert len({n.covered.members for n, _ in nodes}) == 14
+        states = list(reached_states(2))
+        hit = [d for u, s, v, d in states if s == 0b0011 and v == 0b01]
+        assert hit == [1]                  # {00, 01} ending in 01
+        assert len({s for _, s, _, _ in states}) == 14
 
     def test_nodes_unique(self):
-        nodes = list(bfs_valid_nodes(3))
-        keys = [(n.covered.members, n.prefix.code, n.suffix.code) for n, _ in nodes]
-        assert len(keys) == len(set(keys))
+        # each state is read once, in the shard of its set's least member,
+        # at the depth a plain dictionary search gives it
+        ref = reference_depths(3)
+        ours = {}
+        for u, s, v, d in reached_states(3):
+            assert ref[s, v] == d
+            if s & -s == 1 << u:
+                assert (s, v) not in ours
+                ours[s, v] = d
+        assert ours == ref
 
     def test_prefix_suffix_in_set(self):
-        for node, _ in bfs_valid_nodes(2):
-            assert node.prefix in node.covered
-            assert node.suffix in node.covered
+        for u, s, v, _ in reached_states(2):
+            assert s >> v & 1
+            assert s & -s >= 1 << u
 
 
 class TestWitnessReconstruction:
     def test_examples(self):
-        nodes, parents = bfs_with_parents(2)
-        by_key = {(n.covered.to_text(), str(n.prefix), str(n.suffix)): n
-                  for n, _ in nodes}
-        root = by_key[("00", "00", "00")]
-        assert str(witness_at_depth(root, parents)) == "00"
-        node = by_key[("00,01", "00", "01")]
-        assert str(witness_at_depth(node, parents)) == "001"
+        assert str(cover_word(2, 0b0001, 0b00)) == "00"
+        assert str(cover_word(2, 0b0011, 0b01)) == "001"
 
     def test_every_node_reconstructs(self):
         for n in (1, 2, 3):
-            nodes, parents = bfs_with_parents(n)
-            depth_of = {id(node): d for node, d in nodes}
-            for node, d in nodes:
-                w = witness_at_depth(node, parents)
+            for _, s, v, d in reached_states(n):
+                w = cover_word(n, s, v)
                 assert len(w) == n + d
-                assert factors(w, n) == node.covered
-                assert w.segment(1, n) == node.prefix
-                assert w.segment(len(w) - n + 1, len(w)) == node.suffix
-                if d > 0:
-                    parent, _ = parents[node]
-                    assert depth_of[id(parent)] == d - 1
-                    assert parent.covered.is_subset_of(node.covered)
+                assert factors(w, n) == FactorSet(n, s)
+                assert w.segment(len(w) - n + 1, len(w)).code == v
 
     def test_unknown_node_rejected(self):
-        _, parents = bfs_with_parents(2)
-        stranger = next(iter(parents))
-        # a raw node whose prefix is not even in its set is never valid
-        fake = type(stranger)(FactorSet(2, 0b0001), Word(2, 3), Word(2, 0))
-        assert fake not in parents
-        with pytest.raises(ValueError):
-            witness_at_depth(fake, parents)
+        # no word with factor set {00} ends in 11, nor with {00, 11}
+        assert cover_word(2, 0b0001, 0b11) is None
+        assert cover_word(2, 0b1001, 0b11) is None
 
 
 class TestDeterminism:
@@ -205,6 +231,26 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak <= brute_force_nbytes(n, max_len)
+
+    def test_oracle_table_charge_bounds_its_buffers(self, monkeypatch):
+        # the suffix tables are charged as they are built, on top of
+        # brute_force_nbytes: the most the meter holds covers the peak
+        class PeakMeter(BudgetMeter):
+            peak = 0
+
+            def charge_memory(self, nbytes, what=""):
+                super().charge_memory(nbytes, what)
+                PeakMeter.peak = max(PeakMeter.peak, self.charged_bytes)
+
+        monkeypatch.setattr(enumeration, "BudgetMeter", PeakMeter)
+        tracemalloc.start()
+        try:
+            brute_force_enumerate(4, 25, collect_sets=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert brute_force_nbytes(4, 25) < PeakMeter.peak < 10 << 20
+        assert peak <= PeakMeter.peak
 
     def test_oracle_memory_ceiling_enforced(self):
         tight = Budget(max_memory_bytes=brute_force_nbytes(4, 25) - 1)

@@ -9,15 +9,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorwords import (InvalidLength, Word, are_conjugate, are_root_conjugate,
+from factorwords import (Budget, InvalidLength, Word, are_conjugate, are_root_conjugate,
                          circular_factors, debruijn, divisors, factors,
                          lyndon_count, lyndon_words, mobius, period, root)
+from factorwords.budget import BudgetMeter
 from factorwords.words import (_suffix_table, factor_classes, factor_keys, key_bitmap,
                                scan_nbytes, sorted_runs, word_scan, word_scan_nbytes)
 
 
 def w(text):
     return Word.from_text(text)
+
+
+class PeakMeter(BudgetMeter):
+    """A meter that remembers the most it held."""
+
+    peak = 0
+
+    def charge_memory(self, nbytes, what=""):
+        super().charge_memory(nbytes, what)
+        self.peak = max(self.peak, self.charged_bytes)
 
 
 class TestWordBasics:
@@ -375,11 +386,15 @@ class TestWordScan:
         (1, 20, True, 1), (4, 20, True, 6), (5, 20, True, 7), (6, 20, True, 8),
     ])
     def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len, circular, split_bits):
+        # word_scan_nbytes is charged up front and the scan charges its
+        # suffix table on top: together they must not undercount
+        meter = PeakMeter(Budget())
         tracemalloc.start()
         try:
-            for batch in word_scan(n, max_len, circular, split_bits):
+            for batch in word_scan(n, max_len, circular, split_bits, meter=meter):
                 pass  # holds each batch while the next one is made
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= word_scan_nbytes(n, max_len, circular, split_bits)
+        assert meter.charged_bytes == 0  # the table is released at the end
+        assert peak <= word_scan_nbytes(n, max_len, circular, split_bits) + meter.peak
