@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .factorsets import _least_cover_walk, _walk_tables, circular_factors, strong_components
@@ -243,32 +244,29 @@ class WalkReport:
 
 
 def _longest_simple_path(g: Digraph) -> list[int]:
-    """A longest simple path by dynamic programming over vertex subsets."""
+    """A longest simple path, by breadth-first search over the states
+    (visited << shift) | vertex, each mapped to its parent (a start to 0);
+    it ends at the first state queued with the most vertices visited."""
     nv = g.vertex_count
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-    layer: list[tuple[int, int]] = []
-    for v in range(nv):
-        st = (1 << v, v)
-        parent[st] = None
-        layer.append(st)
-    best = layer[0]
-    while layer:
-        nxt = []
-        for mask, v in layer:
-            for w in g.edges[v]:
-                if not (mask >> w) & 1:
-                    st = (mask | (1 << w), w)
-                    if st not in parent:
-                        parent[st] = (mask, v)
-                        nxt.append(st)
-        if nxt:
-            best = nxt[0]
-        layer = nxt
+    shift = nv.bit_length()
+    vmask = (1 << shift) - 1
+    moves = [[(w, 1 << (w + shift)) for w in succs] for succs in g.edges]
+    queue = [(1 << (v + shift)) | v for v in range(nv)]
+    parent = dict.fromkeys(queue, 0)
+    for st in queue:
+        visited = st & ~vmask
+        for w, bit in moves[st & vmask]:
+            if not visited & bit:
+                nst = visited | bit | w
+                if nst not in parent:
+                    parent[nst] = st
+                    queue.append(nst)
+    most = (queue[-1] >> shift).bit_count()
+    best = queue[bisect_left(queue, most, key=lambda st: (st >> shift).bit_count())]
     path = []
-    cur: tuple[int, int] | None = best
-    while cur is not None:
-        path.append(cur[1])
-        cur = parent[cur]
+    while best:
+        path.append(best & vmask)
+        best = parent[best]
     return path[::-1]
 
 

@@ -281,6 +281,8 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, **opts)
     chosen = [x is not None for x in (theorem1, conjecture2n, hamiltonian)]
     if sum(chosen) != 1:
         _fail_usage("choose exactly one of --theorem1 / --conjecture2n / --hamiltonian")
+    if hamiltonian is not None and hamiltonian < 1:
+        _fail_usage("--hamiltonian needs at least one trial")
 
     if theorem1 is not None:
         t, n = theorem1

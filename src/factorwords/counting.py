@@ -19,18 +19,20 @@ Every scan over words goes through the package's one word scan,
 ``words.factor_keys``: counts are numbers of distinct keys, and the checks
 walk only the classes of two or more words from ``words.factor_classes``.
 Budgets are charged the scan's buffers (``words.scan_nbytes``) up front.
+The checks compare minimal periods and root classes as integers, taken from
+one ``words.period_classes`` call over all the classes' members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .budget import Budget, BudgetExceededError, BudgetMeter
-from .words import (SCAN_CHUNK_BITS, Word, are_root_conjugate, factor_classes, factor_keys,
-                    key_bitmap, lyndon_count, lyndon_words, period, scan_nbytes, sorted_runs)
+from .words import (SCAN_CHUNK_BITS, Word, factor_classes, factor_keys, key_bitmap,
+                    lyndon_count, lyndon_words, period_classes, scan_nbytes, sorted_runs)
 
 BRUTE_MAX_T = 24
 
@@ -77,12 +79,14 @@ def _scan_meter(t: int, n: int, budget: Budget | None, words: int) -> BudgetMete
     return meter
 
 
-def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[Word, int]]]:
+def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[int, int, int]]]:
     """In bitmap order, every class of two or more words of length t with one
-    factor set: its words ascending, each with its minimal period."""
+    factor set: its codes ascending, each with its period and root class."""
     _scan_meter(t, n, budget, 1 << t)
-    return [[(w, period(w).period) for w in (Word(t, c) for c in codes.tolist())]
-            for codes in factor_classes(n, t, 0, 1 << t)[1]]
+    classes = factor_classes(n, t, 0, 1 << t)[1]
+    codes = np.concatenate([np.empty(0, np.int64), *classes])
+    members = iter(zip(codes.tolist(), *(a.tolist() for a in period_classes(t, codes))))
+    return [list(islice(members, len(cls))) for cls in classes]
 
 
 def group_words_by_factors(t: int, n: int,
@@ -141,8 +145,9 @@ def equal_factor_pairs(t: int, n: int,
     BudgetMeter(budget or Budget.default()).charge_memory(
         pairs * _PAIR_BYTES, f"{pairs} equal-factor pairs of length {t}")
     return [EqualFactorPair(w=a, w2=b, n=n, period_w=pa, period_w2=pb,
-                            root_conjugate=are_root_conjugate(a, b))
-            for cls in classes for (a, pa), (b, pb) in combinations(cls, 2)]
+                            root_conjugate=(pa, ra) == (pb, rb))
+            for cls in classes for (a, pa, ra), (b, pb, rb)
+            in combinations([(Word(t, c), p, r) for c, p, r in cls], 2)]
 
 
 @dataclass(frozen=True)
@@ -207,41 +212,38 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
     counterexamples: list[dict] = []
 
     forward_ok = True
-    pairs = ((a, pa, b, pb) for cls in nontrivial
-             for (a, pa), (b, pb) in combinations(cls, 2))
-    for a, pa, b, pb in pairs:
+    pairs = ((a, pa, ra, b, pb, rb) for cls in nontrivial
+             for (a, pa, ra), (b, pb, rb) in combinations(cls, 2))
+    for a, pa, ra, b, pb, rb in pairs:
         if len(counterexamples) == _COUNTEREXAMPLE_CAP:
             break  # forward_ok is False and no further pair can be recorded
-        if not (pa == pb and pa <= k + 1 and are_root_conjugate(a, b)):
+        if not ((pa, ra) == (pb, rb) and pa <= k + 1):
             forward_ok = False
             counterexamples.append({
-                "direction": "forward", "words": [str(a), str(b)],
+                "direction": "forward", "words": [str(Word(t, a)), str(Word(t, b))],
                 "periods": [pa, pb],
-                "root_conjugate": are_root_conjugate(a, b)})
+                "root_conjugate": (pa, ra) == (pb, rb)})
 
     backward_ok = True
     backward: set[frozenset[int]] = set()
     for p in range(1, k + 2):
         for r in lyndon_words(p):
-            ext = r.repeated_to(t + p)
-            cls = {ext.segment(j + 1, j + t) for j in range(p)}
+            cls = sorted({r.rotated(j).repeated_to(t).code for j in range(p)})
             if p > 1:
-                backward.add(frozenset(w.code for w in cls))
+                backward.add(frozenset(cls))
             if not in_region:
                 continue
-            keys = factor_keys(n, t, [w.code for w in cls])
-            ok = (len(cls) == p
-                  and (keys == keys[0]).all()
-                  and all(period(w).period == p for w in cls)
-                  and all(are_root_conjugate(a, b) for a, b in combinations(cls, 2)))
-            if not ok:
+            keys = factor_keys(n, t, cls)
+            periods, roots = period_classes(t, cls)
+            if not (len(cls) == p and (keys == keys[0]).all()
+                    and (periods == p).all() and (roots == roots[0]).all()):
                 backward_ok = False
                 if len(counterexamples) < _COUNTEREXAMPLE_CAP:
                     counterexamples.append({
                         "direction": "backward", "root": str(r),
-                        "class": sorted(str(w) for w in cls)})
+                        "class": [str(Word(t, c)) for c in cls]})
     if in_region:
-        found = {frozenset(w.code for w, _ in cls) for cls in nontrivial}
+        found = {frozenset(c for c, _, _ in cls) for cls in nontrivial}
         if found != backward:
             backward_ok = False
             counterexamples.append({
@@ -309,11 +311,10 @@ class Conjecture2nReport:
         }
 
 
-def _shape_factorizations(x: Word, y: Word, n: int) -> list[dict]:
-    """All splits x = u v s v^R u, y = u v s' v^R u with {s, s'} = {01, 10},
-    u a nonempty palindrome, v nonempty."""
+def _shape_factorizations(sx: str, sy: str, n: int) -> list[dict]:
+    """All splits sx = u v s v^R u, sy = u v s' v^R u of two spelled words
+    with {s, s'} = {01, 10}, u a nonempty palindrome, v nonempty."""
     out = []
-    sx, sy = str(x), str(y)
     for a in range(1, n - 1):
         b = n - 1 - a
         u, v, mid = sx[:a], sx[a:a + b], sx[a + b:a + b + 2]
@@ -335,18 +336,18 @@ def check_conjecture_2n(n: int, budget: Budget | None = None) -> Conjecture2nRep
     high_pairs: list[dict] = []
     shape_misses: list[dict] = []
     law_misses: list[dict] = []
-    pair_count = 0
     classes = _shared_classes(t, n, budget)
     for cls in classes:
-        for (x, px), (y, py) in combinations(cls, 2):
-            pair_count += 1
-            entry = {"words": [str(x), str(y)], "periods": [px, py]}
+        for (x, px, rx), (y, py, ry) in combinations(cls, 2):
+            if (px, rx) == (py, ry) and px <= n + 1:
+                continue  # nothing to record
+            entry = {"words": [str(Word(t, x)), str(Word(t, y))], "periods": [px, py]}
             if px != py:
                 period_violations.append(entry)
-            if not are_root_conjugate(x, y):
+            if (px, rx) != (py, ry):
                 conjugacy_violations.append(entry)
             if px > n + 1:
-                shapes = _shape_factorizations(x, y, n)
+                shapes = _shape_factorizations(*entry["words"], n)
                 entry = dict(entry, factorizations=shapes)
                 high_pairs.append(entry)
                 if not shapes:
@@ -354,7 +355,8 @@ def check_conjecture_2n(n: int, budget: Budget | None = None) -> Conjecture2nRep
                 elif all(px != n + len(s["u"]) for s in shapes):
                     law_misses.append(entry)
     return Conjecture2nReport(
-        n=n, t=t, pair_count=pair_count, nontrivial_classes=len(classes),
+        n=n, t=t, pair_count=sum(len(c) * (len(c) - 1) // 2 for c in classes),
+        nontrivial_classes=len(classes),
         period_violations=tuple(period_violations),
         conjugacy_violations=tuple(conjugacy_violations),
         high_period_pairs=tuple(high_pairs),

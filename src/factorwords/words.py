@@ -168,6 +168,24 @@ def are_root_conjugate(w: Word, w2: Word) -> bool:
     return are_conjugate(period(w).root, period(w2).root)
 
 
+def period_classes(t: int, codes) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal periods and root classes (least rotations of the roots) of
+    length-t words given by code, as uint64 arrays: two words are
+    root-conjugate exactly when both agree."""
+    if not 1 <= t <= 63:
+        raise ValueError("period_classes reads words of 1..63 letters")
+    c = np.asarray(codes, np.uint64)
+    periods = np.full(c.shape, t, np.uint64)
+    for q in range(t - 1, 0, -1):  # q is a period: the first t - q letters are the last
+        periods[(c >> q) == (c & ((1 << (t - q)) - 1))] = q
+    roots = c >> (t - periods)
+    least, mask = roots.copy(), (1 << periods) - 1
+    for j in range(1, t):
+        turn = j % periods
+        np.minimum(least, ((roots << turn) & mask) | (roots >> (periods - turn)), out=least)
+    return periods, least
+
+
 def mobius(m: int) -> int:
     """Möbius function by trial factorization."""
     if m < 1:

@@ -1,7 +1,7 @@
 """Splice constructions, bound audits, and covering-walk machinery."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -10,6 +10,7 @@ from factorwords import (AlreadyPresent, Digraph, NotStronglyConnected, Word,
                          debruijn, growth_ratio, hamiltonian_walk, lower_bound,
                          random_strongly_connected, upper_bound, upper_bound_audit,
                          witness_length_bound)
+from factorwords.bounds import _longest_simple_path
 
 
 class TestSplice:
@@ -169,6 +170,19 @@ class TestWalks:
             r = hamiltonian_walk(g)
             assert r.optimal_length == len(best) - 1
             assert r.optimal_walk == best
+
+    def test_longest_simple_path_matches_brute_force(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            g = random_strongly_connected(rng, max_vertices=6)
+            nv = g.vertex_count
+            path = _longest_simple_path(g)
+            assert len(set(path)) == len(path)
+            assert all(b in g.edges[a] for a, b in zip(path, path[1:]))
+            longest = next(k for k in range(nv, 0, -1)
+                           for perm in permutations(range(nv), k)
+                           if all(b in g.edges[a] for a, b in zip(perm, perm[1:])))
+            assert len(path) == longest
 
     def test_strong_connectivity_matches_reachability(self):
         rng = random.Random(3)

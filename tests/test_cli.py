@@ -169,6 +169,11 @@ class TestVerify:
         r = run("verify", "--hamiltonian", "25", "--seed", "7")
         assert r.exit_code == 0 and "PASS" in r.output
 
+    def test_hamiltonian_needs_a_trial(self, run):
+        for trials in ("0", "-3"):
+            r = run("verify", "--hamiltonian", trials)
+            assert r.exit_code == 2 and "PASS" not in r.output
+
     def test_exactly_one_check(self, run):
         assert run("verify").exit_code == 2
         assert run("verify", "--conjecture2n", "2",

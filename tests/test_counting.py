@@ -7,9 +7,9 @@ import pytest
 
 import factorwords.counting
 from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
-                         check_conjecture_2n, check_theorem1, count_T_bruteforce,
-                         count_T_closed, counterexample_family, equal_factor_pairs,
-                         group_words_by_factors, period, t_table)
+                         are_root_conjugate, check_conjecture_2n, check_theorem1,
+                         count_T_bruteforce, count_T_closed, counterexample_family,
+                         equal_factor_pairs, group_words_by_factors, period, t_table)
 
 
 class TestBruteForce:
@@ -113,8 +113,14 @@ class TestEqualFactorPairs:
                     groups[frozenset(s[i:i + n] for i in range(t - n + 1))].append(s)
                 expected = sorted(pair for g in groups.values()
                                   for pair in combinations(sorted(g), 2))
-                got = sorted((str(p.w), str(p.w2)) for p in equal_factor_pairs(t, n))
+                pairs = equal_factor_pairs(t, n)
+                got = sorted((str(p.w), str(p.w2)) for p in pairs)
                 assert got == expected, (t, n)
+                # the integer periods and classes against the scalar route, up
+                # to t = 7, about 14000 pairs (t = 9 alone has about 190000)
+                for p in pairs if t <= 7 else []:
+                    assert (p.period_w, p.period_w2) == (period(p.w).period, period(p.w2).period)
+                    assert p.root_conjugate == are_root_conjugate(p.w, p.w2)
 
     def test_memory_budget_covers_the_pairs(self):
         # one class of 4094 words at n = 1: about 8.4 million pairs
@@ -147,20 +153,30 @@ class TestTheorem1:
                     and set(c["words"]) == {str(x), str(y)}]
             assert hits
 
+    def test_forward_counterexamples_match_the_scalar_route(self):
+        for n in (1, 2, 3):
+            for t in range(2 * n, 11):
+                rep = check_theorem1(t, n, allow_out_of_region=True)
+                for c in rep.counterexamples:
+                    if c["direction"] == "forward":
+                        a, b = map(Word.from_text, c["words"])
+                        assert c["periods"] == [period(a).period, period(b).period]
+                        assert c["root_conjugate"] == are_root_conjugate(a, b)
+
     def test_forward_scan_stops_at_the_counterexample_cap(self, monkeypatch):
-        calls = 0
-        conjugate = factorwords.counting.are_root_conjugate
+        drawn = 0
 
-        def counted(a, b):
-            nonlocal calls
-            calls += 1
-            return conjugate(a, b)
+        def counted(members, r):
+            nonlocal drawn
+            for pair in combinations(members, r):
+                drawn += 1
+                yield pair
 
-        monkeypatch.setattr(factorwords.counting, "are_root_conjugate", counted)
+        monkeypatch.setattr(factorwords.counting, "combinations", counted)
         rep = check_theorem1(11, 1, allow_out_of_region=True)
         assert not rep.forward_ok and len(rep.counterexamples) == 20
         # one class of 2046 words: 2046 * 2045 / 2 pairs without the cap
-        assert calls < 0.01 * (2046 * 2045 // 2)
+        assert drawn < 0.01 * (2046 * 2045 // 2)
 
     def test_class_sizes_equal_periods(self):
         # within the region, each non-singleton class has as many words as

@@ -3,6 +3,7 @@ and the word-scan kernel."""
 
 import functools
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from factorwords import (Budget, InvalidLength, Word, are_conjugate, are_root_co
                          circular_factors, debruijn, divisors, factors,
                          lyndon_count, lyndon_words, mobius, period, root)
 from factorwords.budget import BudgetMeter
+from factorwords.counting import BRUTE_MAX_T
 from factorwords.words import (_suffix_table, factor_classes, factor_keys, key_bitmap,
-                               scan_nbytes, sorted_runs, word_scan, word_scan_nbytes)
+                               period_classes, scan_nbytes, sorted_runs, word_scan,
+                               word_scan_nbytes)
 
 
 def w(text):
@@ -106,6 +109,49 @@ class TestConjugacy:
         for a in words:
             for b in words:
                 assert are_root_conjugate(a, b) == (canon(a) == canon(b))
+
+
+class TestPeriodClasses:
+    def test_periods_match_the_scalar_period(self):
+        for t in range(1, 13):
+            periods, _ = period_classes(t, range(1 << t))
+            assert periods.tolist() == [period(Word(t, c)).period for c in range(1 << t)]
+
+    def test_classes_match_root_conjugacy(self):
+        # root conjugacy is an equivalence (TestConjugacy), so checking each
+        # word against the first word of its (period, class) pair, and those
+        # first words pairwise, checks every pair of words of one length
+        for t in range(1, 11):
+            periods, roots = period_classes(t, range(1 << t))
+            firsts = {}
+            for c, key in enumerate(zip(periods.tolist(), roots.tolist())):
+                first = firsts.setdefault(key, c)
+                assert are_root_conjugate(Word(t, first), Word(t, c))
+            for a, b in combinations(firsts.values(), 2):
+                assert not are_root_conjugate(Word(t, a), Word(t, b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_property_against_the_scalar_route(self, data):
+        # windows of one periodic word, so that short periods and conjugate
+        # roots are common, or else a window against any word of its length
+        t = data.draw(st.integers(1, BRUTE_MAX_T))
+        p = data.draw(st.integers(1, t))
+        ext = Word(p, data.draw(st.integers(0, (1 << p) - 1))).repeated_to(t + p)
+        a, b = (ext.segment(i + 1, i + t).code for i in data.draw(
+            st.lists(st.integers(0, p - 1), min_size=2, max_size=2)))
+        b = data.draw(st.sampled_from([b, data.draw(st.integers(0, (1 << t) - 1))]))
+        periods, roots = period_classes(t, [a, b])
+        assert periods.tolist() == [period(Word(t, a)).period, period(Word(t, b)).period]
+        agree = periods[0] == periods[1] and roots[0] == roots[1]
+        assert agree == are_root_conjugate(Word(t, a), Word(t, b))
+
+    def test_validation(self):
+        periods, roots = period_classes(63, [(1 << 63) - 1, 1 << 62])
+        assert periods.tolist() == [1, 63] and roots.tolist() == [1, 1]
+        for t in (0, 64):
+            with pytest.raises(ValueError):
+                period_classes(t, [0])
 
 
 class TestFineWilf:
