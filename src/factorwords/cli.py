@@ -26,7 +26,7 @@ import click
 from . import __version__
 from . import bounds as bounds_mod
 from . import counting, enumeration
-from .budget import Budget, BudgetExceededError
+from .budget import Budget, BudgetExceededError, BudgetMeter
 from .factorsets import (EmptySet, FactorSet, circular_factors, factors,
                          shortest_circular_witness, shortest_witness)
 from .words import InvalidLength, Word
@@ -177,9 +177,6 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, **opts):
 def cmd_enumerate(order, oracle, max_len, checkpoint, **opts):
     """Counts, extremal witness lengths and witnesses for one order."""
     cfg = _config(**opts)
-    if order >= 5 and opts["budget_mb"] is None and opts["max_seconds"] is None:
-        _fail_usage("order 5 is a stretch run; opt in with an explicit "
-                    "--budget-mb and/or --max-seconds")
     started = time.monotonic()
     if oracle:
         if max_len is None:
@@ -299,6 +296,7 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, **opts)
         label = f"conjecture2n n={conjecture2n}"
     else:
         rng = random.Random(cfg.seed)
+        meter = BudgetMeter(cfg.budget)
         failures = []
         trials = []
         for i in range(hamiltonian):
@@ -308,6 +306,8 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, **opts)
                            "optimal": rep.optimal_length, "bound": rep.bound})
             if rep.optimal_length > rep.bound or not rep.covers_all:
                 failures.append({"graph": g.to_text(), **trials[-1]})
+            meter.note(trials_done=i + 1)
+            meter.check_time(f"trial {i + 1}")
         payload = {"trials": trials, "failures": failures, "seed": cfg.seed}
         passed = not failures
         label = f"hamiltonian trials={hamiltonian} seed={cfg.seed}"

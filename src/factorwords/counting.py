@@ -82,8 +82,9 @@ def _scan_meter(t: int, n: int, budget: Budget | None, words: int) -> BudgetMete
 def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[int, int, int]]]:
     """In bitmap order, every class of two or more words of length t with one
     factor set: its codes ascending, each with its period and root class."""
-    _scan_meter(t, n, budget, 1 << t)
+    meter = _scan_meter(t, n, budget, 1 << t)
     classes = factor_classes(n, t, 0, 1 << t)[1]
+    meter.check_time(f"factor classes of length {t}")
     codes = np.concatenate([np.empty(0, np.int64), *classes])
     members = iter(zip(codes.tolist(), *(a.tolist() for a in period_classes(t, codes))))
     return [list(islice(members, len(cls))) for cls in classes]

@@ -17,9 +17,8 @@ length is the same from every vertex the walk passes through. Each shard
 reports only the sets whose least member is its u, and shards merge by
 elementwise minimum, which is associative and commutative: results are
 identical for any worker count.
-The dense arrays take 5 bytes per state of shard 0, 2^(2^n + n) states; that
-is the fast path for n <= 4, while n = 5 falls back to prefix-sharded
-dictionaries behind an explicit budget.
+The dense arrays take 5 bytes per state of shard 0, 2^(2^n + n) states, so
+the census covers orders 1..4; order 5 is refused.
 
 A set S is representable iff some walk covers exactly S, with shortest
 witness n + (first depth). It is circularly representable iff some closed
@@ -28,11 +27,12 @@ the shortest circular witness is the least such d (a lone vertex needs a
 self-loop, covered by a singleton rule). The extremal witnesses are the least
 of the per-set searches' witnesses over the sets of extremal depth.
 
-The brute-force oracle shares no code with these searches: the package's one
+The brute-force oracle shares no search with the census: the package's one
 word scan, ``words.word_scan``, lists the factor sets of every word and
 circular word up to a length, reading each long word as a prefix key ORed
 with a suffix key from a table built once per call. It runs in-process,
-so its results do not depend on the worker count.
+so its results do not depend on the worker count. Both turn their per-set
+shortest witness lengths into a result through one builder, ``_result``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import base64
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,7 @@ from .budget import Budget, BudgetMeter
 from .factorsets import FactorSet, shortest_circular_witness, shortest_witness
 from .words import Word, word_scan, word_scan_nbytes
 
-ARRAY_MAX_ORDER = 4      # dense per-shard arrays up to here
-HARD_MAX_ORDER = 5       # beyond is out of scope
+ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
 UNSEEN = 255             # depth sentinel in uint8 arrays
 CHECKPOINT_VERSION = 2    # 2: dense shards are by least member, not prefix
 
@@ -69,8 +69,8 @@ class EnumerationResult:
     rep_count: int
     nu: int
     mu: int
-    longest_circ_witness: Word | None
-    longest_witness: Word | None
+    longest_circ_witness: Word
+    longest_witness: Word
     sw_histogram: dict[int, int]
     scw_histogram: dict[int, int]
     rep_sets: tuple[int, ...] | None = None
@@ -83,10 +83,8 @@ class EnumerationResult:
             "rep_count": self.rep_count,
             "nu": self.nu,
             "mu": self.mu,
-            "longest_circ_witness": str(self.longest_circ_witness)
-            if self.longest_circ_witness else None,
-            "longest_witness": str(self.longest_witness)
-            if self.longest_witness else None,
+            "longest_circ_witness": str(self.longest_circ_witness),
+            "longest_witness": str(self.longest_witness),
             "sw_histogram": {str(k): v for k, v in sorted(self.sw_histogram.items())},
             "scw_histogram": {str(k): v for k, v in sorted(self.scw_histogram.items())},
         }
@@ -165,56 +163,35 @@ def _scan_shard_worker(args):
     return u, set_first.tobytes(), circ_first.tobytes()
 
 
-def _scan_shard_sparse(n: int, u: int, meter: BudgetMeter):
-    """Dictionary-backed shard scan for orders past the dense-array limit."""
-    width = 1 << n
-    wmask = width - 1
-    start = ((1 << u) << n) | u
-    seen = {start}
-    set_first = {1 << u: 0}
-    circ_first: dict[int, int] = {}
-    frontier = [start]
-    d = 0
-    charged = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for st in frontier:
-            v = st & wmask
-            cov = st >> n
-            for b in (0, 1):
-                s = ((v << 1) & wmask) | b
-                nst = ((cov | (1 << s)) << n) | s
-                if nst not in seen:
-                    seen.add(nst)
-                    cs = nst >> n
-                    if cs not in set_first:
-                        set_first[cs] = d
-                    if s == u and cs not in circ_first:
-                        circ_first[cs] = d
-                    nxt.append(nst)
-        frontier = nxt
-        meter.note(shard=u, frontier_depth=d, states=len(seen))
-        meter.check_time(f"shard {u} depth {d}")
-        # re-charge the approximate cost of the visited set and frontier
-        approx = (len(seen) + len(frontier)) * 96
-        meter.release_memory(charged)
-        meter.charge_memory(approx, f"shard {u} depth {d}")
-        charged = approx
-    meter.release_memory(charged)
-    return set_first, circ_first
-
-
 # -- full enumeration --------------------------------------------------------
 
-def _check_order(n: int, budget: Budget | None) -> None:
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n > HARD_MAX_ORDER:
-        raise ValueError(f"orders beyond {HARD_MAX_ORDER} are out of scope")
-    if n == HARD_MAX_ORDER and budget is None:
-        raise ValueError(
-            "order 5 is a stretch run: pass an explicit Budget to opt in")
+def _check_order(n: int) -> None:
+    if not 1 <= n <= ARRAY_MAX_ORDER:
+        raise ValueError(f"the census covers orders 1..{ARRAY_MAX_ORDER}, not {n}")
+
+
+def _result(n: int, first: np.ndarray, least_code,
+            collect_sets: bool) -> EnumerationResult:
+    """The per-order summary from each set's shortest witness lengths.
+
+    ``first[0]`` and ``first[1]`` map each set bitmap to its shortest
+    ordinary and circular witness lengths (0: none); ``least_code(circ,
+    sets)`` gives the least code among the shortest ordinary (circ = 0) or
+    circular (circ = 1) witnesses of ``sets``, which all have one length.
+    """
+    found = first != 0
+    mu, nu = (int(f.max()) for f in first)
+    hist = [{int(ell): int(c) for ell, c in zip(*np.unique(f[k], return_counts=True))}
+            for f, k in zip(first, found)]
+    sets = [tuple(np.flatnonzero(k).tolist()) if collect_sets else None for k in found]
+    return EnumerationResult(
+        n=n, circ_count=int(found[1].sum()), rep_count=int(found[0].sum()),
+        nu=nu, mu=mu,
+        longest_circ_witness=Word(nu, least_code(1, np.flatnonzero(first[1] == nu))),
+        longest_witness=Word(mu, least_code(0, np.flatnonzero(first[0] == mu))),
+        sw_histogram=hist[0], scw_histogram=hist[1],
+        rep_sets=sets[0], circ_sets=sets[1],
+    )
 
 
 def enumerate_representable(n: int, budget: Budget | None = None,
@@ -228,13 +205,10 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     of maximally-hard sets). With ``checkpoint_path`` set, per-shard results
     are appended to a restartable line-delimited file.
     """
-    _check_order(n, budget)
+    _check_order(n)
     budget = budget or Budget.default()
     meter = BudgetMeter(budget)
     width = 1 << n
-
-    if n > ARRAY_MAX_ORDER:
-        return _enumerate_sparse(n, meter, collect_sets, checkpoint_path)
 
     in_flight = sum(_shard_nbytes(n, u) for u in range(min(budget.workers, width)))
     meter.charge_memory(in_flight + 2 * (1 << width), "shard arrays")
@@ -242,117 +216,43 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     done: dict[int, tuple[bytes, bytes]] = {}
     if checkpoint_path:
         done = _load_checkpoint(checkpoint_path, n, width)
-    pending = [u for u in range(width) if u not in done]
+    pending = [(n, u) for u in range(width) if u not in done]
 
-    if budget.workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=min(budget.workers, len(pending))) as ex:
-            for u, sf, cf in ex.map(_scan_shard_worker, [(n, u) for u in pending]):
-                done[u] = (sf, cf)
-                if checkpoint_path:
-                    _append_checkpoint(checkpoint_path, n, u, sf, cf)
-                meter.check_time(f"shard {u}")
-    else:
-        for u in pending:
-            sf, cf = _scan_shard(n, u)
-            done[u] = (sf.tobytes(), cf.tobytes())
+    pool = (ProcessPoolExecutor(max_workers=min(budget.workers, len(pending)))
+            if budget.workers > 1 and len(pending) > 1 else None)
+    with pool or nullcontext():
+        for u, sf, cf in (pool.map if pool else map)(_scan_shard_worker, pending):
+            done[u] = (sf, cf)
             if checkpoint_path:
-                _append_checkpoint(checkpoint_path, n, u, *done[u])
+                _append_checkpoint(checkpoint_path, n, u, sf, cf)
             meter.note(completed_shards=len(done))
             meter.check_time(f"shard {u}")
 
-    gset = np.full(1 << width, UNSEEN, np.uint8)
-    gcirc = np.full(1 << width, UNSEEN, np.uint8)
-    for u in sorted(done):
-        sf, cf = done[u]
-        np.minimum(gset, np.frombuffer(sf, np.uint8), out=gset)
-        np.minimum(gcirc, np.frombuffer(cf, np.uint8), out=gcirc)
+    # per set, ordinary then circular: the least first depth over the shards
+    depth = np.full((2, 1 << width), UNSEEN, np.uint8)
+    for records in done.values():
+        for row, rec in zip(depth, records):
+            np.minimum(row, np.frombuffer(rec, np.uint8), out=row)
     # lone vertices with a self-loop: the one-letter circular words
     for u in (0, width - 1):
-        if gcirc[1 << u] > 1:
-            gcirc[1 << u] = 1
+        depth[1, 1 << u] = min(depth[1, 1 << u], 1)
+    # a set first covered at depth d has shortest witness length n + d (at
+    # most 24, well inside uint8); a closed walk's depth is its circular
+    # witness length; 0 marks no witness (a product: np.where is slower)
+    first = (depth != UNSEEN) * (depth + np.array([[n], [0]], np.uint8))
 
-    rep = gset != UNSEEN
-    circ = gcirc != UNSEEN
-    mu = n + int(gset[rep].max())
-    nu = int(gcirc[circ].max())
-
-    sw_hist: dict[int, int] = {}
-    for dval, cnt in zip(*np.unique(gset[rep], return_counts=True)):
-        sw_hist[n + int(dval)] = int(cnt)
-    scw_hist: dict[int, int] = {}
-    for dval, cnt in zip(*np.unique(gcirc[circ], return_counts=True)):
-        scw_hist[int(dval)] = int(cnt)
-
-    # the least of the extremal sets' lex-least witnesses, all of one length
-    longest = Word(mu, min(shortest_witness(FactorSet(n, int(s))).witness.code
-                           for s in np.flatnonzero(gset == mu - n)))
-    longest_circ = Word(nu, min(shortest_circular_witness(FactorSet(n, int(s))).witness.code
-                                for s in np.flatnonzero(gcirc == nu)))
-
-    return EnumerationResult(
-        n=n,
-        circ_count=int(circ.sum()),
-        rep_count=int(rep.sum()),
-        nu=nu,
-        mu=mu,
-        longest_circ_witness=longest_circ,
-        longest_witness=longest,
-        sw_histogram=sw_hist,
-        scw_histogram=scw_hist,
-        rep_sets=tuple(int(s) for s in np.flatnonzero(rep)) if collect_sets else None,
-        circ_sets=tuple(int(s) for s in np.flatnonzero(circ)) if collect_sets else None,
-    )
-
-
-def _enumerate_sparse(n: int, meter: BudgetMeter, collect_sets: bool,
-                      checkpoint_path: str | None) -> EnumerationResult:
-    width = 1 << n
-    gset: dict[int, int] = {}
-    gcirc: dict[int, int] = {}
-    for u in range(width):
-        sf, cf = _scan_shard_sparse(n, u, meter)
-        for s, d in sf.items():
-            if gset.get(s, UNSEEN) > d:
-                gset[s] = d
-        for s, d in cf.items():
-            if gcirc.get(s, UNSEEN) > d:
-                gcirc[s] = d
-        meter.note(completed_shards=u + 1)
-        if checkpoint_path:
-            _append_checkpoint(checkpoint_path, n, u,
-                               json.dumps(sorted(sf.items())).encode(),
-                               json.dumps(sorted(cf.items())).encode(), sparse=True)
-    for u in (0, width - 1):
-        if gcirc.get(1 << u, UNSEEN) > 1:
-            gcirc[1 << u] = 1
-    mu = n + max(gset.values())
-    nu = max(gcirc.values())
-    sw_hist: dict[int, int] = {}
-    for d in gset.values():
-        sw_hist[n + d] = sw_hist.get(n + d, 0) + 1
-    scw_hist: dict[int, int] = {}
-    for d in gcirc.values():
-        scw_hist[d] = scw_hist.get(d, 0) + 1
-    return EnumerationResult(
-        n=n, circ_count=len(gcirc), rep_count=len(gset), nu=nu, mu=mu,
-        longest_circ_witness=None, longest_witness=None,
-        sw_histogram=sw_hist, scw_histogram=scw_hist,
-        rep_sets=tuple(sorted(gset)) if collect_sets else None,
-        circ_sets=tuple(sorted(gcirc)) if collect_sets else None,
-    )
+    # the least of the extremal sets' lex-least witnesses
+    searches = (shortest_witness, shortest_circular_witness)
+    return _result(n, first, lambda circ, sets: min(
+        searches[circ](FactorSet(n, int(s))).witness.code for s in sets), collect_sets)
 
 
 # -- checkpoints -------------------------------------------------------------
 
-def _append_checkpoint(path: str, n: int, u: int, sf: bytes, cf: bytes,
-                       sparse: bool = False) -> None:
-    record: dict = {"record": "shard", "u": u}
-    if sparse:
-        record["set_first"] = json.loads(sf)
-        record["circ_first"] = json.loads(cf)
-    else:
-        record["set_first_b64"] = base64.b64encode(sf).decode()
-        record["circ_first_b64"] = base64.b64encode(cf).decode()
+def _append_checkpoint(path: str, n: int, u: int, sf: bytes, cf: bytes) -> None:
+    record = {"record": "shard", "u": u,
+              "set_first_b64": base64.b64encode(sf).decode(),
+              "circ_first_b64": base64.b64encode(cf).decode()}
     new = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8") as fh:
         if new:
@@ -372,12 +272,13 @@ def _parse_record(line: bytes):
 
 
 def _load_checkpoint(path: str, n: int, width: int) -> dict[int, tuple[bytes, bytes]]:
-    """The finished dense shards recorded in a checkpoint file.
+    """The finished shards recorded in a checkpoint file.
 
     Records are appended whole, so only the last one can be torn, by a run
     cut mid-write: the file is truncated to the records before it, and that
     shard is computed again. A header of another order or version, a line
-    that is no record, or a record of the sparse backend does not match.
+    that is no record, or a shard record without both base64 depth arrays
+    of this order does not match.
     """
     if not os.path.exists(path):
         return {}
@@ -434,8 +335,7 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
     set is its shortest witness length. The scan runs in-process, so the
     result does not depend on ``budget.workers``.
     """
-    if not 1 <= n <= ARRAY_MAX_ORDER:
-        raise ValueError(f"brute force supports orders 1..{ARRAY_MAX_ORDER}")
+    _check_order(n)
     if max_len < n:
         raise ValueError("max_len must be at least the order")
     budget = budget or Budget.default()
@@ -455,26 +355,5 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
             least[circ, sets[fresh]] = codes[fresh]
             meter.note(scanned=f"length {ell}")
             meter.check_time(f"length {ell}")
-    first_lin, first_circ = first
-
-    rep = first_lin != 0
-    circ = first_circ != 0
-    mu = int(first_lin.max())
-    nu = int(first_circ.max())
-    sw_hist = {int(l): int(c) for l, c in
-               zip(*np.unique(first_lin[rep], return_counts=True))}
-    scw_hist = {int(l): int(c) for l, c in
-                zip(*np.unique(first_circ[circ], return_counts=True))}
-
-    # the lexicographically least witness of extremal length
-    longest = Word(mu, int(least[0][first_lin == mu].min()))
-    longest_circ = Word(nu, int(least[1][first_circ == nu].min()))
-
-    return EnumerationResult(
-        n=n, circ_count=int(circ.sum()), rep_count=int(rep.sum()),
-        nu=nu, mu=mu,
-        longest_circ_witness=longest_circ, longest_witness=longest,
-        sw_histogram=sw_hist, scw_histogram=scw_hist,
-        rep_sets=tuple(int(s) for s in np.flatnonzero(rep)) if collect_sets else None,
-        circ_sets=tuple(int(s) for s in np.flatnonzero(circ)) if collect_sets else None,
-    )
+    return _result(n, first, lambda circ, sets: int(least[circ, sets].min()),
+                   collect_sets)

@@ -64,20 +64,24 @@ def test_criterion_01_enumeration_rows():
 
 
 def test_criterion_02_order_five_policy():
-    # the order-5 row is a stretch goal and is not attempted here: the
-    # sparse search needs far more memory than this environment provides.
-    # The opt-in path exists and reports its progress honestly instead of
-    # fabricating a row.
-    from factorwords import BudgetExceededError
+    # the census covers orders 1..4: no search of this package finishes the
+    # order-5 row, so order 5 is refused at once instead of searched until
+    # its budget runs out, and the order-5 count is the published one
+    from click.testing import CliRunner
+
+    from factorwords.cli import main
     try:
         enumerate_representable(5, Budget(max_memory_bytes=32 << 20))
-    except BudgetExceededError as e:
-        assert e.progress.get("states", 0) > 0
-        report(2, "order 5 declared stretch goal; opt-in run reports "
-                  f"progress then stops (reached {e.progress.get('states')} "
-                  "states in shard 0 before the cap)")
-        return
-    raise AssertionError("an order-5 run inside 32 MiB should exhaust its budget")
+    except ValueError as e:
+        assert "orders 1..4" in str(e)
+    else:
+        raise AssertionError("an order-5 census should be refused")
+    runner = CliRunner()
+    assert runner.invoke(main, ["enumerate", "--n", "5", "--budget-mb", "16"]).exit_code == 2
+    doc = json.loads(runner.invoke(main, ["bounds", "--n", "5", "-f", "json"]).output)
+    assert (doc["count"], doc["count_source"]) == (PUBLISHED_CIRC_COUNT_5, "published")
+    report(2, "order 5 refused by the census (CLI exit 2); bounds --n 5 quotes "
+              f"the published |C_5| = {PUBLISHED_CIRC_COUNT_5}")
 
 
 def test_criterion_03_published_table_reproduced():

@@ -103,10 +103,11 @@ class TestEnumerate:
         assert tight.exit_code == 0
         assert json.loads(tight.output)["result"] == json.loads(full.output)["result"]
 
-    def test_order_five_requires_opt_in(self, run):
-        assert run("enumerate", "--n", "5").exit_code == 2
-        r = run("enumerate", "--n", "5", "--budget-mb", "16")
-        assert r.exit_code == 3  # honest exhaustion, not a fabricated row
+    def test_order_five_exits_2(self, run):
+        # the census covers orders 1..4: order 5 is refused whatever the budget
+        for budget in ((), ("--budget-mb", "16"), ("--max-seconds", "5")):
+            r = run("enumerate", "--n", "5", *budget)
+            assert r.exit_code == 2 and "orders 1..4" in r.output
 
 
 class TestTTable:
@@ -168,6 +169,11 @@ class TestVerify:
     def test_hamiltonian(self, run):
         r = run("verify", "--hamiltonian", "25", "--seed", "7")
         assert r.exit_code == 0 and "PASS" in r.output
+
+    def test_hamiltonian_honours_max_seconds(self, run):
+        r = run("verify", "--hamiltonian", "50", "--max-seconds", "0.000001")
+        assert r.exit_code == 3 and "PASS" not in r.output
+        assert "progress:" in r.output and '"trials_done": 1' in r.output
 
     def test_hamiltonian_needs_a_trial(self, run):
         for trials in ("0", "-3"):

@@ -142,6 +142,10 @@ class TestTheorem1:
         with pytest.raises(OutOfValidityRegion):
             check_theorem1(7, 3)
 
+    def test_time_budget_enforced(self):
+        with pytest.raises(BudgetExceededError):
+            check_theorem1(7, 4, budget=Budget(max_seconds=1e-6))
+
     def test_out_of_region_family_flagged(self):
         for k in range(3, 7):
             x, y, _, _ = counterexample_family(k)
@@ -216,6 +220,10 @@ class TestConjecture2n:
         doc = check_conjecture_2n(2).to_json_dict()
         assert doc["passed"] is True
         assert {"n", "t", "pair_count", "period_violations"} <= set(doc)
+
+    def test_time_budget_enforced(self):
+        with pytest.raises(BudgetExceededError):
+            check_conjecture_2n(3, Budget(max_seconds=1e-6))
 
 
 class TestGroupIdentity:

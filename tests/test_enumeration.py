@@ -51,7 +51,7 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_representable(6)
         with pytest.raises(ValueError):
-            enumerate_representable(5)  # needs an explicit budget to opt in
+            enumerate_representable(5)  # the census covers orders 1..4
 
 
 class TestDeciderAgreement:
@@ -260,12 +260,24 @@ class TestBudget:
         fits = Budget(max_memory_bytes=brute_force_nbytes(3, 11))
         assert brute_force_enumerate(3, 11, fits).circ_count == 27
 
-    def test_order_five_attempt_reports_progress(self):
-        with pytest.raises(BudgetExceededError) as exc:
+    def test_order_five_refused_before_charging(self, monkeypatch):
+        charged = []
+
+        class LoggingMeter(BudgetMeter):
+            def charge_memory(self, nbytes, what=""):
+                charged.append(nbytes)
+                super().charge_memory(nbytes, what)
+
+        monkeypatch.setattr(enumeration, "BudgetMeter", LoggingMeter)
+        with pytest.raises(ValueError, match="orders 1..4"):
             enumerate_representable(5, Budget(max_memory_bytes=8 << 20))
-        stats = exc.value.progress
-        assert stats.get("states", 0) > 0
-        assert "shard" in stats
+        assert charged == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_time_budget_reports_completed_shards(self, workers):
+        with pytest.raises(BudgetExceededError) as exc:
+            enumerate_representable(4, Budget(max_seconds=1e-6, workers=workers))
+        assert exc.value.progress["completed_shards"] >= 1
 
 
 class TestCheckpoints:
