@@ -1,13 +1,14 @@
 """Resource budgets for the long-running searches.
 
-A Budget caps memory, wall time and worker count; a BudgetMeter tracks usage
-against it. Memory accounting is explicit (we charge the big arrays and
-frontiers we allocate), not a process-wide RSS probe, so the same inputs
-always hit the same limits.
+A Budget caps memory and wall time; a BudgetMeter tracks usage against it.
+Memory accounting is explicit (we charge the big arrays and frontiers we
+allocate), not a process-wide RSS probe, so the same inputs always hit the
+same limits.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -30,7 +31,13 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits: bytes of working memory, wall seconds, workers."""
+    """Resource limits: bytes of working memory and wall seconds.
+
+    ``workers`` limits nothing: every search runs in one process, and no
+    code in the package reads it. It and ``default(workers=)`` remain only
+    because the benchmark's oracle workload builds its budget with
+    ``Budget.default(workers=2)``; both go when that call does.
+    """
 
     max_memory_bytes: int = _DEFAULT_MB << 20
     max_seconds: float | None = None
@@ -78,8 +85,11 @@ class BudgetMeter:
             return
         elapsed = time.monotonic() - self.started
         if elapsed > self.budget.max_seconds:
+            # in milliseconds, as stats() gives it, but rounded up: a figure
+            # rounded to nearest can read as the limit itself
+            shown = math.ceil(elapsed * 1000) / 1000
             raise BudgetExceededError(
-                f"time budget exceeded ({elapsed:.1f}s > {self.budget.max_seconds}s)"
+                f"time budget exceeded ({shown:.3f}s > {self.budget.max_seconds}s)"
                 f"{' at ' + what if what else ''}",
                 self.stats(),
             )

@@ -51,9 +51,6 @@ def _common_options(fn):
     fn = click.option("--format", "-f", "output_format", default="text",
                       type=click.Choice(["text", "json", "csv", "md"]),
                       help="Output format.")(fn)
-    fn = click.option("--workers", default=1, show_default=True,
-                      help="Worker processes for the census's sharded search "
-                           "(everything else runs in-process).")(fn)
     fn = click.option("--budget-mb", default=None, type=int,
                       help="Memory budget in MiB (default: "
                            "FACTORSET_BUDGET_MB or 2048).")(fn)
@@ -67,15 +64,13 @@ def _common_options(fn):
     return fn
 
 
-def _config(output_format, workers, budget_mb, max_seconds, seed,
+def _config(output_format, budget_mb, max_seconds, seed,
             schema_version) -> RunConfig:
     if budget_mb is not None:
-        budget = Budget(max_memory_bytes=budget_mb << 20,
-                        max_seconds=max_seconds, workers=workers)
+        budget = Budget(max_memory_bytes=budget_mb << 20, max_seconds=max_seconds)
     else:
-        base = Budget.default(workers=workers)
-        budget = Budget(max_memory_bytes=base.max_memory_bytes,
-                        max_seconds=max_seconds, workers=workers)
+        budget = Budget(max_memory_bytes=Budget.default().max_memory_bytes,
+                        max_seconds=max_seconds)
     return RunConfig(output_format, budget, seed, schema_version)
 
 
@@ -170,31 +165,25 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, **opts):
               help="Use the brute-force scan instead of the graph search.")
 @click.option("--max-len", type=int, default=None,
               help="Scan limit for --oracle (default: a known-safe bound).")
-@click.option("--checkpoint", type=click.Path(), default=None,
-              help="Restartable per-shard checkpoint file.")
 @_common_options
 @_guard
-def cmd_enumerate(order, oracle, max_len, checkpoint, **opts):
+def cmd_enumerate(order, oracle, max_len, **opts):
     """Counts, extremal witness lengths and witnesses for one order."""
     cfg = _config(**opts)
     started = time.monotonic()
+    enumeration.check_order(order)
     if oracle:
-        if max_len is None:
-            safe = {1: 3, 2: 6, 3: 11, 4: 25}
-            if order not in safe:
-                _fail_usage("--oracle needs --max-len for this order")
-            max_len = safe[order]
-        result = enumeration.brute_force_enumerate(order, max_len, cfg.budget)
+        safe = {1: 3, 2: 6, 3: 11, 4: 25}    # at least the order's mu and nu
+        result = enumeration.brute_force_enumerate(
+            order, safe[order] if max_len is None else max_len, cfg.budget)
     else:
-        result = enumeration.enumerate_representable(
-            order, cfg.budget, checkpoint_path=checkpoint)
+        result = enumeration.enumerate_representable(order, cfg.budget)
     elapsed = round(time.monotonic() - started, 3)
     if cfg.output_format == "json":
         _emit_json(cfg, "enumerate", {
             "result": result.to_json_dict(),
             "stats": {"elapsed_seconds": elapsed,
-                      "memory_budget_bytes": cfg.budget.max_memory_bytes,
-                      "workers": cfg.budget.workers}})
+                      "memory_budget_bytes": cfg.budget.max_memory_bytes}})
     else:
         r = result
         click.echo(f"n {r.n}")

@@ -1,10 +1,15 @@
 """Command-line surface: formats, exit codes, schema round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import factorwords
 from factorwords.cli import main
 
 
@@ -109,6 +114,20 @@ class TestEnumerate:
             r = run("enumerate", "--n", "5", *budget)
             assert r.exit_code == 2 and "orders 1..4" in r.output
 
+    def test_oracle_refuses_the_order_first(self, run):
+        # with or without --max-len, the oracle gives the census's message
+        for order in ("0", "5"):
+            for scan in ((), ("--max-len", "30")):
+                r = run("enumerate", "--n", order, "--oracle", *scan)
+                assert r.exit_code == 2
+                assert f"the census covers orders 1..4, not {order}" in r.output
+
+    def test_no_workers_or_checkpoint_options(self, run, tmp_path):
+        for extra in (("--workers", "2"), ("--checkpoint", str(tmp_path / "f"))):
+            r = run("enumerate", "--n", "4", *extra)
+            assert r.exit_code == 2 and "No such option" in r.output
+        assert not (tmp_path / "f").exists()
+
 
 class TestTTable:
     def test_csv(self, run):
@@ -189,3 +208,13 @@ class TestVerify:
         a = run("verify", "--hamiltonian", "10", "--seed", "3", "-f", "json")
         b = run("verify", "--hamiltonian", "10", "--seed", "3", "-f", "json")
         assert a.output == b.output
+
+
+def test_cli_import_starts_no_process_machinery():
+    # every command pays this import; the package runs in one process
+    src = Path(factorwords.__file__).parents[1]
+    code = ("import sys, factorwords.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"

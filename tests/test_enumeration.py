@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from factorwords import (Budget, BudgetExceededError, FactorSet, brute_force_enu
                          enumerate_representable, factors, is_circ_representable,
                          is_representable)
 from factorwords import enumeration
+from factorwords import budget as budget_mod
 from factorwords.budget import BudgetMeter
 from factorwords.enumeration import UNSEEN, _layers, _scan_shard, brute_force_nbytes
 from factorwords.factorsets import _cover_word
@@ -76,10 +78,22 @@ class TestDeciderAgreement:
 
     def test_shards_report_their_least_member(self):
         for n in (1, 2, 3, 4):
-            for u in range(1 << n):
-                for firsts in _scan_shard(n, u):
-                    sets = np.flatnonzero(firsts != UNSEEN)
-                    assert np.all(sets & -sets == 1 << u)
+            width = 1 << n
+            space = (1 << width) << n
+            scratch = np.empty(space, np.uint8), np.empty(space, np.int32)
+
+            def run(shards):
+                out = np.full((2, 1 << width), UNSEEN, np.uint8)
+                for u in shards:
+                    _scan_shard(n, u, out, *scratch)
+                return out
+
+            for u in range(width):
+                sets = np.flatnonzero((run([u]) != UNSEEN).any(axis=0))
+                assert np.all(sets & -sets == 1 << u)
+            # the shards write disjoint slices, so no merge is needed and
+            # their order, sharing one pair of scratch arrays, does not matter
+            assert np.array_equal(run(range(width)), run(reversed(range(width))))
 
 
 class TestOracleAgreement:
@@ -213,6 +227,15 @@ class TestBudget:
             enumerate_representable(4, Budget(max_memory_bytes=1 << 16))
         assert "charged_bytes" in exc.value.progress
 
+    def test_time_message_exceeds_limit(self, monkeypatch):
+        # 0.2 ms over a 50 ms limit: rounded to nearest, it reads 0.050s
+        meter = BudgetMeter(Budget(max_seconds=0.05), started=100.0)
+        monkeypatch.setattr(budget_mod.time, "monotonic", lambda: 100.0502)
+        with pytest.raises(BudgetExceededError) as exc:
+            meter.check_time("here")
+        shown = re.search(r"\((\d+\.\d{3})s > 0\.05s\) at here$", str(exc.value))
+        assert float(shown.group(1)) > 0.05
+
     def test_refused_charge_is_not_held(self):
         meter = BudgetMeter(Budget(max_memory_bytes=1000))
         meter.charge_memory(600)
@@ -279,73 +302,3 @@ class TestBudget:
             enumerate_representable(4, Budget(max_seconds=1e-6, workers=workers))
         assert exc.value.progress["completed_shards"] >= 1
 
-
-class TestCheckpoints:
-    def test_roundtrip_resume(self, tmp_path):
-        path = str(tmp_path / "order3.ckpt")
-        first = enumerate_representable(3, checkpoint_path=path)
-        lines = open(path).read().splitlines()
-        assert json.loads(lines[0])["record"] == "header"
-        assert len(lines) == 1 + 8  # header plus one record per shard
-        resumed = enumerate_representable(3, checkpoint_path=path)
-        assert resumed.to_json_dict() == first.to_json_dict()
-        assert len(open(path).read().splitlines()) == 9  # nothing recomputed
-
-    def test_mismatched_checkpoint_rejected(self, tmp_path):
-        path = str(tmp_path / "order2.ckpt")
-        enumerate_representable(2, checkpoint_path=path)
-        with pytest.raises(ValueError):
-            enumerate_representable(3, checkpoint_path=path)
-
-    @pytest.fixture(scope="class")
-    def full_order3(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("ckpt") / "full.ckpt"
-        result = enumerate_representable(3, checkpoint_path=str(path))
-        return result.to_json_dict(), path.read_text().splitlines(keepends=True)
-
-    @staticmethod
-    def _shards(path):
-        return [json.loads(line)["u"] for line in path.read_text().splitlines()[1:]]
-
-    @pytest.mark.parametrize("kept", [0, 1, 5, 7])
-    def test_resume_computes_only_missing_shards(self, tmp_path, full_order3, kept):
-        doc, lines = full_order3
-        path = tmp_path / "partial.ckpt"
-        path.write_text("".join(lines[:1 + kept]))
-        resumed = enumerate_representable(3, checkpoint_path=str(path))
-        assert resumed.to_json_dict() == doc
-        shards = self._shards(path)
-        assert shards[:kept] == list(range(kept))
-        assert sorted(shards[kept:]) == list(range(kept, 8))  # 8 - kept appended
-
-    @pytest.mark.parametrize("kept", [0, 4, 7])
-    def test_torn_last_record_recomputed(self, tmp_path, full_order3, kept):
-        doc, lines = full_order3
-        path = tmp_path / "torn.ckpt"
-        torn = lines[1 + kept]
-        path.write_text("".join(lines[:1 + kept]) + torn[:len(torn) // 2])
-        resumed = enumerate_representable(3, checkpoint_path=str(path))
-        assert resumed.to_json_dict() == doc
-        assert sorted(self._shards(path)) == list(range(8))
-        assert self._shards(path)[:kept] == list(range(kept))
-
-    def test_torn_header_starts_afresh(self, tmp_path, full_order3):
-        doc, lines = full_order3
-        path = tmp_path / "header.ckpt"
-        path.write_text(lines[0][:10])
-        assert enumerate_representable(3, checkpoint_path=str(path)).to_json_dict() == doc
-        assert sorted(self._shards(path)) == list(range(8))
-
-    def test_foreign_records_rejected(self, tmp_path, full_order3):
-        _, lines = full_order3
-        sparse = json.dumps({"record": "shard", "u": 1, "set_first": [[2, 0]],
-                             "circ_first": []}) + "\n"
-        for bad in (sparse, "[1, 2]\n", lines[2][:40] + "\n"):
-            path = tmp_path / "foreign.ckpt"
-            path.write_text(lines[0] + lines[1] + bad + lines[3])
-            with pytest.raises(ValueError, match="does not match this run"):
-                enumerate_representable(3, checkpoint_path=str(path))
-        # version 1 sharded by prefix: its records do not merge with these
-        path.write_text(lines[0].replace('"version": 2', '"version": 1') + lines[1])
-        with pytest.raises(ValueError, match="does not match this run"):
-            enumerate_representable(3, checkpoint_path=str(path))
