@@ -164,7 +164,8 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, **opts):
 @click.option("--oracle", is_flag=True,
               help="Use the brute-force scan instead of the graph search.")
 @click.option("--max-len", type=int, default=None,
-              help="Scan limit for --oracle (default: a known-safe bound).")
+              help="Scan limit for --oracle, at least the order's safe length "
+                   "(default: that length).")
 @_common_options
 @_guard
 def cmd_enumerate(order, oracle, max_len, **opts):
@@ -174,6 +175,10 @@ def cmd_enumerate(order, oracle, max_len, **opts):
     enumeration.check_order(order)
     if oracle:
         safe = {1: 3, 2: 6, 3: 11, 4: 25}    # at least the order's mu and nu
+        if max_len is not None and max_len < safe[order]:
+            # a shorter scan misses sets, so its counts are not the order's row
+            _fail_usage(f"--max-len {max_len} is below the safe length {safe[order]} "
+                        f"of order {order}: the row would be truncated")
         result = enumeration.brute_force_enumerate(
             order, safe[order] if max_len is None else max_len, cfg.budget)
     else:

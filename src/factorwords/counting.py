@@ -18,9 +18,14 @@ u v 01 v^R u against u v 10 v^R u with u a palindrome.
 Every scan over words goes through the package's one word scan,
 ``words.factor_keys``: counts are numbers of distinct keys, and the checks
 walk only the classes of two or more words from ``words.factor_classes``.
-Budgets are charged the scan's buffers (``words.scan_nbytes``) up front.
-The checks compare minimal periods and root classes as integers, taken from
-one ``words.period_classes`` call over all the classes' members.
+Above order 6 that class scan hashes each word's factor set and refines
+only the words whose hashes collide with exact keys, checking the time
+budget after each chunk of words it hashes. Budgets are charged the scan's
+buffers (``words.scan_nbytes``, ``words.class_scan_nbytes``) up front; the
+class scan charges the exact keys of the colliding words once it knows how
+many there are. The checks compare minimal periods and root classes as
+integers, taken from one ``words.period_classes`` call over all the
+classes' members.
 """
 
 from __future__ import annotations
@@ -31,8 +36,9 @@ from itertools import combinations, islice
 import numpy as np
 
 from .budget import Budget, BudgetExceededError, BudgetMeter
-from .words import (SCAN_CHUNK_BITS, Word, factor_classes, factor_keys, key_bitmap,
-                    lyndon_count, lyndon_words, period_classes, scan_nbytes, sorted_runs)
+from .words import (SCAN_CHUNK_BITS, Word, class_scan_nbytes, factor_classes, factor_keys,
+                    key_bitmap, lyndon_count, lyndon_words, period_classes, scan_nbytes,
+                    sorted_runs)
 
 BRUTE_MAX_T = 24
 
@@ -66,8 +72,10 @@ class EqualFactorPair:
 
 # -- scanning all words of one length ---------------------------------------
 
-def _scan_meter(t: int, n: int, budget: Budget | None, words: int) -> BudgetMeter:
-    """Validate a scan of length-t words; charge the buffers for ``words`` at once."""
+def _scan_meter(t: int, n: int, budget: Budget | None, words: int,
+                nbytes=scan_nbytes) -> BudgetMeter:
+    """Validate a scan of length-t words; charge the buffers for ``words``
+    (``nbytes(n, t, words)``) at once."""
     if n < 1:
         raise ValueError("factor length must be positive")
     if t < n:
@@ -75,15 +83,15 @@ def _scan_meter(t: int, n: int, budget: Budget | None, words: int) -> BudgetMete
     if t > BRUTE_MAX_T:
         raise ValueError(f"t beyond {BRUTE_MAX_T} is out of budget")
     meter = BudgetMeter(budget or Budget.default())
-    meter.charge_memory(scan_nbytes(n, t, words), f"scan of length {t}")
+    meter.charge_memory(nbytes(n, t, words), f"scan of length {t}")
     return meter
 
 
 def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[int, int, int]]]:
     """In bitmap order, every class of two or more words of length t with one
     factor set: its codes ascending, each with its period and root class."""
-    meter = _scan_meter(t, n, budget, 1 << t)
-    classes = factor_classes(n, t, 0, 1 << t)[1]
+    meter = _scan_meter(t, n, budget, 1 << t, class_scan_nbytes)
+    classes = factor_classes(n, t, 0, 1 << t, meter=meter)[1]
     meter.check_time(f"factor classes of length {t}")
     codes = np.concatenate([np.empty(0, np.int64), *classes])
     members = iter(zip(codes.tolist(), *(a.tolist() for a in period_classes(t, codes))))

@@ -12,6 +12,12 @@ batch of word codes into canonical factor-set keys with numpy,
 ``factor_classes`` groups a range of codes by factor set, and ``word_scan``
 lists the distinct factor sets of every word up to a length, reading long
 words as a prefix key joined with a table of suffix keys.
+
+Above order 6, ``factor_classes`` sorts no key per word. It gives each word
+a 64-bit set hash, the wrapping sum of a fixed splitmix64 value over the
+word's distinct factors (Zobrist hashing), and sorts the hashes once; only
+the words holding a hash that another word holds get exact row keys, which
+split any collision. Equal sets hash equally, so the classes are exact.
 """
 
 from __future__ import annotations
@@ -291,21 +297,17 @@ def _scan_dtypes(n: int, ell: int, circular: bool):
     return span, code_dt, np.min_scalar_type(1 << n), span - n + 1
 
 
-def factor_keys(n: int, ell: int, codes, circular: bool = False) -> np.ndarray:
-    """One canonical factor-set key per word of length ``ell``, for a range,
-    sequence or array of codes. Keys are equal exactly when the words' sets
-    of length-n factors, read ordinarily or circularly (short circular words
-    wrap repeatedly, as in ``circular_factors``), are equal, and they sort as
-    the sets' bitmaps do. For 2^n <= 64 the key is the bitmap, in the least
-    unsigned dtype holding it; otherwise a row with one entry per factor
-    occurrence: the distinct factor codes plus one, ascending, left-padded
-    with zeros, which compared from the last column back order as bitmaps.
-    """
+def _windows(n: int, ell: int, codes, circular: bool):
+    """The codes of length-``ell`` words (a range, sequence or array) as an
+    array, and a generator of their length-n windows left to right, one array
+    per position. Read circularly, each word is extended by its first letters,
+    cyclically, so that short circular words wrap repeatedly, as in
+    ``circular_factors``."""
     if n < 1 or ell < 1:
         raise ValueError("lengths must be positive")
     if ell < n and not circular:
         raise InvalidLength(f"a word of length {ell} has no factors of length {n}")
-    span, code_dt, key_dt, width = _scan_dtypes(n, ell, circular)
+    span, code_dt, _, _ = _scan_dtypes(n, ell, circular)
     if span > 64:
         raise ValueError("the scan reads at most 64 letters per word")
     dt = code_dt.type
@@ -317,16 +319,30 @@ def factor_keys(n: int, ell: int, codes, circular: bool = False) -> np.ndarray:
         ext = (ext << dt(take)) | (codes >> dt(ell - take))
         got += take
     mask = dt((1 << n) - 1)
-    shifts = [dt(sh) for sh in range(span - n, -1, -1)]
+    return codes, ((ext >> dt(sh)) & mask for sh in range(span - n, -1, -1))
+
+
+def factor_keys(n: int, ell: int, codes, circular: bool = False) -> np.ndarray:
+    """One canonical factor-set key per word of length ``ell``, for a range,
+    sequence or array of codes. Keys are equal exactly when the words' sets
+    of length-n factors, read ordinarily or circularly (short circular words
+    wrap repeatedly, as in ``circular_factors``), are equal, and they sort as
+    the sets' bitmaps do. For 2^n <= 64 the key is the bitmap, in the least
+    unsigned dtype holding it; otherwise a row with one entry per factor
+    occurrence: the distinct factor codes plus one, ascending, left-padded
+    with zeros, which compared from the last column back order as bitmaps.
+    """
+    codes, windows = _windows(n, ell, codes, circular)
+    _, _, key_dt, width = _scan_dtypes(n, ell, circular)
     if n <= _BITMAP_MAX_ORDER:
         one = key_dt.type(1)
         keys = np.zeros(codes.size, key_dt)
-        for sh in shifts:
-            keys |= one << ((ext >> sh) & mask).astype(key_dt)
+        for win in windows:
+            keys |= one << win.astype(key_dt)
         return keys
     keys = np.empty((codes.size, width), key_dt)
-    for i, sh in enumerate(shifts):
-        keys[:, i] = (ext >> sh) & mask
+    for i, win in enumerate(windows):
+        keys[:, i] = win
     keys += key_dt.type(1)
     keys.sort(axis=1)
     keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = 0
@@ -349,18 +365,112 @@ def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(np.concatenate(([len(keys) > 0], fresh)))
 
 
-def factor_classes(n: int, ell: int, start: int, stop: int,
-                   circular: bool = False) -> tuple[int, list[np.ndarray]]:
+# The hashed class scan (orders above 6) hashes 2^HASH_CHUNK_BITS codes per
+# chunk; at (n, t) = (10, 20), chunks of 2^14..2^16 ran about equally fast
+# and 2^12 slower, and the smallest of them holds the least
+HASH_CHUNK_BITS = 14
+_GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in
+                         (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def _factor_hash(factors: np.ndarray) -> np.ndarray:
+    """A fixed pseudo-random uint64 per factor code: splitmix64's output for
+    the state (code + 1) * golden, computed, so no table grows with n."""
+    z = (factors.astype(np.uint64) + np.uint64(1)) * _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _set_hashes(n: int, ell: int, start: int, stop: int, circular: bool,
+                meter: BudgetMeter | None) -> np.ndarray:
+    """Per code in [start, stop), the wrapping uint64 sum of ``_factor_hash``
+    over the distinct length-n factors of its word: a window equal to an
+    earlier one of the same word adds nothing, so equal sets hash equally."""
+    hashes = np.zeros(stop - start, np.uint64)
+    for lo in range(start, stop, 1 << HASH_CHUNK_BITS):
+        hi = min(stop, lo + (1 << HASH_CHUNK_BITS))
+        part, seen = hashes[lo - start:hi - start], []
+        for win in _windows(n, ell, range(lo, hi), circular)[1]:
+            fresh = np.ones(win.size, bool)
+            for earlier in seen:
+                fresh &= win != earlier
+            np.add(part, _factor_hash(win), out=part, where=fresh)
+            seen.append(win)
+        if meter is not None:
+            meter.note(words_scanned=hi - start)
+            meter.check_time(f"factor classes of length {ell}")
+    return hashes
+
+
+def _holding(hashes: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """The ascending positions of the hashes found in ``shared`` (sorted),
+    chunk by chunk: a table of 2^16 flags, one per low 16 bits of the shared
+    hashes, passes few others to the exact binary search."""
+    low = np.uint64(0xFFFF)
+    flagged = np.zeros(1 << 16, bool)
+    flagged[shared & low] = True
+    found = []
+    for lo in range(0, hashes.size, 1 << HASH_CHUNK_BITS):
+        part = hashes[lo:lo + (1 << HASH_CHUNK_BITS)]
+        maybe = np.flatnonzero(flagged[part & low])
+        hit = shared.take(np.searchsorted(shared, part[maybe]), mode="clip") == part[maybe]
+        found.append(lo + maybe[hit])
+    return np.concatenate(found)
+
+
+def _shared_runs(keys: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """The number of distinct keys and, in key order, the positions of every
+    key held two or more times, ascending."""
+    order, starts = sorted_runs(keys)
+    ends = np.append(starts[1:], order.size)
+    shared = ends - starts > 1
+    return starts.size, [order[a:b] for a, b in zip(starts[shared], ends[shared])]
+
+
+def factor_classes(n: int, ell: int, start: int, stop: int, circular: bool = False,
+                   meter: BudgetMeter | None = None) -> tuple[int, list[np.ndarray]]:
     """Group the codes in [start, stop) of length ``ell`` by factor set.
 
     Returns the number of distinct sets and, in bitmap order, the ascending
     codes of every set that two or more of the words share.
+
+    Orders up to 6 sort every word's bitmap key. Above that, each word gets
+    a 64-bit set hash (``_set_hashes``) and one sort of the hashes finds
+    those two or more words hold. Equal sets hash equally, so a word whose
+    hash no other word holds is alone in its set; only the words holding a
+    shared hash get exact row keys, which split any collision and put the
+    classes in bitmap order. ``class_scan_nbytes`` bounds the buffers other
+    than those row keys. With a meter, the hash pass notes
+    ``words_scanned`` and checks the time after each chunk, and the row keys
+    are charged to it while they are held.
     """
-    keys = factor_keys(n, ell, range(start, stop), circular)
-    order, starts = sorted_runs(keys)
-    ends = np.append(starts[1:], order.size)
-    shared = ends - starts > 1
-    return starts.size, [start + order[a:b] for a, b in zip(starts[shared], ends[shared])]
+    if n <= _BITMAP_MAX_ORDER:
+        count, runs = _shared_runs(factor_keys(n, ell, range(start, stop), circular))
+        return count, [start + run for run in runs]
+    hashes = _set_hashes(n, ell, start, stop, circular, meter)
+    ordered = np.sort(hashes)
+    repeats = ordered[1:] == ordered[:-1]
+    first = repeats.copy()
+    first[1:] &= ~repeats[:-1]  # the first repeat of each shared hash
+    groups = np.count_nonzero(first)
+    if groups == 0:
+        return hashes.size, []
+    sharing = groups + np.count_nonzero(repeats)  # words holding a shared hash
+    held = scan_nbytes(n, ell, sharing, circular)
+    if meter is not None:
+        meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
+    shared = ordered[1:][first]
+    del ordered, repeats, first
+    members = _holding(hashes, shared)
+    del hashes
+    count, runs = _shared_runs(factor_keys(n, ell, start + members, circular))
+    if meter is not None:
+        meter.release_memory(held)
+    return stop - start - sharing + count, [start + members[run] for run in runs]
 
 
 def scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
@@ -375,6 +485,20 @@ def scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
               + (3 * key_dt.itemsize if n <= _BITMAP_MAX_ORDER else width))
     sorting = 2 * key + 8 * 3 + width + 2
     return count * max(making, sorting)
+
+
+def class_scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
+    """An upper bound on the bytes ``factor_classes`` holds at once on a range
+    of ``count`` codes, beside the lists it returns and, above order 6, the
+    row keys of the words sharing a set hash, which it charges to its meter:
+    up to order 6, ``scan_nbytes``; above, per word its hash, a sorted copy
+    and three flags, plus one chunk's windows and temporaries.
+    """
+    if n <= _BITMAP_MAX_ORDER:
+        return scan_nbytes(n, ell, count, circular)
+    _, code_dt, _, width = _scan_dtypes(n, ell, circular)
+    chunk = min(count, 1 << HASH_CHUNK_BITS)
+    return count * 19 + chunk * (code_dt.itemsize * (width + 4) + 40)
 
 
 def _firsts(keys: np.ndarray) -> np.ndarray:

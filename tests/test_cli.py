@@ -122,6 +122,15 @@ class TestEnumerate:
                 assert r.exit_code == 2
                 assert f"the census covers orders 1..4, not {order}" in r.output
 
+    def test_oracle_refuses_a_truncated_row(self, run):
+        # a scan below the order's safe length would print a wrong row
+        r = run("enumerate", "--n", "4", "--oracle", "--max-len", "12")
+        assert r.exit_code == 2 and r.stdout == ""
+        assert "safe length 25" in r.output
+        assert run("enumerate", "--n", "2", "--oracle", "--max-len", "5").exit_code == 2
+        r = run("enumerate", "--n", "2", "--oracle", "--max-len", "6")
+        assert r.exit_code == 0 and "|C_2| 6" in r.stdout
+
     def test_no_workers_or_checkpoint_options(self, run, tmp_path):
         for extra in (("--workers", "2"), ("--checkpoint", str(tmp_path / "f"))):
             r = run("enumerate", "--n", "4", *extra)

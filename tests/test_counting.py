@@ -225,6 +225,13 @@ class TestConjecture2n:
         with pytest.raises(BudgetExceededError):
             check_conjecture_2n(3, Budget(max_seconds=1e-6))
 
+    def test_time_budget_stops_the_class_scan_partway(self):
+        # the 2^22 words of length 22 are hashed chunk by chunk, with a time
+        # check after each, so the budget stops the scan, not its end
+        with pytest.raises(BudgetExceededError) as e:
+            check_conjecture_2n(11, Budget(max_seconds=1e-9))
+        assert 0 < e.value.progress["words_scanned"] < 1 << 22
+
 
 class TestGroupIdentity:
     def test_excess_accounts_for_the_count(self):
