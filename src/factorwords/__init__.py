@@ -15,8 +15,7 @@ from .bounds import (AlreadyPresent, Digraph, NotStronglyConnected, UpperBoundAu
 from .counting import (Conjecture2nReport, EqualFactorPair, OutOfValidityRegion,
                        TCell, Theorem1Report, TTable, check_conjecture_2n,
                        check_theorem1, count_T_bruteforce, count_T_closed,
-                       counterexample_family, equal_factor_pairs,
-                       group_words_by_factors, t_table)
+                       counterexample_family, equal_factor_pairs, t_table)
 from .enumeration import (EnumerationResult, brute_force_enumerate,
                           enumerate_representable)
 from .factorsets import (EmptySet, FactorSet, OverlapGraph, WitnessResult,
@@ -39,8 +38,7 @@ __all__ = [
     "Conjecture2nReport", "EqualFactorPair", "OutOfValidityRegion",
     "TCell", "Theorem1Report", "TTable", "check_conjecture_2n",
     "check_theorem1", "count_T_bruteforce", "count_T_closed",
-    "counterexample_family", "equal_factor_pairs", "group_words_by_factors",
-    "t_table",
+    "counterexample_family", "equal_factor_pairs", "t_table",
     "EnumerationResult", "brute_force_enumerate", "enumerate_representable",
     "EmptySet", "FactorSet", "OverlapGraph", "WitnessResult",
     "circular_factors", "count_pairs", "count_skeletons", "factors",

@@ -16,7 +16,9 @@ Three independent pieces:
   * covering closed walks in strongly connected digraphs: every such graph
     on n vertices has one of length at most floor((n+1)^2/4), a chain-fan
     family attains the bound, and 2^(2n-2) + 2^(n-1) therefore caps the
-    extremal witness lengths.
+    extremal witness lengths. The longest simple path behind the walk built
+    and the exact optimum come from one kernel: layers of (covered mask,
+    vertex) states as bit sets, built backwards, then a greedy walk forwards.
 
 All arithmetic in this module is exact integer arithmetic.
 """
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 
-from .factorsets import _least_cover_walk, _walk_tables, circular_factors, strong_components
+from .factorsets import circular_factors, strong_components
 from .words import Word
 
 
@@ -243,33 +245,6 @@ class WalkReport:
         }
 
 
-def _longest_simple_path(g: Digraph) -> list[int]:
-    """A longest simple path, by breadth-first search over the states
-    (visited << shift) | vertex, each mapped to its parent (a start to 0);
-    it ends at the first state queued with the most vertices visited."""
-    nv = g.vertex_count
-    shift = nv.bit_length()
-    vmask = (1 << shift) - 1
-    moves = [[(w, 1 << (w + shift)) for w in succs] for succs in g.edges]
-    queue = [(1 << (v + shift)) | v for v in range(nv)]
-    parent = dict.fromkeys(queue, 0)
-    for st in queue:
-        visited = st & ~vmask
-        for w, bit in moves[st & vmask]:
-            if not visited & bit:
-                nst = visited | bit | w
-                if nst not in parent:
-                    parent[nst] = st
-                    queue.append(nst)
-    most = (queue[-1] >> shift).bit_count()
-    best = queue[bisect_left(queue, most, key=lambda st: (st >> shift).bit_count())]
-    path = []
-    while best:
-        path.append(best & vmask)
-        best = parent[best]
-    return path[::-1]
-
-
 def _shortest_path(g: Digraph, s: int, t: int) -> list[int]:
     prev: dict[int, int | None] = {s: None}
     queue = [s]
@@ -286,24 +261,72 @@ def _shortest_path(g: Digraph, s: int, t: int) -> list[int]:
     raise NotStronglyConnected(f"no path {s} -> {t}")
 
 
+@cache
+def _containing(nv: int) -> tuple[int, ...]:
+    """Per vertex x, the bit set of the masks over nv vertices that hold x."""
+    full = (1 << (1 << nv)) - 1
+    return tuple(full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
+                 for x in range(nv))
+
+
+def _step_back(succs: list[list[int]], layer: list[int], simple: bool) -> list[int]:
+    """The states one move before ``layer``, which holds a bit set per vertex
+    v, bit c standing for the state (covered mask c, v). A move v -> x adds x
+    to the mask; a simple path never moves to a covered vertex."""
+    pre = []
+    for x, (states, has_x) in enumerate(zip(layer, _containing(len(layer)))):
+        p = states & has_x
+        pre.append(p >> (1 << x) if simple else p | (p >> (1 << x)))
+    out = [0] * len(succs)
+    for v, xs in enumerate(succs):
+        for x in xs:
+            out[v] |= pre[x]
+    return out
+
+
+def _greedy_walk(succs: list[list[int]], layers: list[list[int]], v: int,
+                 simple: bool) -> list[int]:
+    """The walk from ({v}, v) in the last layer down through the others,
+    each step to the first successor whose state is in the next layer."""
+    covered = 1 << v
+    walk = [v]
+    for layer in reversed(layers[:-1]):
+        v = next(x for x in succs[v] if layer[x] >> (covered | 1 << x) & 1
+                 and not (simple and covered >> x & 1))
+        covered |= 1 << v
+        walk.append(v)
+    return walk
+
+
+def _longest_simple_path(g: Digraph) -> list[int]:
+    """The least longest simple path, compared by start vertex, then by each
+    step's position in ``g.edges`` iteration order. Layer j holds the states
+    with j more simple moves; the last with some ({v}, v) gives the length."""
+    nv = g.vertex_count
+    succs = [list(e) for e in g.edges]
+    layers = [[(1 << (1 << nv)) - 1] * nv]
+    while any(states >> (1 << v) & 1 for v, states in enumerate(layers[-1])):
+        layers.append(_step_back(succs, layers[-1], simple=True))
+    start = next(v for v, states in enumerate(layers[-2]) if states >> (1 << v) & 1)
+    return _greedy_walk(succs, layers[:-1], start, simple=True)
+
+
 def _optimal_closed_cover(g: Digraph) -> list[int]:
     """Exact shortest closed covering walk, the least vertex sequence among
-    them.
-
-    Any covering closed walk passes through vertex 0, so it can be rotated
-    to start and end there; one search over (covered, vertex) states from
-    ({0}, 0) back to (all, 0) suffices.
-    """
+    them. It can be rotated to start at 0: layer j holds the states j moves
+    before (all, 0), and the first holding ({0}, 0) gives the length. Going
+    round 0, 1, ..., nv-1 by shortest paths takes at most nv (nv - 1) moves,
+    so a graph needing more layers is not strongly connected."""
     nv = g.vertex_count
     if nv == 1:
         return [0, 0] if 0 in g.edges[0] else [0]
-    shift = nv.bit_length()  # states are (covered << shift) | vertex
-    adjacency = {v: sorted(e) for v, e in enumerate(g.edges)}
-    walk = _least_cover_walk(*_walk_tables(nv, adjacency), shift, [1 << shift],
-                             {((1 << nv) - 1) << shift}, None)
-    if walk is None:
-        raise NotStronglyConnected("no closed covering walk exists")
-    return walk
+    succs = [sorted(e) for e in g.edges]
+    layers = [[1 << ((1 << nv) - 1)] + [0] * (nv - 1)]  # (all, 0)
+    while not layers[-1][0] & 2:  # ({0}, 0): mask 1, bit 1 << 1
+        if len(layers) > nv * (nv - 1):
+            raise NotStronglyConnected("no closed covering walk exists")
+        layers.append(_step_back(succs, layers[-1], simple=False))
+    return _greedy_walk(succs, layers, 0, simple=False)
 
 
 def hamiltonian_walk(g: Digraph) -> WalkReport:
@@ -322,9 +345,8 @@ def hamiltonian_walk(g: Digraph) -> WalkReport:
         raise NotStronglyConnected("graph is not strongly connected")
     bound = (nv + 1) ** 2 // 4
     optimal = _optimal_closed_cover(g)
-    if nv == 1:
-        walk = [0, 0] if 0 in g.edges[0] else [0]
-    else:
+    walk = optimal
+    if nv > 1:
         path = _longest_simple_path(g)
         leftover = sorted(set(range(nv)) - set(path))
         stops = [path[-1]] + leftover + [path[0]]

@@ -298,7 +298,8 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, **opts)
             rep = bounds_mod.hamiltonian_walk(g)
             trials.append({"vertices": g.vertex_count,
                            "optimal": rep.optimal_length, "bound": rep.bound})
-            if rep.optimal_length > rep.bound or not rep.covers_all:
+            if not (rep.covers_all and rep.walk[0] == rep.walk[-1]
+                    and rep.optimal_length <= min(rep.length, rep.bound)):
                 failures.append({"graph": g.to_text(), **trials[-1]})
             meter.note(trials_done=i + 1)
             meter.check_time(f"trial {i + 1}")

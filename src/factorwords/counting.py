@@ -37,8 +37,7 @@ import numpy as np
 
 from .budget import Budget, BudgetExceededError, BudgetMeter
 from .words import (SCAN_CHUNK_BITS, Word, class_scan_nbytes, factor_classes, factor_keys,
-                    key_bitmap, lyndon_count, lyndon_words, period_classes, scan_nbytes,
-                    sorted_runs)
+                    lyndon_count, lyndon_words, period_classes, scan_nbytes, sorted_runs)
 
 BRUTE_MAX_T = 24
 
@@ -96,15 +95,6 @@ def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[in
     codes = np.concatenate([np.empty(0, np.int64), *classes])
     members = iter(zip(codes.tolist(), *(a.tolist() for a in period_classes(t, codes))))
     return [list(islice(members, len(cls))) for cls in classes]
-
-
-def group_words_by_factors(t: int, n: int,
-                           budget: Budget | None = None) -> dict[int, list[int]]:
-    """Map factor-set bitmap -> ascending codes of the words producing it."""
-    _scan_meter(t, n, budget, 1 << t)
-    keys = factor_keys(n, t, range(1 << t))
-    order, starts = sorted_runs(keys)
-    return {key_bitmap(keys[run[0]]): run.tolist() for run in np.split(order, starts[1:])}
 
 
 def count_T_bruteforce(t: int, n: int, budget: Budget | None = None) -> TCell:

@@ -11,8 +11,8 @@ table (bit code(x) set iff x is a member). On top of it live:
   * shortest (circular) witness search: one layered search over
     (covered-subset, current-vertex) states, pruned backwards to the shortest
     walks for lexicographically-least tie-breaking; the circular search runs
-    once, from the least member. The search takes successor tables, so
-    bounds runs its exact covering closed walks on it too,
+    once, from the least member; it keeps only the states it reaches, as
+    bit sets over every covered mask would not fit for 32 members,
   * prefix/suffix projection of a set one order down, and the pair /
     skeleton / net bookkeeping used by the counting bounds.
 
@@ -307,28 +307,15 @@ def is_representable(fs: FactorSet) -> bool:
 _STATE_BYTES = 84
 
 
-def _walk_tables(size: int, adjacency: Mapping[int, Iterable[int]]):
-    """The successor tables of _least_cover_walk for a digraph on the
-    vertices 0..size-1, given as a map from each vertex to its successors in
-    ascending order: moves[v], the (next vertex, its bit) pairs, and
-    preds[x], the vertices with a move to x."""
-    moves: list[tuple[tuple[int, int], ...]] = [()] * size
-    preds: list[list[int]] = [[] for _ in range(size)]
-    for v, succs in adjacency.items():
-        moves[v] = tuple([(x, 1 << x) for x in succs])
-        for x in succs:
-            preds[x].append(v)
-    return moves, preds
-
-
 def _least_cover_walk(moves: list[tuple[tuple[int, int], ...]], preds: list[list[int]],
                       shift: int, starts: list[int], goals: set[int],
                       budget: Budget | None) -> list[int] | None:
     """The least vertex sequence, compared vertex by vertex, of a shortest
     walk from a start state to a goal state, or None when no goal is
     reachable. States are (covered << shift) | vertex, where covered has the
-    bit 1 << x of every vertex x passed; ``moves`` and ``preds`` are the
-    tables of ``_walk_tables``, and the start states order as their vertices.
+    bit 1 << x of every vertex x passed; moves[v] holds the (next vertex, its
+    bit) pairs in ascending order, preds[x] the vertices with a move to x,
+    and the start states order as their vertices.
 
     A forward breadth-first search records the layer of each state it
     reaches and stops after the first layer holding a goal. Every state on a
@@ -405,8 +392,13 @@ def _cover_word(fs: FactorSet, starts: list[int], goals: set[int],
     each next one (on the de Bruijn graph the least next vertex appends the
     least letter)."""
     n = fs.order
-    walk = _least_cover_walk(*_walk_tables(1 << n, OverlapGraph(fs).adjacency),
-                             n, starts, goals, budget)
+    moves: list[tuple[tuple[int, int], ...]] = [()] * (1 << n)
+    preds: list[list[int]] = [[] for _ in range(1 << n)]
+    for v, succs in OverlapGraph(fs).adjacency.items():
+        moves[v] = tuple([(x, 1 << x) for x in succs])
+        for x in succs:
+            preds[x].append(v)
+    walk = _least_cover_walk(moves, preds, n, starts, goals, budget)
     if walk is None:
         return None
     code = walk[0]

@@ -350,11 +350,6 @@ def factor_keys(n: int, ell: int, codes, circular: bool = False) -> np.ndarray:
     return keys
 
 
-def key_bitmap(key) -> int:
-    """The membership bitmap that one key of ``factor_keys`` stands for."""
-    return int(key) if np.ndim(key) == 0 else sum(1 << (int(c) - 1) for c in key if c)
-
-
 def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A stable order sorting ``keys`` (bitmap order) and the positions in
     it where each run of equal keys starts."""

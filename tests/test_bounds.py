@@ -1,6 +1,9 @@
 """Splice constructions, bound audits, and covering-walk machinery."""
 
+import hashlib
+import json
 import random
+import time
 from itertools import combinations, permutations, product
 
 import pytest
@@ -10,7 +13,31 @@ from factorwords import (AlreadyPresent, Digraph, NotStronglyConnected, Word,
                          debruijn, growth_ratio, hamiltonian_walk, lower_bound,
                          random_strongly_connected, upper_bound, upper_bound_audit,
                          witness_length_bound)
-from factorwords.bounds import _longest_simple_path
+from factorwords.bounds import WALK_MAX_VERTICES, _longest_simple_path, _optimal_closed_cover
+
+
+def dense_graph(seed: int, nv: int, p: float = 0.9) -> Digraph:
+    """A seeded random digraph with edge probability p and no self-loops."""
+    rng = random.Random(seed)
+    g = Digraph(nv)
+    for u, v in product(range(nv), repeat=2):
+        if u != v and rng.random() < p:
+            g.add_edge(u, v)
+    return g
+
+
+def pinned_graphs() -> list[Digraph]:
+    """The graphs behind the pinned hamiltonian_walk digest."""
+    rng = random.Random(7)
+    graphs = [random_strongly_connected(rng, max_vertices=12) for _ in range(300)]
+    graphs += [chain_fan(n) for n in range(2, 16)]
+    graphs += [dense_graph(seed, nv) for seed, nv in ((1, 13), (2, 14), (3, 15))]
+    return graphs
+
+
+def walk_digest(graphs: list[Digraph]) -> str:
+    doc = json.dumps([hamiltonian_walk(g).to_json_dict() for g in graphs], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 class TestSplice:
@@ -183,6 +210,69 @@ class TestWalks:
                            for perm in permutations(range(nv), k)
                            if all(b in g.edges[a] for a, b in zip(perm, perm[1:])))
             assert len(path) == longest
+
+    def test_longest_simple_path_is_the_least(self):
+        # depth-first search listing simple paths by start vertex, then by
+        # each step's position in g.edges iteration order: the first of the
+        # most vertices is the least longest path
+        def paths(g, path):
+            yield path
+            for w in g.edges[path[-1]]:
+                if w not in path:
+                    yield from paths(g, path + [w])
+
+        def least_longest(g):
+            every = [p for v in range(g.vertex_count) for p in paths(g, [v])]
+            return max(every, key=len)
+
+        rng = random.Random(17)
+        for _ in range(200):
+            g = random_strongly_connected(rng, max_vertices=6)
+            for u, v in product(range(g.vertex_count), repeat=2):
+                if u != v and rng.random() < 0.3:
+                    g.add_edge(u, v)
+            assert _longest_simple_path(g) == least_longest(g)
+        # above 8 vertices a set may iterate out of ascending order; some of
+        # these graphs then have a least longest path that is not the least
+        # vertex sequence
+        unsorted = 0
+        for _ in range(100):
+            g = random_strongly_connected(rng, max_vertices=12)
+            best = least_longest(g)
+            assert _longest_simple_path(g) == best
+            unsorted += best != min(p for v in range(g.vertex_count)
+                                    for p in paths(g, [v]) if len(p) == len(best))
+        assert unsorted
+
+    def test_pinned_outputs(self):
+        # sha256 of the reports' JSON, recorded at commit 1e64a7a with the
+        # dict-keyed searches the bit-parallel layers replaced
+        assert walk_digest(pinned_graphs()) == \
+            "7558ced16676ecae0a6873f29b0bb4169bab6705bc9fd777211f53f08ec48934"
+
+    def test_optimum_refuses_a_graph_not_strongly_connected(self):
+        # 0 <-> 1 -> 2 never returns from 2: the layers never empty, so only
+        # the cap of nv (nv - 1) layers stops the search
+        g = Digraph(3)
+        for u, v in ((0, 1), (1, 0), (1, 2)):
+            g.add_edge(u, v)
+        with pytest.raises(NotStronglyConnected):
+            _optimal_closed_cover(g)
+
+    def test_chain_fan_at_the_vertex_limit(self):
+        r = hamiltonian_walk(chain_fan(WALK_MAX_VERTICES))
+        assert r.optimal_length == r.bound == 64
+
+    def test_complete_graph_at_the_vertex_limit_is_fast(self):
+        nv = WALK_MAX_VERTICES
+        g = Digraph(nv)
+        for u, v in product(range(nv), repeat=2):
+            g.add_edge(u, v)
+        t0 = time.perf_counter()
+        r = hamiltonian_walk(g)
+        assert time.perf_counter() - t0 < 0.5
+        assert r.optimal_walk == (*range(nv), 0)
+        assert r.length == r.optimal_length == nv
 
     def test_strong_connectivity_matches_reachability(self):
         rng = random.Random(3)

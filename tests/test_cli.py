@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import factorwords
+from factorwords.bounds import WalkReport
 from factorwords.cli import main
 
 
@@ -197,6 +198,19 @@ class TestVerify:
     def test_hamiltonian(self, run):
         r = run("verify", "--hamiltonian", "25", "--seed", "7")
         assert r.exit_code == 0 and "PASS" in r.output
+
+    @pytest.mark.parametrize("walk, optimal", [((0, 1, 0), 3), ((0, 1), 1)])
+    def test_hamiltonian_fails_a_bad_report(self, run, monkeypatch, walk, optimal):
+        # an optimum longer than the constructed walk, or a walk that is
+        # not closed, fails the trial even when both stay under the bound
+        def bad(g):
+            return WalkReport(walk=walk, length=len(walk) - 1, covers_all=True,
+                              bound=100, optimal_walk=(0,) * (optimal + 1),
+                              optimal_length=optimal)
+
+        monkeypatch.setattr(factorwords.bounds, "hamiltonian_walk", bad)
+        r = run("verify", "--hamiltonian", "1")
+        assert r.exit_code == 1 and "FAIL" in r.output
 
     def test_hamiltonian_honours_max_seconds(self, run):
         r = run("verify", "--hamiltonian", "50", "--max-seconds", "0.000001")

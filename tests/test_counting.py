@@ -9,7 +9,8 @@ import factorwords.counting
 from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
                          are_root_conjugate, check_conjecture_2n, check_theorem1,
                          count_T_bruteforce, count_T_closed, counterexample_family,
-                         equal_factor_pairs, group_words_by_factors, period, t_table)
+                         equal_factor_pairs, period, t_table)
+from factorwords.words import factor_classes
 
 
 class TestBruteForce:
@@ -187,11 +188,8 @@ class TestTheorem1:
         # its members' common period
         for t, n in ((5, 3), (7, 4), (9, 5)):
             k = t - n
-            groups = group_words_by_factors(t, n)
-            for codes in groups.values():
-                if len(codes) < 2:
-                    continue
-                pis = {period(Word(t, c)).period for c in codes}
+            for codes in factor_classes(n, t, 0, 1 << t)[1]:
+                pis = {period(Word(t, int(c))).period for c in codes}
                 assert len(pis) == 1
                 p = pis.pop()
                 assert p <= k + 1 and len(codes) == p
@@ -235,11 +233,10 @@ class TestConjecture2n:
 
 class TestGroupIdentity:
     def test_excess_accounts_for_the_count(self):
-        # sum over classes of (size - 1) is exactly 2^t - T(t, n)
+        # sum over the shared classes of (size - 1) is exactly 2^t - T(t, n)
         for t in range(1, 13):
             for n in range(1, min(t, 8) + 1):
-                groups = group_words_by_factors(t, n)
-                excess = sum(len(v) - 1 for v in groups.values())
+                excess = sum(len(cls) - 1 for cls in factor_classes(n, t, 0, 1 << t)[1])
                 assert (1 << t) - excess == count_T_bruteforce(t, n).value
 
 

@@ -16,12 +16,18 @@ from factorwords import (Budget, InvalidLength, Word, are_conjugate, are_root_co
 from factorwords.budget import BudgetMeter
 from factorwords.counting import BRUTE_MAX_T
 from factorwords.words import (_suffix_table, class_scan_nbytes, factor_classes, factor_keys,
-                               key_bitmap, period_classes, scan_nbytes, sorted_runs,
-                               word_scan, word_scan_nbytes)
+                               period_classes, scan_nbytes, sorted_runs, word_scan,
+                               word_scan_nbytes)
 
 
 def w(text):
     return Word.from_text(text)
+
+
+def key_bitmap(key) -> int:
+    """The membership bitmap that one key of ``factor_keys`` stands for: a
+    bitmap itself up to order 6, else the ascending factor codes plus one."""
+    return int(key) if np.ndim(key) == 0 else sum(1 << (int(c) - 1) for c in key if c)
 
 
 class PeakMeter(BudgetMeter):
