@@ -17,8 +17,8 @@ Three independent pieces:
     on n vertices has one of length at most floor((n+1)^2/4), a chain-fan
     family attains the bound, and 2^(2n-2) + 2^(n-1) therefore caps the
     extremal witness lengths. The longest simple path behind the walk built
-    and the exact optimum come from one kernel: layers of (covered mask,
-    vertex) states as bit sets, built backwards, then a greedy walk forwards.
+    and the exact optimum step factorsets' walk layers of (covered mask,
+    vertex) states backwards as bit sets, then walk greedily forwards.
 
 All arithmetic in this module is exact integer arithmetic.
 """
@@ -28,9 +28,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cache
 
-from .factorsets import circular_factors, strong_components
+from .factorsets import _greedy_walk, _step_back, circular_factors, strong_components
 from .words import Word
 
 
@@ -259,43 +258,6 @@ def _shortest_path(g: Digraph, s: int, t: int) -> list[int]:
                 prev[w] = v
                 queue.append(w)
     raise NotStronglyConnected(f"no path {s} -> {t}")
-
-
-@cache
-def _containing(nv: int) -> tuple[int, ...]:
-    """Per vertex x, the bit set of the masks over nv vertices that hold x."""
-    full = (1 << (1 << nv)) - 1
-    return tuple(full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
-                 for x in range(nv))
-
-
-def _step_back(succs: list[list[int]], layer: list[int], simple: bool) -> list[int]:
-    """The states one move before ``layer``, which holds a bit set per vertex
-    v, bit c standing for the state (covered mask c, v). A move v -> x adds x
-    to the mask; a simple path never moves to a covered vertex."""
-    pre = []
-    for x, (states, has_x) in enumerate(zip(layer, _containing(len(layer)))):
-        p = states & has_x
-        pre.append(p >> (1 << x) if simple else p | (p >> (1 << x)))
-    out = [0] * len(succs)
-    for v, xs in enumerate(succs):
-        for x in xs:
-            out[v] |= pre[x]
-    return out
-
-
-def _greedy_walk(succs: list[list[int]], layers: list[list[int]], v: int,
-                 simple: bool) -> list[int]:
-    """The walk from ({v}, v) in the last layer down through the others,
-    each step to the first successor whose state is in the next layer."""
-    covered = 1 << v
-    walk = [v]
-    for layer in reversed(layers[:-1]):
-        v = next(x for x in succs[v] if layer[x] >> (covered | 1 << x) & 1
-                 and not (simple and covered >> x & 1))
-        covered |= 1 << v
-        walk.append(v)
-    return walk
 
 
 def _longest_simple_path(g: Digraph) -> list[int]:

@@ -21,7 +21,7 @@ class BudgetExceededError(RuntimeError):
     """A search ran out of memory or time budget.
 
     Carries a ``progress`` dict with whatever statistics the search had
-    accumulated when it gave up (completed shards, frontier depth, ...).
+    accumulated when it gave up (the run and depth reached, frontier, ...).
     """
 
     def __init__(self, message: str, progress: dict | None = None):

@@ -1,32 +1,19 @@
 """Exhaustive enumeration of representable and circularly representable sets.
 
-The search runs over states (S, v): a set S of length-n words and a vertex
-v, such that some word ending in v has factor set exactly S. Appending one
-letter maps (S, v) to (S + {x}, x), where x drops the first letter of v and
-appends the new one. Breadth-first search from the single-word states
-({u}, u) reaches exactly these states, and the depth of a state is the
-length of the shortest such word minus n.
-
-The census shards by the least member u of S. A walk covering S only
-visits members of S, so shard u searches the (S, v) states whose vertices
-are all at least u, indexed densely by ((S >> u) << n) | v: shard u is 2^u
-times smaller than shard 0. One multi-source layered search from every
-({w}, w), w >= u, gives the first depth of each set whose least member is
-u; one search from ({u}, u) gives its shortest closed covering walk, whose
-length is the same from every vertex the walk passes through. Shard u
-writes its first depths straight into the census's one depth array, at the
-sets whose least member is u. These slices are disjoint, so there is no
-merge, and the shards run one after another in one process, in any order,
-with the same result. One pair of scratch arrays, sized for shard 0 at
-5 bytes per state, 2^(2^n + n) states, serves every shard, so the census
-covers orders 1..4; order 5 is refused.
-
-A set S is representable iff some walk covers exactly S, with shortest
-witness n + (first depth). It is circularly representable iff some closed
-walk of length d >= 1 returns to its start vertex having covered exactly S;
-the shortest circular witness is the least such d (a lone vertex needs a
-self-loop, covered by a singleton rule). The extremal witnesses are the least
-of the per-set searches' witnesses over the sets of extremal depth.
+The census runs over states (S, v): a set S of length-n words and a vertex
+v such that some word ending in v has factor set exactly S. Appending a
+letter maps (S, v) to (S + {x}, x), x the next de Bruijn vertex. On
+``factorsets``' walk-layer kernel, a layer holds per vertex v one bit set,
+bit S for the state (S, v). S is representable iff the run from every
+({w}, w) reaches it, and its shortest witness is n plus the first depth
+holding it. S is circularly representable iff a closed walk of d >= 1 moves
+covers exactly S, and the least such d is its shortest circular witness
+length (a lone vertex needs a self-loop, a singleton rule). Such a walk
+visits only members of S, so the sets whose least member is u take it from
+one run from ({u}, u) over the vertices >= u. A layer takes 2^n bits per
+set, 16 GiB at order 5, so the census covers orders 1..4; order 5 is
+refused. The extremal witnesses are the least of the per-set searches'
+witnesses over the sets of extremal depth.
 
 The brute-force oracle shares no search with the census: the package's one
 word scan, ``words.word_scan``, lists the factor sets of every word and
@@ -38,15 +25,17 @@ shortest witness lengths into a result through one builder, ``_result``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .factorsets import FactorSet, shortest_circular_witness, shortest_witness
+from .factorsets import FactorSet, _step_forward, shortest_circular_witness, shortest_witness
 from .words import Word, word_scan, word_scan_nbytes
 
 ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
-UNSEEN = 255             # depth sentinel in uint8 arrays
 
 
 @dataclass(frozen=True)
@@ -84,67 +73,56 @@ class EnumerationResult:
         }
 
 
-# -- per-shard scans ---------------------------------------------------------
+# -- walk layers --------------------------------------------------------------
 
-def _layers(n: int, u: int, starts: np.ndarray, depth: np.ndarray,
-            owner: np.ndarray) -> None:
-    """Layered search over shard u from the start states.
-
-    Fills depth[((S >> u) << n) | v] with the first depth of each state
-    (UNSEEN where none); only vertices >= u are entered. Each layer drops
-    the states already seen and keeps one copy of each new one: the position
-    stamped last into ``owner``.
-    """
-    wmask = (1 << n) - 1
-    depth.fill(UNSEEN)
-    depth[starts] = 0
-    frontier = starts
+def _run(preds: list[list[int]], layer: list[int], meter: BudgetMeter,
+         name: str) -> Iterator[tuple[int, list[int]]]:
+    """(d, the states first reached at depth d) for each d while there are
+    any, from the start states ``layer`` on the graph with predecessor lists
+    ``preds``; the run and depth are noted and the time checked per layer."""
+    full = (1 << (1 << len(layer))) - 1
+    unseen = [full ^ states for states in layer]
     d = 0
-    while frontier.size:
+    while any(layer):
+        yield d, layer
         d += 1
-        v = frontier & wmask
-        cov = frontier >> n
-        nxt = []
-        for b in (0, 1):
-            s = ((v << 1) & wmask) | b
-            c = cov
-            if u:
-                keep = s >= u
-                s, c = s[keep], c[keep]
-            nxt.append(((c | (np.int64(1) << (s - u))) << n) | s)
-        ns = np.concatenate(nxt)
-        ns = ns[depth[ns] == UNSEEN]
-        pos = np.arange(ns.size, dtype=np.int32)
-        owner[ns] = pos
-        ns = ns[owner[ns] == pos]
-        depth[ns] = d
-        frontier = ns
+        layer = _step_forward(preds, layer, unseen)
+        unseen = [u ^ states for u, states in zip(unseen, layer)]
+        meter.note(run=name, depth=d)
+        meter.check_time(f"{name}, depth {d}")
 
 
-def _scan_shard(n: int, u: int, out: np.ndarray, depth: np.ndarray,
-                owner: np.ndarray) -> None:
-    """Search shard u and write the first depths of the sets whose least
-    member is u into ``out``, leaving its other entries as they are.
+def _depths(found: Iterable[tuple[int, int]], count: int) -> np.ndarray:
+    """The uint8 array holding at each i < count the value of the first pair
+    in ``found`` whose bit set holds bit i (0: none), kept as bit planes (plane
+    k: the bits of the values with bit k set) so each is unpacked once."""
+    planes = [0] * 8
+    seen = 0
+    for value, bits in found:
+        bits &= ~seen
+        seen |= bits
+        for k in range(value.bit_length()):
+            if value >> k & 1:
+                planes[k] |= bits
+    out = np.zeros(count, np.uint8)
+    for k, plane in enumerate(planes):
+        raw = np.frombuffer(plane.to_bytes(-(-count // 8), "little"), np.uint8)
+        out |= np.unpackbits(raw, count=count, bitorder="little") << k
+    return out
 
-    out[0, S] is the first depth at which S is covered, out[1, S] the first
-    depth >= 1 of a closed walk covering S. ``depth`` and ``owner`` are
-    scratch arrays of at least shard u's size; their first entries hold
-    its states.
-    """
-    width = 1 << n
-    space = (1 << (width - u)) << n
-    depth, owner = depth[:space], owner[:space]
-    # ours[k] views the states of S = (2k + 1) << u, the sets with least
-    # member u, which out[:, 1 << u::2 << u] lists in the same order
-    ours = depth.reshape(-1, 2, width)[:, 1]
-    w = np.arange(u, width, dtype=np.int64)
-    _layers(n, u, ((np.int64(1) << (w - u)) << n) | w, depth, owner)
-    out[0, 1 << u::2 << u] = ours.min(axis=1)
-    _layers(n, u, np.array([(1 << n) | u], np.int64), depth, owner)
-    out[1, 1 << u::2 << u] = ours[:, u]
-    # the start itself closes a walk only by a self-loop: a one-letter
-    # circular word, 0 or 1
-    out[1, 1 << u] = 1 if u in (0, width - 1) else UNSEEN
+
+def _closed_walks(preds: list[list[int]], u: int, out: np.ndarray, meter: BudgetMeter) -> None:
+    """Write into ``out`` the shortest closed covering walk length (0: none)
+    of each set whose least member is u, and nothing else: one run from
+    ({u}, u) over the vertices >= u, renumbered from 0, so that mask c stands
+    for the set c << u, reading vertex 0 of each layer."""
+    width = len(preds)
+    run = _run([[v - u for v in preds[x] if v >= u] for x in range(u, width)],
+               [2] + [0] * (width - u - 1), meter, f"closed walks from {u}")
+    depths = _depths(((d, layer[0]) for d, layer in run), 1 << (width - u))
+    out[1 << u::2 << u] = depths[1::2]
+    # ({u}, u) closes only by a self-loop: the one-letter circular word 0 or 1
+    out[1 << u] = u in (0, width - 1)
 
 
 # -- full enumeration --------------------------------------------------------
@@ -178,11 +156,20 @@ def _result(n: int, first: np.ndarray, least_code,
     )
 
 
+def census_nbytes(n: int) -> int:
+    """The bytes ``enumerate_representable`` charges up front: per set, a bit
+    per vertex in each of four layers (the layer, the next, the unseen states
+    and ``_containing``'s masks) and 16 bytes of uint8 arrays; then 64 KiB
+    for the extremal sets' searches (53 KB at order 4) and the result."""
+    width = 1 << n
+    return ((width // 2 + 16) << width) + (64 << 10)
+
+
 def enumerate_representable(n: int, budget: Budget | None = None,
                             collect_sets: bool = False) -> EnumerationResult:
     """Enumerate all non-empty (circularly) representable sets of order n.
 
-    Aggregates the sharded search: counts, the maxima mu/nu of the shortest
+    Aggregates the walk-layer runs: counts, the maxima mu/nu of the shortest
     (circular) witness lengths, histograms, and one extremal witness per
     flavor (the lexicographically least among the minimal-length witnesses
     of maximally-hard sets).
@@ -190,21 +177,14 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     check_order(n)
     meter = BudgetMeter(budget or Budget.default())
     width = 1 << n
-    space = (1 << width) << n    # shard 0's states; shard u uses the first 1/2^u
-    meter.charge_memory(5 * space + 2 * (1 << width), "shard arrays")
-    scratch = np.empty(space, np.uint8), np.empty(space, np.int32)
-
-    # per set, ordinary then circular: its first depth, from the shard of
-    # its least member
-    depth = np.full((2, 1 << width), UNSEEN, np.uint8)
+    meter.charge_memory(census_nbytes(n), "census layers")
+    preds = [[x >> 1, x >> 1 | width >> 1] for x in range(width)]
+    first = np.zeros((2, 1 << width), np.uint8)
+    # a set first covered at depth d has shortest witness length n + d
+    run = _run(preds, [1 << (1 << w) for w in range(width)], meter, "ordinary")
+    first[0] = _depths(((n + d, reduce(or_, layer)) for d, layer in run), 1 << width)
     for u in range(width):
-        _scan_shard(n, u, depth, *scratch)
-        meter.note(completed_shards=u + 1)
-        meter.check_time(f"shard {u}")
-    # a set first covered at depth d has shortest witness length n + d (at
-    # most 24, well inside uint8); a closed walk's depth is its circular
-    # witness length; 0 marks no witness (a product: np.where is slower)
-    first = (depth != UNSEEN) * (depth + np.array([[n], [0]], np.uint8))
+        _closed_walks(preds, u, first[1], meter)
 
     # the least of the extremal sets' lex-least witnesses
     searches = (shortest_witness, shortest_circular_witness)

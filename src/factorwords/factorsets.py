@@ -8,11 +8,13 @@ table (bit code(x) set iff x is a member). On top of it live:
   * structural representability tests: does some word have exactly this
     factor set? (the overlap graph unilaterally connected, or strongly
     connected for circular words),
-  * shortest (circular) witness search: one layered search over
-    (covered-subset, current-vertex) states, pruned backwards to the shortest
-    walks for lexicographically-least tie-breaking; the circular search runs
-    once, from the least member; it keeps only the states it reaches, as
-    bit sets over every covered mask would not fit for 32 members,
+  * the walk-layer kernel over (covered-subset, current-vertex) states, a
+    bit set per vertex: a step forward (the census), a step back and a greedy
+    walk (bounds); and shortest (circular) witness search: one layered search
+    over those states, pruned backwards to the shortest walks for
+    lexicographically-least tie-breaking; the circular search runs once, from
+    the least member; it keeps only the states it reaches, as bit sets over
+    every covered mask would not fit for 32 members,
   * prefix/suffix projection of a set one order down, and the pair /
     skeleton / net bookkeeping used by the counting bounds.
 
@@ -22,6 +24,7 @@ All values are immutable; the searches keep only private state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 from .budget import Budget, BudgetMeter
@@ -42,7 +45,7 @@ class FactorSet:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be positive")
-        if not 0 <= self.members < (1 << (1 << self.order)):
+        if self.members < 0 or self.members.bit_length() > 1 << self.order:
             raise ValueError("membership table wider than 2^order bits")
 
     # -- construction ------------------------------------------------------
@@ -298,7 +301,59 @@ def is_representable(fs: FactorSet) -> bool:
                for comp, nxt in zip(comps, map(set, comps[1:])))
 
 
-# -- witness search over (covered subset, current vertex) states -----------
+# -- (covered subset, current vertex) states ------------------------------
+
+# The walk-layer kernel: a layer holds a bit set per vertex v, bit c for the
+# state (covered mask c, v), so one integer operation moves every mask.
+@cache
+def _containing(nv: int) -> tuple[int, ...]:
+    """Per vertex x, the bit set of the masks over nv vertices that hold x."""
+    full = (1 << (1 << nv)) - 1
+    return tuple(full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
+                 for x in range(nv))
+
+
+def _step_forward(preds: list[list[int]], layer: list[int], unseen: list[int]) -> list[int]:
+    """The states one move after ``layer`` that ``unseen`` holds; preds[x]
+    lists the vertices with a move to x. A mask c lacking x becomes c + 2^x;
+    one holding x stays, and its c + 2^x, which lacks x, is dropped."""
+    nxt = []
+    for x, (vs, has_x) in enumerate(zip(preds, _containing(len(layer)))):
+        p = 0
+        for v in vs:
+            p |= layer[v]
+        nxt.append((p | p << (1 << x)) & has_x & unseen[x])
+    return nxt
+
+
+def _step_back(succs: list[list[int]], layer: list[int], simple: bool) -> list[int]:
+    """The states one move before ``layer``, which holds a bit set per vertex
+    v, bit c standing for the state (covered mask c, v). A move v -> x adds x
+    to the mask; a simple path never moves to a covered vertex."""
+    pre = []
+    for x, (states, has_x) in enumerate(zip(layer, _containing(len(layer)))):
+        p = states & has_x
+        pre.append(p >> (1 << x) if simple else p | (p >> (1 << x)))
+    out = [0] * len(succs)
+    for v, xs in enumerate(succs):
+        for x in xs:
+            out[v] |= pre[x]
+    return out
+
+
+def _greedy_walk(succs: list[list[int]], layers: list[list[int]], v: int,
+                 simple: bool) -> list[int]:
+    """The walk from ({v}, v) in the last layer down through the others,
+    each step to the first successor whose state is in the next layer."""
+    covered = 1 << v
+    walk = [v]
+    for layer in reversed(layers[:-1]):
+        v = next(x for x in succs[v] if layer[x] >> (covered | 1 << x) & 1
+                 and not (simple and covered >> x & 1))
+        covered |= 1 << v
+        walk.append(v)
+    return walk
+
 
 # Bytes per state reached by the layered search (its layer map, frontier
 # and pruned sets): tracemalloc's peak over the states reached on
@@ -307,8 +362,9 @@ def is_representable(fs: FactorSet) -> bool:
 _STATE_BYTES = 84
 
 
-def _least_cover_walk(moves: list[tuple[tuple[int, int], ...]], preds: list[list[int]],
-                      shift: int, starts: list[int], goals: set[int],
+def _least_cover_walk(moves: Mapping[int, tuple[tuple[int, int], ...]],
+                      preds: Mapping[int, list[int]], shift: int,
+                      starts: list[int], goals: set[int],
                       budget: Budget | None) -> list[int] | None:
     """The least vertex sequence, compared vertex by vertex, of a shortest
     walk from a start state to a goal state, or None when no goal is
@@ -392,8 +448,8 @@ def _cover_word(fs: FactorSet, starts: list[int], goals: set[int],
     each next one (on the de Bruijn graph the least next vertex appends the
     least letter)."""
     n = fs.order
-    moves: list[tuple[tuple[int, int], ...]] = [()] * (1 << n)
-    preds: list[list[int]] = [[] for _ in range(1 << n)]
+    moves: dict[int, tuple[tuple[int, int], ...]] = {}
+    preds: dict[int, list[int]] = {v: [] for v in fs.codes()}
     for v, succs in OverlapGraph(fs).adjacency.items():
         moves[v] = tuple([(x, 1 << x) for x in succs])
         for x in succs:

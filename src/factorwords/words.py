@@ -380,7 +380,7 @@ def _factor_hash(factors: np.ndarray) -> np.ndarray:
     return z
 
 
-def _set_hashes(n: int, ell: int, start: int, stop: int, circular: bool,
+def _set_hashes(n: int, ell: int, start: int, stop: int,
                 meter: BudgetMeter | None) -> np.ndarray:
     """Per code in [start, stop), the wrapping uint64 sum of ``_factor_hash``
     over the distinct length-n factors of its word: a window equal to an
@@ -389,7 +389,7 @@ def _set_hashes(n: int, ell: int, start: int, stop: int, circular: bool,
     for lo in range(start, stop, 1 << HASH_CHUNK_BITS):
         hi = min(stop, lo + (1 << HASH_CHUNK_BITS))
         part, seen = hashes[lo - start:hi - start], []
-        for win in _windows(n, ell, range(lo, hi), circular)[1]:
+        for win in _windows(n, ell, range(lo, hi), False)[1]:
             fresh = np.ones(win.size, bool)
             for earlier in seen:
                 fresh &= win != earlier
@@ -426,7 +426,7 @@ def _shared_runs(keys: np.ndarray) -> tuple[int, list[np.ndarray]]:
     return starts.size, [order[a:b] for a, b in zip(starts[shared], ends[shared])]
 
 
-def factor_classes(n: int, ell: int, start: int, stop: int, circular: bool = False,
+def factor_classes(n: int, ell: int, start: int, stop: int,
                    meter: BudgetMeter | None = None) -> tuple[int, list[np.ndarray]]:
     """Group the codes in [start, stop) of length ``ell`` by factor set.
 
@@ -444,9 +444,9 @@ def factor_classes(n: int, ell: int, start: int, stop: int, circular: bool = Fal
     are charged to it while they are held.
     """
     if n <= _BITMAP_MAX_ORDER:
-        count, runs = _shared_runs(factor_keys(n, ell, range(start, stop), circular))
+        count, runs = _shared_runs(factor_keys(n, ell, range(start, stop)))
         return count, [start + run for run in runs]
-    hashes = _set_hashes(n, ell, start, stop, circular, meter)
+    hashes = _set_hashes(n, ell, start, stop, meter)
     ordered = np.sort(hashes)
     repeats = ordered[1:] == ordered[:-1]
     first = repeats.copy()
@@ -455,14 +455,14 @@ def factor_classes(n: int, ell: int, start: int, stop: int, circular: bool = Fal
     if groups == 0:
         return hashes.size, []
     sharing = groups + np.count_nonzero(repeats)  # words holding a shared hash
-    held = scan_nbytes(n, ell, sharing, circular)
+    held = scan_nbytes(n, ell, sharing)
     if meter is not None:
         meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
     shared = ordered[1:][first]
     del ordered, repeats, first
     members = _holding(hashes, shared)
     del hashes
-    count, runs = _shared_runs(factor_keys(n, ell, start + members, circular))
+    count, runs = _shared_runs(factor_keys(n, ell, start + members))
     if meter is not None:
         meter.release_memory(held)
     return stop - start - sharing + count, [start + members[run] for run in runs]
@@ -482,7 +482,7 @@ def scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
     return count * max(making, sorting)
 
 
-def class_scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
+def class_scan_nbytes(n: int, ell: int, count: int) -> int:
     """An upper bound on the bytes ``factor_classes`` holds at once on a range
     of ``count`` codes, beside the lists it returns and, above order 6, the
     row keys of the words sharing a set hash, which it charges to its meter:
@@ -490,8 +490,8 @@ def class_scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> i
     and three flags, plus one chunk's windows and temporaries.
     """
     if n <= _BITMAP_MAX_ORDER:
-        return scan_nbytes(n, ell, count, circular)
-    _, code_dt, _, width = _scan_dtypes(n, ell, circular)
+        return scan_nbytes(n, ell, count)
+    _, code_dt, _, width = _scan_dtypes(n, ell, False)
     chunk = min(count, 1 << HASH_CHUNK_BITS)
     return count * 19 + chunk * (code_dt.itemsize * (width + 4) + 40)
 

@@ -71,6 +71,13 @@ class TestWitness:
     def test_missing_spec_exits_2(self, run):
         assert run("witness", "--n", "2").exit_code == 2
 
+    def test_order_forty_singleton(self, run):
+        zeros = "0" * 40
+        r = run("witness", zeros, "--n", "40")
+        assert r.exit_code == 0 and r.output.strip() == f"40 {zeros}"
+        r = run("witness", zeros, "--n", "40", "--circular")
+        assert r.exit_code == 0 and r.output.strip() == "1 0"
+
 
 class TestEnumerate:
     def test_text(self, run):

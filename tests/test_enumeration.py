@@ -1,4 +1,4 @@
-"""The sharded search, its brute-force oracle, and their bookkeeping."""
+"""The census's walk-layer runs, its brute-force oracle, and their bookkeeping."""
 
 import json
 import random
@@ -14,8 +14,8 @@ from factorwords import (Budget, BudgetExceededError, FactorSet, brute_force_enu
 from factorwords import enumeration
 from factorwords import budget as budget_mod
 from factorwords.budget import BudgetMeter
-from factorwords.enumeration import UNSEEN, _layers, _scan_shard, brute_force_nbytes
-from factorwords.factorsets import _cover_word
+from factorwords.enumeration import _closed_walks, _run, brute_force_nbytes, census_nbytes
+from factorwords.factorsets import _containing, _cover_word
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -79,20 +79,19 @@ class TestDeciderAgreement:
     def test_shards_report_their_least_member(self):
         for n in (1, 2, 3, 4):
             width = 1 << n
-            space = (1 << width) << n
-            scratch = np.empty(space, np.uint8), np.empty(space, np.int32)
+            preds = debruijn_preds(n)
 
-            def run(shards):
-                out = np.full((2, 1 << width), UNSEEN, np.uint8)
-                for u in shards:
-                    _scan_shard(n, u, out, *scratch)
+            def run(least_members):
+                out = np.zeros(1 << width, np.uint8)
+                for u in least_members:
+                    _closed_walks(preds, u, out, BudgetMeter(Budget()))
                 return out
 
             for u in range(width):
-                sets = np.flatnonzero((run([u]) != UNSEEN).any(axis=0))
+                sets = np.flatnonzero(run([u]))
                 assert np.all(sets & -sets == 1 << u)
-            # the shards write disjoint slices, so no merge is needed and
-            # their order, sharing one pair of scratch arrays, does not matter
+            # the closed-walk runs write disjoint slices, so no merge is
+            # needed and their order does not matter
             assert np.array_equal(run(range(width)), run(reversed(range(width))))
 
 
@@ -116,18 +115,24 @@ class TestOracleAgreement:
             brute_force_enumerate(3, 2)
 
 
-def reached_states(n):
-    """Each (S, v) state of order n that ``_layers`` reaches in shard u from
-    every ({w}, w), w >= u, as (u, S, v, depth)."""
+def debruijn_preds(n):
+    """Per vertex x of the order-n de Bruijn graph, the vertices with a move
+    to x, as the census lists them."""
     width = 1 << n
-    for u in range(width):
-        space = (1 << (width - u)) << n
-        depth = np.empty(space, np.uint8)
-        w = np.arange(u, width, dtype=np.int64)
-        _layers(n, u, ((np.int64(1) << (w - u)) << n) | w, depth,
-                np.empty(space, np.int32))
-        for i in np.flatnonzero(depth != UNSEEN).tolist():
-            yield u, (i >> n) << u, i & (width - 1), int(depth[i])
+    return [[x >> 1, x >> 1 | width >> 1] for x in range(width)]
+
+
+def reached_states(n):
+    """Each (S, v) state of order n in the census's forward layers from every
+    ({w}, w), as (S, v, depth)."""
+    width = 1 << n
+    starts = [1 << (1 << w) for w in range(width)]
+    for d, layer in _run(debruijn_preds(n), starts, BudgetMeter(Budget()), "ordinary"):
+        for v, states in enumerate(layer):
+            while states:
+                s = (states & -states).bit_length() - 1
+                yield s, v, d
+                states &= states - 1
 
 
 def reference_depths(n):
@@ -158,32 +163,30 @@ def cover_word(n, members, v):
 
 class TestValidNodes:
     def test_roots_and_first_layer_order_one(self):
-        states = {(s, v): d for u, s, v, d in reached_states(1) if u == 0}
+        states = {(s, v): d for s, v, d in reached_states(1)}
         assert states[0b01, 0] == 0        # ({0}, 0)
         assert states[0b11, 1] == 1        # ({0, 1}, 1)
 
     def test_example_node_order_two(self):
         states = list(reached_states(2))
-        hit = [d for u, s, v, d in states if s == 0b0011 and v == 0b01]
+        hit = [d for s, v, d in states if s == 0b0011 and v == 0b01]
         assert hit == [1]                  # {00, 01} ending in 01
-        assert len({s for _, s, _, _ in states}) == 14
+        assert len({s for s, _, _ in states}) == 14
 
     def test_nodes_unique(self):
-        # each state is read once, in the shard of its set's least member,
-        # at the depth a plain dictionary search gives it
+        # each state is read once, in the layer of the depth a plain
+        # dictionary search gives it
         ref = reference_depths(3)
         ours = {}
-        for u, s, v, d in reached_states(3):
+        for s, v, d in reached_states(3):
             assert ref[s, v] == d
-            if s & -s == 1 << u:
-                assert (s, v) not in ours
-                ours[s, v] = d
+            assert (s, v) not in ours
+            ours[s, v] = d
         assert ours == ref
 
     def test_prefix_suffix_in_set(self):
-        for u, s, v, _ in reached_states(2):
+        for s, v, _ in reached_states(2):
             assert s >> v & 1
-            assert s & -s >= 1 << u
 
 
 class TestWitnessReconstruction:
@@ -193,7 +196,7 @@ class TestWitnessReconstruction:
 
     def test_every_node_reconstructs(self):
         for n in (1, 2, 3):
-            for _, s, v, d in reached_states(n):
+            for s, v, d in reached_states(n):
                 w = cover_word(n, s, v)
                 assert len(w) == n + d
                 assert factors(w, n) == FactorSet(n, s)
@@ -297,8 +300,21 @@ class TestBudget:
         assert charged == []
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_time_budget_reports_completed_shards(self, workers):
+    def test_time_budget_reports_the_depth(self, workers):
+        # the time is checked after every layer, so the first check stops it
         with pytest.raises(BudgetExceededError) as exc:
             enumerate_representable(4, Budget(max_seconds=1e-6, workers=workers))
-        assert exc.value.progress["completed_shards"] >= 1
+        assert exc.value.progress["run"] == "ordinary"
+        assert exc.value.progress["depth"] == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_census_charge_bounds_its_peak(self, n):
+        _containing.cache_clear()  # its masks are part of the charge
+        tracemalloc.start()
+        try:
+            enumerate_representable(n, collect_sets=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= census_nbytes(n)
 

@@ -5,6 +5,7 @@ share no code with the library's bit-table paths.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -102,6 +103,13 @@ class TestFactorSetValue:
             FactorSet.parse("0ff", hex_bitmap=True)
         with pytest.raises(ValueError):
             FactorSet(2, 1 << 20)
+        with pytest.raises(ValueError):
+            FactorSet(2, 1 << 4)
+        with pytest.raises(ValueError):
+            FactorSet(2, -1)
+        assert len(FactorSet(2, (1 << 4) - 1)) == 4
+        # checked on the bit length: 2^40-bit tables are never built
+        assert len(FactorSet(40, 1)) == 1
 
 
 class TestOverlapGraph:
@@ -233,6 +241,18 @@ class TestWitnesses:
                 else:
                     assert not rc.found
 
+
+    def test_tables_sized_by_the_set(self):
+        # a two-member set of order 24: the search's tables hold its two
+        # vertices, not 2^24
+        tracemalloc.start()
+        try:
+            r = shortest_witness(FactorSet.from_texts(["0" * 24, "0" * 23 + "1"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.length, str(r.witness)) == (25, "0" * 24 + "1")
+        assert peak < 64 << 10
 
     def test_order_four_histograms_and_reextraction(self, enum_results):
         r = enum_results[4]

@@ -301,21 +301,20 @@ def word_batches(draw):
     return n, ell, circular, codes
 
 
-GROUPING_CASES = ((2, 9, False), (3, 7, True), (7, 12, False), (8, 5, True), (7, 12, True))
+GROUPING_CASES = ((2, 9), (7, 12))
 
 
-def classes(n, ell, circular):
-    count, shared = factor_classes(n, ell, 0, 1 << ell, circular)
+def classes(n, ell):
+    count, shared = factor_classes(n, ell, 0, 1 << ell)
     return count, [g.tolist() for g in shared]
 
 
-def direct_classes(n, ell, circular):
+def direct_classes(n, ell):
     """What factor_classes gives, from grouping the words' extracted factor
     sets one by one."""
-    extract = circular_factors if circular else factors
     direct: dict[int, list[int]] = {}
     for c in range(1 << ell):
-        direct.setdefault(extract(Word(ell, c), n).members, []).append(c)
+        direct.setdefault(factors(Word(ell, c), n).members, []).append(c)
     return len(direct), [direct[bm] for bm in sorted(direct) if len(direct[bm]) > 1]
 
 
@@ -337,28 +336,27 @@ class TestScanKernel:
         assert [sets[order[i]] for i in starts] == sorted(set(sets))
 
     def test_classes_against_direct_grouping(self):
-        for n, ell, circular in GROUPING_CASES:
-            assert classes(n, ell, circular) == direct_classes(n, ell, circular)
+        for n, ell in GROUPING_CASES:
+            assert classes(n, ell) == direct_classes(n, ell)
 
     def test_classes_with_colliding_hashes(self, monkeypatch):
         # four factor values: above order 6 nearly every word shares its set
         # hash, so the exact row keys must split the hash groups
         monkeypatch.setattr("factorwords.words._factor_hash",
                             lambda c: c.astype(np.uint64) & np.uint64(3))
-        for n, ell, circular in GROUPING_CASES:
-            assert classes(n, ell, circular) == direct_classes(n, ell, circular)
+        for n, ell in GROUPING_CASES:
+            assert classes(n, ell) == direct_classes(n, ell)
 
     def test_hashed_classes_match_row_key_classes(self):
         # above order 6 only the words sharing a set hash get row keys; the
         # classes must be those of sorting every word's row key
         for ell in range(7, 17):
             for n in range(7, ell + 1):
-                for circular in (False, True):
-                    keys = factor_keys(n, ell, range(1 << ell), circular)
-                    order, starts = sorted_runs(keys)
-                    ends = np.append(starts[1:], order.size)
-                    want = [order[a:b].tolist() for a, b in zip(starts, ends) if b - a > 1]
-                    assert classes(n, ell, circular) == (starts.size, want)
+                keys = factor_keys(n, ell, range(1 << ell))
+                order, starts = sorted_runs(keys)
+                ends = np.append(starts[1:], order.size)
+                want = [order[a:b].tolist() for a, b in zip(starts, ends) if b - a > 1]
+                assert classes(n, ell) == (starts.size, want)
 
     def test_validation(self):
         with pytest.raises(InvalidLength):
@@ -386,19 +384,18 @@ class TestScanKernel:
         assert len(distinct) == len(starts)
         assert peak <= scan_nbytes(n, ell, 1 << ell, circular)
 
-    @pytest.mark.parametrize("n,ell,circular", [
-        (7, 14, False), (9, 18, False), (10, 20, False), (9, 17, True), (5, 12, False),
-    ])
-    def test_class_scan_nbytes_bounds_the_buffers(self, n, ell, circular):
+    @pytest.mark.parametrize("n,ell", [(7, 14), (9, 18), (10, 20), (5, 12)],
+                             ids=["7-14-False", "9-18-False", "10-20-False", "5-12-False"])
+    def test_class_scan_nbytes_bounds_the_buffers(self, n, ell):
         # charged up front, plus the row keys factor_classes charges its meter
         meter = PeakMeter(Budget())
         tracemalloc.start()
         try:
-            factor_classes(n, ell, 0, 1 << ell, circular, meter)
+            factor_classes(n, ell, 0, 1 << ell, meter)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= class_scan_nbytes(n, ell, 1 << ell, circular) + meter.peak
+        assert peak <= class_scan_nbytes(n, ell, 1 << ell) + meter.peak
 
 
 def first_and_least(n, max_len, batches):
