@@ -15,9 +15,10 @@ set, 16 GiB at order 5, so the census covers orders 1..4; order 5 is
 refused. The extremal witnesses are the least of the per-set searches'
 witnesses over the sets of extremal depth.
 
-The brute-force oracle shares no search with the census: the package's one
-word scan, ``words.word_scan``, lists the factor sets of every word and
-circular word up to a length, reading each long word as a prefix key ORed
+The brute-force oracle shares no search with the census: it folds the
+batches of the package's one word scan, ``words.word_scan``, which lists
+each factor set of the words and circular words up to a length once, at
+the first length reaching it, reading each long word as a prefix key ORed
 with a suffix key from a table built once per call. Both turn their per-set
 shortest witness lengths into a result through one builder, ``_result``.
 """
@@ -206,16 +207,14 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
     """Independent oracle: scan every word and circular word up to max_len.
 
     Exact only when max_len is at least the true mu/nu for the order; the
-    caller picks max_len. ``words.word_scan`` lists, length by length in
-    code order, the distinct factor sets of the words (ordinary, then
-    circular) with the least code giving each; the first length to list a
-    set is its shortest witness length.
+    caller picks max_len. ``words.word_scan`` lists each factor set of the
+    words (ordinary, then circular) once, at its shortest witness length,
+    with the least code of that length giving it.
     """
     check_order(n)
     if max_len < n:
         raise ValueError("max_len must be at least the order")
-    budget = budget or Budget.default()
-    meter = BudgetMeter(budget)
+    meter = BudgetMeter(budget or Budget.default())
     meter.charge_memory(brute_force_nbytes(n, max_len), "scan buffers")
 
     # per set, ordinary then circular: the shortest witness length (0: none)
@@ -223,12 +222,9 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
     first = np.zeros((2, 1 << (1 << n)), np.int64)
     least = np.zeros_like(first)
     for circ in (0, 1):
-        # batches come in length then code order, so the first batch to
-        # list a set has its least witness
         for ell, sets, codes in word_scan(n, max_len, bool(circ), meter=meter):
-            fresh = first[circ, sets] == 0
-            first[circ, sets[fresh]] = ell
-            least[circ, sets[fresh]] = codes[fresh]
+            first[circ, sets] = ell
+            least[circ, sets] = codes
             meter.note(scanned=f"length {ell}")
             meter.check_time(f"length {ell}")
     return _result(n, first, lambda circ, sets: int(least[circ, sets].min()),

@@ -24,7 +24,7 @@ All values are immutable; the searches keep only private state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from typing import Iterable, Iterator, Mapping
 
 from .budget import Budget, BudgetMeter
@@ -307,10 +307,9 @@ def is_representable(fs: FactorSet) -> bool:
 # state (covered mask c, v), so one integer operation moves every mask.
 @cache
 def _containing(nv: int) -> tuple[int, ...]:
-    """Per vertex x, the bit set of the masks over nv vertices that hold x."""
-    full = (1 << (1 << nv)) - 1
-    return tuple(full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
-                 for x in range(nv))
+    """Per vertex x, the bit set of the nv-vertex masks holding x: 2^x 0s, 2^x 1s, doubled."""
+    return tuple(reduce(lambda m, k: m | m << (1 << k), range(x + 1, nv),
+                        ((1 << (1 << x)) - 1) << (1 << x)) for x in range(nv))
 
 
 def _step_forward(preds: list[list[int]], layer: list[int], unseen: list[int]) -> list[int]:

@@ -10,8 +10,8 @@ function, Lyndon word counting/enumeration, lexicographically least
 de Bruijn words, and the package's one word scan: ``factor_keys`` turns a
 batch of word codes into canonical factor-set keys with numpy,
 ``factor_classes`` groups a range of codes by factor set, and ``word_scan``
-lists the distinct factor sets of every word up to a length, reading long
-words as a prefix key joined with a table of suffix keys.
+lists each factor set of the words up to a length once, orders 1..4,
+reading long words as a prefix key joined with a table of suffix keys.
 
 Above order 6, ``factor_classes`` sorts no key per word. It gives each word
 a 64-bit set hash, the wrapping sum of a fixed splitmix64 value over the
@@ -282,8 +282,8 @@ _BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
 # brute-force scan, 2^18 ran faster and with a third of the memory of 2^21
 SCAN_CHUNK_BITS = 18
 # word_scan: suffix letters per table entry, and words or candidates per
-# batch; on the order-4 oracle at length 25, 14 and 14 ran fastest of 12..15
-# each, and batches of 2^14 words, not 2^18, kept its peak RSS 2.7 MB lower
+# batch. On the orders 1..4 oracle (2 cores), split 12, 13 and 15 ran 6-37%
+# slower than 14; batches of 2^15, 2^16 ran 8%, 13% faster for +0.4, +1.5 MB RSS
 SPLIT_BITS = 14
 SCAN_BATCH_BITS = 14
 
@@ -403,10 +403,10 @@ def _set_hashes(n: int, ell: int, start: int, stop: int,
 
 def _holding(hashes: np.ndarray, shared: np.ndarray) -> np.ndarray:
     """The ascending positions of the hashes found in ``shared`` (sorted),
-    chunk by chunk: a table of 2^16 flags, one per low 16 bits of the shared
-    hashes, passes few others to the exact binary search."""
-    low = np.uint64(0xFFFF)
-    flagged = np.zeros(1 << 16, bool)
+    chunk by chunk: a table of flags per low bits of the shared hashes, four
+    per shared hash and at least 2^16, passes few others to the exact search."""
+    low = np.uint64((1 << max(16, (4 * shared.size - 1).bit_length())) - 1)
+    flagged = np.zeros(int(low) + 1, bool)
     flagged[shared & low] = True
     found = []
     for lo in range(0, hashes.size, 1 << HASH_CHUNK_BITS):
@@ -496,12 +496,6 @@ def class_scan_nbytes(n: int, ell: int, count: int) -> int:
     return count * 19 + chunk * (code_dt.itemsize * (width + 4) + 40)
 
 
-def _firsts(keys: np.ndarray) -> np.ndarray:
-    """The position of each distinct key's first occurrence, in key order."""
-    order, starts = sorted_runs(keys)
-    return order[starts]
-
-
 def _suffix_table(n: int, split_bits: int, hlen: int,
                   meter: BudgetMeter | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per row (t << hlen) | h: the distinct keys of the words t·x·h, over
@@ -511,13 +505,18 @@ def _suffix_table(n: int, split_bits: int, hlen: int,
     entry. With a meter, each row is charged as it is made and the padded
     table before it is filled; the rows are released once it is, so the
     table stays charged."""
-    xs = np.arange(1 << split_bits, dtype=np.int64)
+    xs = np.arange(1 << split_bits, dtype=_scan_dtypes(n, n - 1 + split_bits, False)[1])
     x_dt = np.min_scalar_type((1 << split_bits) - 1)
+    # F(t·x·h) is F(t·x) plus the windows of u·h, u the last n - 1 letters of t·x
+    wrap = (factor_keys(n, 2 * hlen, range(1 << 2 * hlen)) if hlen
+            else np.zeros(1 << (n - 1), np.uint8))
     keys, least = [], []
     for t in range(1 << (n - 1)):
+        tx = (t << split_bits) | xs
+        base, tail = factor_keys(n, n - 1 + split_bits, tx), (tx & ((1 << (n - 1)) - 1)) << hlen
         for h in range(1 << hlen):
-            row = factor_keys(n, n - 1 + split_bits + hlen, (((t << split_bits) | xs) << hlen) | h)
-            first = np.sort(_firsts(row))
+            row = base | wrap[tail | h]
+            first = np.sort(np.unique(row, return_index=True)[1])
             keys.append(row[first])
             least.append(first.astype(x_dt))
             if meter is not None:
@@ -527,11 +526,9 @@ def _suffix_table(n: int, split_bits: int, hlen: int,
     if meter is not None:
         meter.charge_memory(len(keys) * width * (keys[0].itemsize + x_dt.itemsize),
                             "suffix table")
-    tkeys = np.empty((len(keys), width), keys[0].dtype)
-    txs = np.empty((len(keys), width), x_dt)
-    for i, (k, x) in enumerate(zip(keys, least)):
-        tkeys[i], txs[i] = k[-1], x[-1]
-        tkeys[i, :k.size], txs[i, :x.size] = k, x
+    tkeys, txs = (np.empty((len(keys), width), a[0].dtype) for a in (keys, least))
+    for i, (k, x) in enumerate(zip(keys, least)):  # pad by the last entry
+        tkeys[i], txs[i] = (np.pad(a, (0, width - a.size), "edge") for a in (k, x))
     if meter is not None:
         meter.release_memory(rows)
     return tkeys, txs
@@ -539,11 +536,13 @@ def _suffix_table(n: int, split_bits: int, hlen: int,
 
 def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SPLIT_BITS,
               meter: BudgetMeter | None = None):
-    """Yield (length, keys, codes) batches listing the distinct factor sets
-    of every word (circular word) of length n..max_len (1..max_len): each
-    batch covers a run of codes of one length, batches come in length then
-    code order, and within a batch ``keys`` are the distinct ``factor_keys``,
-    each with the least code giving it. Orders up to 6 (bitmap keys).
+    """Yield (length, keys, codes) batches listing each factor set of the
+    words (circular words) of length n..max_len (1..max_len) once, at the
+    first length reaching it, with the least code of that length giving it.
+    Batches cover runs of codes of one length, in length then code order;
+    a batch's ``keys`` are the ``factor_keys`` no earlier batch listed,
+    ascending, possibly none. Orders 1..4: each batch's keys are filtered
+    through a mask of 2^(2^n) flags, the sets listed, before the dedupe.
 
     Lengths below split_bits + n are scanned directly in batches. A longer
     word c = p·x, with x its last ``split_bits`` letters, t the last n - 1
@@ -551,17 +550,25 @@ def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SP
     circularly F(p) | F(t·x·h): the window reaching past x wraps into h. So
     one table, of the distinct F(t·x) (F(t·x·h)) per t (pair t, h) with the
     least x giving each, turns a batch of prefixes into candidates
-    F(p) | table[row(p)] with codes (p << split_bits) | x, laid out in code
-    order, of which the least code per key survives.
+    F(p) | table[row(p)], laid out in code order; only the unlisted ones
+    get their codes (p << split_bits) | x.
 
     ``word_scan_nbytes`` bounds the buffers other than the table. With a
     meter, the table is charged to it row by row as it is built and
     released when the scan ends.
     """
-    if not 1 <= n <= _BITMAP_MAX_ORDER:
-        raise ValueError(f"the word scan supports orders 1..{_BITMAP_MAX_ORDER}")
+    if not 1 <= n <= 4:  # the mask of listed sets holds 2^(2^n) flags, 64 KiB at order 4
+        raise ValueError("the word scan supports orders 1..4")
     if split_bits < 1:
         raise ValueError("split_bits must be positive")
+    listed = np.zeros(1 << (1 << n), bool)
+
+    def unlisted(keys):  # the keys not listed yet, now listed, and their first positions
+        pos = np.flatnonzero(~listed.take(keys))
+        sets, first = np.unique(keys[pos], return_index=True)
+        listed[sets] = True
+        return sets, pos[first]
+
     hlen = n - 1 if circular else 0
     tmask = (1 << (n - 1)) - 1
     split = split_bits + n  # the least length read as prefix and suffix
@@ -572,17 +579,17 @@ def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SP
         if ell < split:
             chunk = 1 << min(ell, SCAN_BATCH_BITS)
             for start in range(0, 1 << ell, chunk):
-                keys = factor_keys(n, ell, range(start, start + chunk), circular)
-                first = _firsts(keys)
-                yield ell, keys[first], start + first
+                sets, pos = unlisted(factor_keys(n, ell, range(start, start + chunk), circular))
+                yield ell, sets, start + pos
             continue
         plen = ell - split_bits
-        for start in range(0, 1 << plen, step):
-            p = np.arange(start, min(start + step, 1 << plen), dtype=np.int64)
-            row = ((p & tmask) << hlen) | (p >> (plen - hlen))
-            keys = (factor_keys(n, plen, p)[:, None] | tkeys[row]).ravel()
-            first = _firsts(keys)
-            yield ell, keys[first], ((p << split_bits)[:, None] | txs[row]).ravel()[first]
+        for lo in range(0, 1 << plen, 1 << SCAN_BATCH_BITS):
+            p = np.arange(lo, min(lo + (1 << SCAN_BATCH_BITS), 1 << plen), dtype=np.int64)
+            keys, rows = factor_keys(n, plen, p), ((p & tmask) << hlen) | (p >> (plen - hlen))
+            for a in range(0, p.size, step):
+                sets, pos = unlisted((keys[a:a + step, None] | tkeys[rows[a:a + step]]).ravel())
+                i, j = np.divmod(pos, tkeys.shape[1])
+                yield ell, sets, (p[a + i] << split_bits) | txs[rows[a + i], j]
     if meter is not None and max_len >= split:
         meter.release_memory(tkeys.nbytes + txs.nbytes)
 
@@ -590,26 +597,24 @@ def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SP
 def word_scan_nbytes(n: int, max_len: int, circular: bool = False,
                      split_bits: int = SPLIT_BITS) -> int:
     """An upper bound on the bytes ``word_scan`` holds at once beside its
-    suffix table, which a meter passed to it is charged as it is built: one
-    direct chunk's, plus, past the split, the larger of making one table row
-    and one batch of candidates (at most 2^split_bits a row). Each scan call
-    also counts the positions, keys and codes it yields, one per word at
-    most, and the caller's hold on the batch before.
+    suffix table, which a meter passed to it is charged as it is built: the
+    mask of listed sets plus the most of making one table row, one direct
+    chunk, and one batch of candidates beside its chunk of prefixes.
     """
     key = _scan_dtypes(n, max_len, circular)[2].itemsize
-
-    def scanned(ell, count, circ):
-        return scan_nbytes(n, ell, count, circ) + count * (2 * key + 24)
-
+    # per key made, as if unlisted: the filter's flags and positions, the dedupe's
+    # copies, order and flags, the batch yielded and the caller's hold on the one before
+    listing = 5 * key + 51
     split = split_bits + n
-    direct_len = min(max_len, split - 1)
-    direct = scanned(direct_len, 1 << min(direct_len, SCAN_BATCH_BITS), circular)
-    if max_len < split:
-        return direct
-    hlen = n - 1 if circular else 0
-    width = min(1 << split_bits, 1 << (1 << n))
-    # a row's codes: the x range and two int64 temporaries
-    making = (24 << split_bits) + scanned(split - 1 + hlen, 1 << split_bits, False)
-    cand = max(1 << SCAN_BATCH_BITS, width)
-    batch = cand * 2 * (key + 8) + scanned(max_len - split_bits, cand, False)
-    return direct + max(making, batch)
+    ell = min(max_len, split - 1)
+    count = 1 << min(ell, SCAN_BATCH_BITS)
+    most = scan_nbytes(n, ell, count, circular) + count * listing
+    if max_len >= split:
+        # a row's codes: the x range, t·x, its tails and two temporaries
+        row = ((40 + listing) << split_bits) + scan_nbytes(n, split - 1, 1 << split_bits)
+        plen = max_len - split_bits
+        prefixes = 1 << min(plen, SCAN_BATCH_BITS)
+        cand = max(1 << SCAN_BATCH_BITS, min(1 << split_bits, 1 << (1 << n)))
+        most = max(most, row, prefixes * (key + 16) + scan_nbytes(n, plen, prefixes)
+                   + cand * (2 * key + listing))
+    return (1 << (1 << n)) + most

@@ -188,6 +188,15 @@ class TestValidNodes:
         for s, v, _ in reached_states(2):
             assert s >> v & 1
 
+    def test_containing_masks_match_division(self):
+        # the masks holding x repeat 2^x zeros then 2^x ones: the 2^nv-bit
+        # all-ones value divided by 2^(2^(x+1)) - 1, times the one block
+        for nv in range(1, 13):
+            full = (1 << (1 << nv)) - 1
+            assert _containing(nv) == tuple(
+                full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
+                for x in range(nv))
+
 
 class TestWitnessReconstruction:
     def test_examples(self):

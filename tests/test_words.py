@@ -15,9 +15,9 @@ from factorwords import (Budget, InvalidLength, Word, are_conjugate, are_root_co
                          lyndon_count, lyndon_words, mobius, period, root)
 from factorwords.budget import BudgetMeter
 from factorwords.counting import BRUTE_MAX_T
-from factorwords.words import (_suffix_table, class_scan_nbytes, factor_classes, factor_keys,
-                               period_classes, scan_nbytes, sorted_runs, word_scan,
-                               word_scan_nbytes)
+from factorwords.words import (_holding, _suffix_table, class_scan_nbytes, factor_classes,
+                               factor_keys, period_classes, scan_nbytes, sorted_runs,
+                               word_scan, word_scan_nbytes)
 
 
 def w(text):
@@ -358,6 +358,17 @@ class TestScanKernel:
                 want = [order[a:b].tolist() for a, b in zip(starts, ends) if b - a > 1]
                 assert classes(n, ell) == (starts.size, want)
 
+    def test_holding_matches_isin(self):
+        # more shared hashes than a 2^16-flag table holds at four per hash,
+        # half of them with equal low 16 bits, and some held by no word
+        rng = np.random.default_rng(13)
+        hashes = rng.integers(0, 1 << 63, 200_000, dtype=np.uint64)
+        hashes[::2] &= np.uint64(0xFFFF_FFFF_FFFF_0000)
+        shared = np.unique(np.concatenate([rng.choice(hashes, 30_000),
+                                           rng.integers(0, 1 << 63, 1000, dtype=np.uint64)]))
+        assert shared.size > 1 << 14
+        assert (_holding(hashes, shared) == np.flatnonzero(np.isin(hashes, shared))).all()
+
     def test_validation(self):
         with pytest.raises(InvalidLength):
             factor_keys(4, 3, [0])
@@ -438,14 +449,18 @@ class TestWordScan:
                                                for c in (False, True)])
             assert all((g == w).all() for g, w in zip(got, want)), split_bits
 
-    def test_batches_are_distinct_and_in_code_order(self):
+    @pytest.mark.parametrize("n,max_len,split_bits", [(3, 12, 4), (4, 14, 6), (2, 10, 2)])
+    def test_each_set_is_listed_once_at_its_first_length(self, n, max_len, split_bits):
+        # every set in exactly one batch, of its first length, with the
+        # least code of that length
         for circular in (False, True):
-            last = (0, -1)
-            for ell, keys, codes in word_scan(3, 12, circular, split_bits=4):
-                assert len(np.unique(keys)) == len(keys)
-                assert (ell, codes.min()) > last
-                last = (ell, codes.max())
-                assert (factor_keys(3, ell, codes, circular) == keys).all()
+            first, least = first_and_least(n, max_len, [direct_batches(n, max_len, circular)])
+            listed = np.zeros(1 << (1 << n), np.int64)
+            for ell, keys, codes in word_scan(n, max_len, circular, split_bits):
+                assert (factor_keys(n, ell, codes, circular) == keys).all()
+                assert (first[0, keys] == ell).all() and (least[0, keys] == codes).all()
+                np.add.at(listed, keys, 1)
+            assert (listed == (first[0] != 0)).all()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -471,13 +486,13 @@ class TestWordScan:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            next(word_scan(7, 20))
+            next(word_scan(5, 20))
         with pytest.raises(ValueError):
             next(word_scan(3, 20, split_bits=0))
 
     @pytest.mark.parametrize("n,max_len,circular,split_bits", [
         (3, 16, True, 14), (4, 17, False, 14), (4, 20, False, 14), (4, 20, True, 14),
-        (1, 20, True, 1), (4, 20, True, 6), (5, 20, True, 7), (6, 20, True, 8),
+        (1, 20, True, 1), (4, 20, True, 6), (3, 20, True, 5), (2, 20, False, 3),
     ])
     def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len, circular, split_bits):
         # word_scan_nbytes is charged up front and the scan charges its
