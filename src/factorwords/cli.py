@@ -44,7 +44,6 @@ class RunConfig:
     output_format: str
     budget: Budget
     seed: int
-    schema_version: str
 
 
 def _common_options(fn):
@@ -58,24 +57,20 @@ def _common_options(fn):
                       help="Wall-clock budget in seconds.")(fn)
     fn = click.option("--seed", default=0, show_default=True,
                       help="Seed for randomized suites.")(fn)
-    fn = click.option("--schema-version", default=SCHEMA_VERSION,
-                      type=click.Choice([SCHEMA_VERSION]),
-                      help="JSON schema version tag.")(fn)
     return fn
 
 
-def _config(output_format, budget_mb, max_seconds, seed,
-            schema_version) -> RunConfig:
+def _config(output_format, budget_mb, max_seconds, seed) -> RunConfig:
     if budget_mb is not None:
         budget = Budget(max_memory_bytes=budget_mb << 20, max_seconds=max_seconds)
     else:
         budget = Budget(max_memory_bytes=Budget.default().max_memory_bytes,
                         max_seconds=max_seconds)
-    return RunConfig(output_format, budget, seed, schema_version)
+    return RunConfig(output_format, budget, seed)
 
 
 def _emit_json(cfg: RunConfig, command: str, payload: dict) -> None:
-    doc = {"schema_version": cfg.schema_version, "command": command}
+    doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
     click.echo(json.dumps(doc, sort_keys=True))
 

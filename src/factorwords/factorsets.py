@@ -10,11 +10,12 @@ table (bit code(x) set iff x is a member). On top of it live:
     connected for circular words),
   * the walk-layer kernel over (covered-subset, current-vertex) states, a
     bit set per vertex: a step forward (the census), a step back and a greedy
-    walk (bounds); and shortest (circular) witness search: one layered search
-    over those states, pruned backwards to the shortest walks for
-    lexicographically-least tie-breaking; the circular search runs once, from
-    the least member; it keeps only the states it reaches, as bit sets over
-    every covered mask would not fit for 32 members,
+    walk (bounds); and shortest (circular) witness search: one breadth-first
+    search over those states with a parent link per state, whose first goal
+    state reached ends the lexicographically least shortest walk; the
+    circular search runs once, from the least member; it keeps only the
+    states it reaches, as bit sets over every covered mask would not fit for
+    32 members,
   * prefix/suffix projection of a set one order down, and the pair /
     skeleton / net bookkeeping used by the counting bounds.
 
@@ -103,11 +104,11 @@ class FactorSet:
 
     def codes(self) -> Iterator[int]:
         """Member codes in ascending (= lexicographic) order."""
-        m = self.members
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        bits = format(self.members, "b")[::-1]
+        c = bits.find("1")
+        while c >= 0:
+            yield c
+            c = bits.find("1", c + 1)
 
     def __iter__(self) -> Iterator[Word]:
         for c in self.codes():
@@ -354,128 +355,97 @@ def _greedy_walk(succs: list[list[int]], layers: list[list[int]], v: int,
     return walk
 
 
-# Bytes per state reached by the layered search (its layer map, frontier
-# and pruned sets): tracemalloc's peak over the states reached on
-# FactorSet.full(4) was 69 for shortest_witness and 83 for
-# shortest_circular_witness; the larger is charged.
-_STATE_BYTES = 84
+# Bytes per state reached by the witness search (its parent dict and
+# frontier): tracemalloc's peak over the states reached on FactorSet.full(4)
+# was 71 for shortest_witness and 93 for shortest_circular_witness; the larger
+# is charged, plus a byte per 8 bits of the set's membership table, which a
+# state's covered mask grows with.
+_STATE_BYTES = 93
 
 
-def _least_cover_walk(moves: Mapping[int, tuple[tuple[int, int], ...]],
-                      preds: Mapping[int, list[int]], shift: int,
-                      starts: list[int], goals: set[int],
-                      budget: Budget | None) -> list[int] | None:
-    """The least vertex sequence, compared vertex by vertex, of a shortest
-    walk from a start state to a goal state, or None when no goal is
-    reachable. States are (covered << shift) | vertex, where covered has the
-    bit 1 << x of every vertex x passed; moves[v] holds the (next vertex, its
-    bit) pairs in ascending order, preds[x] the vertices with a move to x,
-    and the start states order as their vertices.
+def _cover_word(fs: FactorSet, starts: int, end: int | None,
+                budget: Budget | None) -> Word | None:
+    """The least word of a shortest walk over the overlap graph of fs that
+    starts at a vertex of the bit set ``starts``, covers every member and,
+    unless ``end`` is None, ends at ``end``; None when there is no such walk.
 
-    A forward breadth-first search records the layer of each state it
-    reaches and stops after the first layer holding a goal. Every state on a
-    shortest walk sits in the layer of its step, so pruning backwards (G_d =
-    the goals of the last layer, G_k = the states of layer k with a successor
-    in G_(k+1), found among the predecessors of G_(k+1)) leaves exactly the
-    states of shortest walks. The walk then takes the least start vertex in
-    G_0 and, at each step, the least next vertex staying in G_(k+1).
+    One breadth-first search over states (covered << n) | v, where covered
+    has the bit 1 << x of every vertex x passed; v moves to (v << 1) & wmask
+    and that plus 1, when they are members. Each layer is expanded in the
+    order its states were first reached and each state's moves by ascending
+    next vertex, so every state is first reached by its least shortest walk,
+    and the first goal state reached ends the least shortest walk. The word is
+    that walk's first vertex, then the last letter of each next one.
     """
-    vmask = (1 << shift) - 1
-    meter = BudgetMeter(budget) if budget is not None else None
+    n = fs.order
+    wmask = (1 << n) - 1
+    members = fs.members
+    # the goal states (members, v), v == end if given, lie in [lo, hi]
+    lo = members << n | (end or 0)
+    hi = members << n | (wmask if end is None else end)
+    size = _STATE_BYTES + members.bit_length() // 8
 
-    layer_of = dict.fromkeys(starts, 0)
+    def word(st: int, d: int) -> Word:
+        # d parent links back from a state of depth d; a state's low bit is
+        # its vertex's last letter
+        code = 0
+        for k in range(d):
+            code |= (st & 1) << k
+            st = parent[st]
+        return Word(n + d, (st & wmask) << d | code)
+
+    meter = BudgetMeter(budget) if budget is not None else None
     if meter is not None:
-        meter.note(depth=0, states=len(starts), frontier=len(starts))
-        meter.charge_memory(len(starts) * _STATE_BYTES, "witness search start")
-    frontier = starts
+        count = starts.bit_count()
+        meter.note(depth=0, states=count, frontier=count)
+        meter.charge_memory(count * size, "witness search start")
+    frontier = [1 << u << n | u for u in FactorSet(n, starts).codes()]
+    parent: dict[int, int | None] = dict.fromkeys(frontier)
+    for st in frontier:
+        if lo <= st <= hi:
+            return word(st, 0)
     d = 0
-    while goals.isdisjoint(frontier):
+    while frontier:
         d += 1
         if meter is not None:
             # a layer has at most two successors per state: charge that
             # before building it and release what it did not take
-            worst = 2 * len(frontier) * _STATE_BYTES
+            worst = 2 * len(frontier) * size
             meter.charge_memory(worst, f"witness search depth {d}")
         nxt = []
         for st in frontier:
-            cov = st >> shift
-            for x, bit in moves[st & vmask]:
-                nst = ((cov | bit) << shift) | x
-                if nst not in layer_of:
-                    layer_of[nst] = d
-                    nxt.append(nst)
-        if not nxt:
-            return None
+            v = st & wmask
+            y = v << 1 & wmask
+            for x in (y, y + 1):
+                if members >> x & 1:
+                    nst = (st ^ v) | 1 << (x + n) | x
+                    if nst not in parent:
+                        parent[nst] = st
+                        if lo <= nst <= hi:
+                            return word(nst, d)
+                        nxt.append(nst)
         frontier = nxt
         if meter is not None:
-            meter.release_memory(worst - len(nxt) * _STATE_BYTES)
-            meter.note(depth=d, states=len(layer_of), frontier=len(nxt))
+            meter.release_memory(worst - len(nxt) * size)
+            meter.note(depth=d, states=len(parent), frontier=len(nxt))
             meter.check_time(f"witness search depth {d}")
-
-    good = goals.intersection(frontier)
-    pruned = [good]
-    for k in range(d - 1, -1, -1):
-        good = set()
-        for st in pruned[-1]:
-            x = st & vmask
-            cov = st >> shift
-            for v in preds[x]:
-                # the step v -> x either newly covered x or did not
-                for p in ((cov << shift) | v, ((cov ^ (1 << x)) << shift) | v):
-                    if layer_of.get(p) == k:
-                        good.add(p)
-        pruned.append(good)
-    pruned.reverse()
-    st = min(pruned[0])
-    walk = [st & vmask]
-    for good in pruned[1:]:
-        cov = st >> shift
-        for x, bit in moves[st & vmask]:
-            st = ((cov | bit) << shift) | x
-            if st in good:
-                walk.append(x)
-                break
-        else:
-            raise AssertionError("walk reconstruction lost the goal")
-    return walk
-
-
-def _cover_word(fs: FactorSet, starts: list[int], goals: set[int],
-                budget: Budget | None) -> Word | None:
-    """The least word of a shortest walk over the overlap graph of fs from a
-    start state to a goal state: its first vertex, then the last letter of
-    each next one (on the de Bruijn graph the least next vertex appends the
-    least letter)."""
-    n = fs.order
-    moves: dict[int, tuple[tuple[int, int], ...]] = {}
-    preds: dict[int, list[int]] = {v: [] for v in fs.codes()}
-    for v, succs in OverlapGraph(fs).adjacency.items():
-        moves[v] = tuple([(x, 1 << x) for x in succs])
-        for x in succs:
-            preds[x].append(v)
-    walk = _least_cover_walk(moves, preds, n, starts, goals, budget)
-    if walk is None:
-        return None
-    code = walk[0]
-    for x in walk[1:]:
-        code = (code << 1) | (x & 1)
-    return Word(n + len(walk) - 1, code)
+    return None
 
 
 def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResult:
     """Shortest ordinary witness, lexicographically least among minimal.
 
-    One layered search over (covered, current-vertex) states started from
-    every single-member state; a walk of d edges corresponds to a witness of
-    length order + d. With a budget, each layer is charged against its
-    memory limit at its largest possible size before it is built, so the
-    charge never passes the limit, and checked against its time limit.
+    One breadth-first search over (covered, current-vertex) states, started
+    from every single-member state in ascending order and stopped at the
+    first state covering the whole set; a walk of d edges corresponds to a
+    witness of length order + d. With a budget, the start layer and each
+    later one are charged against the memory limit at their largest possible
+    size before they are built, so the charge never passes the limit, and
+    the time limit is checked after each layer.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
-    n = fs.order
-    w = _cover_word(fs, [((1 << u) << n) | u for u in fs.codes()],
-                    {(fs.members << n) | v for v in fs.codes()}, budget)
+    w = _cover_word(fs, fs.members, None, budget)
     return WitnessResult(False) if w is None else WitnessResult(True, w.length, w)
 
 
@@ -485,10 +455,11 @@ def shortest_circular_witness(fs: FactorSet,
 
     The witness of length d is a closed covering walk of d edges in the
     overlap graph. Such a walk passes through every member, so d is the same
-    from every start, and one layered search from the least member u0 to
-    (whole set, u0) finds it. The witness is the first d letters of that
-    walk's word; as every circular witness read from its start vertex begins
-    with that vertex, starting from the least member gives the lex-least one.
+    from every start, and one breadth-first search from the least member u0,
+    stopped at the first state (whole set, u0), finds it. The witness is the
+    first d letters of that walk's word; as every circular witness read from
+    its start vertex begins with that vertex, starting from the least member
+    gives the lex-least one.
     Reported length is that of the circular word itself. ``budget`` is used
     as in shortest_witness.
     """
@@ -500,7 +471,7 @@ def shortest_circular_witness(fs: FactorSet,
         if u0 == 0 or u0 == (1 << n) - 1:
             return WitnessResult(True, 1, Word(1, u0 & 1))
         return WitnessResult(False)
-    w = _cover_word(fs, [((1 << u0) << n) | u0], {(fs.members << n) | u0}, budget)
+    w = _cover_word(fs, 1 << u0, u0, budget)
     if w is None:
         return WitnessResult(False)
     d = w.length - n

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,10 @@ class TestFactors:
     def test_unknown_flag_rejected(self, run):
         assert run("factors", "001", "--n", "2", "--bogus").exit_code == 2
 
+    def test_no_schema_version_option(self, run):
+        r = run("factors", "001", "--n", "2", "--schema-version", "1")
+        assert r.exit_code == 2 and "No such option" in r.output
+
 
 class TestWitness:
     def test_not_representable(self, run):
@@ -67,6 +72,13 @@ class TestWitness:
         r = run("witness", "--full", "--n", "5", "--budget-mb", "16")
         assert r.exit_code == 3
         assert "budget exhausted" in r.output and "progress:" in r.output
+
+    def test_full_order_22_honours_max_seconds(self, run):
+        for extra in ((), ("--circular",)):
+            started = time.monotonic()
+            r = run("witness", "--full", "--n", "22", "--max-seconds", "1", *extra)
+            assert r.exit_code == 3 and "budget exhausted" in r.output
+            assert time.monotonic() - started < 5
 
     def test_missing_spec_exits_2(self, run):
         assert run("witness", "--n", "2").exit_code == 2

@@ -156,9 +156,7 @@ def reference_depths(n):
 
 def cover_word(n, members, v):
     """The least shortest word with factor set ``members`` ending in v."""
-    fs = FactorSet(n, members)
-    return _cover_word(fs, [((1 << u) << n) | u for u in fs.codes()],
-                       {(members << n) | v}, None)
+    return _cover_word(FactorSet(n, members), members, v, None)
 
 
 class TestValidNodes:

@@ -4,6 +4,7 @@ The brute-force oracles here work on plain Python strings on purpose: they
 share no code with the library's bit-table paths.
 """
 
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -110,6 +111,23 @@ class TestFactorSetValue:
         assert len(FactorSet(2, (1 << 4) - 1)) == 4
         # checked on the bit length: 2^40-bit tables are never built
         assert len(FactorSet(40, 1)) == 1
+
+
+def low_bit_codes(m):
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def test_codes_match_the_low_bit_loop():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        for members in (0, 1, (1 << (1 << n)) - 1, 1 << (1 << n) - 1,
+                        *(rng.getrandbits(1 << n) for _ in range(20))):
+            assert list(FactorSet(n, members).codes()) == low_bit_codes(members)
 
 
 class TestOverlapGraph:
@@ -269,6 +287,31 @@ class TestWitnesses:
                 lengths[w.length] += 1
             assert lengths == Counter(histogram)
 
+    def test_witnesses_pinned(self, enum_results):
+        # (found, length, witness) in both flavours for every representable
+        # order-4 set and 500 seeded order-5 sets: the digest was recorded
+        # from the search that pruned its layers backwards, before the
+        # one-pass search with parent links replaced it
+        rng = random.Random(14)
+        sets = [FactorSet(4, m) for m in enum_results[4].rep_sets]
+        for i in range(500):
+            if i % 3 == 0:
+                ell = rng.randint(5, 24)
+                sets.append(factors(Word(ell, rng.getrandbits(ell)), 5))
+            elif i % 3 == 1:
+                ell = rng.randint(1, 20)
+                sets.append(circular_factors(Word(ell, rng.getrandbits(ell)), 5))
+            else:
+                sets.append(FactorSet.from_codes(5, rng.sample(range(32), rng.randint(1, 10))))
+        h = hashlib.sha256()
+        for s in sets:
+            for search in (shortest_witness, shortest_circular_witness):
+                w = search(s)
+                h.update(f"{w.found} {w.length} {w.witness}\n".encode())
+        assert len(sets) == 6421
+        assert h.hexdigest() == (
+            "9b765551a74d0c7eb240bfbe795151bb96beeea9d6d2b53e68dc58992ed6972a")
+
     def test_budget_stops_the_search(self):
         for search in (shortest_witness, shortest_circular_witness):
             with pytest.raises(BudgetExceededError) as exc:
@@ -290,6 +333,16 @@ class TestWitnesses:
                 # the report holds what was charged, not the refused request
                 assert exc.value.progress["charged_bytes"] <= budget.max_memory_bytes
                 assert "requested" in str(exc.value)
+
+
+    def test_start_layer_charged_before_it_is_built(self):
+        # 2^20 start states, each with a 2^20-bit covered mask: refused at
+        # once, before any start state exists
+        with pytest.raises(BudgetExceededError) as exc:
+            shortest_witness(FactorSet.full(20), Budget(max_memory_bytes=16 << 20))
+        assert exc.value.progress["depth"] == 0
+        assert exc.value.progress["charged_bytes"] == 0
+        assert "witness search start" in str(exc.value)
 
 
 class TestIncidence:
