@@ -18,7 +18,7 @@ from .counting import (Conjecture2nReport, EqualFactorPair, OutOfValidityRegion,
                        counterexample_family, equal_factor_pairs, t_table)
 from .enumeration import (EnumerationResult, brute_force_enumerate,
                           enumerate_representable)
-from .factorsets import (EmptySet, FactorSet, OverlapGraph, WitnessResult,
+from .factorsets import (EmptySet, FactorSet, WitnessResult,
                          circular_factors, count_pairs, count_skeletons, factors,
                          feasible_net_subsets, incident, is_circ_representable,
                          is_representable, shortest_circular_witness,
@@ -40,7 +40,7 @@ __all__ = [
     "check_theorem1", "count_T_bruteforce", "count_T_closed",
     "counterexample_family", "equal_factor_pairs", "t_table",
     "EnumerationResult", "brute_force_enumerate", "enumerate_representable",
-    "EmptySet", "FactorSet", "OverlapGraph", "WitnessResult",
+    "EmptySet", "FactorSet", "WitnessResult",
     "circular_factors", "count_pairs", "count_skeletons", "factors",
     "feasible_net_subsets", "incident", "is_circ_representable",
     "is_representable", "shortest_circular_witness", "shortest_witness",

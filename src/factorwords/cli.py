@@ -9,6 +9,10 @@ Commands:
     verify      exhaustive checks (equal-factor characterization, the t = 2n
                 boundary conjecture, random-digraph walk bounds)
 
+Each command takes only the options it reads: every one --format text or
+json (ttable also csv and md), every one but factors --budget-mb and
+--max-seconds, and verify --seed.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 budget exhaustion. Data goes to stdout; progress notes to stderr.
 """
@@ -19,7 +23,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 import click
 
@@ -37,39 +40,26 @@ SCHEMA_VERSION = "1"
 PUBLISHED_CIRC_COUNTS = {5: 2466131}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation settings."""
-
-    output_format: str
-    budget: Budget
-    seed: int
+def _format_option(*extra: str):
+    return click.option("--format", "-f", "output_format", default="text",
+                        type=click.Choice(["text", "json", *extra]),
+                        help="Output format.")
 
 
-def _common_options(fn):
-    fn = click.option("--format", "-f", "output_format", default="text",
-                      type=click.Choice(["text", "json", "csv", "md"]),
-                      help="Output format.")(fn)
-    fn = click.option("--budget-mb", default=None, type=int,
-                      help="Memory budget in MiB (default: "
-                           "FACTORSET_BUDGET_MB or 2048).")(fn)
+def _budget_options(fn):
     fn = click.option("--max-seconds", default=None, type=float,
                       help="Wall-clock budget in seconds.")(fn)
-    fn = click.option("--seed", default=0, show_default=True,
-                      help="Seed for randomized suites.")(fn)
-    return fn
+    return click.option("--budget-mb", default=None, type=int,
+                        help="Memory budget in MiB (default: "
+                             "FACTORSET_BUDGET_MB or 2048).")(fn)
 
 
-def _config(output_format, budget_mb, max_seconds, seed) -> RunConfig:
-    if budget_mb is not None:
-        budget = Budget(max_memory_bytes=budget_mb << 20, max_seconds=max_seconds)
-    else:
-        budget = Budget(max_memory_bytes=Budget.default().max_memory_bytes,
-                        max_seconds=max_seconds)
-    return RunConfig(output_format, budget, seed)
+def _budget(budget_mb: int | None, max_seconds: float | None) -> Budget:
+    memory = Budget.default().max_memory_bytes if budget_mb is None else budget_mb << 20
+    return Budget(max_memory_bytes=memory, max_seconds=max_seconds)
 
 
-def _emit_json(cfg: RunConfig, command: str, payload: dict) -> None:
+def _emit_json(command: str, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
     click.echo(json.dumps(doc, sort_keys=True))
@@ -108,15 +98,14 @@ def main():
 @click.option("--n", "order", type=int, required=True, help="Factor length.")
 @click.option("--circular", is_flag=True, help="Read the word circularly.")
 @click.option("--hex", "as_hex", is_flag=True, help="Print the hex bitmap.")
-@_common_options
+@_format_option()
 @_guard
-def cmd_factors(word, order, circular, as_hex, **opts):
+def cmd_factors(word, order, circular, as_hex, output_format):
     """Print the set of length-N factors of WORD."""
-    cfg = _config(**opts)
     w = Word.from_text(word)
     fs = circular_factors(w, order) if circular else factors(w, order)
-    if cfg.output_format == "json":
-        _emit_json(cfg, "factors", {
+    if output_format == "json":
+        _emit_json("factors", {
             "word": str(w), "n": order, "circular": circular,
             "factors": [str(x) for x in fs], "hex": fs.to_hex()})
     else:
@@ -130,20 +119,22 @@ def cmd_factors(word, order, circular, as_hex, **opts):
 @click.option("--hex", "as_hex", is_flag=True,
               help="SET_SPEC is a hex bitmap of 2^n bits.")
 @click.option("--full", "use_full", is_flag=True, help="Use the full set.")
-@_common_options
+@_format_option()
+@_budget_options
 @_guard
-def cmd_witness(set_spec, order, circular, as_hex, use_full, **opts):
+def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
+                budget_mb, max_seconds):
     """Shortest word whose factor set is exactly SET_SPEC."""
-    cfg = _config(**opts)
+    budget = _budget(budget_mb, max_seconds)
     if use_full:
         fs = FactorSet.full(order)
     elif set_spec is None:
         _fail_usage("provide a set or --full")
     else:
         fs = FactorSet.parse(set_spec, order=order, hex_bitmap=as_hex)
-    result = (shortest_circular_witness if circular else shortest_witness)(fs, cfg.budget)
-    if cfg.output_format == "json":
-        _emit_json(cfg, "witness", {
+    result = (shortest_circular_witness if circular else shortest_witness)(fs, budget)
+    if output_format == "json":
+        _emit_json("witness", {
             "set": fs.to_text(), "n": order, "circular": circular,
             "found": result.found, "length": result.length,
             "witness": str(result.witness) if result.witness else None})
@@ -161,29 +152,30 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, **opts):
 @click.option("--max-len", type=int, default=None,
               help="Scan limit for --oracle, at least the order's safe length "
                    "(default: that length).")
-@_common_options
+@_format_option()
+@_budget_options
 @_guard
-def cmd_enumerate(order, oracle, max_len, **opts):
+def cmd_enumerate(order, oracle, max_len, output_format, budget_mb, max_seconds):
     """Counts, extremal witness lengths and witnesses for one order."""
-    cfg = _config(**opts)
+    budget = _budget(budget_mb, max_seconds)
     started = time.monotonic()
     enumeration.check_order(order)
     if oracle:
-        safe = {1: 3, 2: 6, 3: 11, 4: 25}    # at least the order's mu and nu
-        if max_len is not None and max_len < safe[order]:
+        safe = enumeration.SAFE_SCAN_LEN[order]
+        if max_len is not None and max_len < safe:
             # a shorter scan misses sets, so its counts are not the order's row
-            _fail_usage(f"--max-len {max_len} is below the safe length {safe[order]} "
+            _fail_usage(f"--max-len {max_len} is below the safe length {safe} "
                         f"of order {order}: the row would be truncated")
         result = enumeration.brute_force_enumerate(
-            order, safe[order] if max_len is None else max_len, cfg.budget)
+            order, safe if max_len is None else max_len, budget)
     else:
-        result = enumeration.enumerate_representable(order, cfg.budget)
+        result = enumeration.enumerate_representable(order, budget)
     elapsed = round(time.monotonic() - started, 3)
-    if cfg.output_format == "json":
-        _emit_json(cfg, "enumerate", {
+    if output_format == "json":
+        _emit_json("enumerate", {
             "result": result.to_json_dict(),
             "stats": {"elapsed_seconds": elapsed,
-                      "memory_budget_bytes": cfg.budget.max_memory_bytes}})
+                      "memory_budget_bytes": budget.max_memory_bytes}})
     else:
         r = result
         click.echo(f"n {r.n}")
@@ -198,15 +190,15 @@ def cmd_enumerate(order, oracle, max_len, **opts):
 @main.command("ttable")
 @click.option("--t-max", type=int, default=16, show_default=True)
 @click.option("--n-max", type=int, default=8, show_default=True)
-@_common_options
+@_format_option("csv", "md")
+@_budget_options
 @_guard
-def cmd_ttable(t_max, n_max, **opts):
+def cmd_ttable(t_max, n_max, output_format, budget_mb, max_seconds):
     """The table of T(t, n) counts."""
-    cfg = _config(**opts)
-    table = counting.t_table(t_max, n_max, cfg.budget)
-    if cfg.output_format == "json":
-        _emit_json(cfg, "ttable", table.to_json_dict())
-    elif cfg.output_format == "csv":
+    table = counting.t_table(t_max, n_max, _budget(budget_mb, max_seconds))
+    if output_format == "json":
+        _emit_json("ttable", table.to_json_dict())
+    elif output_format == "csv":
         click.echo(table.to_csv(), nl=False)
     else:
         click.echo(table.to_markdown(), nl=False)
@@ -214,12 +206,13 @@ def cmd_ttable(t_max, n_max, **opts):
 
 @main.command("bounds")
 @click.option("--n", "order", type=int, required=True, help="Order to report on.")
-@_common_options
+@_format_option()
+@_budget_options
 @_guard
-def cmd_bounds(order, **opts):
+def cmd_bounds(order, output_format, budget_mb, max_seconds):
     """Sandwich lower <= |C_n| <= upper for the circularly representable
     count of one order (order 1 reports the degenerate order-2 sandwich)."""
-    cfg = _config(**opts)
+    budget = _budget(budget_mb, max_seconds)
     if order < 1:
         _fail_usage("order must be positive")
     m = max(1, order - 1)          # de Bruijn order of the construction
@@ -227,7 +220,7 @@ def cmd_bounds(order, **opts):
     lower = bounds_mod.lower_bound(m)
     upper = bounds_mod.upper_bound(m)
     if target <= enumeration.ARRAY_MAX_ORDER:
-        count = enumeration.enumerate_representable(target, cfg.budget).circ_count
+        count = enumeration.enumerate_representable(target, budget).circ_count
         source = "enumerated"
     elif target in PUBLISHED_CIRC_COUNTS:
         count = PUBLISHED_CIRC_COUNTS[target]
@@ -236,8 +229,8 @@ def cmd_bounds(order, **opts):
         _fail_usage(f"no known count for order {target}")
     ratio = bounds_mod.growth_ratio(target, count)
     ok = lower <= count <= upper
-    if cfg.output_format == "json":
-        _emit_json(cfg, "bounds", {
+    if output_format == "json":
+        _emit_json("bounds", {
             "order": target, "lower": lower, "count": count, "upper": upper,
             "count_source": source, "holds": ok,
             "growth_ratio": round(ratio, 6)})
@@ -259,11 +252,15 @@ def cmd_bounds(order, **opts):
               help="n: scan the t = 2n boundary conjecture.")
 @click.option("--hamiltonian", type=int, default=None,
               help="TRIALS: random strongly connected digraphs vs the walk bound.")
-@_common_options
+@click.option("--seed", default=0, show_default=True,
+              help="Seed of the --hamiltonian digraphs.")
+@_format_option()
+@_budget_options
 @_guard
-def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, **opts):
+def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
+               output_format, budget_mb, max_seconds):
     """Run one exhaustive verification; exit 1 on failure."""
-    cfg = _config(**opts)
+    budget = _budget(budget_mb, max_seconds)
     chosen = [x is not None for x in (theorem1, conjecture2n, hamiltonian)]
     if sum(chosen) != 1:
         _fail_usage("choose exactly one of --theorem1 / --conjecture2n / --hamiltonian")
@@ -273,19 +270,19 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, **opts)
     if theorem1 is not None:
         t, n = theorem1
         report = counting.check_theorem1(
-            t, n, allow_out_of_region=allow_out_of_region, budget=cfg.budget)
+            t, n, allow_out_of_region=allow_out_of_region, budget=budget)
         payload = report.to_json_dict()
         passed = report.passed
         label = f"theorem1 t={t} n={n}" + ("" if report.in_region
                                            else " (outside validity region)")
     elif conjecture2n is not None:
-        report = counting.check_conjecture_2n(conjecture2n, budget=cfg.budget)
+        report = counting.check_conjecture_2n(conjecture2n, budget=budget)
         payload = report.to_json_dict()
         passed = report.passed
         label = f"conjecture2n n={conjecture2n}"
     else:
-        rng = random.Random(cfg.seed)
-        meter = BudgetMeter(cfg.budget)
+        rng = random.Random(seed)
+        meter = BudgetMeter(budget)
         failures = []
         trials = []
         for i in range(hamiltonian):
@@ -298,13 +295,13 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, **opts)
                 failures.append({"graph": g.to_text(), **trials[-1]})
             meter.note(trials_done=i + 1)
             meter.check_time(f"trial {i + 1}")
-        payload = {"trials": trials, "failures": failures, "seed": cfg.seed}
+        payload = {"trials": trials, "failures": failures, "seed": seed}
         passed = not failures
-        label = f"hamiltonian trials={hamiltonian} seed={cfg.seed}"
+        label = f"hamiltonian trials={hamiltonian} seed={seed}"
 
-    if cfg.output_format == "json":
-        _emit_json(cfg, "verify", {"check": label, "passed": passed,
-                                   "report": payload})
+    if output_format == "json":
+        _emit_json("verify", {"check": label, "passed": passed,
+                              "report": payload})
     else:
         click.echo(f"{label}: {'PASS' if passed else 'FAIL'}")
         if not passed:

@@ -90,7 +90,7 @@ def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[in
     """In bitmap order, every class of two or more words of length t with one
     factor set: its codes ascending, each with its period and root class."""
     meter = _scan_meter(t, n, budget, 1 << t, class_scan_nbytes)
-    classes = factor_classes(n, t, 0, 1 << t, meter=meter)[1]
+    classes = factor_classes(n, t, meter)[1]
     meter.check_time(f"factor classes of length {t}")
     codes = np.concatenate([np.empty(0, np.int64), *classes])
     members = iter(zip(codes.tolist(), *(a.tolist() for a in period_classes(t, codes))))

@@ -37,6 +37,9 @@ from .factorsets import FactorSet, _step_forward, shortest_circular_witness, sho
 from .words import Word, word_scan, word_scan_nbytes
 
 ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
+# per order, the least scan limit at which the oracle gives the whole row:
+# one past the longer of its extremal witness lengths mu and nu
+SAFE_SCAN_LEN = {1: 3, 2: 6, 3: 11, 4: 25}
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,7 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
     first = np.zeros((2, 1 << (1 << n)), np.int64)
     least = np.zeros_like(first)
     for circ in (0, 1):
-        for ell, sets, codes in word_scan(n, max_len, bool(circ), meter=meter):
+        for ell, sets, codes in word_scan(n, max_len, meter, bool(circ)):
             first[circ, sets] = ell
             least[circ, sets] = codes
             meter.note(scanned=f"length {ell}")

@@ -4,7 +4,8 @@ A FactorSet is a set of length-n binary words stored as a 2^n-bit membership
 table (bit code(x) set iff x is a member). On top of it live:
 
   * factor extraction from ordinary and circular words,
-  * the directed (n-1)-overlap graph and its strong components,
+  * the directed (n-1)-overlap graph, successors by the de Bruijn rule, and
+    its strong components,
   * structural representability tests: does some word have exactly this
     factor set? (the overlap graph unilaterally connected, or strongly
     connected for circular words),
@@ -133,14 +134,6 @@ class FactorSet:
         width = -(-(1 << self.order) // 4)
         return format(self.members, f"0{width}x")
 
-    def __or__(self, other: "FactorSet") -> "FactorSet":
-        if self.order != other.order:
-            raise ValueError("orders differ")
-        return FactorSet(self.order, self.members | other.members)
-
-    def is_subset_of(self, other: "FactorSet") -> bool:
-        return self.order == other.order and self.members & ~other.members == 0
-
 
 @dataclass(frozen=True)
 class WitnessResult:
@@ -185,45 +178,23 @@ def circular_factors(w: Word, n: int) -> FactorSet:
 
 # -- overlap graph ---------------------------------------------------------
 
-def _succ(v: int, b: int, wmask: int) -> int:
-    return ((v << 1) & wmask) | b
-
-
-class OverlapGraph:
-    """Directed overlap graph on a factor set.
-
-    Vertices are the member words; there is an edge x -> y exactly when the
-    last n-1 letters of x equal the first n-1 letters of y, i.e. when the
-    length-(n+1) word x . y[n] has both of its length-n factors in the set.
-    Out-degree is at most 2. Immutable once built.
-    """
-
-    def __init__(self, vertices: FactorSet):
-        self.order = vertices.order
-        self.vertices = vertices
-        wmask = (1 << self.order) - 1
-        m = vertices.members
-        adj: dict[int, tuple[int, ...]] = {}
-        for x in vertices.codes():
-            y = _succ(x, 0, wmask)  # even, so the other successor is y + 1
-            pair = m >> y & 3
-            adj[x] = (y, y + 1) if pair == 3 else (y + (pair >> 1),) if pair else ()
-        self.adjacency = adj
-
-    def successors(self, x: int) -> tuple[int, ...]:
-        return self.adjacency[x]
-
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.adjacency.values())
-
-    def strongly_connected(self) -> bool:
-        """Every vertex reaches every vertex (single vertex counts)."""
-        return len(self.strong_components()) == 1
-
-    def strong_components(self) -> list[list[int]]:
-        """The strongly connected components in topological order, sources
-        first."""
-        return strong_components(self.adjacency)
+def _successors(fs: FactorSet) -> dict[int, tuple[int, ...]]:
+    """The overlap graph of fs: each member x mapped to its successors, the
+    members y whose first n-1 letters are the last n-1 of x. By the de Bruijn
+    rule they are among (x << 1) & wmask, which is even, and that plus 1.
+    Membership is read from the table's reversed binary string, which is
+    made once, so the map takes time linear in 2^n."""
+    wmask = (1 << fs.order) - 1
+    bits = format(fs.members, "b")[::-1]
+    adj = {}
+    x = bits.find("1")
+    while x >= 0:
+        y = x << 1 & wmask
+        pair = bits[y:y + 2]  # the flags of y and y + 1; past the last member, fewer
+        adj[x] = ((y, y + 1) if pair == "11" else (y,) if pair[:1] == "1"
+                  else (y + 1,) if pair[1:] == "1" else ())
+        x = bits.find("1", x + 1)
+    return adj
 
 
 def strong_components(adjacency: Mapping[int, Iterable[int]]) -> list[list[int]]:
@@ -280,8 +251,8 @@ def is_circ_representable(fs: FactorSet) -> bool:
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
-    g = OverlapGraph(fs)
-    return g.strongly_connected() and g.edge_count() >= 1
+    adj = _successors(fs)
+    return len(strong_components(adj)) == 1 and any(adj.values())
 
 
 def is_representable(fs: FactorSet) -> bool:
@@ -296,9 +267,9 @@ def is_representable(fs: FactorSet) -> bool:
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
-    g = OverlapGraph(fs)
-    comps = g.strong_components()
-    return all(any(y in nxt for x in comp for y in g.successors(x))
+    adj = _successors(fs)
+    comps = strong_components(adj)
+    return all(any(y in nxt for x in comp for y in adj[x])
                for comp, nxt in zip(comps, map(set, comps[1:])))
 
 

@@ -9,7 +9,7 @@ Also provides minimal periods and roots, (root-)conjugacy, the Möbius
 function, Lyndon word counting/enumeration, lexicographically least
 de Bruijn words, and the package's one word scan: ``factor_keys`` turns a
 batch of word codes into canonical factor-set keys with numpy,
-``factor_classes`` groups a range of codes by factor set, and ``word_scan``
+``factor_classes`` groups the words of a length by factor set, and ``word_scan``
 lists each factor set of the words up to a length once, orders 1..4,
 reading long words as a prefix key joined with a table of suffix keys.
 
@@ -73,12 +73,6 @@ class Word:
             raise IndexError(f"position {i} out of range 1..{self.length}")
         return (self.code >> (self.length - i)) & 1
 
-    def cyclic_letter(self, i: int) -> int:
-        """The i-th letter reading the word circularly (any i >= 1)."""
-        if i < 1:
-            raise IndexError("cyclic positions start at 1")
-        return self.letter((i - 1) % self.length + 1)
-
     def segment(self, i: int, j: int) -> "Word":
         """The factor occupying positions i..j inclusive, 1-based."""
         if not (1 <= i <= j <= self.length):
@@ -98,17 +92,6 @@ class Word:
         mask = (1 << self.length) - 1
         return Word(self.length,
                     ((self.code << k) & mask) | (self.code >> (self.length - k)))
-
-    def reversed_word(self) -> "Word":
-        code = 0
-        c = self.code
-        for _ in range(self.length):
-            code = (code << 1) | (c & 1)
-            c >>= 1
-        return Word(self.length, code)
-
-    def is_palindrome(self) -> bool:
-        return self == self.reversed_word()
 
     def bits(self) -> Iterator[int]:
         """Letters left to right."""
@@ -380,24 +363,22 @@ def _factor_hash(factors: np.ndarray) -> np.ndarray:
     return z
 
 
-def _set_hashes(n: int, ell: int, start: int, stop: int,
-                meter: BudgetMeter | None) -> np.ndarray:
-    """Per code in [start, stop), the wrapping uint64 sum of ``_factor_hash``
-    over the distinct length-n factors of its word: a window equal to an
+def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
+    """Per word of length ``ell``, by code, the wrapping uint64 sum of
+    ``_factor_hash`` over its distinct length-n factors: a window equal to an
     earlier one of the same word adds nothing, so equal sets hash equally."""
-    hashes = np.zeros(stop - start, np.uint64)
-    for lo in range(start, stop, 1 << HASH_CHUNK_BITS):
-        hi = min(stop, lo + (1 << HASH_CHUNK_BITS))
-        part, seen = hashes[lo - start:hi - start], []
+    hashes = np.zeros(1 << ell, np.uint64)
+    for lo in range(0, 1 << ell, 1 << HASH_CHUNK_BITS):
+        hi = min(1 << ell, lo + (1 << HASH_CHUNK_BITS))
+        part, seen = hashes[lo:hi], []
         for win in _windows(n, ell, range(lo, hi), False)[1]:
             fresh = np.ones(win.size, bool)
             for earlier in seen:
                 fresh &= win != earlier
             np.add(part, _factor_hash(win), out=part, where=fresh)
             seen.append(win)
-        if meter is not None:
-            meter.note(words_scanned=hi - start)
-            meter.check_time(f"factor classes of length {ell}")
+        meter.note(words_scanned=hi)
+        meter.check_time(f"factor classes of length {ell}")
     return hashes
 
 
@@ -426,9 +407,8 @@ def _shared_runs(keys: np.ndarray) -> tuple[int, list[np.ndarray]]:
     return starts.size, [order[a:b] for a, b in zip(starts[shared], ends[shared])]
 
 
-def factor_classes(n: int, ell: int, start: int, stop: int,
-                   meter: BudgetMeter | None = None) -> tuple[int, list[np.ndarray]]:
-    """Group the codes in [start, stop) of length ``ell`` by factor set.
+def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.ndarray]]:
+    """Group the words of length ``ell`` by factor set.
 
     Returns the number of distinct sets and, in bitmap order, the ascending
     codes of every set that two or more of the words share.
@@ -439,14 +419,13 @@ def factor_classes(n: int, ell: int, start: int, stop: int,
     hash no other word holds is alone in its set; only the words holding a
     shared hash get exact row keys, which split any collision and put the
     classes in bitmap order. ``class_scan_nbytes`` bounds the buffers other
-    than those row keys. With a meter, the hash pass notes
-    ``words_scanned`` and checks the time after each chunk, and the row keys
-    are charged to it while they are held.
+    than those row keys. The hash pass notes ``words_scanned`` to the meter
+    and checks the time after each chunk, and the row keys are charged to it
+    while they are held.
     """
     if n <= _BITMAP_MAX_ORDER:
-        count, runs = _shared_runs(factor_keys(n, ell, range(start, stop)))
-        return count, [start + run for run in runs]
-    hashes = _set_hashes(n, ell, start, stop, meter)
+        return _shared_runs(factor_keys(n, ell, range(1 << ell)))
+    hashes = _set_hashes(n, ell, meter)
     ordered = np.sort(hashes)
     repeats = ordered[1:] == ordered[:-1]
     first = repeats.copy()
@@ -456,16 +435,14 @@ def factor_classes(n: int, ell: int, start: int, stop: int,
         return hashes.size, []
     sharing = groups + np.count_nonzero(repeats)  # words holding a shared hash
     held = scan_nbytes(n, ell, sharing)
-    if meter is not None:
-        meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
+    meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
     shared = ordered[1:][first]
     del ordered, repeats, first
     members = _holding(hashes, shared)
     del hashes
-    count, runs = _shared_runs(factor_keys(n, ell, start + members))
-    if meter is not None:
-        meter.release_memory(held)
-    return stop - start - sharing + count, [start + members[run] for run in runs]
+    count, runs = _shared_runs(factor_keys(n, ell, members))
+    meter.release_memory(held)
+    return (1 << ell) - sharing + count, [members[run] for run in runs]
 
 
 def scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
@@ -497,12 +474,12 @@ def class_scan_nbytes(n: int, ell: int, count: int) -> int:
 
 
 def _suffix_table(n: int, split_bits: int, hlen: int,
-                  meter: BudgetMeter | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  meter: BudgetMeter) -> tuple[np.ndarray, np.ndarray]:
     """Per row (t << hlen) | h: the distinct keys of the words t·x·h, over
     the x of ``split_bits`` letters, for t of n - 1 letters and h of hlen,
     each with its least x (in the least unsigned dtype holding it) and
     ordered by that x; rows are padded to one width by repeating their last
-    entry. With a meter, each row is charged as it is made and the padded
+    entry. Each row is charged to the meter as it is made and the padded
     table before it is filled; the rows are released once it is, so the
     table stays charged."""
     xs = np.arange(1 << split_bits, dtype=_scan_dtypes(n, n - 1 + split_bits, False)[1])
@@ -519,23 +496,20 @@ def _suffix_table(n: int, split_bits: int, hlen: int,
             first = np.sort(np.unique(row, return_index=True)[1])
             keys.append(row[first])
             least.append(first.astype(x_dt))
-            if meter is not None:
-                meter.charge_memory(keys[-1].nbytes + least[-1].nbytes, "suffix table row")
+            meter.charge_memory(keys[-1].nbytes + least[-1].nbytes, "suffix table row")
     width = max(map(len, least))
     rows = sum(k.nbytes + x.nbytes for k, x in zip(keys, least))
-    if meter is not None:
-        meter.charge_memory(len(keys) * width * (keys[0].itemsize + x_dt.itemsize),
-                            "suffix table")
+    meter.charge_memory(len(keys) * width * (keys[0].itemsize + x_dt.itemsize),
+                        "suffix table")
     tkeys, txs = (np.empty((len(keys), width), a[0].dtype) for a in (keys, least))
     for i, (k, x) in enumerate(zip(keys, least)):  # pad by the last entry
         tkeys[i], txs[i] = (np.pad(a, (0, width - a.size), "edge") for a in (k, x))
-    if meter is not None:
-        meter.release_memory(rows)
+    meter.release_memory(rows)
     return tkeys, txs
 
 
-def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SPLIT_BITS,
-              meter: BudgetMeter | None = None):
+def word_scan(n: int, max_len: int, meter: BudgetMeter, circular: bool = False,
+              split_bits: int = SPLIT_BITS):
     """Yield (length, keys, codes) batches listing each factor set of the
     words (circular words) of length n..max_len (1..max_len) once, at the
     first length reaching it, with the least code of that length giving it.
@@ -553,9 +527,9 @@ def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SP
     F(p) | table[row(p)], laid out in code order; only the unlisted ones
     get their codes (p << split_bits) | x.
 
-    ``word_scan_nbytes`` bounds the buffers other than the table. With a
-    meter, the table is charged to it row by row as it is built and
-    released when the scan ends.
+    ``word_scan_nbytes`` bounds the buffers other than the table, which is
+    charged to the meter row by row as it is built and released when the
+    scan ends.
     """
     if not 1 <= n <= 4:  # the mask of listed sets holds 2^(2^n) flags, 64 KiB at order 4
         raise ValueError("the word scan supports orders 1..4")
@@ -590,14 +564,14 @@ def word_scan(n: int, max_len: int, circular: bool = False, split_bits: int = SP
                 sets, pos = unlisted((keys[a:a + step, None] | tkeys[rows[a:a + step]]).ravel())
                 i, j = np.divmod(pos, tkeys.shape[1])
                 yield ell, sets, (p[a + i] << split_bits) | txs[rows[a + i], j]
-    if meter is not None and max_len >= split:
+    if max_len >= split:
         meter.release_memory(tkeys.nbytes + txs.nbytes)
 
 
 def word_scan_nbytes(n: int, max_len: int, circular: bool = False,
                      split_bits: int = SPLIT_BITS) -> int:
     """An upper bound on the bytes ``word_scan`` holds at once beside its
-    suffix table, which a meter passed to it is charged as it is built: the
+    suffix table, which it charges to its meter as it is built: the
     mask of listed sets plus the most of making one table row, one direct
     chunk, and one batch of candidates beside its chunk of prefixes.
     """

@@ -3,9 +3,7 @@
 import pytest
 
 from factorwords import Budget, brute_force_enumerate, enumerate_representable
-
-# exact safe scan limits per order: one past the extremal witness length
-SAFE_SCAN_LEN = {1: 3, 2: 6, 3: 11, 4: 25}
+from factorwords.enumeration import SAFE_SCAN_LEN
 
 
 @pytest.fixture(scope="session")

@@ -252,6 +252,25 @@ class TestVerify:
         assert a.output == b.output
 
 
+@pytest.mark.parametrize("args", [
+    "factors 0011 --n 2 --seed 1", "factors 0011 --n 2 --budget-mb 8",
+    "witness 00,01 --n 2 --seed 1", "enumerate --n 2 -f csv",
+])
+def test_options_a_command_ignores_are_refused(run, args):
+    assert run(*args.split()).exit_code == 2
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    budget = {"--budget-mb", "--max-seconds"}
+    want = {"factors": set(), "witness": budget, "enumerate": budget, "ttable": budget,
+            "bounds": budget, "verify": budget | {"--seed"}}
+    for name, cmd in main.commands.items():
+        opts = {o for p in cmd.params for o in p.opts}
+        assert opts & (budget | {"--seed"}) == want[name], name
+        formats = next(p.type.choices for p in cmd.params if p.name == "output_format")
+        assert list(formats) == ["text", "json"] + (["csv", "md"] if name == "ttable" else [])
+
+
 def test_cli_import_starts_no_process_machinery():
     # every command pays this import; the package runs in one process
     src = Path(factorwords.__file__).parents[1]

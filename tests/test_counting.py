@@ -10,6 +10,7 @@ from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
                          are_root_conjugate, check_conjecture_2n, check_theorem1,
                          count_T_bruteforce, count_T_closed, counterexample_family,
                          equal_factor_pairs, period, t_table)
+from factorwords.budget import BudgetMeter
 from factorwords.words import factor_classes
 
 
@@ -188,7 +189,7 @@ class TestTheorem1:
         # its members' common period
         for t, n in ((5, 3), (7, 4), (9, 5)):
             k = t - n
-            for codes in factor_classes(n, t, 0, 1 << t)[1]:
+            for codes in factor_classes(n, t, BudgetMeter(Budget()))[1]:
                 pis = {period(Word(t, int(c))).period for c in codes}
                 assert len(pis) == 1
                 p = pis.pop()
@@ -236,7 +237,8 @@ class TestGroupIdentity:
         # sum over the shared classes of (size - 1) is exactly 2^t - T(t, n)
         for t in range(1, 13):
             for n in range(1, min(t, 8) + 1):
-                excess = sum(len(cls) - 1 for cls in factor_classes(n, t, 0, 1 << t)[1])
+                shared = factor_classes(n, t, BudgetMeter(Budget()))[1]
+                excess = sum(len(cls) - 1 for cls in shared)
                 assert (1 << t) - excess == count_T_bruteforce(t, n).value
 
 

@@ -1,7 +1,6 @@
 """The census's walk-layer runs, its brute-force oracle, and their bookkeeping."""
 
 import json
-import random
 import re
 import tracemalloc
 
@@ -47,6 +46,11 @@ class TestEnumerate:
         absent = (1 << 0) | (1 << 3)
         assert absent not in r.rep_sets
 
+    def test_safe_scan_lengths(self, enum_results):
+        # the oracle's safe length is one past the longer extremal witness
+        for n, r in enum_results.items():
+            assert enumeration.SAFE_SCAN_LEN[n] == max(r.mu, r.nu) + 1
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             enumerate_representable(0)
@@ -60,21 +64,12 @@ class TestDeciderAgreement:
     """The census search and the structural deciders check each other."""
 
     def test_every_set_small_orders(self, enum_results):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             rep, circ = set(enum_results[n].rep_sets), set(enum_results[n].circ_sets)
             for members in range(1, 1 << (1 << n)):
                 s = FactorSet(n, members)
                 assert (members in rep) == is_representable(s)
                 assert (members in circ) == is_circ_representable(s)
-
-    def test_sampled_sets_order_four(self, enum_results):
-        rep, circ = set(enum_results[4].rep_sets), set(enum_results[4].circ_sets)
-        rng = random.Random(4)
-        for _ in range(3000):
-            members = rng.randrange(1, 1 << 16)
-            s = FactorSet(4, members)
-            assert (members in rep) == is_representable(s)
-            assert (members in circ) == is_circ_representable(s)
 
     def test_shards_report_their_least_member(self):
         for n in (1, 2, 3, 4):

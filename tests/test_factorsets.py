@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, OverlapGraph, Word, circular_factors,
+from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, Word, circular_factors,
                          count_pairs, count_skeletons, debruijn, factors,
                          feasible_net_subsets, incident, is_circ_representable,
                          is_representable, shortest_circular_witness,
                          shortest_witness)
+from factorwords.factorsets import _successors, strong_components
 
 
 def fs(text):
@@ -132,27 +133,33 @@ def test_codes_match_the_low_bit_loop():
 
 class TestOverlapGraph:
     def test_structure(self):
-        g = OverlapGraph(FactorSet.full(2))
-        assert g.edge_count() == 8
-        assert all(len(g.successors(x)) <= 2 for x in range(4))
-        assert g.strongly_connected()
-        g2 = OverlapGraph(fs("00,11"))
-        assert g2.edge_count() == 2  # two self-loops
-        assert not g2.strongly_connected()
+        adj = _successors(FactorSet.full(2))
+        assert sum(map(len, adj.values())) == 8
+        assert all(len(adj[x]) <= 2 for x in range(4))
+        assert len(strong_components(adj)) == 1
+        adj = _successors(fs("00,11"))
+        assert adj == {0b00: (0b00,), 0b11: (0b11,)}  # two self-loops
+        assert len(strong_components(adj)) == 2
 
     def test_strong_components_in_topological_order(self):
-        g = OverlapGraph(fs("00,01,11"))
-        assert g.strong_components() == [[0b00], [0b01], [0b11]]
-        g = OverlapGraph(fs("001,010,100,011,110"))
-        assert [sorted(c) for c in g.strong_components()] == [[1, 2, 3, 4, 6]]
+        assert strong_components(_successors(fs("00,01,11"))) == [[0b00], [0b01], [0b11]]
+        comps = strong_components(_successors(fs("001,010,100,011,110")))
+        assert [sorted(c) for c in comps] == [[1, 2, 3, 4, 6]]
 
     def test_edge_condition(self):
-        s = FactorSet.full(3)
-        g = OverlapGraph(s)
-        for x in s.codes():
-            for y in s.codes():
-                expected = Word(3, x).segment(2, 3) == Word(3, y).segment(1, 2)
-                assert (y in g.successors(x)) == expected
+        # x -> y exactly when the last n-1 letters of x are the first n-1 of
+        # y, successors ascending: on full, top-member-only and random sets
+        rng = random.Random(3)
+        sets = [s for n in range(1, 13) for s in (
+            FactorSet.full(n), FactorSet(n, 1 << (1 << n) - 1),
+            *(FactorSet(n, rng.getrandbits(1 << n)) for _ in range(12)))]
+        for s in sets:
+            texts = [str(x) for x in s]
+            by_prefix: dict[str, list[int]] = {}
+            for t in texts:
+                by_prefix.setdefault(t[:-1], []).append(int(t, 2))
+            assert _successors(s) == {int(t, 2): tuple(by_prefix.get(t[1:], ()))
+                                      for t in texts}, s.to_hex()
 
 
 class TestRepresentability:
@@ -186,6 +193,25 @@ class TestRepresentability:
                 key = frozenset(str(w) for w in s)
                 assert is_representable(s) == (key in lin_sets), s.to_text()
                 assert is_circ_representable(s) == (key in circ_sets), s.to_text()
+
+    def test_answers_pinned(self):
+        # both deciders on every non-empty set of orders 1..4 and on 3000
+        # seeded order-5 sets: uniform subsets and the factor sets of random
+        # words, ordinary and circular, so that many answers are yes
+        rng = random.Random(5)
+        sets = [FactorSet(n, m) for n in (1, 2, 3, 4) for m in range(1, 1 << (1 << n))]
+        for i in range(3000):
+            if i % 3 == 0:
+                sets.append(FactorSet(5, rng.getrandbits(32) or 1))
+            else:
+                ell = rng.randint(5, 40)
+                extract = factors if i % 3 == 1 else circular_factors
+                sets.append(extract(Word(ell, rng.getrandbits(ell)), 5))
+        text = "".join(f"{is_representable(s):d}{is_circ_representable(s):d}" for s in sets)
+        assert text[-6000:][0::2].count("1") == 2004
+        assert text[-6000:][1::2].count("1") == 1400
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "009d879a649711d8f2ddbe5f4fa5e59a5176880c901967b2c8ec2d68305bc52d")
 
     def test_circular_implies_ordinary(self, enum_results):
         for n in (1, 2, 3, 4):
