@@ -63,13 +63,21 @@ class TestEnumerate:
 class TestDeciderAgreement:
     """The census search and the structural deciders check each other."""
 
+    @staticmethod
+    def _check_every_set(result, n):
+        rep, circ = set(result.rep_sets), set(result.circ_sets)
+        for members in range(1, 1 << (1 << n)):
+            s = FactorSet(n, members)
+            assert (members in rep) == is_representable(s)
+            assert (members in circ) == is_circ_representable(s)
+
     def test_every_set_small_orders(self, enum_results):
-        for n in (1, 2, 3, 4):
-            rep, circ = set(enum_results[n].rep_sets), set(enum_results[n].circ_sets)
-            for members in range(1, 1 << (1 << n)):
-                s = FactorSet(n, members)
-                assert (members in rep) == is_representable(s)
-                assert (members in circ) == is_circ_representable(s)
+        for n in (1, 2, 3):
+            self._check_every_set(enum_results[n], n)
+
+    def test_sampled_sets_order_four(self, enum_results):
+        # the deciders are fast enough that the sample is all 2^16 - 1 sets
+        self._check_every_set(enum_results[4], 4)
 
     def test_shards_report_their_least_member(self):
         for n in (1, 2, 3, 4):
