@@ -11,7 +11,11 @@ Three independent pieces:
   * an upper-bound audit: counting candidate sets net by net shows there
     are at most 10^(2^(n-1)) of them; the audit reproduces the full
     L[k][i] = C(m,i) C(m-i,k-2i) 2^(k-2i) table (m = 2^(n-1)) and checks
-    the telescoped identity sum_k sum_i L[k][i] 7^i = 10^m exactly;
+    the telescoped identity sum_k sum_i L[k][i] 7^i = 10^m exactly; a net
+    audit checks the argument itself on the enumerated sets of orders up
+    to 4, from four bit tables of each set: each circularly representable
+    set of order n+1 has equal prefix and suffix projections T, and at most
+    7^sigma(T) sets share a T;
 
   * covering closed walks in strongly connected digraphs: every such graph
     on n vertices has one of length at most floor((n+1)^2/4), a chain-fan
@@ -27,8 +31,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
+from .budget import Budget
+from .enumeration import enumerate_representable
 from .factorsets import _greedy_walk, _step_back, circular_factors, strong_components
 from .words import Word
 
@@ -170,6 +177,66 @@ def upper_bound_audit(n: int) -> UpperBoundAudit:
             for k in range(2 * i, kmax + 1) if k - 2 * i <= m - i) == 3 ** (m - i)
         for i in range(m + 1))
     return UpperBoundAudit(n, upper_bound(n), table, weighted, telescoped, identity_ok)
+
+
+def _sides(members: int, n: int) -> tuple[int, int, int, int]:
+    """Bit tables, over the words x of n-1 letters, of the words 0x, 1x, x0
+    and x1 of the order-n set ``members``.
+
+    0x and 1x are the low and high halves of the membership table; x0 and x1
+    its even and odd bits, read from its binary string with stride 2 (2^n is
+    even, so that string starts at an odd bit).
+    """
+    half = 1 << (n - 1)
+    bits = format(members, f"0{half << 1}b")
+    return members & ((1 << half) - 1), members >> half, int(bits[1::2], 2), int(bits[::2], 2)
+
+
+@dataclass(frozen=True)
+class NetAudit:
+    """Exact audit of the net argument on the enumerated sets of order n+1.
+
+    Every S in C_(n+1) has equal prefix and suffix projections T, a set of
+    C_n. For each x of n-1 letters S then meets the net {axb} in an edge
+    cover of {a : ax in T} x {b : xb in T}: one of 7 when x is a skeleton of
+    T (0x, 1x, x0 and x1 all in T), the one forced subset otherwise. So at
+    most 7^sigma(T) sets project to T, sigma(T) counting its skeletons.
+    """
+
+    n: int
+    circ_count: int                 # |C_(n+1)|
+    unbalanced: int                 # sets of C_(n+1) whose two projections differ
+    class_sizes: dict[int, int]     # projection T -> sets of C_(n+1) projecting to it
+    caps: dict[int, int]            # T in C_n -> 7^sigma(T)
+
+    @property
+    def data_bound(self) -> int:
+        return sum(self.caps.values())
+
+    @property
+    def consistent(self) -> bool:
+        return (self.unbalanced == 0
+                and all(size <= self.caps.get(t, 0) for t, size in self.class_sizes.items())
+                and self.circ_count <= self.data_bound <= upper_bound(self.n))
+
+
+def net_audit(n: int, budget: Budget | None = None) -> NetAudit:
+    """Check the net argument on C_n and C_(n+1) as enumerated, n = 1..3."""
+    if not 1 <= n <= 3:
+        raise ValueError("the net audit needs orders n and n+1 enumerated: n in 1..3")
+    down, up = (enumerate_representable(k, budget, collect_sets=True).circ_sets
+                for k in (n, n + 1))
+    caps = {}
+    for t in down:
+        lo, hi, even, odd = _sides(t, n)
+        caps[t] = 7 ** (lo & hi & even & odd).bit_count()
+    class_sizes = Counter()
+    unbalanced = 0
+    for s in up:
+        lo, hi, even, odd = _sides(s, n + 1)
+        unbalanced += lo | hi != even | odd
+        class_sizes[lo | hi | even | odd] += 1
+    return NetAudit(n, len(up), unbalanced, dict(class_sizes), caps)
 
 
 # -- covering walks -------------------------------------------------------------

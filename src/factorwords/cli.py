@@ -126,12 +126,10 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
                 budget_mb, max_seconds):
     """Shortest word whose factor set is exactly SET_SPEC."""
     budget = _budget(budget_mb, max_seconds)
-    if use_full:
-        fs = FactorSet.full(order)
-    elif set_spec is None:
-        _fail_usage("provide a set or --full")
-    else:
-        fs = FactorSet.parse(set_spec, order=order, hex_bitmap=as_hex)
+    if use_full == (set_spec is not None):
+        _fail_usage("provide exactly one of a set and --full")
+    fs = (FactorSet.full(order) if use_full
+          else FactorSet.parse(set_spec, order=order, hex_bitmap=as_hex))
     result = (shortest_circular_witness if circular else shortest_witness)(fs, budget)
     if output_format == "json":
         _emit_json("witness", {

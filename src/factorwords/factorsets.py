@@ -16,9 +16,7 @@ table (bit code(x) set iff x is a member). On top of it live:
     state reached ends the lexicographically least shortest walk; the
     circular search runs once, from the least member; it keeps only the
     states it reaches, as bit sets over every covered mask would not fit for
-    32 members,
-  * prefix/suffix projection of a set one order down, and the pair /
-    skeleton / net bookkeeping used by the counting bounds.
+    32 members.
 
 All values are immutable; the searches keep only private state.
 """
@@ -168,12 +166,7 @@ def circular_factors(w: Word, n: int) -> FactorSet:
     """
     if n < 1:
         raise ValueError("factor length must be positive")
-    ext = w.repeated_to(w.length + n - 1)
-    mask = (1 << n) - 1
-    members = 0
-    for i in range(w.length):
-        members |= 1 << ((ext.code >> (ext.length - n - i)) & mask)
-    return FactorSet(n, members)
+    return factors(w.repeated_to(w.length + n - 1), n)
 
 
 # -- overlap graph ---------------------------------------------------------
@@ -447,109 +440,3 @@ def shortest_circular_witness(fs: FactorSet,
         return WitnessResult(False)
     d = w.length - n
     return WitnessResult(True, d, w.segment(1, d))
-
-
-# -- one order down: prefixes and suffixes ---------------------------------
-
-def incident(fs: FactorSet) -> FactorSet:
-    """Project a set of order n+1 to order n via prefixes and suffixes.
-
-    Returns { t : t is the length-n prefix or suffix of some member }; any
-    circular word witnessing the input witnesses this projection.
-    """
-    if fs.order < 2:
-        raise ValueError("projection needs order >= 2")
-    n = fs.order - 1
-    mask = (1 << n) - 1
-    members = 0
-    for w in fs.codes():
-        members |= 1 << (w >> 1)
-        members |= 1 << (w & mask)
-    return FactorSet(n, members)
-
-
-# -- pairs, skeletons, nets ------------------------------------------------
-
-def count_pairs(fs: FactorSet) -> int:
-    """Number of x of length n-1 with both 0x and 1x in the set."""
-    n = fs.order
-    m = fs.members
-    hi = 1 << (n - 1)
-    return sum(1 for x in range(hi)
-               if (m >> x) & 1 and (m >> (x | hi)) & 1)
-
-
-def count_skeletons(fs: FactorSet) -> int:
-    """Number of x of length n-1 with 0x, 1x, x0 and x1 all in the set."""
-    n = fs.order
-    m = fs.members
-    hi = 1 << (n - 1)
-    count = 0
-    for x in range(hi):
-        if ((m >> x) & 1 and (m >> (x | hi)) & 1
-                and (m >> (x << 1)) & 1 and (m >> ((x << 1) | 1)) & 1):
-            count += 1
-    return count
-
-
-def feasible_net_subsets(x: Word, fs: FactorSet) -> list[FactorSet]:
-    """Candidate intersections, with the net of x, of circularly
-    representable sets of order n+1 incident on ``fs``.
-
-    The net of x is {0x0, 0x1, 1x0, 1x1} (order n+1). When the whole
-    skeleton {0x, 1x, x0, x1} lies in the set, the seven feasible subsets
-    are returned in a fixed order; otherwise membership of the skeleton
-    words forces at most one subset, and an empty list marks a
-    contradiction (some skeleton word demands an extension the others
-    forbid).
-    """
-    n = fs.order
-    if x.length != n - 1:
-        raise ValueError(f"x must have length {n - 1}, got {x.length}")
-    m = fs.members
-    xc = x.code
-    hi = 1 << (n - 1)
-    in_0x = bool((m >> xc) & 1)
-    in_1x = bool((m >> (xc | hi)) & 1)
-    in_x0 = bool((m >> (xc << 1)) & 1)
-    in_x1 = bool((m >> ((xc << 1) | 1)) & 1)
-
-    c0x0 = xc << 1
-    c0x1 = (xc << 1) | 1
-    c1x0 = (1 << n) | (xc << 1)
-    c1x1 = (1 << n) | (xc << 1) | 1
-
-    def fset(codes: tuple[int, ...]) -> FactorSet:
-        return FactorSet.from_codes(n + 1, codes)
-
-    if in_0x and in_1x and in_x0 and in_x1:
-        return [
-            fset((c0x0, c1x1)),
-            fset((c0x0, c0x1, c1x1)),
-            fset((c0x0, c1x0, c1x1)),
-            fset((c0x0, c0x1, c1x0, c1x1)),
-            fset((c0x0, c0x1, c1x0)),
-            fset((c0x1, c1x0)),
-            fset((c0x1, c1x0, c1x1)),
-        ]
-
-    # forced case: a net word axb can occur iff both ax and xb are present
-    forced = []
-    if in_0x and in_x0:
-        forced.append(c0x0)
-    if in_0x and in_x1:
-        forced.append(c0x1)
-    if in_1x and in_x0:
-        forced.append(c1x0)
-    if in_1x and in_x1:
-        forced.append(c1x1)
-    # every present skeleton word must be extendable within the net
-    if in_0x and not (in_x0 or in_x1):
-        return []
-    if in_1x and not (in_x0 or in_x1):
-        return []
-    if in_x0 and not (in_0x or in_1x):
-        return []
-    if in_x1 and not (in_0x or in_1x):
-        return []
-    return [fset(tuple(forced))]

@@ -11,10 +11,10 @@ from itertools import combinations
 
 from factorwords import (Budget, FactorSet, Word, chain_fan, check_theorem1,
                          circular_factors, construct_ts, construct_ty,
-                         count_T_bruteforce, count_T_closed, count_skeletons,
+                         count_T_bruteforce, count_T_closed,
                          counterexample_family, debruijn, enumerate_representable,
-                         factors, hamiltonian_walk, incident, is_circ_representable,
-                         lower_bound, random_strongly_connected,
+                         factors, hamiltonian_walk, is_circ_representable,
+                         lower_bound, net_audit, random_strongly_connected,
                          shortest_circular_witness, shortest_witness, t_table,
                          upper_bound, upper_bound_audit, witness_length_bound)
 
@@ -173,17 +173,14 @@ def test_criterion_07_bound_audit_and_sandwich(enum_results):
 
 def test_criterion_08_incidence_partition(enum_results):
     for n in (1, 2, 3):
-        circ_up = enum_results[n + 1].circ_sets
-        circ_down = set(enum_results[n].circ_sets)
-        classes = {}
-        for members in circ_up:
-            t = incident(FactorSet(n + 1, members))
-            assert t.members in circ_down, (n, members)
-            classes.setdefault(t.members, []).append(members)
-        assert sum(len(v) for v in classes.values()) == len(circ_up)
-        for t_members, cls in classes.items():
-            sigma = count_skeletons(FactorSet(n, t_members))
-            assert len(cls) <= 7 ** sigma, (n, t_members)
+        audit = net_audit(n)
+        assert audit.circ_count == enum_results[n + 1].circ_count
+        assert audit.unbalanced == 0, n
+        assert audit.class_sizes.keys() <= set(enum_results[n].circ_sets), n
+        assert sum(audit.class_sizes.values()) == audit.circ_count
+        for t_members, size in audit.class_sizes.items():
+            assert size <= audit.caps[t_members], (n, t_members)
+        assert audit.consistent
     report(8, "every circularly representable set projects to exactly one "
               "class and class sizes respect the 7^sigma cap (orders 2..4)")
 

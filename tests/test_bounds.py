@@ -4,15 +4,17 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
 
-from factorwords import (AlreadyPresent, Digraph, NotStronglyConnected, Word,
+from factorwords import (AlreadyPresent, Digraph, FactorSet, NotStronglyConnected, Word,
                          chain_fan, circular_factors, construct_ts, construct_ty,
-                         debruijn, growth_ratio, hamiltonian_walk, lower_bound,
+                         debruijn, growth_ratio, hamiltonian_walk, lower_bound, net_audit,
                          random_strongly_connected, upper_bound, upper_bound_audit,
                          witness_length_bound)
+from factorwords import bounds
 from factorwords.bounds import WALK_MAX_VERTICES, _longest_simple_path, _optimal_closed_cover
 
 
@@ -137,6 +139,33 @@ class TestBoundValues:
         assert doc["bound"] == "10000"
         assert doc["consistent"] is True
         assert all(isinstance(v, str) for row in doc["L"] for v in row)
+
+    def test_net_audit_figures(self):
+        for n, circ_count, data_bound in ((1, 6, 9), (2, 27, 66), (3, 973, 3363)):
+            audit = net_audit(n)
+            assert (audit.circ_count, audit.data_bound) == (circ_count, data_bound)
+            assert audit.consistent
+        for n in (0, 4):
+            with pytest.raises(ValueError):
+                net_audit(n)
+
+    def test_net_audit_flags_unequal_projections(self, monkeypatch):
+        # fed the representable sets of order 3 as if circular, the audit
+        # counts those whose prefixes and suffixes differ
+        real = bounds.enumerate_representable
+
+        def ordinary(k, budget=None, collect_sets=False):
+            r = real(k, budget, collect_sets)
+            return replace(r, circ_sets=r.rep_sets) if k == 3 else r
+
+        def unequal(members):
+            codes = list(FactorSet(3, members).codes())
+            return {w >> 1 for w in codes} != {w & 3 for w in codes}
+
+        monkeypatch.setattr(bounds, "enumerate_representable", ordinary)
+        audit = net_audit(2)
+        assert audit.unbalanced == sum(map(unequal, real(3, collect_sets=True).rep_sets)) > 0
+        assert not audit.consistent
 
     def test_sandwich_small_orders(self, enum_results):
         for n in (2, 3, 4):

@@ -83,6 +83,10 @@ class TestWitness:
     def test_missing_spec_exits_2(self, run):
         assert run("witness", "--n", "2").exit_code == 2
 
+    def test_spec_with_full_exits_2(self, run):
+        r = run("witness", "00", "--n", "2", "--full")
+        assert r.exit_code == 2 and "exactly one" in r.output
+
     def test_order_forty_singleton(self, run):
         zeros = "0" * 40
         r = run("witness", zeros, "--n", "40")

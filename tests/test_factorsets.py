@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, Word, circular_factors,
-                         count_pairs, count_skeletons, debruijn, factors,
-                         feasible_net_subsets, incident, is_circ_representable,
+                         debruijn, factors, is_circ_representable,
                          is_representable, shortest_circular_witness,
                          shortest_witness)
+from factorwords.bounds import _sides
 from factorwords.factorsets import _successors, strong_components
 
 
@@ -371,14 +371,60 @@ class TestWitnesses:
         assert "witness search start" in str(exc.value)
 
 
+def reference_projection(fs):
+    """{ t : t is the length-n prefix or suffix of some member }, by a loop
+    over the members."""
+    n = fs.order - 1
+    mask = (1 << n) - 1
+    members = 0
+    for w in fs.codes():
+        members |= 1 << (w >> 1)
+        members |= 1 << (w & mask)
+    return FactorSet(n, members)
+
+
+def reference_skeletons(fs):
+    """Number of x of length n-1 with 0x, 1x, x0 and x1 all in the set, by a
+    loop over the x."""
+    n = fs.order
+    m = fs.members
+    hi = 1 << (n - 1)
+    count = 0
+    for x in range(hi):
+        if ((m >> x) & 1 and (m >> (x | hi)) & 1
+                and (m >> (x << 1)) & 1 and (m >> ((x << 1) | 1)) & 1):
+            count += 1
+    return count
+
+
+def projection(fs):
+    lo, hi, even, odd = _sides(fs.members, fs.order)
+    return FactorSet(fs.order - 1, lo | hi | even | odd)
+
+
+def skeletons(fs):
+    lo, hi, even, odd = _sides(fs.members, fs.order)
+    return (lo & hi & even & odd).bit_count()
+
+
+def net_is_edge_cover(s, t, x, n):
+    """Whether S (order n+1) meets the net {axb} of x (n-1 letters) in an
+    edge cover of {a : ax in T} x {b : xb in T}, T of order n."""
+    edges = {(a, b) for a, b in product((0, 1), repeat=2) if s >> (a << n | x << 1 | b) & 1}
+    left = {a for a in (0, 1) if t >> (a << (n - 1) | x) & 1}
+    right = {b for b in (0, 1) if t >> (x << 1 | b) & 1}
+    return (edges <= set(product(left, right))
+            and {a for a, _ in edges} == left and {b for _, b in edges} == right)
+
+
 class TestIncidence:
     def test_examples(self):
-        assert incident(fs("0110,1100,1001,0011")).to_text() == "001,011,100,110"
+        assert projection(fs("0110,1100,1001,0011")).to_text() == "001,011,100,110"
         for n in (1, 2, 4):
-            assert incident(FactorSet.from_texts(["0" * (n + 1)])).to_text() == "0" * n
+            assert projection(FactorSet.from_texts(["0" * (n + 1)])).to_text() == "0" * n
         b = debruijn(3)
-        assert incident(circular_factors(b, 4)) == circular_factors(b, 3)
-        assert incident(circular_factors(b, 4)) == FactorSet.full(3)
+        assert projection(circular_factors(b, 4)) == circular_factors(b, 3)
+        assert projection(circular_factors(b, 4)) == FactorSet.full(3)
 
     def test_projection_commutes_with_circular_factors(self):
         for ell in range(2, 13):
@@ -386,66 +432,45 @@ class TestIncidence:
                 w = Word(ell, code)
                 for n in range(1, min(ell - 1, 5) + 1):
                     if ell >= n + 1:
-                        assert incident(circular_factors(w, n + 1)) \
+                        assert projection(circular_factors(w, n + 1)) \
                             == circular_factors(w, n)
+
+    def test_bit_forms_match_the_loops(self):
+        rng = random.Random(16)
+        for n in range(1, 13):
+            for _ in range(40):
+                s = FactorSet(n, rng.getrandbits(1 << n))
+                assert skeletons(s) == reference_skeletons(s), (n, s.to_hex())
+                if n >= 2:
+                    assert projection(s) == reference_projection(s), (n, s.to_hex())
 
 
 class TestPairsSkeletonsNets:
-    def test_pair_counts(self):
-        for n in (1, 2, 3, 5):
-            assert count_pairs(FactorSet.full(n)) == 1 << (n - 1)
-        assert count_pairs(FactorSet(3, 0)) == 0
-        assert count_pairs(fs("011,110,100,001")) == 0
-
     def test_skeleton_counts(self):
         for n in (1, 2, 3, 5):
-            assert count_skeletons(FactorSet.full(n)) == 1 << (n - 1)
-        assert count_skeletons(FactorSet(3, 0)) == 0
+            assert skeletons(FactorSet.full(n)) == 1 << (n - 1)
+        assert skeletons(FactorSet(3, 0)) == 0
 
-    def test_skeletons_never_exceed_pairs(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            s = FactorSet(5, rng.randrange(1 << 32))
-            assert count_skeletons(s) <= count_pairs(s)
-
-    def test_net_subsets_skeleton_case(self):
-        subs = feasible_net_subsets(Word.from_text("0"), FactorSet.full(2))
-        assert len(subs) == 7
-        x = "0"
-        for sub in subs:
-            names = {str(w) for w in sub}
-            # the four either/or constraints from the skeleton membership
-            assert ("0" + x + "0" in names) or ("0" + x + "1" in names)
-            assert ("1" + x + "0" in names) or ("1" + x + "1" in names)
-            assert ("0" + x + "0" in names) or ("1" + x + "0" in names)
-            assert ("0" + x + "1" in names) or ("1" + x + "1" in names)
-        assert len({s.members for s in subs}) == 7
-
-    def test_net_subsets_forced_cases(self):
-        # 0x absent, 1x present, x0 present, x1 absent -> exactly {1x0}
-        t = FactorSet.from_texts(["11", "10"])  # x = "1": 1x=11, x0=10
-        subs = feasible_net_subsets(Word.from_text("1"), t)
-        assert len(subs) == 1 and subs[0].to_text() == "110,111"
-        # membership demands an impossible extension -> contradiction
-        t = FactorSet.from_texts(["10"])        # x = "0": only 1x present
-        assert feasible_net_subsets(Word.from_text("0"), t) == []
-        # nothing present -> the empty subset is forced
-        t = FactorSet.from_texts(["11"])        # x = "0": nothing touches x
-        subs = feasible_net_subsets(Word.from_text("0"), t)
-        assert len(subs) == 1 and subs[0].is_empty()
+    def test_net_feasibility_is_projection_equality(self):
+        # the net of a skeleton x of T meets S in one of 7 edge covers
+        net = [a << 2 | b for a, b in product((0, 1), repeat=2)]   # x = 0
+        subsets = [sum(1 << c for i, c in enumerate(net) if bits >> i & 1) for bits in range(16)]
+        assert sum(net_is_edge_cover(s, FactorSet.full(2).members, 0, 2) for s in subsets) == 7
+        # S meets every net in an edge cover of its projection T exactly when
+        # its prefix and suffix projections are equal
+        for order in (2, 3, 4):
+            n = order - 1
+            for members in range(1, 1 << (1 << order)):
+                t = reference_projection(FactorSet(order, members)).members
+                covers = all(net_is_edge_cover(members, t, x, n) for x in range(1 << (n - 1)))
+                lo, hi, even, odd = _sides(members, order)
+                assert covers == (lo | hi == even | odd), (order, members)
 
     def test_net_subsets_against_enumeration(self, enum_results):
-        # every circularly representable set of order n+1 intersects each
-        # net in one of the announced feasible subsets of its projection
+        # every circularly representable set of order n+1 meets each net in
+        # an edge cover of its projection
         for n in (2, 3):
             for members in enum_results[n + 1].circ_sets:
-                s = FactorSet(n + 1, members)
-                t = incident(s)
-                for xc in range(1 << (n - 1)):
-                    x = Word(n - 1, xc)
-                    net = FactorSet.from_codes(n + 1, [
-                        xc << 1, (xc << 1) | 1,
-                        (1 << n) | (xc << 1), (1 << n) | (xc << 1) | 1])
-                    got = FactorSet(n + 1, s.members & net.members)
-                    allowed = {f.members for f in feasible_net_subsets(x, t)}
-                    assert got.members in allowed, (s.to_text(), str(x))
+                t = reference_projection(FactorSet(n + 1, members)).members
+                for x in range(1 << (n - 1)):
+                    assert net_is_edge_cover(members, t, x, n), (members, x)
