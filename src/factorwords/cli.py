@@ -128,6 +128,8 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
     budget = _budget(budget_mb, max_seconds)
     if use_full == (set_spec is not None):
         _fail_usage("provide exactly one of a set and --full")
+    if use_full and as_hex:
+        _fail_usage("--hex reads SET_SPEC, which --full does not take")
     fs = (FactorSet.full(order) if use_full
           else FactorSet.parse(set_spec, order=order, hex_bitmap=as_hex))
     result = (shortest_circular_witness if circular else shortest_witness)(fs, budget)

@@ -9,11 +9,12 @@ bit S for the state (S, v). S is representable iff the run from every
 holding it. S is circularly representable iff a closed walk of d >= 1 moves
 covers exactly S, and the least such d is its shortest circular witness
 length (a lone vertex needs a self-loop, a singleton rule). Such a walk
-visits only members of S, so the sets whose least member is u take it from
-one run from ({u}, u) over the vertices >= u. A layer takes 2^n bits per
-set, 16 GiB at order 5, so the census covers orders 1..4; order 5 is
-refused. The extremal witnesses are the least of the per-set searches'
-witnesses over the sets of extremal depth.
+visits only members of S, so all sets take it from one run from every
+({u}, u) in which a mask gains x only if it holds a member below x: no walk
+gets a new least member, and S closes at the first depth holding (S, min S).
+A layer takes 2^n bits per set, 16 GiB at order 5, so the census covers
+orders 1..4; order 5 is refused. The extremal witnesses are the least of
+the per-set searches' witnesses over the sets of extremal depth.
 
 The brute-force oracle shares no search with the census: it folds the
 batches of the package's one word scan, ``words.word_scan``, which lists
@@ -27,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .factorsets import FactorSet, _step_forward, shortest_circular_witness, shortest_witness
+from .factorsets import (FactorSet, _below, _step_forward, shortest_circular_witness,
+                         shortest_witness)
 from .words import Word, word_scan, word_scan_nbytes
 
 ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
@@ -79,18 +81,19 @@ class EnumerationResult:
 
 # -- walk layers --------------------------------------------------------------
 
-def _run(preds: list[list[int]], layer: list[int], meter: BudgetMeter,
-         name: str) -> Iterator[tuple[int, list[int]]]:
+def _run(preds: list[list[int]], layer: list[int], meter: BudgetMeter, name: str,
+         gain: tuple[int, ...] | None = None) -> Iterator[tuple[int, list[int]]]:
     """(d, the states first reached at depth d) for each d while there are
     any, from the start states ``layer`` on the graph with predecessor lists
-    ``preds``; the run and depth are noted and the time checked per layer."""
+    ``preds``, each step filtered by ``gain`` as ``_step_forward`` reads it;
+    the run and depth are noted and the time checked per layer."""
     full = (1 << (1 << len(layer))) - 1
     unseen = [full ^ states for states in layer]
     d = 0
     while any(layer):
         yield d, layer
         d += 1
-        layer = _step_forward(preds, layer, unseen)
+        layer = _step_forward(preds, layer, unseen, gain)
         unseen = [u ^ states for u, states in zip(unseen, layer)]
         meter.note(run=name, depth=d)
         meter.check_time(f"{name}, depth {d}")
@@ -115,18 +118,23 @@ def _depths(found: Iterable[tuple[int, int]], count: int) -> np.ndarray:
     return out
 
 
-def _closed_walks(preds: list[list[int]], u: int, out: np.ndarray, meter: BudgetMeter) -> None:
-    """Write into ``out`` the shortest closed covering walk length (0: none)
-    of each set whose least member is u, and nothing else: one run from
-    ({u}, u) over the vertices >= u, renumbered from 0, so that mask c stands
-    for the set c << u, reading vertex 0 of each layer."""
+def _closed_walks(preds: list[list[int]], meter: BudgetMeter) -> np.ndarray:
+    """Each set's shortest closed covering walk length (0: none), from one
+    run from every ({u}, u) in which a mask gains x only if it holds a
+    member below x. No walk gets a new least member, so the run is the
+    disjoint union of the runs from each ({u}, u) alone, and S closes at the
+    first depth d >= 1 holding (S, min S): per layer, the states at u whose
+    masks hold no member below u."""
     width = len(preds)
-    run = _run([[v - u for v in preds[x] if v >= u] for x in range(u, width)],
-               [2] + [0] * (width - u - 1), meter, f"closed walks from {u}")
-    depths = _depths(((d, layer[0]) for d, layer in run), 1 << (width - u))
-    out[1 << u::2 << u] = depths[1::2]
+    below = _below(width)
+    full = (1 << (1 << width)) - 1
+    least = [full ^ b for b in below]
+    run = _run(preds, [1 << (1 << u) for u in range(width)], meter, "closed walks", below)
+    out = _depths(((d, reduce(or_, map(and_, layer, least))) for d, layer in run if d),
+                  1 << width)
     # ({u}, u) closes only by a self-loop: the one-letter circular word 0 or 1
-    out[1 << u] = u in (0, width - 1)
+    out[[1, 1 << (width - 1)]] = 1
+    return out
 
 
 # -- full enumeration --------------------------------------------------------
@@ -162,11 +170,12 @@ def _result(n: int, first: np.ndarray, least_code,
 
 def census_nbytes(n: int) -> int:
     """The bytes ``enumerate_representable`` charges up front: per set, a bit
-    per vertex in each of four layers (the layer, the next, the unseen states
-    and ``_containing``'s masks) and 16 bytes of uint8 arrays; then 64 KiB
-    for the extremal sets' searches (53 KB at order 4) and the result."""
+    per vertex in each of six tables (the layer, the next, the unseen states,
+    ``_containing``'s and ``_below``'s cached masks and the closed-walk run's
+    least-member masks) and 16 bytes of uint8 arrays; then 64 KiB for the
+    extremal sets' searches (24 KB at order 4) and the result."""
     width = 1 << n
-    return ((width // 2 + 16) << width) + (64 << 10)
+    return ((3 * width // 4 + 16) << width) + (64 << 10)
 
 
 def enumerate_representable(n: int, budget: Budget | None = None,
@@ -187,8 +196,7 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     # a set first covered at depth d has shortest witness length n + d
     run = _run(preds, [1 << (1 << w) for w in range(width)], meter, "ordinary")
     first[0] = _depths(((n + d, reduce(or_, layer)) for d, layer in run), 1 << width)
-    for u in range(width):
-        _closed_walks(preds, u, first[1], meter)
+    first[1] = _closed_walks(preds, meter)
 
     # the least of the extremal sets' lex-least witnesses
     searches = (shortest_witness, shortest_circular_witness)

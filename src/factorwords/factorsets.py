@@ -10,13 +10,15 @@ table (bit code(x) set iff x is a member). On top of it live:
     factor set? (the overlap graph unilaterally connected, or strongly
     connected for circular words),
   * the walk-layer kernel over (covered-subset, current-vertex) states, a
-    bit set per vertex: a step forward (the census), a step back and a greedy
-    walk (bounds); and shortest (circular) witness search: one breadth-first
-    search over those states with a parent link per state, whose first goal
-    state reached ends the lexicographically least shortest walk; the
-    circular search runs once, from the least member; it keeps only the
-    states it reaches, as bit sets over every covered mask would not fit for
-    32 members.
+    bit set per vertex: a step forward, optionally letting a mask gain a
+    vertex only above its least member (the census), a step back and a
+    greedy walk (bounds); and shortest (circular) witness search: one
+    breadth-first search over those states with a parent link per state,
+    whose first goal state reached ends the lexicographically least shortest
+    walk, pruned by the strong components, which a covering walk crosses in
+    topological order, each covered before it is left; the circular search
+    runs once, from the least member; it keeps only the states it reaches,
+    as bit sets over every covered mask would not fit for 32 members.
 
 All values are immutable; the searches keep only private state.
 """
@@ -277,16 +279,27 @@ def _containing(nv: int) -> tuple[int, ...]:
                         ((1 << (1 << x)) - 1) << (1 << x)) for x in range(nv))
 
 
-def _step_forward(preds: list[list[int]], layer: list[int], unseen: list[int]) -> list[int]:
+@cache
+def _below(nv: int) -> tuple[int, ...]:
+    """Per vertex x, the bit set of the nv-vertex masks holding a member
+    below x: all but the first of 2^x masks, doubled."""
+    return tuple(reduce(lambda m, k: m | m << (1 << k), range(x, nv), (1 << (1 << x)) - 2)
+                 for x in range(nv))
+
+
+def _step_forward(preds: list[list[int]], layer: list[int], unseen: list[int],
+                  gain: tuple[int, ...] | None = None) -> list[int]:
     """The states one move after ``layer`` that ``unseen`` holds; preds[x]
-    lists the vertices with a move to x. A mask c lacking x becomes c + 2^x;
-    one holding x stays, and its c + 2^x, which lacks x, is dropped."""
+    lists the vertices with a move to x. A mask c lacking x becomes c + 2^x,
+    if ``gain`` (when given) holds c at x; one holding x stays, and its
+    c + 2^x, which lacks x, is dropped."""
     nxt = []
     for x, (vs, has_x) in enumerate(zip(preds, _containing(len(layer)))):
         p = 0
         for v in vs:
             p |= layer[v]
-        nxt.append((p | p << (1 << x)) & has_x & unseen[x])
+        q = p if gain is None else p & gain[x]
+        nxt.append((p | q << (1 << x)) & has_x & unseen[x])
     return nxt
 
 
@@ -325,21 +338,30 @@ def _greedy_walk(succs: list[list[int]], layers: list[list[int]], v: int,
 # is charged, plus a byte per 8 bits of the set's membership table, which a
 # state's covered mask grows with.
 _STATE_BYTES = 93
+# States' bytes charged per member for the component and move tables: their
+# tracemalloc peak was at most 3.4 states' bytes per member over full, random
+# and sparse sets of 8 or more members of orders 2..12.
+_TABLE_STATES = 4
 
 
 def _cover_word(fs: FactorSet, starts: int, end: int | None,
                 budget: Budget | None) -> Word | None:
     """The least word of a shortest walk over the overlap graph of fs that
-    starts at a vertex of the bit set ``starts``, covers every member and,
-    unless ``end`` is None, ends at ``end``; None when there is no such walk.
+    starts at a vertex of the bit set ``starts`` (members of fs), covers
+    every member and, unless ``end`` is None, ends at ``end``; None when
+    there is no such walk.
 
     One breadth-first search over states (covered << n) | v, where covered
-    has the bit 1 << x of every vertex x passed; v moves to (v << 1) & wmask
-    and that plus 1, when they are members. Each layer is expanded in the
+    has the bit 1 << x of every vertex x passed; v moves to its successors.
+    A walk crosses the strong components in topological order and never
+    returns to one it left, so the search starts only from members of the
+    source component, ends only in the sink component, and drops a move into
+    a later component unless every member of the earlier ones is covered: no
+    state it drops lies on a covering walk. Each layer is expanded in the
     order its states were first reached and each state's moves by ascending
     next vertex, so every state is first reached by its least shortest walk,
-    and the first goal state reached ends the least shortest walk. The word is
-    that walk's first vertex, then the last letter of each next one.
+    and the first goal state reached ends the least shortest walk. The word
+    is that walk's first vertex, then the last letter of each next one.
     """
     n = fs.order
     wmask = (1 << n) - 1
@@ -363,7 +385,27 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
         count = starts.bit_count()
         meter.note(depth=0, states=count, frontier=count)
         meter.charge_memory(count * size, "witness search start")
-    frontier = [1 << u << n | u for u in FactorSet(n, starts).codes()]
+        meter.charge_memory(len(fs) * _TABLE_STATES * size, "witness search tables")
+    adj = _successors(fs)
+    comps = strong_components(adj)
+    comp_of = {x: j for j, comp in enumerate(comps) for x in comp}
+    if end is not None and comp_of.get(end) != len(comps) - 1:
+        return None
+    # per component, the covered bits of every member of the earlier ones
+    earlier = [0]
+    for comp in comps[:-1]:
+        earlier.append(reduce(lambda m, x: m | 1 << (x + n), comp, earlier[-1]))
+    # per vertex, its moves: the bits a move adds to a state, and the covered
+    # bits it needs (0 for a move within the component)
+    moves = {}
+    for v, xs in adj.items():
+        moves[v] = out = []
+        for x in xs:
+            j = comp_of[x]
+            out.append((1 << (x + n) | x, earlier[j] if j != comp_of[v] else 0))
+    frontier = [1 << u << n | u for u in FactorSet(n, starts).codes() if comp_of[u] == 0]
+    if meter is not None:
+        meter.release_memory((count - len(frontier)) * size)
     parent: dict[int, int | None] = dict.fromkeys(frontier)
     for st in frontier:
         if lo <= st <= hi:
@@ -379,15 +421,16 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
         nxt = []
         for st in frontier:
             v = st & wmask
-            y = v << 1 & wmask
-            for x in (y, y + 1):
-                if members >> x & 1:
-                    nst = (st ^ v) | 1 << (x + n) | x
-                    if nst not in parent:
-                        parent[nst] = st
-                        if lo <= nst <= hi:
-                            return word(nst, d)
-                        nxt.append(nst)
+            base = st ^ v
+            for add, need in moves[v]:
+                if need and base & need != need:
+                    continue
+                nst = base | add
+                if nst not in parent:
+                    parent[nst] = st
+                    if lo <= nst <= hi:
+                        return word(nst, d)
+                    nxt.append(nst)
         frontier = nxt
         if meter is not None:
             meter.release_memory(worst - len(nxt) * size)
@@ -400,10 +443,11 @@ def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResu
     """Shortest ordinary witness, lexicographically least among minimal.
 
     One breadth-first search over (covered, current-vertex) states, started
-    from every single-member state in ascending order and stopped at the
-    first state covering the whole set; a walk of d edges corresponds to a
-    witness of length order + d. With a budget, the start layer and each
-    later one are charged against the memory limit at their largest possible
+    from every single-member state of the source strong component in
+    ascending order and stopped at the first state covering the whole set; a
+    walk of d edges corresponds to a witness of length order + d. With a
+    budget, the start layer, the component and move tables and each later
+    layer are charged against the memory limit at their largest possible
     size before they are built, so the charge never passes the limit, and
     the time limit is checked after each layer.
     """

@@ -87,6 +87,11 @@ class TestWitness:
         r = run("witness", "00", "--n", "2", "--full")
         assert r.exit_code == 2 and "exactly one" in r.output
 
+    def test_hex_with_full_exits_2(self, run):
+        # --hex describes SET_SPEC, so with --full it would be dropped unread
+        r = run("witness", "--full", "--n", "2", "--hex")
+        assert r.exit_code == 2 and "--hex" in r.output
+
     def test_order_forty_singleton(self, run):
         zeros = "0" * 40
         r = run("witness", zeros, "--n", "40")

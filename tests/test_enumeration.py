@@ -13,8 +13,9 @@ from factorwords import (Budget, BudgetExceededError, FactorSet, brute_force_enu
 from factorwords import enumeration
 from factorwords import budget as budget_mod
 from factorwords.budget import BudgetMeter
-from factorwords.enumeration import _closed_walks, _run, brute_force_nbytes, census_nbytes
-from factorwords.factorsets import _containing, _cover_word
+from factorwords.enumeration import (_closed_walks, _depths, _run, brute_force_nbytes,
+                                     census_nbytes)
+from factorwords.factorsets import _below, _containing, _cover_word
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -79,23 +80,17 @@ class TestDeciderAgreement:
         # the deciders are fast enough that the sample is all 2^16 - 1 sets
         self._check_every_set(enum_results[4], 4)
 
-    def test_shards_report_their_least_member(self):
+    def test_joint_closed_walks_match_the_runs_per_least_member(self):
         for n in (1, 2, 3, 4):
-            width = 1 << n
-            preds = debruijn_preds(n)
-
-            def run(least_members):
-                out = np.zeros(1 << width, np.uint8)
-                for u in least_members:
-                    _closed_walks(preds, u, out, BudgetMeter(Budget()))
-                return out
-
-            for u in range(width):
-                sets = np.flatnonzero(run([u]))
-                assert np.all(sets & -sets == 1 << u)
-            # the closed-walk runs write disjoint slices, so no merge is
-            # needed and their order does not matter
-            assert np.array_equal(run(range(width)), run(reversed(range(width))))
+            out = _closed_walks(debruijn_preds(n), BudgetMeter(Budget()))
+            assert np.array_equal(out, reference_closed_walks(n))
+            # each set it reports, but a lone vertex with a self-loop, has a
+            # closed covering walk of that many moves from its least member
+            for members in np.flatnonzero(out).tolist():
+                if members & members - 1:
+                    u = (members & -members).bit_length() - 1
+                    w = _cover_word(FactorSet(n, members), 1 << u, u, None)
+                    assert len(w) == n + out[members]
 
 
 class TestOracleAgreement:
@@ -123,6 +118,24 @@ def debruijn_preds(n):
     to x, as the census lists them."""
     width = 1 << n
     return [[x >> 1, x >> 1 | width >> 1] for x in range(width)]
+
+
+def reference_closed_walks(n):
+    """Each set's shortest closed covering walk length (0: none), by one
+    unfiltered run per least member u: from ({u}, u) over the vertices >= u,
+    renumbered from 0, so that mask c stands for the set c << u, reading
+    vertex 0 of each layer."""
+    preds = debruijn_preds(n)
+    width = len(preds)
+    out = np.zeros(1 << width, np.uint8)
+    for u in range(width):
+        run = _run([[v - u for v in preds[x] if v >= u] for x in range(u, width)],
+                   [2] + [0] * (width - u - 1), BudgetMeter(Budget()), f"closed walks from {u}")
+        depths = _depths(((d, layer[0]) for d, layer in run), 1 << (width - u))
+        out[1 << u::2 << u] = depths[1::2]
+        # ({u}, u) closes only by a self-loop: the one-letter circular word 0 or 1
+        out[1 << u] = u in (0, width - 1)
+    return out
 
 
 def reached_states(n):
@@ -319,7 +332,9 @@ class TestBudget:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_census_charge_bounds_its_peak(self, n):
-        _containing.cache_clear()  # its masks are part of the charge
+        # their masks are part of the charge
+        _containing.cache_clear()
+        _below.cache_clear()
         tracemalloc.start()
         try:
             enumerate_representable(n, collect_sets=True)

@@ -18,8 +18,10 @@ from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, Word,
                          debruijn, factors, is_circ_representable,
                          is_representable, shortest_circular_witness,
                          shortest_witness)
+from factorwords import factorsets
 from factorwords.bounds import _sides
-from factorwords.factorsets import _successors, strong_components
+from factorwords.budget import BudgetMeter
+from factorwords.factorsets import _cover_word, _successors, strong_components
 
 
 def fs(text):
@@ -49,6 +51,37 @@ def brute_witness_index(n, max_len, circular):
             if key not in index:
                 index[key] = (ell, s)
     return index
+
+
+def reference_cover_word(fs, starts, end):
+    """The search without the condensation prune: one breadth-first search
+    over states (covered << n) | v from every start, each layer in the order
+    its states were first reached and each state's moves by ascending next
+    vertex, read back through parent links from the first goal state."""
+    n = fs.order
+    wmask = (1 << n) - 1
+    frontier = [1 << u << n | u for u in fs.codes() if starts >> u & 1]
+    parent = dict.fromkeys(frontier)
+    d = 0
+    while frontier:
+        for st in frontier:
+            if st >> n == fs.members and end in (None, st & wmask):
+                code = 0
+                for k in range(d):
+                    code |= (st & 1) << k
+                    st = parent[st]
+                return Word(n + d, (st & wmask) << d | code)
+        nxt = []
+        for st in frontier:
+            v = st & wmask
+            for x in (v << 1 & wmask, (v << 1 | 1) & wmask):
+                nst = (st >> n | 1 << x) << n | x
+                if fs.members >> x & 1 and nst not in parent:
+                    parent[nst] = st
+                    nxt.append(nst)
+        frontier = nxt
+        d += 1
+    return None
 
 
 class TestFactorExtraction:
@@ -337,6 +370,65 @@ class TestWitnesses:
         assert len(sets) == 6421
         assert h.hexdigest() == (
             "9b765551a74d0c7eb240bfbe795151bb96beeea9d6d2b53e68dc58992ed6972a")
+
+    def test_prune_keeps_the_unpruned_words(self):
+        # every non-empty set of orders 1..4 and 600 seeded order-5 sets,
+        # from every member and, circularly, from and back to the least one
+        rng = random.Random(17)
+        sets = [FactorSet(n, m) for n in (1, 2, 3, 4) for m in range(1, 1 << (1 << n))]
+        for i in range(600):
+            if i % 3 == 0:
+                ell = rng.randint(5, 24)
+                sets.append(factors(Word(ell, rng.getrandbits(ell)), 5))
+            elif i % 3 == 1:
+                ell = rng.randint(1, 20)
+                sets.append(circular_factors(Word(ell, rng.getrandbits(ell)), 5))
+            else:
+                sets.append(FactorSet.from_codes(5, rng.sample(range(32), rng.randint(1, 10))))
+        for s in sets:
+            u = next(s.codes())
+            for starts, end in ((s.members, None), (1 << u, u)):
+                assert _cover_word(s, starts, end, None) == reference_cover_word(s, starts, end)
+
+    def test_prune_cuts_the_states_reached(self, monkeypatch):
+        # 0xbedf, one of the hardest order-4 sets (mu_4 = 24), has strong
+        # components of sizes 1, 1, 9, 1, 1; without the prune, the search
+        # noted 592 states on it
+        noted = []
+
+        class LoggingMeter(BudgetMeter):
+            def note(self, **kwargs):
+                noted.append(kwargs["states"])
+                super().note(**kwargs)
+
+        monkeypatch.setattr(factorsets, "BudgetMeter", LoggingMeter)
+        s = FactorSet(4, 0xbedf)
+        assert [len(comp) for comp in strong_components(_successors(s))] == [1, 1, 9, 1, 1]
+        assert shortest_witness(s, Budget()).length == 24
+        assert max(noted) <= 150
+
+    @pytest.mark.parametrize("n,members", [(3, 0xff), (4, 0xffff), (4, 0xbedf)])
+    def test_charge_bounds_the_peak(self, n, members, monkeypatch):
+        # the start layer, the component and move tables and each later
+        # layer's worst case, held at most at once, cover the search's peak
+        held = []
+
+        class PeakMeter(BudgetMeter):
+            def charge_memory(self, nbytes, what=""):
+                super().charge_memory(nbytes, what)
+                held.append(self.charged_bytes)
+
+        monkeypatch.setattr(factorsets, "BudgetMeter", PeakMeter)
+        s = FactorSet(n, members)
+        for search in (shortest_witness, shortest_circular_witness):
+            held.clear()
+            tracemalloc.start()
+            try:
+                search(s, Budget())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= max(held), (search.__name__, s.to_hex())
 
     def test_budget_stops_the_search(self):
         for search in (shortest_witness, shortest_circular_witness):
