@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .budget import Budget
 from .enumeration import enumerate_representable
-from .factorsets import _greedy_walk, _step_back, circular_factors, strong_components
+from .factorsets import _greedy_walk, _sides, _step_back, circular_factors, strong_components
 from .words import Word
 
 
@@ -177,19 +177,6 @@ def upper_bound_audit(n: int) -> UpperBoundAudit:
             for k in range(2 * i, kmax + 1) if k - 2 * i <= m - i) == 3 ** (m - i)
         for i in range(m + 1))
     return UpperBoundAudit(n, upper_bound(n), table, weighted, telescoped, identity_ok)
-
-
-def _sides(members: int, n: int) -> tuple[int, int, int, int]:
-    """Bit tables, over the words x of n-1 letters, of the words 0x, 1x, x0
-    and x1 of the order-n set ``members``.
-
-    0x and 1x are the low and high halves of the membership table; x0 and x1
-    its even and odd bits, read from its binary string with stride 2 (2^n is
-    even, so that string starts at an odd bit).
-    """
-    half = 1 << (n - 1)
-    bits = format(members, f"0{half << 1}b")
-    return members & ((1 << half) - 1), members >> half, int(bits[1::2], 2), int(bits[::2], 2)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ The brute-force oracle shares no search with the census: it folds the
 batches of the package's one word scan, ``words.word_scan``, which lists
 each factor set of the words and circular words up to a length once, at
 the first length reaching it, reading each long word as a prefix key ORed
-with a suffix key from a table built once per call. Both turn their per-set
-shortest witness lengths into a result through one builder, ``_result``.
+with a suffix key from a table built once per call. Both hand one builder,
+``_result``, per-length histograms, read from the bits each depth first
+holds or from the batches, so neither keeps an array with an entry per set.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .factorsets import (FactorSet, _below, _step_forward, shortest_circular_witness,
-                         shortest_witness)
+from .factorsets import (FactorSet, _below, _set_bits, _step_forward,
+                         shortest_circular_witness, shortest_witness)
 from .words import Word, word_scan, word_scan_nbytes
 
 ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
@@ -94,47 +95,41 @@ def _run(preds: list[list[int]], layer: list[int], meter: BudgetMeter, name: str
         yield d, layer
         d += 1
         layer = _step_forward(preds, layer, unseen, gain)
-        unseen = [u ^ states for u, states in zip(unseen, layer)]
+        for v, states in enumerate(layer):
+            unseen[v] ^= states
         meter.note(run=name, depth=d)
         meter.check_time(f"{name}, depth {d}")
 
 
-def _depths(found: Iterable[tuple[int, int]], count: int) -> np.ndarray:
-    """The uint8 array holding at each i < count the value of the first pair
-    in ``found`` whose bit set holds bit i (0: none), kept as bit planes (plane
-    k: the bits of the values with bit k set) so each is unpacked once."""
-    planes = [0] * 8
-    seen = 0
-    for value, bits in found:
+def _levels(found: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int, int]:
+    """From (length, bit set) pairs in ascending length, bit i standing for
+    the set with bitmap i at the first length holding it: the histogram
+    {length: sets}, the sets of the greatest length, and every set held."""
+    hist, top, seen = {}, 0, 0
+    for ell, bits in found:
         bits &= ~seen
-        seen |= bits
-        for k in range(value.bit_length()):
-            if value >> k & 1:
-                planes[k] |= bits
-    out = np.zeros(count, np.uint8)
-    for k, plane in enumerate(planes):
-        raw = np.frombuffer(plane.to_bytes(-(-count // 8), "little"), np.uint8)
-        out |= np.unpackbits(raw, count=count, bitorder="little") << k
-    return out
+        if bits:
+            seen |= bits
+            top = top | bits if ell in hist else bits
+            hist[ell] = hist.get(ell, 0) + bits.bit_count()
+    return hist, top, seen
 
 
-def _closed_walks(preds: list[list[int]], meter: BudgetMeter) -> np.ndarray:
-    """Each set's shortest closed covering walk length (0: none), from one
-    run from every ({u}, u) in which a mask gains x only if it holds a
-    member below x. No walk gets a new least member, so the run is the
-    disjoint union of the runs from each ({u}, u) alone, and S closes at the
-    first depth d >= 1 holding (S, min S): per layer, the states at u whose
-    masks hold no member below u."""
+def _closed_walks(preds: list[list[int]], meter: BudgetMeter) -> Iterator[tuple[int, int]]:
+    """(d, the sets whose shortest closed covering walk has d >= 1 moves), by
+    ascending d, from one run from every ({u}, u) in which a mask gains x
+    only if it holds a member below x. No walk gets a new least member, so S
+    closes at the first depth d >= 1 holding (S, min S): per layer, the
+    states at u whose masks hold no member below u."""
     width = len(preds)
-    below = _below(width)
     full = (1 << (1 << width)) - 1
-    least = [full ^ b for b in below]
-    run = _run(preds, [1 << (1 << u) for u in range(width)], meter, "closed walks", below)
-    out = _depths(((d, reduce(or_, map(and_, layer, least))) for d, layer in run if d),
-                  1 << width)
+    least = [full ^ b for b in _below(width)]
     # ({u}, u) closes only by a self-loop: the one-letter circular word 0 or 1
-    out[[1, 1 << (width - 1)]] = 1
-    return out
+    yield 1, 1 << 1 | 1 << (1 << (width - 1))
+    for d, layer in _run(preds, [1 << (1 << u) for u in range(width)], meter,
+                         "closed walks", _below(width)):
+        if d:
+            yield d, reduce(or_, map(and_, layer, least))
 
 
 # -- full enumeration --------------------------------------------------------
@@ -144,38 +139,25 @@ def check_order(n: int) -> None:
         raise ValueError(f"the census covers orders 1..{ARRAY_MAX_ORDER}, not {n}")
 
 
-def _result(n: int, first: np.ndarray, least_code,
-            collect_sets: bool) -> EnumerationResult:
-    """The per-order summary from each set's shortest witness lengths.
-
-    ``first[0]`` and ``first[1]`` map each set bitmap to its shortest
-    ordinary and circular witness lengths (0: none); ``least_code(circ,
-    sets)`` gives the least code among the shortest ordinary (circ = 0) or
-    circular (circ = 1) witnesses of ``sets``, which all have one length.
-    """
-    found = first != 0
-    mu, nu = (int(f.max()) for f in first)
-    hist = [{int(ell): int(c) for ell, c in zip(*np.unique(f[k], return_counts=True))}
-            for f, k in zip(first, found)]
-    sets = [tuple(np.flatnonzero(k).tolist()) if collect_sets else None for k in found]
+def _result(n: int, ordinary: tuple, circular: tuple) -> EnumerationResult:
+    """The per-order summary from, per flavour, the histogram {shortest
+    witness length: sets}, ascending, the least code among the shortest
+    witnesses of the sets of greatest length, and the sets listed or None."""
+    (sw, sw_code, rep), (scw, scw_code, circ) = ordinary, circular
     return EnumerationResult(
-        n=n, circ_count=int(found[1].sum()), rep_count=int(found[0].sum()),
-        nu=nu, mu=mu,
-        longest_circ_witness=Word(nu, least_code(1, np.flatnonzero(first[1] == nu))),
-        longest_witness=Word(mu, least_code(0, np.flatnonzero(first[0] == mu))),
-        sw_histogram=hist[0], scw_histogram=hist[1],
-        rep_sets=sets[0], circ_sets=sets[1],
-    )
+        n=n, circ_count=sum(scw.values()), rep_count=sum(sw.values()), nu=max(scw), mu=max(sw),
+        longest_circ_witness=Word(max(scw), scw_code), longest_witness=Word(max(sw), sw_code),
+        sw_histogram=sw, scw_histogram=scw, rep_sets=rep, circ_sets=circ)
 
 
 def census_nbytes(n: int) -> int:
     """The bytes ``enumerate_representable`` charges up front: per set, a bit
-    per vertex in each of six tables (the layer, the next, the unseen states,
-    ``_containing``'s and ``_below``'s cached masks and the closed-walk run's
-    least-member masks) and 16 bytes of uint8 arrays; then 64 KiB for the
-    extremal sets' searches (24 KB at order 4) and the result."""
+    per vertex in each of seven tables (the layer, the next, the unseen
+    states, the masks of ``_containing``, ``_below`` and least members, and
+    a step's temporaries and Python's 30-bit int digits); then 64 KiB for the
+    searches and the result (0.98 MB at order 4, tracemalloc's peak 0.93)."""
     width = 1 << n
-    return ((3 * width // 4 + 16) << width) + (64 << 10)
+    return ((7 * width // 8) << width) + (64 << 10)
 
 
 def enumerate_representable(n: int, budget: Budget | None = None,
@@ -192,25 +174,27 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     width = 1 << n
     meter.charge_memory(census_nbytes(n), "census layers")
     preds = [[x >> 1, x >> 1 | width >> 1] for x in range(width)]
-    first = np.zeros((2, 1 << width), np.uint8)
     # a set first covered at depth d has shortest witness length n + d
     run = _run(preds, [1 << (1 << w) for w in range(width)], meter, "ordinary")
-    first[0] = _depths(((n + d, reduce(or_, layer)) for d, layer in run), 1 << width)
-    first[1] = _closed_walks(preds, meter)
-
-    # the least of the extremal sets' lex-least witnesses
-    searches = (shortest_witness, shortest_circular_witness)
-    return _result(n, first, lambda circ, sets: min(
-        searches[circ](FactorSet(n, int(s))).witness.code for s in sets), collect_sets)
+    levels = [_levels((n + d, reduce(or_, layer)) for d, layer in run),
+              _levels(_closed_walks(preds, meter))]
+    # only now, with both runs' layers freed, are the sets searched and listed
+    flavours = []
+    for (hist, top, seen), search in zip(levels, (shortest_witness, shortest_circular_witness)):
+        # the least of the extremal sets' lex-least witnesses
+        code = min(search(FactorSet(n, s)).witness.code for s in _set_bits(top))
+        flavours.append((hist, code, tuple(_set_bits(seen)) if collect_sets else None))
+    return _result(n, *flavours)
 
 
 # -- brute-force oracle -------------------------------------------------------
 
 def brute_force_nbytes(n: int, max_len: int) -> int:
-    """The bytes ``brute_force_enumerate`` charges up front: its per-set
-    arrays and the larger of its two word scans' buffers. Each scan charges
-    its suffix table on top while it holds it."""
-    return (32 << (1 << n)) + max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
+    """The bytes ``brute_force_enumerate`` charges up front: the larger of its
+    two word scans' buffers, in which the set listings fit (at order 4 and
+    length 25, 2.2 MB; tracemalloc's peak was 0.98 MB with them). Each scan
+    charges its suffix table on top while it holds it."""
+    return max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
 
 
 def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
@@ -227,16 +211,18 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
         raise ValueError("max_len must be at least the order")
     meter = BudgetMeter(budget or Budget.default())
     meter.charge_memory(brute_force_nbytes(n, max_len), "scan buffers")
-
-    # per set, ordinary then circular: the shortest witness length (0: none)
-    # and the least code of that length giving the set
-    first = np.zeros((2, 1 << (1 << n)), np.int64)
-    least = np.zeros_like(first)
-    for circ in (0, 1):
-        for ell, sets, codes in word_scan(n, max_len, meter, bool(circ)):
-            first[circ, sets] = ell
-            least[circ, sets] = codes
+    flavours = []
+    for circ in (False, True):
+        hist, code, listed = {}, 0, []
+        for ell, sets, codes in word_scan(n, max_len, meter, circ):
+            if sets.size:
+                # a length's batches run in code order: its first holds its least code
+                code = code if ell in hist else int(codes.min())
+                hist[ell] = hist.get(ell, 0) + sets.size
+                if collect_sets:
+                    listed.append(sets)
             meter.note(scanned=f"length {ell}")
             meter.check_time(f"length {ell}")
-    return _result(n, first, lambda circ, sets: int(least[circ, sets].min()),
-                   collect_sets)
+        flavours.append((hist, code, tuple(np.sort(np.concatenate(listed)).tolist())
+                         if collect_sets else None))
+    return _result(n, *flavours)

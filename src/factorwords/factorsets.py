@@ -8,7 +8,8 @@ table (bit code(x) set iff x is a member). On top of it live:
     its strong components,
   * structural representability tests: does some word have exactly this
     factor set? (the overlap graph unilaterally connected, or strongly
-    connected for circular words),
+    connected for circular words, which needs equal prefix and suffix
+    projections, checked first on the table's bits),
   * the walk-layer kernel over (covered-subset, current-vertex) states, a
     bit set per vertex: a step forward, optionally letting a mask gain a
     vertex only above its least member (the census), a step back and a
@@ -35,6 +36,14 @@ from .words import InvalidLength, Word
 
 class EmptySet(ValueError):
     """Representability questions are asked of non-empty sets only."""
+
+
+def _set_bits(bits: int) -> Iterator[int]:
+    """The positions of the set bits of ``bits``, ascending (by str.find: fast on 2^16 bits)."""
+    text = format(bits, "b")[::-1]
+    i = -1
+    while (i := text.find("1", i + 1)) >= 0:
+        yield i
 
 
 @dataclass(frozen=True)
@@ -105,11 +114,7 @@ class FactorSet:
 
     def codes(self) -> Iterator[int]:
         """Member codes in ascending (= lexicographic) order."""
-        bits = format(self.members, "b")[::-1]
-        c = bits.find("1")
-        while c >= 0:
-            yield c
-            c = bits.find("1", c + 1)
+        return _set_bits(self.members)
 
     def __iter__(self) -> Iterator[Word]:
         for c in self.codes():
@@ -169,6 +174,25 @@ def circular_factors(w: Word, n: int) -> FactorSet:
     if n < 1:
         raise ValueError("factor length must be positive")
     return factors(w.repeated_to(w.length + n - 1), n)
+
+
+def _sides(members: int, n: int) -> tuple[int, int, int, int]:
+    """Bit tables, over the words x of n-1 letters, of the words 0x, 1x, x0
+    and x1 of the order-n set ``members``: the table's low and high halves,
+    and its even and odd bits, read with stride 2 from its binary string
+    padded to even length (no longer than the table up to its top member)."""
+    half = 1 << (n - 1)
+    hi = members >> half
+    bits = format(members, f"0{(members.bit_length() + 2) & ~1}b")
+    return members ^ hi << half, hi, int(bits[1::2], 2), int(bits[::2], 2)
+
+
+def _balanced(fs: FactorSet) -> bool:
+    """Whether the members' last and first n-1 letters form one set, as on a
+    closed covering walk, where each member's successor begins with its last
+    n-1 letters and its predecessor ends with its first."""
+    lo, hi, even, odd = _sides(fs.members, fs.order)
+    return lo | hi == even | odd
 
 
 # -- overlap graph ---------------------------------------------------------
@@ -240,14 +264,14 @@ def strong_components(adjacency: Mapping[int, Iterable[int]]) -> list[list[int]]
 def is_circ_representable(fs: FactorSet) -> bool:
     """Whether some circular word has exactly this cyclic factor set.
 
-    Decided structurally: the overlap graph induced on the set must be
-    strongly connected and contain at least one edge (a lone vertex needs a
-    self-loop). A circular witness is exactly a closed covering walk.
+    Decided structurally: a circular witness is a closed covering walk, so
+    the set needs equal prefix and suffix projections, checked first, and a
+    strongly connected overlap graph (a lone vertex with equal projections is
+    a constant word, which has its self-loop).
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
-    adj = _successors(fs)
-    return len(strong_components(adj)) == 1 and any(adj.values())
+    return _balanced(fs) and len(strong_components(_successors(fs))) == 1
 
 
 def is_representable(fs: FactorSet) -> bool:
@@ -334,10 +358,11 @@ def _greedy_walk(succs: list[list[int]], layers: list[list[int]], v: int,
 
 # Bytes per state reached by the witness search (its parent dict and
 # frontier): tracemalloc's peak over the states reached on FactorSet.full(4)
-# was 71 for shortest_witness and 93 for shortest_circular_witness; the larger
-# is charged, plus a byte per 8 bits of the set's membership table, which a
-# state's covered mask grows with.
-_STATE_BYTES = 93
+# was 71.5 for shortest_witness and 104.6 to 105.2 for
+# shortest_circular_witness, varying with what the process held before; the
+# larger, rounded up, is charged, plus a byte per 8 bits of the set's
+# membership table, which a state's covered mask grows with.
+_STATE_BYTES = 106
 # States' bytes charged per member for the component and move tables: their
 # tracemalloc peak was at most 3.4 states' bytes per member over full, random
 # and sparse sets of 8 or more members of orders 2..12.
@@ -469,16 +494,17 @@ def shortest_circular_witness(fs: FactorSet,
     its start vertex begins with that vertex, starting from the least member
     gives the lex-least one.
     Reported length is that of the circular word itself. ``budget`` is used
-    as in shortest_witness.
+    as in shortest_witness. A set whose prefix and suffix projections differ
+    has none, and no search is made.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
+    if not _balanced(fs):
+        return WitnessResult(False)
     n = fs.order
     u0 = next(fs.codes())
-    if len(fs) == 1:
-        if u0 == 0 or u0 == (1 << n) - 1:
-            return WitnessResult(True, 1, Word(1, u0 & 1))
-        return WitnessResult(False)
+    if len(fs) == 1:  # with equal projections, a constant word: 0 or 1 circularly
+        return WitnessResult(True, 1, Word(1, u0 & 1))
     w = _cover_word(fs, 1 << u0, u0, budget)
     if w is None:
         return WitnessResult(False)

@@ -1,8 +1,11 @@
 """The census's walk-layer runs, its brute-force oracle, and their bookkeeping."""
 
+import hashlib
 import json
 import re
 import tracemalloc
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from factorwords import (Budget, BudgetExceededError, FactorSet, brute_force_enu
 from factorwords import enumeration
 from factorwords import budget as budget_mod
 from factorwords.budget import BudgetMeter
-from factorwords.enumeration import (_closed_walks, _depths, _run, brute_force_nbytes,
+from factorwords.enumeration import (_closed_walks, _levels, _run, brute_force_nbytes,
                                      census_nbytes)
 from factorwords.factorsets import _below, _containing, _cover_word
 
@@ -82,15 +85,30 @@ class TestDeciderAgreement:
 
     def test_joint_closed_walks_match_the_runs_per_least_member(self):
         for n in (1, 2, 3, 4):
-            out = _closed_walks(debruijn_preds(n), BudgetMeter(Budget()))
-            assert np.array_equal(out, reference_closed_walks(n))
+            levels = {}
+            for d, bits in _closed_walks(debruijn_preds(n), BudgetMeter(Budget())):
+                assert not bits & reduce(or_, levels.values(), 0)  # each set closes once
+                levels[d] = levels.get(d, 0) | bits
+            ref = reference_closed_walks(n)
+            assert {d: bits for d, bits in levels.items() if bits} == {
+                d: sum(1 << s for s in np.flatnonzero(ref == d).tolist())
+                for d in np.unique(ref[ref != 0]).tolist()}
             # each set it reports, but a lone vertex with a self-loop, has a
             # closed covering walk of that many moves from its least member
-            for members in np.flatnonzero(out).tolist():
-                if members & members - 1:
-                    u = (members & -members).bit_length() - 1
-                    w = _cover_word(FactorSet(n, members), 1 << u, u, None)
-                    assert len(w) == n + out[members]
+            for d, bits in levels.items():
+                for members in FactorSet(1 << n, bits).codes():
+                    if members & members - 1:
+                        u = (members & -members).bit_length() - 1
+                        w = _cover_word(FactorSet(n, members), 1 << u, u, None)
+                        assert len(w) == n + d
+
+    def test_levels_take_each_set_at_its_first_length(self):
+        # lengths may repeat; a set held again later is not counted again
+        hist, top, seen = _levels([(2, 0b0110), (2, 0b1000), (3, 0b1010), (5, 0b10001)])
+        assert list(hist.items()) == [(2, 3), (5, 2)]
+        assert (top, seen) == (0b10001, 0b11111)
+        hist, top, seen = _levels([(1, 0b01), (1, 0b10)])
+        assert (hist, top, seen) == ({1: 2}, 0b11, 0b11)
 
 
 class TestOracleAgreement:
@@ -106,6 +124,20 @@ class TestOracleAgreement:
         assert r.to_json_dict() == b.to_json_dict()
         assert r.rep_sets == b.rep_sets and r.circ_sets == b.circ_sets
 
+    def test_results_pinned(self, enum_results, brute_small, brute4):
+        # both routes' results for orders 1..4: the JSON, the histograms'
+        # order and the set listings; the digest was recorded when both
+        # routes built their results from per-set depth arrays
+        oracle = {**brute_small, 4: brute4}
+        h = hashlib.sha256()
+        for n in (1, 2, 3, 4):
+            for r in (enum_results[n], oracle[n]):
+                doc = [r.to_json_dict(), list(r.sw_histogram.items()),
+                       list(r.scw_histogram.items()), list(r.rep_sets), list(r.circ_sets)]
+                h.update(json.dumps(doc).encode())
+        assert h.hexdigest() == (
+            "b69416def6b3c049f289702ab274f3a735e19fa9893b7651d1110481aa760f89")
+
     def test_brute_validation(self):
         with pytest.raises(ValueError):
             brute_force_enumerate(5, 30)
@@ -120,6 +152,19 @@ def debruijn_preds(n):
     return [[x >> 1, x >> 1 | width >> 1] for x in range(width)]
 
 
+def depth_array(found, count):
+    """The uint8 array holding at each i < count the value of the first pair
+    in ``found`` whose bit set holds bit i (0: none)."""
+    out = np.zeros(count, np.uint8)
+    seen = 0
+    for value, bits in found:
+        bits &= ~seen
+        seen |= bits
+        raw = np.frombuffer(bits.to_bytes(-(-count // 8), "little"), np.uint8)
+        out[np.unpackbits(raw, count=count, bitorder="little").astype(bool)] = value
+    return out
+
+
 def reference_closed_walks(n):
     """Each set's shortest closed covering walk length (0: none), by one
     unfiltered run per least member u: from ({u}, u) over the vertices >= u,
@@ -131,7 +176,7 @@ def reference_closed_walks(n):
     for u in range(width):
         run = _run([[v - u for v in preds[x] if v >= u] for x in range(u, width)],
                    [2] + [0] * (width - u - 1), BudgetMeter(Budget()), f"closed walks from {u}")
-        depths = _depths(((d, layer[0]) for d, layer in run), 1 << (width - u))
+        depths = depth_array(((d, layer[0]) for d, layer in run), 1 << (width - u))
         out[1 << u::2 << u] = depths[1::2]
         # ({u}, u) closes only by a self-loop: the one-letter circular word 0 or 1
         out[1 << u] = u in (0, width - 1)

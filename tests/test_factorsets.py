@@ -19,9 +19,9 @@ from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, Word,
                          is_representable, shortest_circular_witness,
                          shortest_witness)
 from factorwords import factorsets
-from factorwords.bounds import _sides
 from factorwords.budget import BudgetMeter
-from factorwords.factorsets import _cover_word, _successors, strong_components
+from factorwords.factorsets import (WitnessResult, _cover_word, _sides, _successors,
+                                    strong_components)
 
 
 def fs(text):
@@ -246,6 +246,21 @@ class TestRepresentability:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "009d879a649711d8f2ddbe5f4fa5e59a5176880c901967b2c8ec2d68305bc52d")
 
+    def test_unbalanced_sets_skip_the_overlap_graph(self, enum_results, monkeypatch):
+        # every circularly representable set of orders 1..4 has equal prefix
+        # and suffix projections; a set without them is refused before its
+        # overlap graph is built
+        for n in (1, 2, 3, 4):
+            for members in enum_results[n].circ_sets:
+                assert factorsets._balanced(FactorSet(n, members))
+        unbalanced = [s for s in map(fs, ("01", "00,01", "000,001,011", "0110,1100,1001"))
+                      if not factorsets._balanced(s)]
+        assert len(unbalanced) == 4
+        monkeypatch.setattr(factorsets, "_successors", None)
+        for s in unbalanced:
+            assert not is_circ_representable(s)
+            assert shortest_circular_witness(s) == WitnessResult(False)
+
     def test_circular_implies_ordinary(self, enum_results):
         for n in (1, 2, 3, 4):
             for members in enum_results[n].circ_sets:
@@ -429,6 +444,27 @@ class TestWitnesses:
             finally:
                 tracemalloc.stop()
             assert peak <= max(held), (search.__name__, s.to_hex())
+
+    def test_state_bytes_cover_the_peak_per_state(self, monkeypatch):
+        # _STATE_BYTES is the most tracemalloc measured per state the search
+        # notes on full(4), in either flavour
+        noted = []
+
+        class LoggingMeter(BudgetMeter):
+            def note(self, **kwargs):
+                noted.append(kwargs["states"])
+                super().note(**kwargs)
+
+        monkeypatch.setattr(factorsets, "BudgetMeter", LoggingMeter)
+        for search in (shortest_witness, shortest_circular_witness):
+            noted.clear()
+            tracemalloc.start()
+            try:
+                search(FactorSet.full(4), Budget())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / max(noted) <= factorsets._STATE_BYTES, search.__name__
 
     def test_budget_stops_the_search(self):
         for search in (shortest_witness, shortest_circular_witness):
