@@ -22,7 +22,7 @@ Three independent pieces:
     family attains the bound, and 2^(2n-2) + 2^(n-1) therefore caps the
     extremal witness lengths. The longest simple path behind the walk built
     and the exact optimum step factorsets' walk layers of (covered mask,
-    vertex) states backwards as bit sets, then walk greedily forwards.
+    vertex) states forward on the reversed graph, then walk greedily.
 
 All arithmetic in this module is exact integer arithmetic.
 """
@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 from .budget import Budget
 from .enumeration import enumerate_representable
-from .factorsets import _greedy_walk, _sides, _step_back, circular_factors, strong_components
+from .factorsets import (_greedy_walk, _sides, _sized, _step_forward, circular_factors,
+                         strong_components)
 from .words import Word
 
 
@@ -317,32 +318,35 @@ def _shortest_path(g: Digraph, s: int, t: int) -> list[int]:
 def _longest_simple_path(g: Digraph) -> list[int]:
     """The least longest simple path, compared by start vertex, then by each
     step's position in ``g.edges`` iteration order. Layer j holds the states
-    with j more simple moves; the last with some ({v}, v) gives the length."""
+    (c, v) of the simple paths of j moves from v, masks of j + 1 members."""
     nv = g.vertex_count
     succs = [list(e) for e in g.edges]
-    layers = [[(1 << (1 << nv)) - 1] * nv]
-    while any(states >> (1 << v) & 1 for v, states in enumerate(layers[-1])):
-        layers.append(_step_back(succs, layers[-1], simple=True))
-    start = next(v for v, states in enumerate(layers[-2]) if states >> (1 << v) & 1)
-    return _greedy_walk(succs, layers[:-1], start, simple=True)
+    layers = [[1 << (1 << v) for v in range(nv)]]
+    for size in _sized(nv)[2:]:  # a move to a vertex passed keeps the size: dropped
+        if not any(nxt := _step_forward(succs, layers[-1], [size] * nv)):
+            break
+        layers.append(nxt)
+    start, states = next((v, states) for v, states in enumerate(layers[-1]) if states)
+    return _greedy_walk(succs, layers[-2::-1], start, states)
 
 
 def _optimal_closed_cover(g: Digraph) -> list[int]:
     """Exact shortest closed covering walk, the least vertex sequence among
-    them. It can be rotated to start at 0: layer j holds the states j moves
-    before (all, 0), and the first holding ({0}, 0) gives the length. Going
-    round 0, 1, ..., nv-1 by shortest paths takes at most nv (nv - 1) moves,
-    so a graph needing more layers is not strongly connected."""
+    them. It can be rotated to start at 0: layer j holds the states (c, v)
+    of the walks of j moves from v to 0 covering c; the first holding (all,
+    0) gives the length. Going round 0, 1, ..., nv-1 by shortest paths takes
+    at most nv (nv - 1) moves: a graph needing more is not strongly connected."""
     nv = g.vertex_count
     if nv == 1:
         return [0, 0] if 0 in g.edges[0] else [0]
     succs = [sorted(e) for e in g.edges]
-    layers = [[1 << ((1 << nv) - 1)] + [0] * (nv - 1)]  # (all, 0)
-    while not layers[-1][0] & 2:  # ({0}, 0): mask 1, bit 1 << 1
+    full = (1 << nv) - 1
+    layers = [[2] + [0] * (nv - 1)]  # ({0}, 0): mask 1, bit 1 << 1
+    while not layers[-1][0] >> full & 1:  # (all, 0)
         if len(layers) > nv * (nv - 1):
             raise NotStronglyConnected("no closed covering walk exists")
-        layers.append(_step_back(succs, layers[-1], simple=False))
-    return _greedy_walk(succs, layers, 0, simple=False)
+        layers.append(_step_forward(succs, layers[-1], [(2 << full) - 1] * nv))
+    return _greedy_walk(succs, layers[-2::-1], 0, 1 << full)
 
 
 def hamiltonian_walk(g: Digraph) -> WalkReport:

@@ -130,6 +130,8 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
         _fail_usage("provide exactly one of a set and --full")
     if use_full and as_hex:
         _fail_usage("--hex reads SET_SPEC, which --full does not take")
+    if use_full:  # its table of 2^n bits is charged before it is built
+        BudgetMeter(budget).charge_memory((1 << order) // 8, f"the full set of order {order}")
     fs = (FactorSet.full(order) if use_full
           else FactorSet.parse(set_spec, order=order, hex_bitmap=as_hex))
     result = (shortest_circular_witness if circular else shortest_witness)(fs, budget)

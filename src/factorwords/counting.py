@@ -30,12 +30,13 @@ classes' members.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
 
-from .budget import Budget, BudgetExceededError, BudgetMeter
+from .budget import Budget, BudgetMeter
 from .words import (SCAN_CHUNK_BITS, Word, class_scan_nbytes, factor_classes, factor_keys,
                     lyndon_count, lyndon_words, period_classes, scan_nbytes, sorted_runs)
 
@@ -73,8 +74,8 @@ class EqualFactorPair:
 
 def _scan_meter(t: int, n: int, budget: Budget | None, words: int,
                 nbytes=scan_nbytes) -> BudgetMeter:
-    """Validate a scan of length-t words; charge the buffers for ``words``
-    (``nbytes(n, t, words)``) at once."""
+    """Validate a scan of length-t words, noting (t, n) in its progress;
+    charge the buffers for ``words`` (``nbytes(n, t, words)``) at once."""
     if n < 1:
         raise ValueError("factor length must be positive")
     if t < n:
@@ -82,6 +83,7 @@ def _scan_meter(t: int, n: int, budget: Budget | None, words: int,
     if t > BRUTE_MAX_T:
         raise ValueError(f"t beyond {BRUTE_MAX_T} is out of budget")
     meter = BudgetMeter(budget or Budget.default())
+    meter.note(t=t, n=n)
     meter.charge_memory(nbytes(n, t, words), f"scan of length {t}")
     return meter
 
@@ -97,10 +99,16 @@ def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[in
     return [list(islice(members, len(cls))) for cls in classes]
 
 
-def count_T_bruteforce(t: int, n: int, budget: Budget | None = None) -> TCell:
-    """T(t, n) by scanning all 2^t words in chunks, in-process."""
+def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
+                       started: float | None = None) -> TCell:
+    """T(t, n) by scanning all 2^t words in chunks, in-process. The budget's
+    seconds run from ``started`` (a ``time.monotonic()`` reading), when
+    given, so a scan that is part of a longer run gets what that run has
+    left; from the call otherwise."""
     chunk = 1 << min(t, SCAN_CHUNK_BITS)
     meter = _scan_meter(t, n, budget, chunk)
+    if started is not None:
+        meter.started = started
     parts: list[np.ndarray] = []
     for start in range(0, 1 << t, chunk):
         keys = factor_keys(n, t, range(start, start + chunk))
@@ -411,23 +419,20 @@ class TTable:
 
 
 def t_table(t_max: int, n_max: int, budget: Budget | None = None) -> TTable:
-    """Fill the table: brute force wherever budget allows, the closed form
+    """Fill the table: brute force for t up to BRUTE_MAX_T, the closed form
     on its region; overlapping cells must agree exactly and are marked
-    "both". A cell whose brute-force scan exceeds the budget stays absent
-    or keeps the closed value, never a wrong value."""
+    "both". The budget's seconds cover the whole table, and its memory each
+    brute-force scan: a scan over either raises BudgetExceededError, whose
+    progress names the cell's t and n."""
     if t_max < 1 or n_max < 1:
         raise ValueError("table extents must be positive")
     budget = budget or Budget.default()
+    started = time.monotonic()
     table = TTable(t_max, n_max)
     for n in range(1, n_max + 1):
         for t in range(n, t_max + 1):
             closed = count_T_closed(t, n) if n <= t < 2 * n else None
-            brute = None
-            if t <= BRUTE_MAX_T:
-                try:
-                    brute = count_T_bruteforce(t, n, budget)
-                except BudgetExceededError:
-                    brute = None
+            brute = count_T_bruteforce(t, n, budget, started) if t <= BRUTE_MAX_T else None
             if brute and closed:
                 if brute.value != closed.value:
                     raise AssertionError(

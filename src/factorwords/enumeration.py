@@ -40,6 +40,10 @@ from .factorsets import (FactorSet, _below, _set_bits, _step_forward,
 from .words import Word, word_scan, word_scan_nbytes
 
 ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
+# bytes charged per set listed on request (collect_sets): tracemalloc's peak
+# while listing the order-4 sets was 47.6 per set for the census and 47.9 for
+# the oracle, which held 36 and 40 per set once built
+_LISTED_BYTES = 48
 # per order, the least scan limit at which the oracle gives the whole row:
 # one past the longer of its extremal witness lengths mu and nu
 SAFE_SCAN_LEN = {1: 3, 2: 6, 3: 11, 4: 25}
@@ -155,7 +159,8 @@ def census_nbytes(n: int) -> int:
     per vertex in each of seven tables (the layer, the next, the unseen
     states, the masks of ``_containing``, ``_below`` and least members, and
     a step's temporaries and Python's 30-bit int digits); then 64 KiB for the
-    searches and the result (0.98 MB at order 4, tracemalloc's peak 0.93)."""
+    searches and the result (0.98 MB at order 4, tracemalloc's peak 0.93).
+    Set listings (collect_sets) are charged on top, before each is built."""
     width = 1 << n
     return ((7 * width // 8) << width) + (64 << 10)
 
@@ -183,6 +188,8 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     for (hist, top, seen), search in zip(levels, (shortest_witness, shortest_circular_witness)):
         # the least of the extremal sets' lex-least witnesses
         code = min(search(FactorSet(n, s)).witness.code for s in _set_bits(top))
+        if collect_sets:
+            meter.charge_memory(seen.bit_count() * _LISTED_BYTES, "set listing")
         flavours.append((hist, code, tuple(_set_bits(seen)) if collect_sets else None))
     return _result(n, *flavours)
 
@@ -191,9 +198,10 @@ def enumerate_representable(n: int, budget: Budget | None = None,
 
 def brute_force_nbytes(n: int, max_len: int) -> int:
     """The bytes ``brute_force_enumerate`` charges up front: the larger of its
-    two word scans' buffers, in which the set listings fit (at order 4 and
-    length 25, 2.2 MB; tracemalloc's peak was 0.98 MB with them). Each scan
-    charges its suffix table on top while it holds it."""
+    two word scans' buffers (at order 4 and length 25, 2.2 MB; tracemalloc's
+    peak was 0.74 MB). Each scan charges its suffix table on top while it
+    holds it; set listings (collect_sets) are charged on top, each batch as
+    it is kept and each sorted listing before it is built."""
     return max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
 
 
@@ -220,9 +228,12 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
                 code = code if ell in hist else int(codes.min())
                 hist[ell] = hist.get(ell, 0) + sets.size
                 if collect_sets:
+                    meter.charge_memory(sets.nbytes, f"set listing, length {ell}")
                     listed.append(sets)
             meter.note(scanned=f"length {ell}")
             meter.check_time(f"length {ell}")
+        if collect_sets:
+            meter.charge_memory(sum(hist.values()) * _LISTED_BYTES, "set listing")
         flavours.append((hist, code, tuple(np.sort(np.concatenate(listed)).tolist())
                          if collect_sets else None))
     return _result(n, *flavours)

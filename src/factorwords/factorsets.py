@@ -11,15 +11,16 @@ table (bit code(x) set iff x is a member). On top of it live:
     connected for circular words, which needs equal prefix and suffix
     projections, checked first on the table's bits),
   * the walk-layer kernel over (covered-subset, current-vertex) states, a
-    bit set per vertex: a step forward, optionally letting a mask gain a
-    vertex only above its least member (the census), a step back and a
-    greedy walk (bounds); and shortest (circular) witness search: one
-    breadth-first search over those states with a parent link per state,
-    whose first goal state reached ends the lexicographically least shortest
-    walk, pruned by the strong components, which a covering walk crosses in
-    topological order, each covered before it is left; the circular search
-    runs once, from the least member; it keeps only the states it reaches,
-    as bit sets over every covered mask would not fit for 32 members.
+    bit set per vertex: one step forward, optionally letting a mask gain a
+    vertex only above its least member (the census), and a greedy walk read
+    off layers stepped on the reversed graph (bounds); and shortest
+    (circular) witness search: one breadth-first search over those states
+    with a parent link per state, whose first goal state reached ends the
+    lexicographically least shortest walk, pruned by the strong components,
+    which a covering walk crosses in topological order, each covered before
+    it is left; the circular search runs once, from the least member; it
+    keeps only the states it reaches, as bit sets over every covered mask
+    would not fit for 32 members.
 
 All values are immutable; the searches keep only private state.
 """
@@ -304,6 +305,14 @@ def _containing(nv: int) -> tuple[int, ...]:
 
 
 @cache
+def _sized(nv: int) -> tuple[int, ...]:
+    """Per k = 0..nv, the bit set of the nv-vertex masks of k members: those
+    of one vertex fewer, then, doubled, those of k - 1 with the top vertex."""
+    return reduce(lambda s, m: tuple(a | b << (1 << m) for a, b in zip(s + (0,), (0,) + s)),
+                  range(nv), (1,))
+
+
+@cache
 def _below(nv: int) -> tuple[int, ...]:
     """Per vertex x, the bit set of the nv-vertex masks holding a member
     below x: all but the first of 2^x masks, doubled."""
@@ -314,9 +323,10 @@ def _below(nv: int) -> tuple[int, ...]:
 def _step_forward(preds: list[list[int]], layer: list[int], unseen: list[int],
                   gain: tuple[int, ...] | None = None) -> list[int]:
     """The states one move after ``layer`` that ``unseen`` holds; preds[x]
-    lists the vertices with a move to x. A mask c lacking x becomes c + 2^x,
-    if ``gain`` (when given) holds c at x; one holding x stays, and its
-    c + 2^x, which lacks x, is dropped."""
+    lists the vertices with a move to x (given successor lists, it steps the
+    reversed graph). A mask c lacking x becomes c + 2^x, if ``gain`` (when
+    given) holds c at x; one holding x stays, and its c + 2^x, which lacks x,
+    is dropped."""
     nxt = []
     for x, (vs, has_x) in enumerate(zip(preds, _containing(len(layer)))):
         p = 0
@@ -327,31 +337,16 @@ def _step_forward(preds: list[list[int]], layer: list[int], unseen: list[int],
     return nxt
 
 
-def _step_back(succs: list[list[int]], layer: list[int], simple: bool) -> list[int]:
-    """The states one move before ``layer``, which holds a bit set per vertex
-    v, bit c standing for the state (covered mask c, v). A move v -> x adds x
-    to the mask; a simple path never moves to a covered vertex."""
-    pre = []
-    for x, (states, has_x) in enumerate(zip(layer, _containing(len(layer)))):
-        p = states & has_x
-        pre.append(p >> (1 << x) if simple else p | (p >> (1 << x)))
-    out = [0] * len(succs)
-    for v, xs in enumerate(succs):
-        for x in xs:
-            out[v] |= pre[x]
-    return out
-
-
-def _greedy_walk(succs: list[list[int]], layers: list[list[int]], v: int,
-                 simple: bool) -> list[int]:
-    """The walk from ({v}, v) in the last layer down through the others,
-    each step to the first successor whose state is in the next layer."""
-    covered = 1 << v
+def _greedy_walk(succs: list[list[int]], layers: Iterable[list[int]], v: int,
+                 states: int) -> list[int]:
+    """The least walk from v down ``layers``, stepped forward on the reversed
+    graph, given v's masks ``states`` in the layer above them: each move is
+    to the first successor x holding a mask c or c - 2^v of v's masks."""
     walk = [v]
-    for layer in reversed(layers[:-1]):
-        v = next(x for x in succs[v] if layer[x] >> (covered | 1 << x) & 1
-                 and not (simple and covered >> x & 1))
-        covered |= 1 << v
+    for layer in layers:
+        states |= states >> (1 << v)
+        v = next(x for x in succs[v] if states & layer[x])
+        states &= layer[v]
         walk.append(v)
     return walk
 

@@ -279,6 +279,14 @@ class TestWalks:
         assert walk_digest(pinned_graphs()) == \
             "7558ced16676ecae0a6873f29b0bb4169bab6705bc9fd777211f53f08ec48934"
 
+    def test_pinned_outputs_on_the_audit_graphs(self):
+        # sha256 of the reports' JSON on the benchmark's audit graphs (seed
+        # 1), recorded at commit 247e12e with the backward layer step
+        rng = random.Random("audit:1")
+        graphs = [random_strongly_connected(rng, 12) for _ in range(2000)]
+        assert walk_digest(graphs) == \
+            "675645b53601ded686f06058f400e898f53339528b0c21ca0dfe19cdfea8710d"
+
     def test_optimum_refuses_a_graph_not_strongly_connected(self):
         # 0 <-> 1 -> 2 never returns from 2: the layers never empty, so only
         # the cap of nv (nv - 1) layers stops the search

@@ -80,6 +80,12 @@ class TestWitness:
             assert r.exit_code == 3 and "budget exhausted" in r.output
             assert time.monotonic() - started < 5
 
+    def test_full_set_charged_before_it_is_built(self, run):
+        # its table alone is 2^40 bits, 128 GiB: refused, not allocated
+        r = run("witness", "--full", "--n", "40", "--budget-mb", "16")
+        assert r.exit_code == 3 and "the full set of order 40" in r.output
+        assert "progress:" in r.output and "Traceback" not in r.output
+
     def test_missing_spec_exits_2(self, run):
         assert run("witness", "--n", "2").exit_code == 2
 
@@ -184,6 +190,15 @@ class TestTTable:
     def test_markdown_default(self, run):
         r = run("ttable", "--t-max", "3", "--n-max", "2")
         assert r.output.startswith("| n\\t |")
+
+    def test_max_seconds_covers_the_table(self, run):
+        # no cell is dropped: the table stops with the cell it reached
+        r = run("ttable", "--t-max", "22", "--n-max", "8", "--max-seconds", "0.05",
+                "-f", "json")
+        assert r.exit_code == 3 and "budget exhausted" in r.output
+        progress = json.loads(r.output.split("progress: ", 1)[1])
+        assert {"t", "n"} <= set(progress)
+        assert f"T({progress['t']},{progress['n']})" in r.output
 
 
 class TestBounds:

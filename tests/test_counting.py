@@ -1,11 +1,12 @@
 """T(t, n) counting, the equal-factor characterization, the 2n boundary."""
 
 from collections import defaultdict
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 
 import factorwords.counting
+from factorwords import budget as budget_mod
 from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
                          are_root_conjugate, check_conjecture_2n, check_theorem1,
                          count_T_bruteforce, count_T_closed, counterexample_family,
@@ -250,6 +251,22 @@ class TestTable:
         assert tab.get(2, 3) is None
         row1 = [tab.get(t, 1).value for t in range(1, 9)]
         assert row1 == [2, 3, 3, 3, 3, 3, 3, 3]
+
+    def test_time_budget_covers_the_whole_table(self, monkeypatch):
+        # a clock that reads 1 ms later each time it is read: every cell
+        # reads it a few times, so only one clock for the whole table
+        # reaches the 20 ms budget, at a cell past the first
+        clock = count()
+        monkeypatch.setattr(budget_mod.time, "monotonic", lambda: next(clock) / 1000)
+        with pytest.raises(BudgetExceededError) as e:
+            t_table(8, 3, Budget(max_seconds=0.02))
+        assert (e.value.progress["t"], e.value.progress["n"]) > (1, 1)
+        assert e.value.progress["elapsed_seconds"] > 0.02
+
+    def test_memory_budget_refuses_a_cell(self):
+        with pytest.raises(BudgetExceededError) as e:
+            t_table(16, 2, Budget(max_memory_bytes=1 << 20))
+        assert e.value.progress["n"] == 1 and 1 <= e.value.progress["t"] <= 16
 
     def test_emitters(self):
         tab = t_table(6, 2)

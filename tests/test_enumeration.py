@@ -18,7 +18,7 @@ from factorwords import budget as budget_mod
 from factorwords.budget import BudgetMeter
 from factorwords.enumeration import (_closed_walks, _levels, _run, brute_force_nbytes,
                                      census_nbytes)
-from factorwords.factorsets import _below, _containing, _cover_word
+from factorwords.factorsets import _below, _containing, _cover_word, _sized
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -256,6 +256,12 @@ class TestValidNodes:
                 full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
                 for x in range(nv))
 
+    def test_sized_masks_match_popcount(self):
+        for nv in range(1, 11):
+            assert _sized(nv) == tuple(
+                sum(1 << c for c in range(1 << nv) if c.bit_count() == k)
+                for k in range(nv + 1))
+
 
 class TestWitnessReconstruction:
     def test_examples(self):
@@ -388,3 +394,34 @@ class TestBudget:
             tracemalloc.stop()
         assert peak <= census_nbytes(n)
 
+    @pytest.mark.parametrize("route", ["census", "oracle"])
+    def test_listing_charge_covers_the_listings(self, route, monkeypatch):
+        # at order 4, the bytes the listings hold once built stay within the
+        # charges naming them, and the peak within the most the meter held
+        charges = []
+
+        class PeakMeter(BudgetMeter):
+            peak = 0
+
+            def charge_memory(self, nbytes, what=""):
+                super().charge_memory(nbytes, what)
+                charges.append((what, nbytes))
+                PeakMeter.peak = max(PeakMeter.peak, self.charged_bytes)
+
+        monkeypatch.setattr(enumeration, "BudgetMeter", PeakMeter)
+        call = {"census": lambda collect: enumerate_representable(4, collect_sets=collect),
+                "oracle": lambda collect: brute_force_enumerate(4, 25, collect_sets=collect)}
+        call[route](False)  # the census's cached masks are built before tracing
+        held = []
+        for collect in (False, True):
+            tracemalloc.start()
+            try:
+                result = call[route](collect)
+                held.append(tracemalloc.get_traced_memory()[0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(result.rep_sets) == 5921 and len(result.circ_sets) == 973
+        listing = sum(nbytes for what, nbytes in charges if "listing" in what)
+        assert held[1] - held[0] <= listing
+        assert peak <= PeakMeter.peak
