@@ -20,9 +20,9 @@ Three independent pieces:
   * covering closed walks in strongly connected digraphs: every such graph
     on n vertices has one of length at most floor((n+1)^2/4), a chain-fan
     family attains the bound, and 2^(2n-2) + 2^(n-1) therefore caps the
-    extremal witness lengths. The longest simple path behind the walk built
-    and the exact optimum step factorsets' walk layers of (covered mask,
-    vertex) states forward on the reversed graph, then walk greedily.
+    extremal witness lengths. Past one strong-connectivity test, the longest
+    simple path behind the walk built and the exact optimum step factorsets'
+    walk layers forward on the reversed graph, then walk greedily.
 
 All arithmetic in this module is exact integer arithmetic.
 """
@@ -302,17 +302,17 @@ class WalkReport:
 def _shortest_path(g: Digraph, s: int, t: int) -> list[int]:
     prev: dict[int, int | None] = {s: None}
     queue = [s]
-    for v in queue:
+    for v in queue:  # g is strongly connected: t is reached
         if v == t:
-            path = [t]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            return path[::-1]
+            break
         for w in g.edges[v]:
             if w not in prev:
                 prev[w] = v
                 queue.append(w)
-    raise NotStronglyConnected(f"no path {s} -> {t}")
+    path = [t]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def _longest_simple_path(g: Digraph) -> list[int]:
@@ -332,10 +332,12 @@ def _longest_simple_path(g: Digraph) -> list[int]:
 
 def _optimal_closed_cover(g: Digraph) -> list[int]:
     """Exact shortest closed covering walk, the least vertex sequence among
-    them. It can be rotated to start at 0: layer j holds the states (c, v)
-    of the walks of j moves from v to 0 covering c; the first holding (all,
-    0) gives the length. Going round 0, 1, ..., nv-1 by shortest paths takes
-    at most nv (nv - 1) moves: a graph needing more is not strongly connected."""
+    them. One exists iff g is strongly connected, which is decided first.
+    It can be rotated to start at 0: layer j holds the states (c, v) of the
+    walks of j moves from v to 0 covering c; the first holding (all, 0)
+    gives the length."""
+    if not g.strongly_connected():
+        raise NotStronglyConnected("graph is not strongly connected")
     nv = g.vertex_count
     if nv == 1:
         return [0, 0] if 0 in g.edges[0] else [0]
@@ -343,8 +345,6 @@ def _optimal_closed_cover(g: Digraph) -> list[int]:
     full = (1 << nv) - 1
     layers = [[2] + [0] * (nv - 1)]  # ({0}, 0): mask 1, bit 1 << 1
     while not layers[-1][0] >> full & 1:  # (all, 0)
-        if len(layers) > nv * (nv - 1):
-            raise NotStronglyConnected("no closed covering walk exists")
         layers.append(_step_forward(succs, layers[-1], [(2 << full) - 1] * nv))
     return _greedy_walk(succs, layers[-2::-1], 0, 1 << full)
 
@@ -361,8 +361,6 @@ def hamiltonian_walk(g: Digraph) -> WalkReport:
     nv = g.vertex_count
     if nv > WALK_MAX_VERTICES:
         raise ValueError(f"exact search limited to {WALK_MAX_VERTICES} vertices")
-    if not g.strongly_connected():
-        raise NotStronglyConnected("graph is not strongly connected")
     bound = (nv + 1) ** 2 // 4
     optimal = _optimal_closed_cover(g)
     walk = optimal

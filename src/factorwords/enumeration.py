@@ -35,14 +35,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .factorsets import (FactorSet, _below, _set_bits, _step_forward,
+from .factorsets import (FactorSet, _below, _set_bits, _step_forward, _table,
                          shortest_circular_witness, shortest_witness)
 from .words import Word, word_scan, word_scan_nbytes
 
 ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
 # bytes charged per set listed on request (collect_sets): tracemalloc's peak
-# while listing the order-4 sets was 47.6 per set for the census and 47.9 for
-# the oracle, which held 36 and 40 per set once built
+# listing the order-4 sets was 41.9 per set for the census (49.4 for the 973
+# circular ones, with their 8 KiB table) and 47.9 for the oracle; both held 40
 _LISTED_BYTES = 48
 # per order, the least scan limit at which the oracle gives the whole row:
 # one past the longer of its extremal witness lengths mu and nu
@@ -187,10 +187,10 @@ def enumerate_representable(n: int, budget: Budget | None = None,
     flavours = []
     for (hist, top, seen), search in zip(levels, (shortest_witness, shortest_circular_witness)):
         # the least of the extremal sets' lex-least witnesses
-        code = min(search(FactorSet(n, s)).witness.code for s in _set_bits(top))
+        code = min(search(FactorSet(n, s)).witness.code for s in _set_bits(_table(top)))
         if collect_sets:
             meter.charge_memory(seen.bit_count() * _LISTED_BYTES, "set listing")
-        flavours.append((hist, code, tuple(_set_bits(seen)) if collect_sets else None))
+        flavours.append((hist, code, tuple(_set_bits(_table(seen))) if collect_sets else None))
     return _result(n, *flavours)
 
 

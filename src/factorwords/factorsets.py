@@ -14,13 +14,13 @@ table (bit code(x) set iff x is a member). On top of it live:
     bit set per vertex: one step forward, optionally letting a mask gain a
     vertex only above its least member (the census), and a greedy walk read
     off layers stepped on the reversed graph (bounds); and shortest
-    (circular) witness search: one breadth-first search over those states
-    with a parent link per state, whose first goal state reached ends the
-    lexicographically least shortest walk, pruned by the strong components,
-    which a covering walk crosses in topological order, each covered before
-    it is left; the circular search runs once, from the least member; it
-    keeps only the states it reaches, as bit sets over every covered mask
-    would not fit for 32 members.
+    (circular) witness search: not found from those tests before any search,
+    else one breadth-first search over those states with a parent link per
+    state, whose first goal state reached ends the lexicographically least
+    shortest walk, pruned by the strong components, each covered before a
+    covering walk leaves it; the circular search runs once, from the least
+    member; it keeps only the states it reaches, as bit sets over every
+    covered mask would not fit for 32 members.
 
 All values are immutable; the searches keep only private state.
 """
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import accumulate, compress
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 from .budget import Budget, BudgetMeter
@@ -39,12 +41,20 @@ class EmptySet(ValueError):
     """Representability questions are asked of non-empty sets only."""
 
 
-def _set_bits(bits: int) -> Iterator[int]:
-    """The positions of the set bits of ``bits``, ascending (by str.find: fast on 2^16 bits)."""
-    text = format(bits, "b")[::-1]
-    i = -1
-    while (i := text.find("1", i + 1)) >= 0:
-        yield i
+# per byte value, the positions of its set bits
+_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
+
+
+def _table(bits: int) -> bytes:
+    """``bits`` as little-endian bytes to its top set bit: bit i is bit i & 7 of byte i >> 3."""
+    return bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+
+
+def _set_bits(table: bytes) -> Iterator[int]:
+    """The set bits of ``table``, ascending; compress finds its nonzero bytes at C speed."""
+    for i in compress(range(len(table)), table):
+        for k in _BYTE_BITS[table[i]]:
+            yield i << 3 | k
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,7 @@ class FactorSet:
 
     def codes(self) -> Iterator[int]:
         """Member codes in ascending (= lexicographic) order."""
-        return _set_bits(self.members)
+        return _set_bits(_table(self.members))
 
     def __iter__(self) -> Iterator[Word]:
         for c in self.codes():
@@ -201,19 +211,17 @@ def _balanced(fs: FactorSet) -> bool:
 def _successors(fs: FactorSet) -> dict[int, tuple[int, ...]]:
     """The overlap graph of fs: each member x mapped to its successors, the
     members y whose first n-1 letters are the last n-1 of x. By the de Bruijn
-    rule they are among (x << 1) & wmask, which is even, and that plus 1.
-    Membership is read from the table's reversed binary string, which is
-    made once, so the map takes time linear in 2^n."""
+    rule they are among (x << 1) & wmask, which is even, and that plus 1, so
+    their two flags share a byte of the table's little-endian bytes, which
+    are made once: the map takes time linear in 2^n."""
     wmask = (1 << fs.order) - 1
-    bits = format(fs.members, "b")[::-1]
+    table = _table(fs.members)
     adj = {}
-    x = bits.find("1")
-    while x >= 0:
+    for x in _set_bits(table):
         y = x << 1 & wmask
-        pair = bits[y:y + 2]  # the flags of y and y + 1; past the last member, fewer
-        adj[x] = ((y, y + 1) if pair == "11" else (y,) if pair[:1] == "1"
-                  else (y + 1,) if pair[1:] == "1" else ())
-        x = bits.find("1", x + 1)
+        i = y >> 3  # past the top member's byte, y and y + 1 are absent
+        pair = table[i] >> (y & 7) & 3 if i < len(table) else 0
+        adj[x] = ((), (y,), (y + 1,), (y, y + 1))[pair]
     return adj
 
 
@@ -275,22 +283,26 @@ def is_circ_representable(fs: FactorSet) -> bool:
     return _balanced(fs) and len(strong_components(_successors(fs))) == 1
 
 
+def _chained(adj: Mapping[int, Iterable[int]], comps: list[list[int]]) -> bool:
+    """Whether each strong component in ``comps`` (topological order) moves into the next."""
+    return all(any(y in nxt for x in comp for y in adj[x])
+               for comp, nxt in zip(comps, map(set, comps[1:])))
+
+
 def is_representable(fs: FactorSet) -> bool:
     """Whether some ordinary word has exactly this factor set.
 
     Decided structurally: the overlap graph must be unilaterally connected,
-    i.e. its condensation must be a directed path (Bang-Jensen & Gutin,
-    *Digraphs*, section 2). A lone vertex counts. A witness is a walk
-    visiting every vertex, which crosses the strong components in
-    topological order; conversely such a walk can cover each component
-    before taking an edge to the next one.
+    its strong components chained, i.e. its condensation a directed path
+    (Bang-Jensen & Gutin, *Digraphs*, section 2). A lone vertex counts. A
+    witness is a walk visiting every vertex, which crosses the strong
+    components in topological order; conversely such a walk can cover each
+    component before taking an edge to the next one.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
     adj = _successors(fs)
-    comps = strong_components(adj)
-    return all(any(y in nxt for x in comp for y in adj[x])
-               for comp, nxt in zip(comps, map(set, comps[1:])))
+    return _chained(adj, strong_components(adj))
 
 
 # -- (covered subset, current vertex) states ------------------------------
@@ -315,9 +327,8 @@ def _sized(nv: int) -> tuple[int, ...]:
 @cache
 def _below(nv: int) -> tuple[int, ...]:
     """Per vertex x, the bit set of the nv-vertex masks holding a member
-    below x: all but the first of 2^x masks, doubled."""
-    return tuple(reduce(lambda m, k: m | m << (1 << k), range(x, nv), (1 << (1 << x)) - 2)
-                 for x in range(nv))
+    below x: the union of the masks holding each vertex below x."""
+    return tuple(accumulate(_containing(nv)[:-1], or_, initial=0))
 
 
 def _step_forward(preds: list[list[int]], layer: list[int], unseen: list[int],
@@ -368,16 +379,16 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
                 budget: Budget | None) -> Word | None:
     """The least word of a shortest walk over the overlap graph of fs that
     starts at a vertex of the bit set ``starts`` (members of fs), covers
-    every member and, unless ``end`` is None, ends at ``end``; None when
-    there is no such walk.
+    every member and, unless ``end`` is None, ends at ``end``; None, decided
+    before any search, when there is none.
 
-    One breadth-first search over states (covered << n) | v, where covered
-    has the bit 1 << x of every vertex x passed; v moves to its successors.
-    A walk crosses the strong components in topological order and never
-    returns to one it left, so the search starts only from members of the
-    source component, ends only in the sink component, and drops a move into
-    a later component unless every member of the earlier ones is covered: no
-    state it drops lies on a covering walk. Each layer is expanded in the
+    A walk crosses the strong components in topological order and can cover
+    a chain of them one by one: one exists iff they are chained, a start is
+    in the source one and ``end``, if given, in the sink one. Then one
+    breadth-first search over states (covered << n) | v, covered having the
+    bit 1 << x of each vertex x passed, starts in the source component and
+    drops a move into a later one unless all earlier ones are covered: it
+    keeps every covering walk. Each layer is expanded in the
     order its states were first reached and each state's moves by ascending
     next vertex, so every state is first reached by its least shortest walk,
     and the first goal state reached ends the least shortest walk. The word
@@ -409,12 +420,11 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
     adj = _successors(fs)
     comps = strong_components(adj)
     comp_of = {x: j for j, comp in enumerate(comps) for x in comp}
-    if end is not None and comp_of.get(end) != len(comps) - 1:
-        return None
+    frontier = [1 << u << n | u for u in FactorSet(n, starts).codes() if comp_of[u] == 0]
+    if not (frontier and _chained(adj, comps) and end in (None, *comps[-1])):
+        return None  # the one not-found verdict
     # per component, the covered bits of every member of the earlier ones
-    earlier = [0]
-    for comp in comps[:-1]:
-        earlier.append(reduce(lambda m, x: m | 1 << (x + n), comp, earlier[-1]))
+    earlier = list(accumulate((sum(1 << (x + n) for x in comp) for comp in comps[:-1]), initial=0))
     # per vertex, its moves: the bits a move adds to a state, and the covered
     # bits it needs (0 for a move within the component)
     moves = {}
@@ -423,7 +433,6 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
         for x in xs:
             j = comp_of[x]
             out.append((1 << (x + n) | x, earlier[j] if j != comp_of[v] else 0))
-    frontier = [1 << u << n | u for u in FactorSet(n, starts).codes() if comp_of[u] == 0]
     if meter is not None:
         meter.release_memory((count - len(frontier)) * size)
     parent: dict[int, int | None] = dict.fromkeys(frontier)
@@ -431,7 +440,7 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
         if lo <= st <= hi:
             return word(st, 0)
     d = 0
-    while frontier:
+    while frontier:  # never runs dry: a covering walk exists
         d += 1
         if meter is not None:
             # a layer has at most two successors per state: charge that
@@ -456,20 +465,20 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
             meter.release_memory(worst - len(nxt) * size)
             meter.note(depth=d, states=len(parent), frontier=len(nxt))
             meter.check_time(f"witness search depth {d}")
-    return None
+    raise AssertionError("the witness search ran dry on a chained overlap graph")
 
 
 def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResult:
     """Shortest ordinary witness, lexicographically least among minimal.
 
-    One breadth-first search over (covered, current-vertex) states, started
-    from every single-member state of the source strong component in
-    ascending order and stopped at the first state covering the whole set; a
-    walk of d edges corresponds to a witness of length order + d. With a
-    budget, the start layer, the component and move tables and each later
-    layer are charged against the memory limit at their largest possible
-    size before they are built, so the charge never passes the limit, and
-    the time limit is checked after each layer.
+    Not found as in is_representable, before any search; else one
+    breadth-first search over (covered, vertex) states from each
+    single-member state of the source strong component, ascending, ends at
+    the first covering the set; a walk of d edges gives a witness of length
+    order + d. With a budget, the start layer, the component and move tables
+    and each later layer are charged against the memory limit at their
+    largest possible size before they are built, so the charge never passes
+    the limit, and the time limit is checked after each layer.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
@@ -490,7 +499,7 @@ def shortest_circular_witness(fs: FactorSet,
     gives the lex-least one.
     Reported length is that of the circular word itself. ``budget`` is used
     as in shortest_witness. A set whose prefix and suffix projections differ
-    has none, and no search is made.
+    or whose overlap graph is not strongly connected has none: no search.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")

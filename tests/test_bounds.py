@@ -288,8 +288,8 @@ class TestWalks:
             "675645b53601ded686f06058f400e898f53339528b0c21ca0dfe19cdfea8710d"
 
     def test_optimum_refuses_a_graph_not_strongly_connected(self):
-        # 0 <-> 1 -> 2 never returns from 2: the layers never empty, so only
-        # the cap of nv (nv - 1) layers stops the search
+        # 0 <-> 1 -> 2 never returns from 2: its layers would never empty,
+        # so the strong-connectivity test refuses it before any layer
         g = Digraph(3)
         for u, v in ((0, 1), (1, 0), (1, 2)):
             g.add_edge(u, v)

@@ -98,6 +98,11 @@ class TestWitness:
         r = run("witness", "--full", "--n", "2", "--hex")
         assert r.exit_code == 2 and "--hex" in r.output
 
+    def test_set_without_a_witness_needs_no_search(self, run):
+        # refused from its strong components, before the search's first layer
+        r = run("witness", "fffffffff3ffffbf", "--hex", "--n", "6", "--budget-mb", "64")
+        assert r.exit_code == 0 and r.output.strip() == "not representable"
+
     def test_order_forty_singleton(self, run):
         zeros = "0" * 40
         r = run("witness", zeros, "--n", "40")

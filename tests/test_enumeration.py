@@ -18,7 +18,8 @@ from factorwords import budget as budget_mod
 from factorwords.budget import BudgetMeter
 from factorwords.enumeration import (_closed_walks, _levels, _run, brute_force_nbytes,
                                      census_nbytes)
-from factorwords.factorsets import _below, _containing, _cover_word, _sized
+from factorwords.factorsets import (_below, _containing, _cover_word, _set_bits, _sized,
+                                    _table)
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -393,6 +394,21 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert peak <= census_nbytes(n)
+
+    def test_listing_reads_the_table_bytes(self, enum_results):
+        # the 973 circular order-4 sets listed from their 2^16-bit table, as
+        # the census lists them: a string of a byte per bit would be 64 KiB
+        # on its own
+        sets = enum_results[4].circ_sets
+        table = reduce(or_, (1 << s for s in sets))
+        tracemalloc.start()
+        try:
+            listed = tuple(_set_bits(_table(table)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert listed == sets and len(sets) == 973
+        assert peak <= 64 << 10
 
     @pytest.mark.parametrize("route", ["census", "oracle"])
     def test_listing_charge_covers_the_listings(self, route, monkeypatch):

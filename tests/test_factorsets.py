@@ -422,6 +422,24 @@ class TestWitnesses:
         assert shortest_witness(s, Budget()).length == 24
         assert max(noted) <= 150
 
+    def test_no_search_on_a_set_without_a_witness(self, monkeypatch):
+        # 0xfffffffff3ffffbf lacks 000110, 011010 and 011011, so 001101 and
+        # 101101 have no successor: two sink components, which no walk both
+        # reaches. The structure refuses it before a search layer; a search
+        # run until it ran dry outgrew 1 MiB
+        depths = []
+
+        class LoggingMeter(BudgetMeter):
+            def note(self, **kwargs):
+                depths.append(kwargs["depth"])
+                super().note(**kwargs)
+
+        monkeypatch.setattr(factorsets, "BudgetMeter", LoggingMeter)
+        s = FactorSet(6, 0xfffffffff3ffffbf)
+        assert [len(comp) for comp in strong_components(_successors(s))] == [59, 1, 1]
+        assert shortest_witness(s, Budget(max_memory_bytes=1 << 20)) == WitnessResult(False)
+        assert depths and max(depths) == 0
+
     @pytest.mark.parametrize("n,members", [(3, 0xff), (4, 0xffff), (4, 0xbedf)])
     def test_charge_bounds_the_peak(self, n, members, monkeypatch):
         # the start layer, the component and move tables and each later
