@@ -15,17 +15,15 @@ here, as is the t = 2n boundary case, where equality of periods and root
 conjugacy is conjectural and words of large period empirically factor as
 u v 01 v^R u against u v 10 v^R u with u a palindrome.
 
-Every scan over words goes through the package's one word scan,
-``words.factor_keys``: counts are numbers of distinct keys, and the checks
-walk only the classes of two or more words from ``words.factor_classes``.
-Above order 6 that class scan hashes each word's factor set and refines
-only the words whose hashes collide with exact keys, checking the time
-budget after each chunk of words it hashes. Budgets are charged the scan's
-buffers (``words.scan_nbytes``, ``words.class_scan_nbytes``) up front; the
-class scan charges the exact keys of the colliding words once it knows how
-many there are. The checks compare minimal periods and root classes as
-integers, taken from one ``words.period_classes`` call over all the
-classes' members.
+Counts and checks read the package's one word scan, ``words.factor_keys``.
+Up to order 6 a count sorts each chunk's bitmap keys in place and counts
+their runs; above, it is the count of ``words.factor_classes``, whose
+classes of two or more words the checks walk. That class scan hashes each
+word's factor set and keys exactly only the words whose hashes collide,
+checking the time budget after each chunk. Budgets are charged the scans'
+buffers (``words.scan_nbytes``, ``words.class_scan_nbytes``) up front, and
+the colliding words' keys once counted. The checks compare minimal periods
+and root classes as integers: one ``words.period_classes`` call each way.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .words import (SCAN_CHUNK_BITS, Word, class_scan_nbytes, factor_classes, factor_keys,
-                    lyndon_count, lyndon_words, period_classes, scan_nbytes, sorted_runs)
+from .words import (_BITMAP_MAX_ORDER, SCAN_CHUNK_BITS, Word, _duval, class_scan_nbytes,
+                    factor_classes, factor_keys, lyndon_count, period_classes, scan_nbytes)
 
 BRUTE_MAX_T = 24
 
@@ -73,7 +71,7 @@ class EqualFactorPair:
 # -- scanning all words of one length ---------------------------------------
 
 def _scan_meter(t: int, n: int, budget: Budget | None, words: int,
-                nbytes=scan_nbytes) -> BudgetMeter:
+                nbytes) -> BudgetMeter:
     """Validate a scan of length-t words, noting (t, n) in its progress;
     charge the buffers for ``words`` (``nbytes(n, t, words)``) at once."""
     if n < 1:
@@ -99,21 +97,28 @@ def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[in
     return [list(islice(members, len(cls))) for cls in classes]
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct bitmap keys, ascending, sorting ``keys`` in place."""
+    keys.sort()
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
 def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
                        started: float | None = None) -> TCell:
-    """T(t, n) by scanning all 2^t words in chunks, in-process. The budget's
-    seconds run from ``started`` (a ``time.monotonic()`` reading), when
-    given, so a scan that is part of a longer run gets what that run has
-    left; from the call otherwise."""
-    chunk = 1 << min(t, SCAN_CHUNK_BITS)
-    meter = _scan_meter(t, n, budget, chunk)
+    """T(t, n) by scanning all 2^t words in-process: above order 6 with
+    ``words.factor_classes``, else in chunks. The budget's seconds run from
+    ``started`` (a ``time.monotonic()`` reading), when given, so a scan that
+    is part of a longer run gets what that run has left; else from the call."""
+    hashed = n > _BITMAP_MAX_ORDER
+    chunk = 1 << (t if hashed else min(t, SCAN_CHUNK_BITS))
+    meter = _scan_meter(t, n, budget, chunk, class_scan_nbytes if hashed else scan_nbytes)
     if started is not None:
         meter.started = started
+    if hashed:
+        return TCell(t, n, factor_classes(n, t, meter)[0], "brute")
     parts: list[np.ndarray] = []
     for start in range(0, 1 << t, chunk):
-        keys = factor_keys(n, t, range(start, start + chunk))
-        order, starts = sorted_runs(keys)
-        parts.append(keys[order[starts]])
+        parts.append(_distinct(factor_keys(n, t, range(start, start + chunk))))
         meter.charge_memory(parts[-1].nbytes, f"T({t},{n}) chunk keys")
         meter.check_time(f"T({t},{n})")
     if len(parts) == 1:
@@ -121,7 +126,7 @@ def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
     meter.release_memory(scan_nbytes(n, t, chunk))
     merged = np.concatenate(parts)
     meter.charge_memory(scan_nbytes(n, t, len(merged)), f"T({t},{n}) merge")
-    return TCell(t, n, len(sorted_runs(merged)[1]), "brute")
+    return TCell(t, n, len(_distinct(merged)), "brute")
 
 
 def count_T_closed(t: int, n: int) -> TCell:
@@ -231,25 +236,24 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
                 "periods": [pa, pb],
                 "root_conjugate": (pa, ra) == (pb, rb)})
 
+    # each Lyndon root of length <= k+1, by length then lexicographically, with its class
+    roots = ["".join(map(str, r)) for r in sorted(_duval(k + 1), key=len)]
+    classes = [sorted(int((r * (t + 1))[j:j + t], 2) for j in range(len(r))) for r in roots]
+    backward = {frozenset(cls) for cls in classes if len(cls) > 1}
     backward_ok = True
-    backward: set[frozenset[int]] = set()
-    for p in range(1, k + 2):
-        for r in lyndon_words(p):
-            cls = sorted({r.rotated(j).repeated_to(t).code for j in range(p)})
-            if p > 1:
-                backward.add(frozenset(cls))
-            if not in_region:
-                continue
-            keys = factor_keys(n, t, cls)
-            periods, roots = period_classes(t, cls)
-            if not (len(cls) == p and (keys == keys[0]).all()
-                    and (periods == p).all() and (roots == roots[0]).all()):
-                backward_ok = False
-                if len(counterexamples) < _COUNTEREXAMPLE_CAP:
-                    counterexamples.append({
-                        "direction": "backward", "root": str(r),
-                        "class": [str(Word(t, c)) for c in cls]})
-    if in_region:
+    if in_region:  # each class judged against its first word, all in one batch
+        sizes = [len(r) for r in roots]
+        starts = np.cumsum(sizes) - sizes
+        first, codes = np.repeat(starts, sizes), np.concatenate(classes)
+        keys = factor_keys(n, t, codes).reshape(codes.size, -1)
+        periods, least = period_classes(t, codes)
+        ok = ((keys == keys[first]).all(axis=1) & (least == least[first])
+              & (periods == np.repeat(sizes, sizes)))
+        bad = np.flatnonzero(~np.logical_and.reduceat(ok, starts)).tolist()
+        backward_ok = not bad
+        for i in bad[:max(0, _COUNTEREXAMPLE_CAP - len(counterexamples))]:
+            counterexamples.append({"direction": "backward", "root": roots[i],
+                                    "class": [str(Word(t, c)) for c in classes[i]]})
         found = {frozenset(c for c, _, _ in cls) for cls in nontrivial}
         if found != backward:
             backward_ok = False
@@ -384,27 +388,20 @@ class TTable:
     def get(self, t: int, n: int) -> TCell | None:
         return self.cells.get((t, n))
 
+    def _grid(self) -> list[list[str]]:
+        """The header row, then per n the cells' values, "" where none."""
+        ts = range(1, self.t_max + 1)
+        return [["n\\t", *map(str, ts)]] + [
+            [str(n), *(str(self.cells[t, n].value) if (t, n) in self.cells else "" for t in ts)]
+            for n in range(1, self.n_max + 1)]
+
     def to_csv(self) -> str:
-        lines = ["n\\t," + ",".join(str(t) for t in range(1, self.t_max + 1))]
-        for n in range(1, self.n_max + 1):
-            row = [str(n)]
-            for t in range(1, self.t_max + 1):
-                cell = self.cells.get((t, n))
-                row.append(str(cell.value) if cell else "")
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(row) + "\n" for row in self._grid())
 
     def to_markdown(self) -> str:
-        header = "| n\\t | " + " | ".join(str(t) for t in range(1, self.t_max + 1)) + " |"
-        sep = "|" + "---|" * (self.t_max + 1)
-        lines = [header, sep]
-        for n in range(1, self.n_max + 1):
-            row = [f"| {n} "]
-            for t in range(1, self.t_max + 1):
-                cell = self.cells.get((t, n))
-                row.append(f"| {cell.value} " if cell else "| ")
-            lines.append("".join(row) + "|")
-        return "\n".join(lines) + "\n"
+        header, *rows = ("".join(f"| {x} " if x else "| " for x in row) + "|"
+                         for row in self._grid())
+        return "\n".join([header, "|" + "---|" * (self.t_max + 1), *rows]) + "\n"
 
     def to_json_dict(self) -> dict:
         return {

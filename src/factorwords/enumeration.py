@@ -189,7 +189,8 @@ def enumerate_representable(n: int, budget: Budget | None = None,
         # the least of the extremal sets' lex-least witnesses
         code = min(search(FactorSet(n, s)).witness.code for s in _set_bits(_table(top)))
         if collect_sets:
-            meter.charge_memory(seen.bit_count() * _LISTED_BYTES, "set listing")
+            meter.charge_memory(seen.bit_count() * _LISTED_BYTES + (seen.bit_length() + 7) // 8,
+                                "set listing")
         flavours.append((hist, code, tuple(_set_bits(_table(seen))) if collect_sets else None))
     return _result(n, *flavours)
 

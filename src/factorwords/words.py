@@ -14,10 +14,10 @@ lists each factor set of the words up to a length once, orders 1..4,
 reading long words as a prefix key joined with a table of suffix keys.
 
 Above order 6, ``factor_classes`` sorts no key per word. It gives each word
-a 64-bit set hash, the wrapping sum of a fixed splitmix64 value over the
-word's distinct factors (Zobrist hashing), and sorts the hashes once; only
-the words holding a hash that another word holds get exact row keys, which
-split any collision. Equal sets hash equally, so the classes are exact.
+a 64-bit set hash, the wrapping sum over its distinct factors of a fixed
+splitmix64 value read from a table (Zobrist hashing), and sorts the hashes
+once; only the words holding a hash another word holds get exact row keys,
+which split any collision. Equal sets hash equally, so the classes are exact.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ _GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in
 
 def _factor_hash(factors: np.ndarray) -> np.ndarray:
     """A fixed pseudo-random uint64 per factor code: splitmix64's output for
-    the state (code + 1) * golden, computed, so no table grows with n."""
+    the state (code + 1) * golden."""
     z = (factors.astype(np.uint64) + np.uint64(1)) * _GOLDEN
     z ^= z >> np.uint64(30)
     z *= _MIX1
@@ -366,7 +366,9 @@ def _factor_hash(factors: np.ndarray) -> np.ndarray:
 def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
     """Per word of length ``ell``, by code, the wrapping uint64 sum of
     ``_factor_hash`` over its distinct length-n factors: a window equal to an
-    earlier one of the same word adds nothing, so equal sets hash equally."""
+    earlier one of the same word adds nothing, so equal sets hash equally.
+    Its table of 2^n factor hashes is no larger than the 2^ell it fills."""
+    table = _factor_hash(np.arange(1 << n))
     hashes = np.zeros(1 << ell, np.uint64)
     for lo in range(0, 1 << ell, 1 << HASH_CHUNK_BITS):
         hi = min(1 << ell, lo + (1 << HASH_CHUNK_BITS))
@@ -375,7 +377,7 @@ def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
             fresh = np.ones(win.size, bool)
             for earlier in seen:
                 fresh &= win != earlier
-            np.add(part, _factor_hash(win), out=part, where=fresh)
+            np.add(part, table.take(win), out=part, where=fresh)
             seen.append(win)
         meter.note(words_scanned=hi)
         meter.check_time(f"factor classes of length {ell}")
@@ -433,7 +435,7 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     groups = np.count_nonzero(first)
     if groups == 0:
         return hashes.size, []
-    sharing = groups + np.count_nonzero(repeats)  # words holding a shared hash
+    sharing = int(groups + np.count_nonzero(repeats))  # words holding a shared hash
     held = scan_nbytes(n, ell, sharing)
     meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
     shared = ordered[1:][first]
@@ -464,13 +466,13 @@ def class_scan_nbytes(n: int, ell: int, count: int) -> int:
     of ``count`` codes, beside the lists it returns and, above order 6, the
     row keys of the words sharing a set hash, which it charges to its meter:
     up to order 6, ``scan_nbytes``; above, per word its hash, a sorted copy
-    and three flags, plus one chunk's windows and temporaries.
+    and three flags, plus the 2^n factor hashes and one chunk's temporaries.
     """
     if n <= _BITMAP_MAX_ORDER:
         return scan_nbytes(n, ell, count)
     _, code_dt, _, width = _scan_dtypes(n, ell, False)
     chunk = min(count, 1 << HASH_CHUNK_BITS)
-    return count * 19 + chunk * (code_dt.itemsize * (width + 4) + 40)
+    return count * 19 + chunk * (code_dt.itemsize * (width + 4) + 40) + (8 << n)
 
 
 def _suffix_table(n: int, split_bits: int, hlen: int,

@@ -1,8 +1,10 @@
 """T(t, n) counting, the equal-factor characterization, the 2n boundary."""
 
+import tracemalloc
 from collections import defaultdict
 from itertools import combinations, count, product
 
+import numpy as np
 import pytest
 
 import factorwords.counting
@@ -10,7 +12,7 @@ from factorwords import budget as budget_mod
 from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
                          are_root_conjugate, check_conjecture_2n, check_theorem1,
                          count_T_bruteforce, count_T_closed, counterexample_family,
-                         equal_factor_pairs, period, t_table)
+                         equal_factor_pairs, lyndon_words, period, t_table)
 from factorwords.budget import BudgetMeter
 from factorwords.words import factor_classes
 
@@ -47,6 +49,26 @@ class TestBruteForce:
             two = count_T_bruteforce(19, n, Budget.default(workers=2))
             assert one == two
         assert one.value == count_T_closed(19, 10).value
+
+    @pytest.mark.parametrize("t,n", [(16, 5), (19, 5), (16, 8), (19, 10)])
+    def test_charges_bound_the_count(self, t, n, monkeypatch):
+        # (19, 5) merges two chunks' bitmap keys; (16, 8) and (19, 10) take
+        # the hashed class scan: the most the meter held covers the peak
+        class PeakMeter(BudgetMeter):
+            peak = 0
+
+            def charge_memory(self, nbytes, what=""):
+                super().charge_memory(nbytes, what)
+                PeakMeter.peak = max(PeakMeter.peak, self.charged_bytes)
+
+        monkeypatch.setattr(factorwords.counting, "BudgetMeter", PeakMeter)
+        tracemalloc.start()
+        try:
+            count_T_bruteforce(t, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= PeakMeter.peak
 
     def test_memory_budget_covers_the_scan(self):
         tiny = Budget(max_memory_bytes=8 << 20)
@@ -184,6 +206,34 @@ class TestTheorem1:
         assert not rep.forward_ok and len(rep.counterexamples) == 20
         # one class of 2046 words: 2046 * 2045 / 2 pairs without the cap
         assert drawn < 0.01 * (2046 * 2045 // 2)
+
+    @pytest.mark.parametrize("t,n,roots", [(9, 5, ["0011"]), (13, 7, None)])
+    def test_backward_failures_name_the_root_and_class(self, t, n, roots, monkeypatch):
+        # the backward batch (the second period_classes call, after the class
+        # scan's) reads periods one too high, for the classes of ``roots``
+        # (every class when None): each failing class is reported, in
+        # Lyndon order, up to the cap
+        real, calls = factorwords.counting.period_classes, []
+        lyndon = [str(r) for p in range(1, t - n + 2) for r in lyndon_words(p)]
+        classes = {r: sorted({Word.from_text(r).rotated(j).repeated_to(t).code
+                              for j in range(len(r))}) for r in lyndon}
+        corrupt = {c for r in roots or lyndon for c in classes[r]}
+
+        def periods_off(t, codes):
+            periods, least = real(t, codes)
+            calls.append(len(codes))
+            if len(calls) == 2:
+                periods[np.isin(codes, list(corrupt))] += np.uint64(1)
+            return periods, least
+
+        monkeypatch.setattr(factorwords.counting, "period_classes", periods_off)
+        rep = check_theorem1(t, n)
+        assert len(calls) == 2 and rep.forward_ok and not rep.backward_ok
+        want = [r for r in lyndon if r in (roots or lyndon)][:20]
+        assert len(want) == (1 if roots else 20)
+        assert rep.counterexamples == tuple(
+            {"direction": "backward", "root": r,
+             "class": [str(Word(t, c)) for c in classes[r]]} for r in want)
 
     def test_class_sizes_equal_periods(self):
         # within the region, each non-singleton class has as many words as

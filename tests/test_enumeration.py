@@ -395,11 +395,21 @@ class TestBudget:
             tracemalloc.stop()
         assert peak <= census_nbytes(n)
 
-    def test_listing_reads_the_table_bytes(self, enum_results):
+    def test_listing_reads_the_table_bytes(self, monkeypatch):
         # the 973 circular order-4 sets listed from their 2^16-bit table, as
         # the census lists them: a string of a byte per bit would be 64 KiB
-        # on its own
-        sets = enum_results[4].circ_sets
+        # on its own. The census's charge for that listing covers its peak
+        # alone, with no help from census_nbytes' 64 KiB for the searches
+        listings = []
+
+        class LoggingMeter(BudgetMeter):
+            def charge_memory(self, nbytes, what=""):
+                super().charge_memory(nbytes, what)
+                if what == "set listing":
+                    listings.append(nbytes)
+
+        monkeypatch.setattr(enumeration, "BudgetMeter", LoggingMeter)
+        sets = enumerate_representable(4, collect_sets=True).circ_sets
         table = reduce(or_, (1 << s for s in sets))
         tracemalloc.start()
         try:
@@ -409,6 +419,7 @@ class TestBudget:
             tracemalloc.stop()
         assert listed == sets and len(sets) == 973
         assert peak <= 64 << 10
+        assert peak <= listings[1]  # ordinary, then circular
 
     @pytest.mark.parametrize("route", ["census", "oracle"])
     def test_listing_charge_covers_the_listings(self, route, monkeypatch):
