@@ -11,7 +11,8 @@ Commands:
 
 Each command takes only the options it reads: every one --format text or
 json (ttable also csv and md), every one but factors --budget-mb and
---max-seconds, and verify --seed.
+--max-seconds, verify --seed with --hamiltonian and --allow-out-of-region
+with --theorem1, and enumerate --max-len with --oracle.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 budget exhaustion. Data goes to stdout; progress notes to stderr.
@@ -25,6 +26,7 @@ import sys
 import time
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from . import bounds as bounds_mod
@@ -162,6 +164,8 @@ def cmd_enumerate(order, oracle, max_len, output_format, budget_mb, max_seconds)
     budget = _budget(budget_mb, max_seconds)
     started = time.monotonic()
     enumeration.check_order(order)
+    if max_len is not None and not oracle:
+        _fail_usage("--max-len sets the --oracle scan's limit")
     if oracle:
         safe = enumeration.SAFE_SCAN_LEN[order]
         if max_len is not None and max_len < safe:
@@ -268,6 +272,11 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
         _fail_usage("choose exactly one of --theorem1 / --conjecture2n / --hamiltonian")
     if hamiltonian is not None and hamiltonian < 1:
         _fail_usage("--hamiltonian needs at least one trial")
+    if allow_out_of_region and theorem1 is None:
+        _fail_usage("--allow-out-of-region reads --theorem1")
+    if hamiltonian is None and (click.get_current_context().get_parameter_source("seed")
+                                is not ParameterSource.DEFAULT):
+        _fail_usage("--seed reads --hamiltonian")
 
     if theorem1 is not None:
         t, n = theorem1

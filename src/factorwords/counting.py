@@ -21,9 +21,11 @@ their runs; above, it is the count of ``words.factor_classes``, whose
 classes of two or more words the checks walk. That class scan hashes each
 word's factor set and keys exactly only the words whose hashes collide,
 checking the time budget after each chunk. Budgets are charged the scans'
-buffers (``words.scan_nbytes``, ``words.class_scan_nbytes``) up front, and
-the colliding words' keys once counted. The checks compare minimal periods
-and root classes as integers: one ``words.period_classes`` call each way.
+buffers (``words.scan_nbytes``, ``words.class_scan_nbytes``) up front, the
+colliding words' keys once counted, and the checks' members and pairs
+before they are built. The checks compare minimal periods and root classes
+as integers, from one ``words.period_classes`` call over the shared classes'
+members; Theorem 1's backward direction compares sets of classes.
 """
 
 from __future__ import annotations
@@ -86,15 +88,31 @@ def _scan_meter(t: int, n: int, budget: Budget | None, words: int,
     return meter
 
 
-def _shared_classes(t: int, n: int, budget: Budget | None) -> list[list[tuple[int, int, int]]]:
+# Bytes per class member: tracemalloc's peak while building the member tuples (lists and
+# period_classes' arrays included) was 163 per member at (t, n) = (18, 1), 161 at (16, 1).
+_MEMBER_BYTES = 168
+
+
+def _shared_classes(t: int, n: int, budget: Budget | None) -> tuple[list, BudgetMeter]:
     """In bitmap order, every class of two or more words of length t with one
-    factor set: its codes ascending, each with its period and root class."""
+    factor set: its codes ascending, each with its period and root class;
+    and the meter charged the scan and the members."""
     meter = _scan_meter(t, n, budget, 1 << t, class_scan_nbytes)
     classes = factor_classes(n, t, meter)[1]
     meter.check_time(f"factor classes of length {t}")
     codes = np.concatenate([np.empty(0, np.int64), *classes])
+    meter.charge_memory(codes.size * _MEMBER_BYTES, f"{codes.size} class members of length {t}")
     members = iter(zip(codes.tolist(), *(a.tolist() for a in period_classes(t, codes))))
-    return [list(islice(members, len(cls))) for cls in classes]
+    return [list(islice(members, len(cls))) for cls in classes], meter
+
+
+def _odd_pairs(classes: list, bound: int):
+    """Class by class, the pairs of members whose periods or root classes
+    differ, or whose period exceeds ``bound``."""
+    for cls in classes:
+        for x, y in combinations(cls, 2):
+            if x[1] != y[1] or x[2] != y[2] or x[1] > bound:
+                yield x, y
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -151,11 +169,11 @@ def equal_factor_pairs(t: int, n: int,
     with periods and root conjugacy; class by class in factor-bitmap order,
     each class's pairs ordered by (first, second) code.
 
-    The pairs are charged against the budget before any is built."""
-    classes = _shared_classes(t, n, budget)
+    The pairs are charged against the budget, beside the scan and its
+    members, before any is built."""
+    classes, meter = _shared_classes(t, n, budget)
     pairs = sum(len(cls) * (len(cls) - 1) // 2 for cls in classes)
-    BudgetMeter(budget or Budget.default()).charge_memory(
-        pairs * _PAIR_BYTES, f"{pairs} equal-factor pairs of length {t}")
+    meter.charge_memory(pairs * _PAIR_BYTES, f"{pairs} equal-factor pairs of length {t}")
     return [EqualFactorPair(w=a, w2=b, n=n, period_w=pa, period_w2=pb,
                             root_conjugate=(pa, ra) == (pb, rb))
             for cls in classes for (a, pa, ra), (b, pb, rb)
@@ -202,11 +220,13 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
     """Verify both directions of the characterization at (t, n).
 
     Forward: every pair of distinct words with equal factor sets has equal
-    minimal periods <= k+1 (k = t-n) and conjugate roots. Backward: for
-    every p <= k+1 and every Lyndon word r of length p, the length-t windows
-    of the periodic repetition of r form a class of exactly p words, all
-    with period p, pairwise root-conjugate, with one common factor set; and
-    these classes are exactly the non-singleton groups.
+    minimal periods <= k+1 (k = t-n) and conjugate roots. Backward: the
+    non-singleton classes are exactly the window classes of the Lyndon roots
+    r of length p in 2..k+1, each the p length-t windows of r repeated. That
+    equality is the whole statement: in the region t >= 2k+1 >= 2p-1, so by
+    Fine and Wilf a shorter period q of a window would give the primitive r
+    the period gcd(p, q), and each window has minimal period p, root class r.
+    Roots whose class the scan lacks are reported in Lyndon order, then counts.
 
     Outside the region n >= k+1 the claim is not made; failures found there
     with allow_out_of_region are reported with in_region=False.
@@ -220,53 +240,35 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
             f"characterization needs n >= k+1 (t={t}, n={n}, k={k}); "
             "pass allow_out_of_region=True to scan anyway")
 
-    nontrivial = _shared_classes(t, n, budget)
-    counterexamples: list[dict] = []
+    nontrivial = _shared_classes(t, n, budget)[0]
+    counterexamples = [
+        {"direction": "forward", "words": [str(Word(t, a)), str(Word(t, b))],
+         "periods": [pa, pb], "root_conjugate": (pa, ra) == (pb, rb)}
+        for (a, pa, ra), (b, pb, rb) in islice(_odd_pairs(nontrivial, k + 1), _COUNTEREXAMPLE_CAP)]
+    forward_ok = not counterexamples
 
-    forward_ok = True
-    pairs = ((a, pa, ra, b, pb, rb) for cls in nontrivial
-             for (a, pa, ra), (b, pb, rb) in combinations(cls, 2))
-    for a, pa, ra, b, pb, rb in pairs:
-        if len(counterexamples) == _COUNTEREXAMPLE_CAP:
-            break  # forward_ok is False and no further pair can be recorded
-        if not ((pa, ra) == (pb, rb) and pa <= k + 1):
-            forward_ok = False
-            counterexamples.append({
-                "direction": "forward", "words": [str(Word(t, a)), str(Word(t, b))],
-                "periods": [pa, pb],
-                "root_conjugate": (pa, ra) == (pb, rb)})
-
-    # each Lyndon root of length <= k+1, by length then lexicographically, with its class
-    roots = ["".join(map(str, r)) for r in sorted(_duval(k + 1), key=len)]
-    classes = [sorted(int((r * (t + 1))[j:j + t], 2) for j in range(len(r))) for r in roots]
-    backward = {frozenset(cls) for cls in classes if len(cls) > 1}
     backward_ok = True
-    if in_region:  # each class judged against its first word, all in one batch
-        sizes = [len(r) for r in roots]
-        starts = np.cumsum(sizes) - sizes
-        first, codes = np.repeat(starts, sizes), np.concatenate(classes)
-        keys = factor_keys(n, t, codes).reshape(codes.size, -1)
-        periods, least = period_classes(t, codes)
-        ok = ((keys == keys[first]).all(axis=1) & (least == least[first])
-              & (periods == np.repeat(sizes, sizes)))
-        bad = np.flatnonzero(~np.logical_and.reduceat(ok, starts)).tolist()
-        backward_ok = not bad
-        for i in bad[:max(0, _COUNTEREXAMPLE_CAP - len(counterexamples))]:
-            counterexamples.append({"direction": "backward", "root": roots[i],
-                                    "class": [str(Word(t, c)) for c in classes[i]]})
-        found = {frozenset(c for c, _, _ in cls) for cls in nontrivial}
-        if found != backward:
+    if in_region:  # each Lyndon root of length 2..k+1, in Lyndon order, by its class
+        spelled = ("".join(map(str, r)) for r in sorted(_duval(k + 1), key=len)[2:])
+        roots = {tuple(sorted(int((r * t)[j:j + t], 2) for j in range(len(r)))): r for r in spelled}
+        found = {tuple(c for c, _, _ in cls) for cls in nontrivial}
+        if found != roots.keys():
             backward_ok = False
+            missing = [(r, cls) for cls, r in roots.items() if cls not in found]
+            counterexamples += [
+                {"direction": "backward", "root": r, "class": [str(Word(t, c)) for c in cls]}
+                for r, cls in missing[:max(0, _COUNTEREXAMPLE_CAP - len(counterexamples))]]
             counterexamples.append({
                 "direction": "backward",
                 "note": "period classes and equal-factor classes differ",
-                "only_in_groups": len(found - backward),
-                "only_in_classes": len(backward - found)})
+                "only_in_groups": len(found - roots.keys()),
+                "only_in_classes": len(missing)})
 
     return Theorem1Report(
         t=t, n=n, k=k, in_region=in_region,
         forward_ok=forward_ok, backward_ok=backward_ok,
-        nontrivial_classes=len(nontrivial), backward_classes=len(backward),
+        nontrivial_classes=len(nontrivial),
+        backward_classes=sum(lyndon_count(p) for p in range(2, k + 2)),
         counterexamples=tuple(counterexamples))
 
 
@@ -342,37 +344,20 @@ def check_conjecture_2n(n: int, budget: Budget | None = None) -> Conjecture2nRep
     if n < 1:
         raise ValueError("order must be positive")
     t = 2 * n
-    period_violations: list[dict] = []
-    conjugacy_violations: list[dict] = []
-    high_pairs: list[dict] = []
-    shape_misses: list[dict] = []
-    law_misses: list[dict] = []
-    classes = _shared_classes(t, n, budget)
-    for cls in classes:
-        for (x, px, rx), (y, py, ry) in combinations(cls, 2):
-            if (px, rx) == (py, ry) and px <= n + 1:
-                continue  # nothing to record
-            entry = {"words": [str(Word(t, x)), str(Word(t, y))], "periods": [px, py]}
-            if px != py:
-                period_violations.append(entry)
-            if (px, rx) != (py, ry):
-                conjugacy_violations.append(entry)
-            if px > n + 1:
-                shapes = _shape_factorizations(*entry["words"], n)
-                entry = dict(entry, factorizations=shapes)
-                high_pairs.append(entry)
-                if not shapes:
-                    shape_misses.append(entry)
-                elif all(px != n + len(s["u"]) for s in shapes):
-                    law_misses.append(entry)
+    classes = _shared_classes(t, n, budget)[0]
+    odd = [({"words": [str(Word(t, x)), str(Word(t, y))], "periods": [px, py]}, (px, rx) == (py, ry))
+           for (x, px, rx), (y, py, ry) in _odd_pairs(classes, n + 1)]
+    high = [dict(e, factorizations=_shape_factorizations(*e["words"], n))
+            for e, _ in odd if e["periods"][0] > n + 1]
     return Conjecture2nReport(
         n=n, t=t, pair_count=sum(len(c) * (len(c) - 1) // 2 for c in classes),
         nontrivial_classes=len(classes),
-        period_violations=tuple(period_violations),
-        conjugacy_violations=tuple(conjugacy_violations),
-        high_period_pairs=tuple(high_pairs),
-        shape_misses=tuple(shape_misses),
-        period_law_misses=tuple(law_misses))
+        period_violations=tuple(e for e, _ in odd if e["periods"][0] != e["periods"][1]),
+        conjugacy_violations=tuple(e for e, conjugate in odd if not conjugate),
+        high_period_pairs=tuple(high),
+        shape_misses=tuple(e for e in high if not e["factorizations"]),
+        period_law_misses=tuple(e for e in high if e["factorizations"] and all(
+            e["periods"][0] != n + len(s["u"]) for s in e["factorizations"])))
 
 
 # -- the table --------------------------------------------------------------------

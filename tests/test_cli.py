@@ -284,6 +284,8 @@ class TestVerify:
 @pytest.mark.parametrize("args", [
     "factors 0011 --n 2 --seed 1", "factors 0011 --n 2 --budget-mb 8",
     "witness 00,01 --n 2 --seed 1", "enumerate --n 2 -f csv",
+    "enumerate --n 2 --max-len 25", "verify --theorem1 5 3 --seed 4",
+    "verify --conjecture2n 3 --allow-out-of-region",
 ])
 def test_options_a_command_ignores_are_refused(run, args):
     assert run(*args.split()).exit_code == 2

@@ -17,6 +17,28 @@ from factorwords.budget import BudgetMeter
 from factorwords.words import factor_classes
 
 
+@pytest.fixture
+def charged_peak(monkeypatch):
+    """Run a call under tracemalloc: its peak, and the most a meter held."""
+    class PeakMeter(BudgetMeter):
+        peak = 0
+
+        def charge_memory(self, nbytes, what=""):
+            super().charge_memory(nbytes, what)
+            PeakMeter.peak = max(PeakMeter.peak, self.charged_bytes)
+
+    monkeypatch.setattr(factorwords.counting, "BudgetMeter", PeakMeter)
+
+    def run(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1], PeakMeter.peak
+        finally:
+            tracemalloc.stop()
+    return run
+
+
 class TestBruteForce:
     @pytest.mark.parametrize("t,n,expected", [
         (5, 3, 27), (8, 4, 216), (1, 1, 2), (2, 1, 3), (10, 2, 12),
@@ -51,24 +73,11 @@ class TestBruteForce:
         assert one.value == count_T_closed(19, 10).value
 
     @pytest.mark.parametrize("t,n", [(16, 5), (19, 5), (16, 8), (19, 10)])
-    def test_charges_bound_the_count(self, t, n, monkeypatch):
+    def test_charges_bound_the_count(self, t, n, charged_peak):
         # (19, 5) merges two chunks' bitmap keys; (16, 8) and (19, 10) take
         # the hashed class scan: the most the meter held covers the peak
-        class PeakMeter(BudgetMeter):
-            peak = 0
-
-            def charge_memory(self, nbytes, what=""):
-                super().charge_memory(nbytes, what)
-                PeakMeter.peak = max(PeakMeter.peak, self.charged_bytes)
-
-        monkeypatch.setattr(factorwords.counting, "BudgetMeter", PeakMeter)
-        tracemalloc.start()
-        try:
-            count_T_bruteforce(t, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= PeakMeter.peak
+        peak, charged = charged_peak(lambda: count_T_bruteforce(t, n))
+        assert peak <= charged
 
     def test_memory_budget_covers_the_scan(self):
         tiny = Budget(max_memory_bytes=8 << 20)
@@ -152,6 +161,13 @@ class TestEqualFactorPairs:
         with pytest.raises(BudgetExceededError):
             equal_factor_pairs(12, 1, Budget(max_memory_bytes=64 << 20))
 
+    @pytest.mark.parametrize("t,n", [(9, 2), (11, 3), (12, 6)])
+    def test_charges_bound_the_pairs(self, t, n, charged_peak):
+        # the pairs are charged to the scan's meter, beside the scan and the
+        # class members: 59329 pairs at (9, 2), 76295 at (11, 3), 604 at (12, 6)
+        peak, charged = charged_peak(lambda: equal_factor_pairs(t, n))
+        assert peak <= charged
+
 
 class TestTheorem1:
     def test_in_region_pass(self):
@@ -207,33 +223,73 @@ class TestTheorem1:
         # one class of 2046 words: 2046 * 2045 / 2 pairs without the cap
         assert drawn < 0.01 * (2046 * 2045 // 2)
 
-    @pytest.mark.parametrize("t,n,roots", [(9, 5, ["0011"]), (13, 7, None)])
-    def test_backward_failures_name_the_root_and_class(self, t, n, roots, monkeypatch):
-        # the backward batch (the second period_classes call, after the class
-        # scan's) reads periods one too high, for the classes of ``roots``
-        # (every class when None): each failing class is reported, in
-        # Lyndon order, up to the cap
-        real, calls = factorwords.counting.period_classes, []
-        lyndon = [str(r) for p in range(1, t - n + 2) for r in lyndon_words(p)]
+    @pytest.mark.parametrize("t,n,lost,merge", [
+        (9, 5, ["0011"], False), (13, 7, None, False), (13, 7, ["01", "001"], True)])
+    def test_backward_failures_name_the_root_and_class(self, t, n, lost, merge, monkeypatch):
+        # the class scan loses the classes of ``lost`` (every class when
+        # None), or with ``merge`` returns them joined as one: the roots whose
+        # class it lacks are reported in Lyndon order, up to the cap after any
+        # forward counterexample, then a note counts each side's own classes
+        real = factorwords.counting.factor_classes
+        lyndon = [str(r) for p in range(2, t - n + 2) for r in lyndon_words(p)]
         classes = {r: sorted({Word.from_text(r).rotated(j).repeated_to(t).code
                               for j in range(len(r))}) for r in lyndon}
-        corrupt = {c for r in roots or lyndon for c in classes[r]}
+        lost = [r for r in lyndon if r in (lost or lyndon)]
+        gone = [classes[r] for r in lost]
 
-        def periods_off(t, codes):
-            periods, least = real(t, codes)
-            calls.append(len(codes))
-            if len(calls) == 2:
-                periods[np.isin(codes, list(corrupt))] += np.uint64(1)
-            return periods, least
+        def altered(n, ell, meter):
+            count, found = real(n, ell, meter)
+            kept = [c for c in found if c.tolist() not in gone]
+            return count, kept + ([np.array(sorted(sum(gone, [])))] if merge else [])
 
-        monkeypatch.setattr(factorwords.counting, "period_classes", periods_off)
+        monkeypatch.setattr(factorwords.counting, "factor_classes", altered)
         rep = check_theorem1(t, n)
-        assert len(calls) == 2 and rep.forward_ok and not rep.backward_ok
-        want = [r for r in lyndon if r in (roots or lyndon)][:20]
-        assert len(want) == (1 if roots else 20)
-        assert rep.counterexamples == tuple(
+        assert rep.forward_ok != merge and not rep.backward_ok
+        # the merged class pairs each word of one class with each of the other
+        forward = len(gone[0]) * len(gone[1]) if merge else 0
+        assert all(c["direction"] == "forward" for c in rep.counterexamples[:forward])
+        want = lost[:20 - forward]
+        assert len(want) == min(20, len(lost)) and rep.counterexamples[forward:] == tuple(
             {"direction": "backward", "root": r,
-             "class": [str(Word(t, c)) for c in classes[r]]} for r in want)
+             "class": [str(Word(t, c)) for c in classes[r]]} for r in want) + (
+            {"direction": "backward", "note": "period classes and equal-factor classes differ",
+             "only_in_groups": int(merge), "only_in_classes": len(lost)},)
+
+    def test_backward_classes_are_the_lyndon_roots(self):
+        # in the region every Lyndon root of length 2..k+1 has one class
+        for t in range(1, 16):
+            for n in range(t // 2 + 1, t + 1):
+                rep = check_theorem1(t, n)
+                roots = sum(len(lyndon_words(p)) for p in range(2, t - n + 2))
+                assert rep.nontrivial_classes == rep.backward_classes == roots, (t, n)
+
+    def test_one_class_scan_and_no_root_windows(self, monkeypatch):
+        # one period_classes call over the class members, no factor_keys
+        # call of counting's own, and out of region no Lyndon root is listed
+        calls = []
+        for name in ("period_classes", "factor_keys"):
+            real = getattr(factorwords.counting, name)
+            monkeypatch.setattr(factorwords.counting, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for t, n in ((9, 5), (15, 8), (16, 8), (12, 2)):
+            calls.clear()
+            check_theorem1(t, n, allow_out_of_region=True)
+            assert calls == ["period_classes"], (t, n)
+
+        def no_roots(max_len):
+            raise AssertionError("Lyndon roots listed out of region")
+
+        monkeypatch.setattr(factorwords.counting, "_duval", no_roots)
+        assert check_theorem1(12, 2, allow_out_of_region=True).backward_ok
+
+    def test_out_of_region_members_are_charged(self, charged_peak):
+        # one class of 2^t - 2 words at n = 1: its members are charged before
+        # they are built, so a budget below them refuses the scan
+        peak, charged = charged_peak(lambda: check_theorem1(16, 1, allow_out_of_region=True))
+        assert peak <= charged
+        with pytest.raises(BudgetExceededError):
+            check_theorem1(18, 1, allow_out_of_region=True,
+                           budget=Budget(max_memory_bytes=16 << 20))
 
     def test_class_sizes_equal_periods(self):
         # within the region, each non-singleton class has as many words as
@@ -265,6 +321,27 @@ class TestConjecture2n:
     def test_shape_always_found_up_to_six(self):
         for n in range(2, 7):
             assert not check_conjecture_2n(n).shape_misses
+
+    def test_violations_against_the_scalar_route(self, monkeypatch):
+        # the class scan joins every shared class of length 8 into one, so
+        # its pairs break the conjecture: each list holds exactly the pairs
+        # its criterion picks, in pair order
+        real = factorwords.counting.factor_classes
+        monkeypatch.setattr(factorwords.counting, "factor_classes", lambda n, ell, meter: (
+            0, [np.sort(np.concatenate(real(n, ell, meter)[1]))]))
+        rep = check_conjecture_2n(4)
+        joined = np.sort(np.concatenate(factor_classes(4, 8, BudgetMeter(Budget()))[1]))
+        pairs = [(Word(8, int(a)), Word(8, int(b))) for a, b in combinations(joined, 2)]
+        periods = {w: period(w).period for w in {w for pair in pairs for w in pair}}
+        assert rep.pair_count == len(pairs) and rep.nontrivial_classes == 1
+        words = lambda got: [tuple(e["words"]) for e in got]
+        assert words(rep.period_violations) == [
+            (str(a), str(b)) for a, b in pairs if periods[a] != periods[b]]
+        assert words(rep.conjugacy_violations) == [
+            (str(a), str(b)) for a, b in pairs if not are_root_conjugate(a, b)]
+        assert words(rep.high_period_pairs) == [
+            (str(a), str(b)) for a, b in pairs if periods[a] > 5]
+        assert not rep.passed and rep.high_period_pairs
 
     def test_json_shape(self):
         doc = check_conjecture_2n(2).to_json_dict()
