@@ -34,9 +34,12 @@ class Budget:
     """Resource limits: bytes of working memory and wall seconds.
 
     ``workers`` limits nothing: every search runs in one process, and no
-    code in the package reads it. It and ``default(workers=)`` remain only
-    because the benchmark's oracle workload builds its budget with
-    ``Budget.default(workers=2)``; both go when that call does.
+    code in the package reads it. It and ``default(workers=)`` stay because
+    callers name it: the benchmark's oracle workload
+    (``Budget.default(workers=2)``), and the tests that build budgets naming
+    1, 4 or 16 workers and require the same results from each (acceptance
+    criterion 11, ``tests/conftest.py`` and the worker tests of counting and
+    enumeration), which is a fixed gate.
     """
 
     max_memory_bytes: int = _DEFAULT_MB << 20

@@ -20,7 +20,9 @@ The brute-force oracle shares no search with the census: it folds the
 batches of the package's one word scan, ``words.word_scan``, which lists
 each factor set of the words and circular words up to a length once, at
 the first length reaching it, reading each long word as a prefix key ORed
-with a suffix key from a table built once per call. Both hand one builder,
+with a suffix key from a table built once per call (its rows from the
+distinct pairs of suffix set and tail), and expanding only the least prefix
+of each (key, table row) pair in a batch. Both hand one builder,
 ``_result``, per-length histograms, read from the bits each depth first
 holds or from the batches, so neither keeps an array with an entry per set.
 """
@@ -200,9 +202,10 @@ def enumerate_representable(n: int, budget: Budget | None = None,
 def brute_force_nbytes(n: int, max_len: int) -> int:
     """The bytes ``brute_force_enumerate`` charges up front: the larger of its
     two word scans' buffers (at order 4 and length 25, 2.2 MB; tracemalloc's
-    peak was 0.74 MB). Each scan charges its suffix table on top while it
-    holds it; set listings (collect_sets) are charged on top, each batch as
-    it is kept and each sorted listing before it is built."""
+    peak was 0.69 MB, 0.92 MB with the listings). Each scan charges its
+    suffix table on top while it holds it; set listings (collect_sets) are
+    charged on top, each batch as it is kept and each sorted listing before
+    it is built."""
     return max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
 
 

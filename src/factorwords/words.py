@@ -265,8 +265,9 @@ _BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
 # brute-force scan, 2^18 ran faster and with a third of the memory of 2^21
 SCAN_CHUNK_BITS = 18
 # word_scan: suffix letters per table entry, and words or candidates per
-# batch. On the orders 1..4 oracle (2 cores), split 12, 13 and 15 ran 6-37%
-# slower than 14; batches of 2^15, 2^16 ran 8%, 13% faster for +0.4, +1.5 MB RSS
+# batch. On the order-4 scans to length 25 (2-core box, process time, medians
+# of 40), split 12, 13 and 15 ran 11%, 0.5% and 29% slower than 14; batches
+# of 2^15, 2^16 ran 8%, 13% faster for +0.4, +1.5 MB RSS
 SPLIT_BITS = 14
 SCAN_BATCH_BITS = 14
 
@@ -475,37 +476,54 @@ def class_scan_nbytes(n: int, ell: int, count: int) -> int:
     return count * 19 + chunk * (code_dt.itemsize * (width + 4) + 40) + (8 << n)
 
 
+def _first_pairs(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """The ascending positions of the first of each distinct (key, tag)
+    pair: one lexsort of the two narrow arrays, several times faster than a
+    stable sort of their wide combination."""
+    order = np.lexsort((keys, tags))
+    a, b = keys[order], tags[order]
+    fresh = np.ones(order.size, bool)
+    fresh[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return np.sort(order[fresh])
+
+
 def _suffix_table(n: int, split_bits: int, hlen: int,
                   meter: BudgetMeter) -> tuple[np.ndarray, np.ndarray]:
     """Per row (t << hlen) | h: the distinct keys of the words t·x·h, over
     the x of ``split_bits`` letters, for t of n - 1 letters and h of hlen,
     each with its least x (in the least unsigned dtype holding it) and
     ordered by that x; rows are padded to one width by repeating their last
-    entry. Each row is charged to the meter as it is made and the padded
-    table before it is filled; the rows are released once it is, so the
-    table stays charged."""
+    entry. F(t·x·h) is F(t·x) plus the windows of u·h, u the last n - 1
+    letters of t·x (read only when hlen = n - 1), so a t's rows are built
+    from its distinct (F(t·x), u) pairs, each with its least x: the least x
+    of a key is the least of some pair. Each row is charged to the meter as
+    it is made and the padded table before it is filled; the rows are
+    released once it is, so the table stays charged."""
     xs = np.arange(1 << split_bits, dtype=_scan_dtypes(n, n - 1 + split_bits, False)[1])
     x_dt = np.min_scalar_type((1 << split_bits) - 1)
-    # F(t·x·h) is F(t·x) plus the windows of u·h, u the last n - 1 letters of t·x
+    umask = (1 << hlen) - 1  # the tail u, or nothing when read ordinarily
     wrap = (factor_keys(n, 2 * hlen, range(1 << 2 * hlen)) if hlen
-            else np.zeros(1 << (n - 1), np.uint8))
+            else np.zeros(1, np.uint8))
     keys, least = [], []
     for t in range(1 << (n - 1)):
         tx = (t << split_bits) | xs
-        base, tail = factor_keys(n, n - 1 + split_bits, tx), (tx & ((1 << (n - 1)) - 1)) << hlen
+        base = factor_keys(n, n - 1 + split_bits, tx)
+        pairs = _first_pairs(base, (tx & umask).astype(np.uint8))
+        base, tail = base[pairs], (tx[pairs] & umask) << hlen
         for h in range(1 << hlen):
             row = base | wrap[tail | h]
             first = np.sort(np.unique(row, return_index=True)[1])
             keys.append(row[first])
-            least.append(first.astype(x_dt))
+            least.append(pairs[first].astype(x_dt))
             meter.charge_memory(keys[-1].nbytes + least[-1].nbytes, "suffix table row")
     width = max(map(len, least))
     rows = sum(k.nbytes + x.nbytes for k, x in zip(keys, least))
     meter.charge_memory(len(keys) * width * (keys[0].itemsize + x_dt.itemsize),
                         "suffix table")
     tkeys, txs = (np.empty((len(keys), width), a[0].dtype) for a in (keys, least))
-    for i, (k, x) in enumerate(zip(keys, least)):  # pad by the last entry
-        tkeys[i], txs[i] = (np.pad(a, (0, width - a.size), "edge") for a in (k, x))
+    for table, entries in ((tkeys, keys), (txs, least)):
+        for padded, a in zip(table, entries):  # pad by the last entry
+            padded[:a.size], padded[a.size:] = a, a[-1]
     meter.release_memory(rows)
     return tkeys, txs
 
@@ -527,7 +545,9 @@ def word_scan(n: int, max_len: int, meter: BudgetMeter, circular: bool = False,
     one table, of the distinct F(t·x) (F(t·x·h)) per t (pair t, h) with the
     least x giving each, turns a batch of prefixes into candidates
     F(p) | table[row(p)], laid out in code order; only the unlisted ones
-    get their codes (p << split_bits) | x.
+    get their codes (p << split_bits) | x. Prefixes sharing the pair
+    (F(p), row(p)) give the same candidates, so only the least of each
+    pair in a batch is expanded: it gives them their least codes.
 
     ``word_scan_nbytes`` bounds the buffers other than the table, which is
     charged to the meter row by row as it is built and released when the
@@ -562,6 +582,8 @@ def word_scan(n: int, max_len: int, meter: BudgetMeter, circular: bool = False,
         for lo in range(0, 1 << plen, 1 << SCAN_BATCH_BITS):
             p = np.arange(lo, min(lo + (1 << SCAN_BATCH_BITS), 1 << plen), dtype=np.int64)
             keys, rows = factor_keys(n, plen, p), ((p & tmask) << hlen) | (p >> (plen - hlen))
+            kept = _first_pairs(keys, rows.astype(np.uint8))
+            p, keys, rows = p[kept], keys[kept], rows[kept]
             for a in range(0, p.size, step):
                 sets, pos = unlisted((keys[a:a + step, None] | tkeys[rows[a:a + step]]).ravel())
                 i, j = np.divmod(pos, tkeys.shape[1])

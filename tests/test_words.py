@@ -2,6 +2,7 @@
 and the word-scan kernel."""
 
 import functools
+import hashlib
 import tracemalloc
 from itertools import combinations
 
@@ -432,16 +433,40 @@ def suffix_table(n, split_bits, hlen):
     return _suffix_table(n, split_bits, hlen, BudgetMeter(Budget()))
 
 
+# SHA-256 over the suffix tables' arrays (dtype, shape and bytes) per order,
+# hlen in {0, n - 1} and split_bits in {1, 2, n, 2n, 14}, as the tables read
+# when each row was deduplicated over every x
+SUFFIX_TABLE_SHA256 = {
+    1: "da0eab4016db04e04f56196bada99126d5dce7f44873b2059df8b389f7eb4a14",
+    2: "db04e0e4450fb4af3f2e5a4571de77f2bc5faf899461ee9aec837a14ceb5fbdf",
+    3: "5bd9fd58abc02cd3cf145f3ab800134c2983fb3cfe5cc88c3a2804c429ae2e54",
+    4: "13dfec3f2b0389ce78917904278629d51aa3e987fd49349327fc3fb3b6ded5e0",
+}
+
+
 class TestWordScan:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_suffix_table_pinned(self, n):
+        # building rows from (suffix set, tail) pairs keeps every table,
+        # split_bits below n - 1 included, where a tail holds letters of t
+        digest = hashlib.sha256()
+        for hlen in sorted({0, n - 1}):
+            for split_bits in sorted({1, 2, n, 2 * n, 14}):
+                for a in suffix_table(n, split_bits, hlen):
+                    digest.update(f"{a.dtype.str}{a.shape}".encode())
+                    digest.update(a.tobytes())
+        assert digest.hexdigest() == SUFFIX_TABLE_SHA256[n]
+
     @pytest.mark.parametrize("n,max_len", [(1, 9), (2, 12), (3, 14), (4, 18)])
     def test_split_scan_matches_direct_scan(self, n, max_len):
         # split_bits = n and n + 2 run the direct path (circular words
         # shorter than n included), the ordinary split and the circular wrap;
         # at 2n, an order-4 table row has keys out of x order, so the least
-        # codes come out right only if the rows are kept in x order
+        # codes come out right only if the rows are kept in x order; at 1 and
+        # 2, below n - 1, a row's tail u holds letters of t as well as of x
         want = first_and_least(n, max_len, [direct_batches(n, max_len, c)
                                             for c in (False, True)])
-        for split_bits in (n, n + 2, 2 * n):
+        for split_bits in sorted({1, 2, n, n + 2, 2 * n}):
             got = first_and_least(n, max_len, [word_scan(n, max_len, BudgetMeter(Budget()),
                                                          c, split_bits)
                                                for c in (False, True)])
@@ -492,6 +517,7 @@ class TestWordScan:
     @pytest.mark.parametrize("n,max_len,circular,split_bits", [
         (3, 16, True, 14), (4, 17, False, 14), (4, 20, False, 14), (4, 20, True, 14),
         (1, 20, True, 1), (4, 20, True, 6), (3, 20, True, 5), (2, 20, False, 3),
+        (4, 25, False, 14), (4, 25, True, 14),  # the oracle's own scans
     ])
     def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len, circular, split_bits):
         # word_scan_nbytes is charged up front and the scan charges its
