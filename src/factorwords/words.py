@@ -11,7 +11,8 @@ de Bruijn words, and the package's one word scan: ``factor_keys`` turns a
 batch of word codes into canonical factor-set keys with numpy,
 ``factor_classes`` groups the words of a length by factor set, and ``word_scan``
 lists each factor set of the words up to a length once, orders 1..4,
-reading long words as a prefix key joined with a table of suffix keys.
+reading long words as a prefix key joined with a table of suffix keys and
+expanding only the prefix states (key, table row) no shorter prefix reached.
 
 Above order 6, ``factor_classes`` sorts no key per word. It gives each word
 a 64-bit set hash, the wrapping sum over its distinct factors of a fixed
@@ -265,10 +266,12 @@ _BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
 # brute-force scan, 2^18 ran faster and with a third of the memory of 2^21
 SCAN_CHUNK_BITS = 18
 # word_scan: suffix letters per table entry, and words or candidates per
-# batch. On the order-4 scans to length 25 (2-core box, process time, medians
-# of 40), split 12, 13 and 15 ran 11%, 0.5% and 29% slower than 14; batches
-# of 2^15, 2^16 ran 8%, 13% faster for +0.4, +1.5 MB RSS
-SPLIT_BITS = 14
+# batch. brute_force_enumerate(4, 25) (2-core box, process time, medians of
+# 120 interleaved calls) took 23.4, 23.7, 24.7 and 25.5 ms at split 2, 3, 4
+# and 5; in medians of 60, 22.7, 25.9, 32.2 and 36.3 ms at split 1, 6, 8
+# and 14. The oracle's orders 1..4 at split 3 with batches of 2^13, 2^15 and
+# 2^16 ran 5% slower, as fast and 5% slower than with 2^14
+SPLIT_BITS = 3
 SCAN_BATCH_BITS = 14
 
 
@@ -496,9 +499,8 @@ def _suffix_table(n: int, split_bits: int, hlen: int,
     entry. F(t·x·h) is F(t·x) plus the windows of u·h, u the last n - 1
     letters of t·x (read only when hlen = n - 1), so a t's rows are built
     from its distinct (F(t·x), u) pairs, each with its least x: the least x
-    of a key is the least of some pair. Each row is charged to the meter as
-    it is made and the padded table before it is filled; the rows are
-    released once it is, so the table stays charged."""
+    of a key is the least of some pair. The time is checked per t; the
+    bytes are in ``word_scan_nbytes``."""
     xs = np.arange(1 << split_bits, dtype=_scan_dtypes(n, n - 1 + split_bits, False)[1])
     x_dt = np.min_scalar_type((1 << split_bits) - 1)
     umask = (1 << hlen) - 1  # the tail u, or nothing when read ordinarily
@@ -515,17 +517,54 @@ def _suffix_table(n: int, split_bits: int, hlen: int,
             first = np.sort(np.unique(row, return_index=True)[1])
             keys.append(row[first])
             least.append(pairs[first].astype(x_dt))
-            meter.charge_memory(keys[-1].nbytes + least[-1].nbytes, "suffix table row")
+        meter.check_time("suffix table")
     width = max(map(len, least))
-    rows = sum(k.nbytes + x.nbytes for k, x in zip(keys, least))
-    meter.charge_memory(len(keys) * width * (keys[0].itemsize + x_dt.itemsize),
-                        "suffix table")
     tkeys, txs = (np.empty((len(keys), width), a[0].dtype) for a in (keys, least))
     for table, entries in ((tkeys, keys), (txs, least)):
         for padded, a in zip(table, entries):  # pad by the last entry
             padded[:a.size], padded[a.size:] = a, a[-1]
-    meter.release_memory(rows)
     return tkeys, txs
+
+
+def _new_states(n: int, hlen: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per prefix length from n on, while there are any, the new states:
+    the pairs (F(p), row(p)), row(p) = (t << hlen) | h with t the last
+    n - 1 letters of p and h its first hlen, that no shorter prefix
+    reaches, each with the least p of the length reaching it, as (keys,
+    rows, codes) in ascending p.
+
+    A letter a takes the state of p to that of p·a: the key gains the
+    window t·a, t becomes the last n - 1 letters of t·a, and h stays. So a
+    state new at length plen + 1 has only new predecessors at plen (from
+    one reached before, it would have been reached before), and its least
+    p·a is the least over them. Each length's states are therefore the
+    successors of the last length's new ones, deduplicated keeping the least
+    p and filtered through one bit per (key, row), set when first reached.
+    Only the first length reads ``factor_keys``."""
+    rbits = n - 1 + hlen  # bits per row
+    tmask = (1 << (n - 1)) - 1
+    p = np.arange(1 << n, dtype=np.int64)
+    keys = factor_keys(n, n, p)
+    rows = (((p & tmask) << hlen) | (p >> (n - hlen))).astype(np.uint8)
+    # per row and letter a: the window t·a as a key bit, and the next row
+    every = np.arange(1 << rbits)
+    win = ((every >> hlen) << 1)[:, None] | np.arange(2)
+    gain = keys.dtype.type(1) << win.astype(keys.dtype)
+    succ = (((win & tmask) << hlen) | (every & ((1 << hlen) - 1))[:, None]).astype(np.uint8)
+    seen = np.zeros(-(-(1 << ((1 << n) + rbits)) // 8), np.uint8)
+    letters = np.arange(2, dtype=np.int64)
+    while True:
+        ids = (keys.astype(np.int64) << rbits) | rows
+        fresh = np.flatnonzero((seen[ids >> 3] >> (ids & 7).astype(np.uint8)) & 1 == 0)
+        kept = fresh[_first_pairs(keys[fresh], rows[fresh])]
+        if not kept.size:
+            return
+        ids, p, keys, rows = ids[kept], p[kept], keys[kept], rows[kept]
+        np.bitwise_or.at(seen, ids >> 3, (1 << (ids & 7)).astype(np.uint8))
+        yield keys, rows, p
+        keys = (keys[:, None] | gain[rows]).ravel()
+        rows = succ[rows].ravel()
+        p = ((p << 1)[:, None] | letters).ravel()
 
 
 def word_scan(n: int, max_len: int, meter: BudgetMeter, circular: bool = False,
@@ -543,15 +582,18 @@ def word_scan(n: int, max_len: int, meter: BudgetMeter, circular: bool = False,
     letters of p and h its first n - 1, has F(c) = F(p) | F(t·x), and read
     circularly F(p) | F(t·x·h): the window reaching past x wraps into h. So
     one table, of the distinct F(t·x) (F(t·x·h)) per t (pair t, h) with the
-    least x giving each, turns a batch of prefixes into candidates
-    F(p) | table[row(p)], laid out in code order; only the unlisted ones
-    get their codes (p << split_bits) | x. Prefixes sharing the pair
-    (F(p), row(p)) give the same candidates, so only the least of each
-    pair in a batch is expanded: it gives them their least codes.
+    least x giving each, turns a prefix into candidates F(p) | table[row(p)],
+    laid out in code order; only the unlisted ones get their codes
+    (p << split_bits) | x. A prefix's candidates depend only on its state
+    (F(p), row(p)), so only the states no shorter prefix reaches are
+    expanded, each from the least prefix reaching it (``_new_states``): a
+    set first listed at a length gets its least code there from a new
+    state, since an old one listed all its candidates before. When no state
+    is new, no longer word lists a set, and the scan ends. The codes hold
+    at most 63 letters: a length past that with new states is refused.
+    Each length notes its new states and their running total to the meter.
 
-    ``word_scan_nbytes`` bounds the buffers other than the table, which is
-    charged to the meter row by row as it is built and released when the
-    scan ends.
+    ``word_scan_nbytes`` bounds the bytes it holds.
     """
     if not 1 <= n <= 4:  # the mask of listed sets holds 2^(2^n) flags, 64 KiB at order 4
         raise ValueError("the word scan supports orders 1..4")
@@ -565,39 +607,46 @@ def word_scan(n: int, max_len: int, meter: BudgetMeter, circular: bool = False,
         listed[sets] = True
         return sets, pos[first]
 
-    hlen = n - 1 if circular else 0
-    tmask = (1 << (n - 1)) - 1
     split = split_bits + n  # the least length read as prefix and suffix
-    if max_len >= split:
-        tkeys, txs = _suffix_table(n, split_bits, hlen, meter)
-        step = max(1, (1 << SCAN_BATCH_BITS) // tkeys.shape[1])
-    for ell in range(1 if circular else n, max_len + 1):
-        if ell < split:
-            chunk = 1 << min(ell, SCAN_BATCH_BITS)
-            for start in range(0, 1 << ell, chunk):
-                sets, pos = unlisted(factor_keys(n, ell, range(start, start + chunk), circular))
-                yield ell, sets, start + pos
-            continue
-        plen = ell - split_bits
-        for lo in range(0, 1 << plen, 1 << SCAN_BATCH_BITS):
-            p = np.arange(lo, min(lo + (1 << SCAN_BATCH_BITS), 1 << plen), dtype=np.int64)
-            keys, rows = factor_keys(n, plen, p), ((p & tmask) << hlen) | (p >> (plen - hlen))
-            kept = _first_pairs(keys, rows.astype(np.uint8))
-            p, keys, rows = p[kept], keys[kept], rows[kept]
-            for a in range(0, p.size, step):
-                sets, pos = unlisted((keys[a:a + step, None] | tkeys[rows[a:a + step]]).ravel())
-                i, j = np.divmod(pos, tkeys.shape[1])
-                yield ell, sets, (p[a + i] << split_bits) | txs[rows[a + i], j]
-    if max_len >= split:
-        meter.release_memory(tkeys.nbytes + txs.nbytes)
+    for ell in range(1 if circular else n, min(max_len + 1, split)):
+        chunk = 1 << min(ell, SCAN_BATCH_BITS)
+        for start in range(0, 1 << ell, chunk):
+            sets, pos = unlisted(factor_keys(n, ell, range(start, start + chunk), circular))
+            yield ell, sets, start + pos
+    if max_len < split:
+        return
+    hlen = n - 1 if circular else 0
+    tkeys, txs = _suffix_table(n, split_bits, hlen, meter)
+    step = max(1, (1 << SCAN_BATCH_BITS) // tkeys.shape[1])
+    states = 0
+    for ell, (keys, rows, p) in zip(range(split, max_len + 1), _new_states(n, hlen)):
+        if ell > 63:
+            raise ValueError("the scan's codes hold at most 63 letters")
+        states += p.size
+        meter.note(new_states=p.size, states=states)
+        for a in range(0, p.size, step):
+            sets, pos = unlisted((keys[a:a + step, None] | tkeys[rows[a:a + step]]).ravel())
+            i, j = np.divmod(pos, tkeys.shape[1])
+            yield ell, sets, (p[a + i] << split_bits) | txs[rows[a + i], j]
+
+
+# per order, the most new states one prefix length holds, read ordinarily and
+# circularly: they depend on nothing else (TestWordScan pins them)
+_NEW_STATES_MOST = {1: (2, 2), 2: (6, 8), 3: (40, 86), 4: (2060, 7496)}
+# bytes per new state while the next length's are made: it, its successors,
+# their flag lookups and the dedupe (tracemalloc at order 4: 110 ordinary,
+# 107 circular)
+_STATE_BYTES = 128
 
 
 def word_scan_nbytes(n: int, max_len: int, circular: bool = False,
                      split_bits: int = SPLIT_BITS) -> int:
-    """An upper bound on the bytes ``word_scan`` holds at once beside its
-    suffix table, which it charges to its meter as it is built: the
-    mask of listed sets plus the most of making one table row, one direct
-    chunk, and one batch of candidates beside its chunk of prefixes.
+    """An upper bound on the bytes ``word_scan`` holds at once: the mask of
+    listed sets and, from the first split length on, the suffix table (its
+    rows hold at most 2^split_bits keys) and the flags of the states
+    reached; beside them, the most of one direct chunk, building the table,
+    and one length's new states with one batch of their candidates; and
+    32 KiB for numpy's fixed temporaries (tracemalloc: 15.5 KB at order 1).
     """
     key = _scan_dtypes(n, max_len, circular)[2].itemsize
     # per key made, as if unlisted: the filter's flags and positions, the dedupe's
@@ -606,13 +655,15 @@ def word_scan_nbytes(n: int, max_len: int, circular: bool = False,
     split = split_bits + n
     ell = min(max_len, split - 1)
     count = 1 << min(ell, SCAN_BATCH_BITS)
-    most = scan_nbytes(n, ell, count, circular) + count * listing
+    held, most = 1 << (1 << n), scan_nbytes(n, ell, count, circular) + count * listing
     if max_len >= split:
-        # a row's codes: the x range, t·x, its tails and two temporaries
-        row = ((40 + listing) << split_bits) + scan_nbytes(n, split - 1, 1 << split_bits)
-        plen = max_len - split_bits
-        prefixes = 1 << min(plen, SCAN_BATCH_BITS)
-        cand = max(1 << SCAN_BATCH_BITS, min(1 << split_bits, 1 << (1 << n)))
-        most = max(most, row, prefixes * (key + 16) + scan_nbytes(n, plen, prefixes)
-                   + cand * (2 * key + listing))
-    return (1 << (1 << n)) + most
+        rbits = (n - 1) * (2 if circular else 1)
+        width = min(1 << split_bits, 1 << (1 << n))
+        table = (width << rbits) * (key + np.min_scalar_type((1 << split_bits) - 1).itemsize)
+        held += table + (1 << ((1 << n) + rbits)) // 8 + 1
+        # the unpadded rows, and a t's codes: the x range, t·x, its tails and two temporaries
+        build = table + ((40 + listing) << split_bits) + scan_nbytes(n, split - 1, 1 << split_bits)
+        states = min(1 << (max_len - split_bits), _NEW_STATES_MOST[n][circular])
+        cand = min(max(1 << SCAN_BATCH_BITS, width), states * width)
+        most = max(most, build, states * _STATE_BYTES + cand * (2 * key + listing))
+    return (32 << 10) + held + most

@@ -139,6 +139,14 @@ class TestOracleAgreement:
         assert h.hexdigest() == (
             "b69416def6b3c049f289702ab274f3a735e19fa9893b7651d1110481aa760f89")
 
+    def test_longer_scans_agree(self, brute4):
+        # no order-4 set is first listed past 25 letters, and no prefix state
+        # is new past 34: longer scans give the same row, least codes and sets
+        want = [brute4.to_json_dict(), brute4.rep_sets, brute4.circ_sets]
+        for max_len in (33, 40, 64):
+            r = brute_force_enumerate(4, max_len, collect_sets=True)
+            assert [r.to_json_dict(), r.rep_sets, r.circ_sets] == want
+
     def test_brute_validation(self):
         with pytest.raises(ValueError):
             brute_force_enumerate(5, 30)
@@ -334,8 +342,8 @@ class TestBudget:
         assert peak <= brute_force_nbytes(n, max_len)
 
     def test_oracle_table_charge_bounds_its_buffers(self, monkeypatch):
-        # the suffix tables are charged as they are built, on top of
-        # brute_force_nbytes: the most the meter holds covers the peak
+        # the set listings are charged on top of brute_force_nbytes, which
+        # holds the suffix tables: the most the meter holds covers the peak
         class PeakMeter(BudgetMeter):
             peak = 0
 

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from factorwords import (Budget, InvalidLength, Word, are_conjugate, are_root_conjugate,
                          circular_factors, debruijn, divisors, factors,
                          lyndon_count, lyndon_words, mobius, period, root)
+from factorwords import words
 from factorwords.budget import BudgetMeter
 from factorwords.counting import BRUTE_MAX_T
-from factorwords.words import (_holding, _suffix_table, class_scan_nbytes, factor_classes,
-                               factor_keys, period_classes, scan_nbytes, sorted_runs,
-                               word_scan, word_scan_nbytes)
+from factorwords.words import (SPLIT_BITS, _NEW_STATES_MOST, _holding, _new_states,
+                               _suffix_table, class_scan_nbytes, factor_classes, factor_keys,
+                               period_classes, scan_nbytes, sorted_runs, word_scan,
+                               word_scan_nbytes)
 
 
 def w(text):
@@ -514,14 +516,61 @@ class TestWordScan:
         with pytest.raises(ValueError):
             next(word_scan(3, 20, BudgetMeter(Budget()), split_bits=0))
 
+    @pytest.mark.parametrize("n,max_len,split_bits", [
+        (4, 25, 14), (4, 20, 4), (3, 16, 3), (2, 12, 1), (1, 9, 2)])
+    def test_each_state_is_expanded_once(self, n, max_len, split_bits):
+        # the scan expands as many states as there are distinct pairs
+        # (F(p), row(p)) over the prefixes p of every split length: none
+        # twice, such as a pair met again at a longer prefix
+        for circular in (False, True):
+            hlen = n - 1 if circular else 0
+            pairs = set()
+            for plen in range(n, max_len - split_bits + 1):
+                p = np.arange(1 << plen)
+                rows = ((p & ((1 << (n - 1)) - 1)) << hlen) | (p >> (plen - hlen))
+                pairs.update(zip(factor_keys(n, plen, p).tolist(), rows.tolist()))
+            meter = BudgetMeter(Budget())
+            for batch in word_scan(n, max_len, meter, circular, split_bits):
+                pass
+            assert meter.progress["states"] == len(pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_new_states_pinned(self, n):
+        # per flavour: the prefix length after which no state is new, the
+        # states in all, and the most at one length, which word_scan_nbytes reads
+        pinned = {1: ((2, 3), (2, 3)), 2: ((5, 18), (6, 26)), 3: ((11, 222), (14, 500)),
+                  4: ((29, 19190), (34, 74446))}
+        for circular in (False, True):
+            states = zip(range(64), _new_states(n, n - 1 if circular else 0))
+            sizes = [p.size for _, (_, _, p) in states]
+            assert (n + len(sizes) - 1, sum(sizes)) == pinned[n][circular]
+            assert max(sizes) == _NEW_STATES_MOST[n][circular]
+
+    def test_codes_past_63_letters_refused(self, monkeypatch):
+        # at order 4 no state is new past 34 prefix letters, so the scan ends
+        # well inside 63 letters; states new for ever would reach the limit
+        def endless(n, hlen):
+            for state in real(n, hlen):
+                yield state
+            while True:
+                yield state
+
+        real = words._new_states
+        assert [ell for ell, _, _ in word_scan(4, 64, BudgetMeter(Budget()), True)][-1] <= 63
+        monkeypatch.setattr(words, "_new_states", endless)
+        with pytest.raises(ValueError, match="63 letters"):
+            for batch in word_scan(4, 64, BudgetMeter(Budget()), True):
+                pass
+
     @pytest.mark.parametrize("n,max_len,circular,split_bits", [
         (3, 16, True, 14), (4, 17, False, 14), (4, 20, False, 14), (4, 20, True, 14),
         (1, 20, True, 1), (4, 20, True, 6), (3, 20, True, 5), (2, 20, False, 3),
         (4, 25, False, 14), (4, 25, True, 14),  # the oracle's own scans
+        (4, 25, False, SPLIT_BITS), (4, 25, True, SPLIT_BITS),
     ])
     def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len, circular, split_bits):
-        # word_scan_nbytes is charged up front and the scan charges its
-        # suffix table on top: together they must not undercount
+        # word_scan_nbytes is charged up front, the suffix table and the
+        # state flags included: with any charge on top it must not undercount
         meter = PeakMeter(Budget())
         tracemalloc.start()
         try:
