@@ -20,9 +20,11 @@ Three independent pieces:
   * covering closed walks in strongly connected digraphs: every such graph
     on n vertices has one of length at most floor((n+1)^2/4), a chain-fan
     family attains the bound, and 2^(2n-2) + 2^(n-1) therefore caps the
-    extremal witness lengths. Past one strong-connectivity test, the longest
-    simple path behind the walk built and the exact optimum step factorsets'
-    walk layers forward on the reversed graph, then walk greedily.
+    extremal witness lengths. Past one strong-connectivity test, the exact
+    optimum and the longest simple path behind the walk built step
+    factorsets' walk layers forward on the reversed graph, then walk
+    greedily: the optimum over masks of the vertices but 0, which all its
+    walks end at, the simple path by moves that only gain a vertex.
 
 All arithmetic in this module is exact integer arithmetic.
 """
@@ -33,10 +35,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat, zip_longest
+from operator import mul
 
 from .budget import Budget
 from .enumeration import enumerate_representable
-from .factorsets import (_greedy_walk, _sides, _sized, _step_forward, circular_factors,
+from .factorsets import (_containing, _greedy_walk, _sides, _step_forward, circular_factors,
                          strong_components)
 from .words import Word
 
@@ -133,7 +137,7 @@ class UpperBoundAudit:
     table: list[list[int]]       # table[k][i] = L[k][i]
     weighted_sum: int            # sum_k sum_i L[k][i] * 7^i
     telescoped: int              # sum_i C(m,i) 7^i 3^(m-i)
-    binomial_identity_ok: bool   # inner sums collapse to powers of 3
+    binomial_identity_ok: bool   # sum_k L[k][i] = C(m,i) 3^(m-i) for each i
 
     @property
     def consistent(self) -> bool:
@@ -161,23 +165,15 @@ def upper_bound_audit(n: int) -> UpperBoundAudit:
     if n < 1:
         raise ValueError("order must be positive")
     m = 1 << (n - 1)
-    kmax = 1 << n
-    table = []
-    weighted = 0
-    for k in range(kmax + 1):
-        row = []
-        for i in range(k // 2 + 1):
-            v = math.comb(m, i) * math.comb(m - i, k - 2 * i) * (1 << (k - 2 * i)) \
-                if k - 2 * i <= m - i else 0
-            row.append(v)
-            weighted += v * 7 ** i
-        table.append(row)
-    telescoped = sum(math.comb(m, i) * 7 ** i * 3 ** (m - i) for i in range(m + 1))
-    identity_ok = all(
-        sum(math.comb(m - i, k - 2 * i) * (1 << (k - 2 * i))
-            for k in range(2 * i, kmax + 1) if k - 2 * i <= m - i) == 3 ** (m - i)
-        for i in range(m + 1))
-    return UpperBoundAudit(n, upper_bound(n), table, weighted, telescoped, identity_ok)
+    # C(m - i, k - 2i) is 0 past m - i, where no loose element is left
+    table = [[math.comb(m, i) * math.comb(m - i, k - 2 * i) << (k - 2 * i)
+              for i in range(k // 2 + 1)] for k in range(2 * m + 1)]
+    columns = [sum(col) for col in zip_longest(*table, fillvalue=0)]
+    sevens = list(accumulate(repeat(7, m), mul, initial=1))
+    # column i sums to C(m, i) 3^(m-i) iff its inner sum over k is 3^(m-i)
+    collapsed = [math.comb(m, i) * 3 ** (m - i) for i in range(m + 1)]
+    return UpperBoundAudit(n, upper_bound(n), table, sum(map(mul, columns, sevens)),
+                           sum(map(mul, collapsed, sevens)), columns == collapsed)
 
 
 @dataclass(frozen=True)
@@ -318,16 +314,14 @@ def _shortest_path(g: Digraph, s: int, t: int) -> list[int]:
 def _longest_simple_path(g: Digraph) -> list[int]:
     """The least longest simple path, compared by start vertex, then by each
     step's position in ``g.edges`` iteration order. Layer j holds the states
-    (c, v) of the simple paths of j moves from v, masks of j + 1 members."""
+    (c, v) of the simple paths of j moves from v, stepped by gains only."""
     nv = g.vertex_count
-    succs = [list(e) for e in g.edges]
+    moves = [(list(e), 1 << v, 0, has) for v, (e, has) in enumerate(zip(g.edges, _containing(nv)))]
     layers = [[1 << (1 << v) for v in range(nv)]]
-    for size in _sized(nv)[2:]:  # a move to a vertex passed keeps the size: dropped
-        if not any(nxt := _step_forward(succs, layers[-1], [size] * nv)):
-            break
+    while any(nxt := _step_forward(moves, layers[-1])):
         layers.append(nxt)
     start, states = next((v, states) for v, states in enumerate(layers[-1]) if states)
-    return _greedy_walk(succs, layers[-2::-1], start, states)
+    return _greedy_walk(moves, layers[-2::-1], start, states)
 
 
 def _optimal_closed_cover(g: Digraph) -> list[int]:
@@ -335,18 +329,21 @@ def _optimal_closed_cover(g: Digraph) -> list[int]:
     them. One exists iff g is strongly connected, which is decided first.
     It can be rotated to start at 0: layer j holds the states (c, v) of the
     walks of j moves from v to 0 covering c; the first holding (all, 0)
-    gives the length."""
+    gives the length. Every mask holds 0, so it is indexed over vertices
+    1..nv - 1, x's bit 2^(x - 1), and a move to 0 keeps every mask."""
     if not g.strongly_connected():
         raise NotStronglyConnected("graph is not strongly connected")
     nv = g.vertex_count
     if nv == 1:
         return [0, 0] if 0 in g.edges[0] else [0]
-    succs = [sorted(e) for e in g.edges]
-    full = (1 << nv) - 1
-    layers = [[2] + [0] * (nv - 1)]  # ({0}, 0): mask 1, bit 1 << 1
+    full = (1 << nv - 1) - 1
+    has = (0, *_containing(nv - 1))
+    moves = [(sorted(e), 1 << x >> 1, has[x] or (2 << full) - 1, has[x])
+             for x, e in enumerate(g.edges)]
+    layers = [[1] + [0] * (nv - 1)]  # ({0}, 0): mask 0
     while not layers[-1][0] >> full & 1:  # (all, 0)
-        layers.append(_step_forward(succs, layers[-1], [(2 << full) - 1] * nv))
-    return _greedy_walk(succs, layers[-2::-1], 0, 1 << full)
+        layers.append(_step_forward(moves, layers[-1]))
+    return _greedy_walk(moves, layers[-2::-1], 0, 1 << full)
 
 
 def hamiltonian_walk(g: Digraph) -> WalkReport:

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from itertools import accumulate
+from operator import and_, or_, xor
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .factorsets import (FactorSet, _below, _set_bits, _step_forward, _table,
+from .factorsets import (FactorSet, _containing, _set_bits, _step_forward, _table,
                          shortest_circular_witness, shortest_witness)
 from .words import Word, word_scan, word_scan_nbytes
 
@@ -91,20 +92,23 @@ class EnumerationResult:
 # -- walk layers --------------------------------------------------------------
 
 def _run(preds: list[list[int]], layer: list[int], meter: BudgetMeter, name: str,
-         gain: tuple[int, ...] | None = None) -> Iterator[tuple[int, list[int]]]:
+         gain: Iterator[int] | None = None) -> Iterator[tuple[int, list[int]]]:
     """(d, the states first reached at depth d) for each d while there are
     any, from the start states ``layer`` on the graph with predecessor lists
-    ``preds``, each step filtered by ``gain`` as ``_step_forward`` reads it;
-    the run and depth are noted and the time checked per layer."""
-    full = (1 << (1 << len(layer))) - 1
-    unseen = [full ^ states for states in layer]
+    ``preds``, each vertex keeping and growing into the states not reached
+    yet, a mask c + 2^x only if the x-th bit set of ``gain`` (when given)
+    holds it; the run and depth are noted and the time checked per layer."""
+    unreached = map(xor, _containing(len(layer)), layer)
+    moves = [[vs, 1 << x, keep, keep if gain is None else keep & next(gain)]
+             for x, (vs, keep) in enumerate(zip(preds, unreached))]
     d = 0
     while any(layer):
         yield d, layer
         d += 1
-        layer = _step_forward(preds, layer, unseen, gain)
-        for v, states in enumerate(layer):
-            unseen[v] ^= states
+        layer = _step_forward(moves, layer)
+        for move, states in zip(moves, layer):
+            move[2] ^= states
+            move[3] = move[2] if gain is None else move[3] & move[2]
         meter.note(run=name, depth=d)
         meter.check_time(f"{name}, depth {d}")
 
@@ -131,11 +135,11 @@ def _closed_walks(preds: list[list[int]], meter: BudgetMeter) -> Iterator[tuple[
     states at u whose masks hold no member below u."""
     width = len(preds)
     full = (1 << (1 << width)) - 1
-    least = [full ^ b for b in _below(width)]
+    least = [full ^ b for b in accumulate(_containing(width)[:-1], or_, initial=0)]
     # ({u}, u) closes only by a self-loop: the one-letter circular word 0 or 1
     yield 1, 1 << 1 | 1 << (1 << (width - 1))
     for d, layer in _run(preds, [1 << (1 << u) for u in range(width)], meter,
-                         "closed walks", _below(width)):
+                         "closed walks", (full ^ b for b in least)):
         if d:
             yield d, reduce(or_, map(and_, layer, least))
 
@@ -160,10 +164,10 @@ def _result(n: int, ordinary: tuple, circular: tuple) -> EnumerationResult:
 
 def census_nbytes(n: int) -> int:
     """The bytes ``enumerate_representable`` charges up front: per set, a bit
-    per vertex in each of seven tables (the layer, the next, the unseen
-    states, the masks of ``_containing``, ``_below`` and least members, and
-    a step's temporaries and Python's 30-bit int digits); then 64 KiB for the
-    searches and the result (0.98 MB at order 4, tracemalloc's peak 0.93).
+    per vertex in each of seven tables (the layer, the next, the unreached
+    states to keep and to grow into, the masks of ``_containing`` and least
+    members, and a step's temporaries and Python's 30-bit int digits); then
+    64 KiB for the searches and the result (0.98 MB at order 4, tracemalloc's peak 0.91).
     Set listings (collect_sets) are charged on top, before each is built."""
     width = 1 << n
     return ((7 * width // 8) << width) + (64 << 10)

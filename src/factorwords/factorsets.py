@@ -11,9 +11,12 @@ table (bit code(x) set iff x is a member). On top of it live:
     connected for circular words, which needs equal prefix and suffix
     projections, checked first on the table's bits),
   * the walk-layer kernel over (covered-subset, current-vertex) states, a
-    bit set per vertex: one step forward, optionally letting a mask gain a
-    vertex only above its least member (the census), and a greedy walk read
-    off layers stepped on the reversed graph (bounds); and shortest
+    bit set per vertex: one step forward, which per vertex keeps the masks
+    of one table and adds the vertex's bit to those whose sum another holds
+    (the census's unreached states, gaining only above the least member in
+    its closed walks; the covering walks' masks over all vertices but 0,
+    which every mask holds; simple paths, which only gain), and a greedy
+    walk read off layers stepped on the reversed graph (bounds); and shortest
     (circular) witness search: not found from those tests before any search,
     else one breadth-first search over those states with a parent link per
     state, whose first goal state reached ends the lexicographically least
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, compress
-from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 from .budget import Budget, BudgetMeter
@@ -316,47 +318,40 @@ def _containing(nv: int) -> tuple[int, ...]:
                         ((1 << (1 << x)) - 1) << (1 << x)) for x in range(nv))
 
 
-@cache
-def _sized(nv: int) -> tuple[int, ...]:
-    """Per k = 0..nv, the bit set of the nv-vertex masks of k members: those
-    of one vertex fewer, then, doubled, those of k - 1 with the top vertex."""
-    return reduce(lambda s, m: tuple(a | b << (1 << m) for a, b in zip(s + (0,), (0,) + s)),
-                  range(nv), (1,))
-
-
-@cache
-def _below(nv: int) -> tuple[int, ...]:
-    """Per vertex x, the bit set of the nv-vertex masks holding a member
-    below x: the union of the masks holding each vertex below x."""
-    return tuple(accumulate(_containing(nv)[:-1], or_, initial=0))
-
-
-def _step_forward(preds: list[list[int]], layer: list[int], unseen: list[int],
-                  gain: tuple[int, ...] | None = None) -> list[int]:
-    """The states one move after ``layer`` that ``unseen`` holds; preds[x]
-    lists the vertices with a move to x (given successor lists, it steps the
-    reversed graph). A mask c lacking x becomes c + 2^x, if ``gain`` (when
-    given) holds c at x; one holding x stays, and its c + 2^x, which lacks x,
-    is dropped."""
+def _step_forward(moves: list, layer: list[int]) -> list[int]:
+    """The states one move after ``layer``: per vertex x, with moves[x] =
+    (preds, shift, keep, grow) and p the masks at the vertices of preds (with
+    a move to x; given successor lists, it steps the reversed graph), the bit
+    set p & keep | p << shift & grow. So a mask c stays if keep holds it and
+    becomes c + shift, x's bit in the masks, if grow holds that; a grow of
+    masks holding x drops the sums of masks that held x. The branches only
+    skip what a keep that is grow, or is 0, makes redundant."""
     nxt = []
-    for x, (vs, has_x) in enumerate(zip(preds, _containing(len(layer)))):
+    for vs, shift, keep, grow in moves:
         p = 0
         for v in vs:
             p |= layer[v]
-        q = p if gain is None else p & gain[x]
-        nxt.append((p | q << (1 << x)) & has_x & unseen[x])
+        if keep is grow:
+            nxt.append((p | p << shift) & keep)
+        elif not keep:
+            nxt.append(p << shift & grow)
+        else:
+            nxt.append(p << shift & grow | p & keep)
     return nxt
 
 
-def _greedy_walk(succs: list[list[int]], layers: Iterable[list[int]], v: int,
-                 states: int) -> list[int]:
+def _greedy_walk(moves: list, layers: Iterable[list[int]], v: int, states: int) -> list[int]:
     """The least walk from v down ``layers``, stepped forward on the reversed
-    graph, given v's masks ``states`` in the layer above them: each move is
-    to the first successor x holding a mask c or c - 2^v of v's masks."""
+    graph by ``moves`` (its preds being successors), given v's masks
+    ``states`` in the layer above them: each move is to the first successor
+    x holding a mask c or c - shift of v's masks, shift being v's bit."""
     walk = [v]
     for layer in layers:
-        states |= states >> (1 << v)
-        v = next(x for x in succs[v] if states & layer[x])
+        succs, shift, _, _ = moves[v]
+        states |= states >> shift
+        for v in succs:
+            if states & layer[v]:
+                break
         states &= layer[v]
         walk.append(v)
     return walk

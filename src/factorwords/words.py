@@ -373,14 +373,18 @@ def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
     earlier one of the same word adds nothing, so equal sets hash equally.
     Its table of 2^n factor hashes is no larger than the 2^ell it fills."""
     table = _factor_hash(np.arange(1 << n))
+    key_dt = _scan_dtypes(n, ell, False)[2]
     hashes = np.zeros(1 << ell, np.uint64)
+    fresh = np.empty(min(1 << ell, 1 << HASH_CHUNK_BITS), bool)
+    differs = np.empty_like(fresh)
     for lo in range(0, 1 << ell, 1 << HASH_CHUNK_BITS):
         hi = min(1 << ell, lo + (1 << HASH_CHUNK_BITS))
         part, seen = hashes[lo:hi], []
         for win in _windows(n, ell, range(lo, hi), False)[1]:
-            fresh = np.ones(win.size, bool)
+            win = win.astype(key_dt)  # compared narrow, into reused flags
+            fresh.fill(True)
             for earlier in seen:
-                fresh &= win != earlier
+                fresh &= np.not_equal(win, earlier, out=differs)
             np.add(part, table.take(win), out=part, where=fresh)
             seen.append(win)
         meter.note(words_scanned=hi)

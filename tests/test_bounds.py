@@ -227,6 +227,44 @@ class TestWalks:
             assert r.optimal_length == len(best) - 1
             assert r.optimal_walk == best
 
+    def test_optimum_matches_a_state_search(self):
+        # a dictionary-keyed breadth-first search over (covered, vertex)
+        # states from ({0}, 0), each state's moves by ascending successor and
+        # its parent the first state reaching it: the first (all, 0) reached
+        # ends the least vertex sequence of a shortest closed covering walk
+        def least_optimum(g):
+            goal = ((1 << g.vertex_count) - 1, 0)
+            parent = {(1, 0): None}
+            frontier = [(1, 0)]
+            while goal not in parent:
+                nxt = []
+                for state in frontier:
+                    for w in sorted(g.edges[state[1]]):
+                        reached = state[0] | 1 << w, w
+                        if reached not in parent:
+                            parent[reached] = state
+                            nxt.append(reached)
+                frontier = nxt
+            walk, state = [], goal
+            while state is not None:
+                walk.append(state[1])
+                state = parent[state]
+            return tuple(walk[::-1])
+
+        rng = random.Random(23)
+        graphs = [g for g in (random_strongly_connected(rng, max_vertices=8) for _ in range(400))
+                  if g.vertex_count >= 5]
+        for g in graphs[:100]:
+            for u, v in product(range(g.vertex_count), repeat=2):
+                if u != v and rng.random() < 0.15:
+                    g.add_edge(u, v)
+        assert len(graphs) >= 150
+        for g in graphs:
+            best = least_optimum(g)
+            r = hamiltonian_walk(g)
+            assert r.optimal_walk == best
+            assert r.optimal_length == len(best) - 1
+
     def test_longest_simple_path_matches_brute_force(self):
         rng = random.Random(13)
         for _ in range(200):
@@ -286,6 +324,14 @@ class TestWalks:
         graphs = [random_strongly_connected(rng, 12) for _ in range(2000)]
         assert walk_digest(graphs) == \
             "675645b53601ded686f06058f400e898f53339528b0c21ca0dfe19cdfea8710d"
+
+    def test_pinned_outputs_at_the_vertex_limit(self):
+        # sha256 of the reports' JSON on graphs of up to 15 vertices (46 of
+        # them 13 to 15), recorded at commit 8968a3d with the full-width masks
+        rng = random.Random(19)
+        graphs = [random_strongly_connected(rng, WALK_MAX_VERTICES) for _ in range(300)]
+        assert walk_digest(graphs) == \
+            "f02d55ac8b622644444f32c813462cd6f789a7a8018694b310dbe6d68bc98971"
 
     def test_optimum_refuses_a_graph_not_strongly_connected(self):
         # 0 <-> 1 -> 2 never returns from 2: its layers would never empty,

@@ -18,8 +18,7 @@ from factorwords import budget as budget_mod
 from factorwords.budget import BudgetMeter
 from factorwords.enumeration import (_closed_walks, _levels, _run, brute_force_nbytes,
                                      census_nbytes)
-from factorwords.factorsets import (_below, _containing, _cover_word, _set_bits, _sized,
-                                    _table)
+from factorwords.factorsets import _containing, _cover_word, _set_bits, _table
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -265,12 +264,6 @@ class TestValidNodes:
                 full // ((1 << (2 << x)) - 1) * (((1 << (1 << x)) - 1) << (1 << x))
                 for x in range(nv))
 
-    def test_sized_masks_match_popcount(self):
-        for nv in range(1, 11):
-            assert _sized(nv) == tuple(
-                sum(1 << c for c in range(1 << nv) if c.bit_count() == k)
-                for k in range(nv + 1))
-
 
 class TestWitnessReconstruction:
     def test_examples(self):
@@ -394,7 +387,6 @@ class TestBudget:
     def test_census_charge_bounds_its_peak(self, n):
         # their masks are part of the charge
         _containing.cache_clear()
-        _below.cache_clear()
         tracemalloc.start()
         try:
             enumerate_representable(n, collect_sets=True)

@@ -347,6 +347,16 @@ class TestScanKernel:
         for n, ell in GROUPING_CASES:
             assert classes(n, ell) == direct_classes(n, ell)
 
+    def test_set_hashes_sum_each_distinct_factor_once(self):
+        # a word's hash is the wrapping sum of the factor hashes over its
+        # factor set, however often a factor repeats in it
+        for n, ell in ((7, 12), (9, 11), (8, 15)):
+            table = words._factor_hash(np.arange(1 << n)).tolist()
+            hashes = words._set_hashes(n, ell, BudgetMeter(Budget())).tolist()
+            for c in range(0, 1 << ell, 7):
+                got = sum(table[x] for x in factors(Word(ell, c), n).codes())
+                assert hashes[c] == got % (1 << 64)
+
     def test_hashed_classes_match_row_key_classes(self):
         # above order 6 only the words sharing a set hash get row keys; the
         # classes must be those of sorting every word's row key
