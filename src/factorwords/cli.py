@@ -12,7 +12,7 @@ Commands:
 Each command takes only the options it reads: every one --format text or
 json (ttable also csv and md), every one but factors --budget-mb and
 --max-seconds, verify --seed with --hamiltonian and --allow-out-of-region
-with --theorem1, and enumerate --max-len with --oracle.
+with --theorem1.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 budget exhaustion. Data goes to stdout; progress notes to stderr.
@@ -153,27 +153,16 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
 @click.option("--n", "order", type=int, required=True, help="Order to enumerate.")
 @click.option("--oracle", is_flag=True,
               help="Use the brute-force scan instead of the graph search.")
-@click.option("--max-len", type=int, default=None,
-              help="Scan limit for --oracle, at least the order's safe length "
-                   "(default: that length).")
 @_format_option()
 @_budget_options
 @_guard
-def cmd_enumerate(order, oracle, max_len, output_format, budget_mb, max_seconds):
+def cmd_enumerate(order, oracle, output_format, budget_mb, max_seconds):
     """Counts, extremal witness lengths and witnesses for one order."""
     budget = _budget(budget_mb, max_seconds)
     started = time.monotonic()
     enumeration.check_order(order)
-    if max_len is not None and not oracle:
-        _fail_usage("--max-len sets the --oracle scan's limit")
-    if oracle:
-        safe = enumeration.SAFE_SCAN_LEN[order]
-        if max_len is not None and max_len < safe:
-            # a shorter scan misses sets, so its counts are not the order's row
-            _fail_usage(f"--max-len {max_len} is below the safe length {safe} "
-                        f"of order {order}: the row would be truncated")
-        result = enumeration.brute_force_enumerate(
-            order, safe if max_len is None else max_len, budget)
+    if oracle:  # the scan runs until no longer word lists a set
+        result = enumeration.brute_force_enumerate(order, budget=budget)
     else:
         result = enumeration.enumerate_representable(order, budget)
     elapsed = round(time.monotonic() - started, 3)

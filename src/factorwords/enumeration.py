@@ -18,15 +18,14 @@ the per-set searches' witnesses over the sets of extremal depth.
 
 The brute-force oracle shares no search with the census: it folds the
 batches of the package's one word scan, ``words.word_scan``, which lists
-each factor set of the words and circular words up to a length once, at
-the first length reaching it, reading each long word as a prefix key ORed
-with a suffix key from a table built once per call (its rows from the
-distinct pairs of suffix set and tail), and expanding each prefix state
-(key, table row) once, from the least prefix of the first length reaching
-it: a length's states are advanced by one letter from the last length's
-new ones, and the scan ends when none is new. Both hand one builder,
-``_result``, per-length histograms, read from the bits each depth first
-holds or from the batches, so neither keeps an array with an entry per set.
+each factor set of the words and circular words once, at the first length
+reaching it. Past the short circular words, it reads per length only the
+states (factor set, last n - 1 letters, and read circularly the first) no
+shorter word reached, each advanced by one letter from the last length's
+new ones, and it ends when none is new, so the oracle needs no scan length
+from the census it checks. Both hand one builder, ``_result``, per-length
+histograms, read from the bits each depth first holds or from the batches,
+so neither keeps an array with an entry per set.
 """
 
 from __future__ import annotations
@@ -47,11 +46,9 @@ from .words import Word, word_scan, word_scan_nbytes
 ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
 # bytes charged per set listed on request (collect_sets): tracemalloc's peak
 # listing the order-4 sets was 41.9 per set for the census (49.4 for the 973
-# circular ones, with their 8 KiB table) and 47.9 for the oracle; both held 40
-_LISTED_BYTES = 48
-# per order, the least scan limit at which the oracle gives the whole row:
-# one past the longer of its extremal witness lengths mu and nu
-SAFE_SCAN_LEN = {1: 3, 2: 6, 3: 11, 4: 25}
+# circular ones, with their 8 KiB table) and, for the oracle, 47.9 ordinary and
+# 48.01 circular (the fixed headers of its arrays, list and tuple); both held 40
+_LISTED_BYTES = 49
 
 
 @dataclass(frozen=True)
@@ -205,27 +202,28 @@ def enumerate_representable(n: int, budget: Budget | None = None,
 
 # -- brute-force oracle -------------------------------------------------------
 
-def brute_force_nbytes(n: int, max_len: int) -> int:
+def brute_force_nbytes(n: int, max_len: int | None) -> int:
     """The bytes ``brute_force_enumerate`` charges up front: the larger of its
-    two word scans' ``word_scan_nbytes``, suffix tables and state flags
-    included (at order 4 and length 25, 2.6 MB; tracemalloc's peak was
-    1.40 MB, 1.64 MB with the listings, half a MB of it the circular scan's
-    flags). Set listings (collect_sets) are charged on top, each batch as it
-    is kept and each sorted listing before it is built."""
+    two word scans' ``word_scan_nbytes``, state flags included (at order 4,
+    2.04 MB; tracemalloc's peak was 1.40 MB, 1.63 MB with the listings, half
+    a MB of it the circular scan's flags). Set listings (collect_sets) are
+    charged on top, each batch as it is kept and each sorted listing before
+    it is built."""
     return max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
 
 
-def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
+def brute_force_enumerate(n: int, max_len: int | None = None, budget: Budget | None = None,
                           collect_sets: bool = False) -> EnumerationResult:
-    """Independent oracle: scan every word and circular word up to max_len.
+    """Independent oracle: scan the words and circular words until no longer
+    one lists a set, or up to max_len letters when given.
 
-    Exact only when max_len is at least the true mu/nu for the order; the
-    caller picks max_len. ``words.word_scan`` lists each factor set of the
-    words (ordinary, then circular) once, at its shortest witness length,
-    with the least code of that length giving it.
+    ``words.word_scan`` lists each factor set of the words (ordinary, then
+    circular) once, at its shortest witness length, with the least code of
+    that length giving it. Uncapped, the result is exact by itself; a cap
+    below the order's longest shortest witness truncates the row.
     """
     check_order(n)
-    if max_len < n:
+    if max_len is not None and max_len < n:
         raise ValueError("max_len must be at least the order")
     meter = BudgetMeter(budget or Budget.default())
     meter.charge_memory(brute_force_nbytes(n, max_len), "scan buffers")
@@ -233,10 +231,8 @@ def brute_force_enumerate(n: int, max_len: int, budget: Budget | None = None,
     for circ in (False, True):
         hist, code, listed = {}, 0, []
         for ell, sets, codes in word_scan(n, max_len, meter, circ):
-            if sets.size:
-                # a length's batches run in code order: its first holds its least code
-                code = code if ell in hist else int(codes.min())
-                hist[ell] = hist.get(ell, 0) + sets.size
+            if sets.size:  # one batch per length, the lengths ascending
+                hist[ell], code = sets.size, int(codes.min())
                 if collect_sets:
                     meter.charge_memory(sets.nbytes, f"set listing, length {ell}")
                     listed.append(sets)

@@ -10,9 +10,9 @@ function, Lyndon word counting/enumeration, lexicographically least
 de Bruijn words, and the package's one word scan: ``factor_keys`` turns a
 batch of word codes into canonical factor-set keys with numpy,
 ``factor_classes`` groups the words of a length by factor set, and ``word_scan``
-lists each factor set of the words up to a length once, orders 1..4,
-reading long words as a prefix key joined with a table of suffix keys and
-expanding only the prefix states (key, table row) no shorter prefix reached.
+lists each factor set of the words once, orders 1..4, reading per length
+only the states (key, last n - 1 letters, and read circularly the first)
+no shorter word reached, until none is new.
 
 Above order 6, ``factor_classes`` sorts no key per word. It gives each word
 a 64-bit set hash, the wrapping sum over its distinct factors of a fixed
@@ -265,14 +265,6 @@ _BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
 # codes per scan call in counting's chunked T(t, n) scan: on the order-4
 # brute-force scan, 2^18 ran faster and with a third of the memory of 2^21
 SCAN_CHUNK_BITS = 18
-# word_scan: suffix letters per table entry, and words or candidates per
-# batch. brute_force_enumerate(4, 25) (2-core box, process time, medians of
-# 120 interleaved calls) took 23.4, 23.7, 24.7 and 25.5 ms at split 2, 3, 4
-# and 5; in medians of 60, 22.7, 25.9, 32.2 and 36.3 ms at split 1, 6, 8
-# and 14. The oracle's orders 1..4 at split 3 with batches of 2^13, 2^15 and
-# 2^16 ran 5% slower, as fast and 5% slower than with 2^14
-SPLIT_BITS = 3
-SCAN_BATCH_BITS = 14
 
 
 def _scan_dtypes(n: int, ell: int, circular: bool):
@@ -494,42 +486,6 @@ def _first_pairs(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:
     return np.sort(order[fresh])
 
 
-def _suffix_table(n: int, split_bits: int, hlen: int,
-                  meter: BudgetMeter) -> tuple[np.ndarray, np.ndarray]:
-    """Per row (t << hlen) | h: the distinct keys of the words t·x·h, over
-    the x of ``split_bits`` letters, for t of n - 1 letters and h of hlen,
-    each with its least x (in the least unsigned dtype holding it) and
-    ordered by that x; rows are padded to one width by repeating their last
-    entry. F(t·x·h) is F(t·x) plus the windows of u·h, u the last n - 1
-    letters of t·x (read only when hlen = n - 1), so a t's rows are built
-    from its distinct (F(t·x), u) pairs, each with its least x: the least x
-    of a key is the least of some pair. The time is checked per t; the
-    bytes are in ``word_scan_nbytes``."""
-    xs = np.arange(1 << split_bits, dtype=_scan_dtypes(n, n - 1 + split_bits, False)[1])
-    x_dt = np.min_scalar_type((1 << split_bits) - 1)
-    umask = (1 << hlen) - 1  # the tail u, or nothing when read ordinarily
-    wrap = (factor_keys(n, 2 * hlen, range(1 << 2 * hlen)) if hlen
-            else np.zeros(1, np.uint8))
-    keys, least = [], []
-    for t in range(1 << (n - 1)):
-        tx = (t << split_bits) | xs
-        base = factor_keys(n, n - 1 + split_bits, tx)
-        pairs = _first_pairs(base, (tx & umask).astype(np.uint8))
-        base, tail = base[pairs], (tx[pairs] & umask) << hlen
-        for h in range(1 << hlen):
-            row = base | wrap[tail | h]
-            first = np.sort(np.unique(row, return_index=True)[1])
-            keys.append(row[first])
-            least.append(pairs[first].astype(x_dt))
-        meter.check_time("suffix table")
-    width = max(map(len, least))
-    tkeys, txs = (np.empty((len(keys), width), a[0].dtype) for a in (keys, least))
-    for table, entries in ((tkeys, keys), (txs, least)):
-        for padded, a in zip(table, entries):  # pad by the last entry
-            padded[:a.size], padded[a.size:] = a, a[-1]
-    return tkeys, txs
-
-
 def _new_states(n: int, hlen: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per prefix length from n on, while there are any, the new states:
     the pairs (F(p), row(p)), row(p) = (t << hlen) | h with t the last
@@ -571,38 +527,33 @@ def _new_states(n: int, hlen: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.
         p = ((p << 1)[:, None] | letters).ravel()
 
 
-def word_scan(n: int, max_len: int, meter: BudgetMeter, circular: bool = False,
-              split_bits: int = SPLIT_BITS):
+def word_scan(n: int, max_len: int | None, meter: BudgetMeter, circular: bool = False):
     """Yield (length, keys, codes) batches listing each factor set of the
     words (circular words) of length n..max_len (1..max_len) once, at the
-    first length reaching it, with the least code of that length giving it.
-    Batches cover runs of codes of one length, in length then code order;
-    a batch's ``keys`` are the ``factor_keys`` no earlier batch listed,
-    ascending, possibly none. Orders 1..4: each batch's keys are filtered
+    first length reaching it, with the least code of that length giving it;
+    with max_len None, until no longer word lists a set. One batch per
+    length, in length order; its ``keys`` are the ``factor_keys`` no earlier
+    batch listed, ascending, possibly none. Orders 1..4: keys are filtered
     through a mask of 2^(2^n) flags, the sets listed, before the dedupe.
 
-    Lengths below split_bits + n are scanned directly in batches. A longer
-    word c = p·x, with x its last ``split_bits`` letters, t the last n - 1
-    letters of p and h its first n - 1, has F(c) = F(p) | F(t·x), and read
-    circularly F(p) | F(t·x·h): the window reaching past x wraps into h. So
-    one table, of the distinct F(t·x) (F(t·x·h)) per t (pair t, h) with the
-    least x giving each, turns a prefix into candidates F(p) | table[row(p)],
-    laid out in code order; only the unlisted ones get their codes
-    (p << split_bits) | x. A prefix's candidates depend only on its state
-    (F(p), row(p)), so only the states no shorter prefix reaches are
-    expanded, each from the least prefix reaching it (``_new_states``): a
-    set first listed at a length gets its least code there from a new
-    state, since an old one listed all its candidates before. When no state
-    is new, no longer word lists a set, and the scan ends. The codes hold
-    at most 63 letters: a length past that with new states is refused.
-    Each length notes its new states and their running total to the meter.
+    Circular words shorter than n wrap repeatedly and are scanned directly.
+    A longer word p has the state (F(p), row(p)), row(p) = (t << hlen) | h
+    with t its last n - 1 letters and h its first hlen (n - 1 read
+    circularly, else none), and its set is F(p), or read circularly
+    F(p) | F(t·h): the windows wrapping past its end are those of t·h. A set
+    first listed at a length is reached there only from states no shorter
+    word reached (an old state gave it before), so each length reads only
+    its new states, each with the least word reaching it (``_new_states``).
+    When no state is new, no longer word lists a set, and the scan ends.
+    The codes hold at most 63 letters: a length past that with new states
+    is refused. Each length notes its new states and their running total to
+    the meter.
 
     ``word_scan_nbytes`` bounds the bytes it holds.
     """
     if not 1 <= n <= 4:  # the mask of listed sets holds 2^(2^n) flags, 64 KiB at order 4
         raise ValueError("the word scan supports orders 1..4")
-    if split_bits < 1:
-        raise ValueError("split_bits must be positive")
+    last = 64 if max_len is None else max_len  # uncapped: to the first length refused
     listed = np.zeros(1 << (1 << n), bool)
 
     def unlisted(keys):  # the keys not listed yet, now listed, and their first positions
@@ -611,27 +562,19 @@ def word_scan(n: int, max_len: int, meter: BudgetMeter, circular: bool = False,
         listed[sets] = True
         return sets, pos[first]
 
-    split = split_bits + n  # the least length read as prefix and suffix
-    for ell in range(1 if circular else n, min(max_len + 1, split)):
-        chunk = 1 << min(ell, SCAN_BATCH_BITS)
-        for start in range(0, 1 << ell, chunk):
-            sets, pos = unlisted(factor_keys(n, ell, range(start, start + chunk), circular))
-            yield ell, sets, start + pos
-    if max_len < split:
-        return
+    if circular:  # the words shorter than n, which wrap repeatedly
+        for ell in range(1, min(n, last + 1)):
+            yield ell, *unlisted(factor_keys(n, ell, range(1 << ell), True))
     hlen = n - 1 if circular else 0
-    tkeys, txs = _suffix_table(n, split_bits, hlen, meter)
-    step = max(1, (1 << SCAN_BATCH_BITS) // tkeys.shape[1])
+    wrap = factor_keys(n, 2 * hlen, range(1 << 2 * hlen)) if hlen else None
     states = 0
-    for ell, (keys, rows, p) in zip(range(split, max_len + 1), _new_states(n, hlen)):
+    for ell, (keys, rows, p) in zip(range(n, last + 1), _new_states(n, hlen)):
         if ell > 63:
             raise ValueError("the scan's codes hold at most 63 letters")
         states += p.size
         meter.note(new_states=p.size, states=states)
-        for a in range(0, p.size, step):
-            sets, pos = unlisted((keys[a:a + step, None] | tkeys[rows[a:a + step]]).ravel())
-            i, j = np.divmod(pos, tkeys.shape[1])
-            yield ell, sets, (p[a + i] << split_bits) | txs[rows[a + i], j]
+        sets, pos = unlisted(keys if wrap is None else keys | wrap[rows])
+        yield ell, sets, p[pos]
 
 
 # per order, the most new states one prefix length holds, read ordinarily and
@@ -643,31 +586,20 @@ _NEW_STATES_MOST = {1: (2, 2), 2: (6, 8), 3: (40, 86), 4: (2060, 7496)}
 _STATE_BYTES = 128
 
 
-def word_scan_nbytes(n: int, max_len: int, circular: bool = False,
-                     split_bits: int = SPLIT_BITS) -> int:
+def word_scan_nbytes(n: int, max_len: int | None, circular: bool = False) -> int:
     """An upper bound on the bytes ``word_scan`` holds at once: the mask of
-    listed sets and, from the first split length on, the suffix table (its
-    rows hold at most 2^split_bits keys) and the flags of the states
-    reached; beside them, the most of one direct chunk, building the table,
-    and one length's new states with one batch of their candidates; and
-    32 KiB for numpy's fixed temporaries (tracemalloc: 15.5 KB at order 1).
+    listed sets and the flags of the states reached; beside them, one
+    length's new states with their keys; and 32 KiB for numpy's fixed
+    temporaries, the short circular words and the per-row tables
+    (tracemalloc: 15.4 KB at order 1).
     """
-    key = _scan_dtypes(n, max_len, circular)[2].itemsize
+    key = _scan_dtypes(n, n, circular)[2].itemsize
     # per key made, as if unlisted: the filter's flags and positions, the dedupe's
     # copies, order and flags, the batch yielded and the caller's hold on the one before
     listing = 5 * key + 51
-    split = split_bits + n
-    ell = min(max_len, split - 1)
-    count = 1 << min(ell, SCAN_BATCH_BITS)
-    held, most = 1 << (1 << n), scan_nbytes(n, ell, count, circular) + count * listing
-    if max_len >= split:
-        rbits = (n - 1) * (2 if circular else 1)
-        width = min(1 << split_bits, 1 << (1 << n))
-        table = (width << rbits) * (key + np.min_scalar_type((1 << split_bits) - 1).itemsize)
-        held += table + (1 << ((1 << n) + rbits)) // 8 + 1
-        # the unpadded rows, and a t's codes: the x range, t·x, its tails and two temporaries
-        build = table + ((40 + listing) << split_bits) + scan_nbytes(n, split - 1, 1 << split_bits)
-        states = min(1 << (max_len - split_bits), _NEW_STATES_MOST[n][circular])
-        cand = min(max(1 << SCAN_BATCH_BITS, width), states * width)
-        most = max(most, build, states * _STATE_BYTES + cand * (2 * key + listing))
-    return (32 << 10) + held + most
+    rbits = (n - 1) * (2 if circular else 1)
+    held = (1 << (1 << n)) + (1 << ((1 << n) + rbits)) // 8 + 1
+    states = _NEW_STATES_MOST[n][circular]
+    if max_len is not None:
+        states = min(states, 1 << max_len)
+    return (32 << 10) + held + states * (_STATE_BYTES + listing)

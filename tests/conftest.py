@@ -3,7 +3,6 @@
 import pytest
 
 from factorwords import Budget, brute_force_enumerate, enumerate_representable
-from factorwords.enumeration import SAFE_SCAN_LEN
 
 
 @pytest.fixture(scope="session")
@@ -14,13 +13,11 @@ def enum_results():
 
 @pytest.fixture(scope="session")
 def brute_small():
-    """Brute-force oracle for orders 1..3."""
-    return {n: brute_force_enumerate(n, SAFE_SCAN_LEN[n], collect_sets=True)
-            for n in (1, 2, 3)}
+    """Brute-force oracle for orders 1..3, scanned until no state is new."""
+    return {n: brute_force_enumerate(n, collect_sets=True) for n in (1, 2, 3)}
 
 
 @pytest.fixture(scope="session")
 def brute4():
-    """Brute-force oracle for order 4 (the heavy one)."""
-    return brute_force_enumerate(4, SAFE_SCAN_LEN[4], Budget.default(workers=4),
-                                 collect_sets=True)
+    """Brute-force oracle for order 4 (the heavy one), to 25 letters."""
+    return brute_force_enumerate(4, 25, Budget.default(workers=4), collect_sets=True)

@@ -142,7 +142,7 @@ class TestEnumerate:
         assert "budget exhausted" in r.output and "progress:" in r.output
 
     def test_oracle_runs_in_ten_mib(self, run):
-        # the oracle's suffix tables are charged at their real size
+        # the oracle's state flags are charged at their real size
         full = run("enumerate", "--n", "4", "--oracle", "-f", "json")
         tight = run("enumerate", "--n", "4", "--oracle", "--budget-mb", "10", "-f", "json")
         assert tight.exit_code == 0
@@ -155,21 +155,20 @@ class TestEnumerate:
             assert r.exit_code == 2 and "orders 1..4" in r.output
 
     def test_oracle_refuses_the_order_first(self, run):
-        # with or without --max-len, the oracle gives the census's message
+        # the oracle gives the census's message
         for order in ("0", "5"):
-            for scan in ((), ("--max-len", "30")):
-                r = run("enumerate", "--n", order, "--oracle", *scan)
-                assert r.exit_code == 2
-                assert f"the census covers orders 1..4, not {order}" in r.output
+            r = run("enumerate", "--n", order, "--oracle")
+            assert r.exit_code == 2
+            assert f"the census covers orders 1..4, not {order}" in r.output
 
     def test_oracle_refuses_a_truncated_row(self, run):
-        # a scan below the order's safe length would print a wrong row
+        # the oracle takes no scan length, so no truncated row can be asked
+        # for: it scans until no longer word lists a set
         r = run("enumerate", "--n", "4", "--oracle", "--max-len", "12")
         assert r.exit_code == 2 and r.stdout == ""
-        assert "safe length 25" in r.output
-        assert run("enumerate", "--n", "2", "--oracle", "--max-len", "5").exit_code == 2
-        r = run("enumerate", "--n", "2", "--oracle", "--max-len", "6")
-        assert r.exit_code == 0 and "|C_2| 6" in r.stdout
+        assert "No such option" in r.output
+        r = run("enumerate", "--n", "2", "--oracle")
+        assert r.exit_code == 0 and "|C_2| 6" in r.stdout and "mu 5" in r.stdout
 
     def test_no_workers_or_checkpoint_options(self, run, tmp_path):
         for extra in (("--workers", "2"), ("--checkpoint", str(tmp_path / "f"))):

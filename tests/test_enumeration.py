@@ -50,10 +50,27 @@ class TestEnumerate:
         absent = (1 << 0) | (1 << 3)
         assert absent not in r.rep_sets
 
-    def test_safe_scan_lengths(self, enum_results):
-        # the oracle's safe length is one past the longer extremal witness
+    def test_safe_scan_lengths(self, enum_results, monkeypatch):
+        # uncapped, the oracle needs no scan length from the census: it reads
+        # until no prefix state is new (test_new_states_pinned's last lengths)
+        # and gives the census's row, least codes and sets
+        read = []
+
+        class LengthMeter(BudgetMeter):
+            def note(self, **fields):
+                super().note(**fields)
+                if "scanned" in fields:
+                    read.append(int(fields["scanned"].split()[1]))
+
+        monkeypatch.setattr(enumeration, "BudgetMeter", LengthMeter)
+        last = {1: (2, 2), 2: (5, 6), 3: (11, 14), 4: (29, 34)}
         for n, r in enum_results.items():
-            assert enumeration.SAFE_SCAN_LEN[n] == max(r.mu, r.nu) + 1
+            read.clear()
+            b = brute_force_enumerate(n, collect_sets=True)
+            assert [b.to_json_dict(), b.rep_sets, b.circ_sets] == [
+                r.to_json_dict(), r.rep_sets, r.circ_sets]
+            turn = next(i for i in range(1, len(read)) if read[i] <= read[i - 1])
+            assert (read[turn - 1], read[-1]) == last[n]
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -324,7 +341,7 @@ class TestBudget:
         assert meter.charged_bytes == exc.value.progress["charged_bytes"] == 600
         meter.charge_memory(400)  # exactly the budget still fits
 
-    @pytest.mark.parametrize("n,max_len", [(3, 16), (4, 20), (4, 25)])
+    @pytest.mark.parametrize("n,max_len", [(3, 16), (4, 20), (4, 25), (4, None)])
     def test_oracle_charge_bounds_its_buffers(self, n, max_len):
         tracemalloc.start()
         try:
@@ -336,7 +353,7 @@ class TestBudget:
 
     def test_oracle_table_charge_bounds_its_buffers(self, monkeypatch):
         # the set listings are charged on top of brute_force_nbytes, which
-        # holds the suffix tables: the most the meter holds covers the peak
+        # holds the state flags: the most the meter holds covers the peak
         class PeakMeter(BudgetMeter):
             peak = 0
 

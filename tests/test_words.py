@@ -1,8 +1,6 @@
 """Word primitives: periods, conjugacy, Lyndon words, de Bruijn words,
 and the word-scan kernel."""
 
-import functools
-import hashlib
 import tracemalloc
 from itertools import combinations
 
@@ -17,10 +15,9 @@ from factorwords import (Budget, InvalidLength, Word, are_conjugate, are_root_co
 from factorwords import words
 from factorwords.budget import BudgetMeter
 from factorwords.counting import BRUTE_MAX_T
-from factorwords.words import (SPLIT_BITS, _NEW_STATES_MOST, _holding, _new_states,
-                               _suffix_table, class_scan_nbytes, factor_classes, factor_keys,
-                               period_classes, scan_nbytes, sorted_runs, word_scan,
-                               word_scan_nbytes)
+from factorwords.words import (_NEW_STATES_MOST, _holding, _new_states, class_scan_nbytes,
+                               factor_classes, factor_keys, period_classes, scan_nbytes,
+                               sorted_runs, word_scan, word_scan_nbytes)
 
 
 def w(text):
@@ -419,7 +416,7 @@ class TestScanKernel:
         assert peak <= class_scan_nbytes(n, ell, 1 << ell) + meter.peak
 
 
-def first_and_least(n, max_len, batches):
+def first_and_least(n, batches):
     """Per set, ordinary then circular: the first length listing it (0:
     none) and the least code of that length giving it."""
     first = np.zeros((2, 1 << (1 << n)), np.int64)
@@ -440,109 +437,64 @@ def direct_batches(n, max_len, circular):
         yield ell, sets, codes
 
 
-@functools.lru_cache(maxsize=None)
-def suffix_table(n, split_bits, hlen):
-    return _suffix_table(n, split_bits, hlen, BudgetMeter(Budget()))
-
-
-# SHA-256 over the suffix tables' arrays (dtype, shape and bytes) per order,
-# hlen in {0, n - 1} and split_bits in {1, 2, n, 2n, 14}, as the tables read
-# when each row was deduplicated over every x
-SUFFIX_TABLE_SHA256 = {
-    1: "da0eab4016db04e04f56196bada99126d5dce7f44873b2059df8b389f7eb4a14",
-    2: "db04e0e4450fb4af3f2e5a4571de77f2bc5faf899461ee9aec837a14ceb5fbdf",
-    3: "5bd9fd58abc02cd3cf145f3ab800134c2983fb3cfe5cc88c3a2804c429ae2e54",
-    4: "13dfec3f2b0389ce78917904278629d51aa3e987fd49349327fc3fb3b6ded5e0",
-}
-
-
 class TestWordScan:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_suffix_table_pinned(self, n):
-        # building rows from (suffix set, tail) pairs keeps every table,
-        # split_bits below n - 1 included, where a tail holds letters of t
-        digest = hashlib.sha256()
-        for hlen in sorted({0, n - 1}):
-            for split_bits in sorted({1, 2, n, 2 * n, 14}):
-                for a in suffix_table(n, split_bits, hlen):
-                    digest.update(f"{a.dtype.str}{a.shape}".encode())
-                    digest.update(a.tobytes())
-        assert digest.hexdigest() == SUFFIX_TABLE_SHA256[n]
-
-    @pytest.mark.parametrize("n,max_len", [(1, 9), (2, 12), (3, 14), (4, 18)])
+    @pytest.mark.parametrize("n,max_len", [(1, 9), (2, 12), (3, 14), (4, 18), (3, 18)])
     def test_split_scan_matches_direct_scan(self, n, max_len):
-        # split_bits = n and n + 2 run the direct path (circular words
-        # shorter than n included), the ordinary split and the circular wrap;
-        # at 2n, an order-4 table row has keys out of x order, so the least
-        # codes come out right only if the rows are kept in x order; at 1 and
-        # 2, below n - 1, a row's tail u holds letters of t as well as of x
-        want = first_and_least(n, max_len, [direct_batches(n, max_len, c)
-                                            for c in (False, True)])
-        for split_bits in sorted({1, 2, n, n + 2, 2 * n}):
-            got = first_and_least(n, max_len, [word_scan(n, max_len, BudgetMeter(Budget()),
-                                                         c, split_bits)
+        # the scan splits into a direct scan of the circular words shorter
+        # than n and one of the new prefix states; (1, 9), (2, 12) and
+        # (3, 18) read past the last length with a new state, where it ends
+        # by itself. Uncapped, it lists as far as it reads and agrees up to
+        # max_len
+        want = first_and_least(n, [direct_batches(n, max_len, c) for c in (False, True)])
+        for cap in (max_len, None):
+            first, least = first_and_least(n, [word_scan(n, cap, BudgetMeter(Budget()), c)
                                                for c in (False, True)])
-            assert all((g == w).all() for g, w in zip(got, want)), split_bits
+            past = first > max_len
+            first[past], least[past] = 0, 0
+            assert (first == want[0]).all() and (least == want[1]).all(), cap
 
-    @pytest.mark.parametrize("n,max_len,split_bits", [(3, 12, 4), (4, 14, 6), (2, 10, 2)])
-    def test_each_set_is_listed_once_at_its_first_length(self, n, max_len, split_bits):
+    @pytest.mark.parametrize("n,max_len,cut", [(3, 12, 4), (4, 14, 6), (2, 10, 2)])
+    def test_each_set_is_listed_once_at_its_first_length(self, n, max_len, cut):
         # every set in exactly one batch, of its first length, with the
-        # least code of that length
+        # least code of that length; a scan capped cut letters shorter
+        # yields the same batches up to its cap
         for circular in (False, True):
-            first, least = first_and_least(n, max_len, [direct_batches(n, max_len, circular)])
+            first, least = first_and_least(n, [direct_batches(n, max_len, circular)])
             listed = np.zeros(1 << (1 << n), np.int64)
-            for ell, keys, codes in word_scan(n, max_len, BudgetMeter(Budget()), circular,
-                                              split_bits):
+            batches = list(word_scan(n, max_len, BudgetMeter(Budget()), circular))
+            for ell, keys, codes in batches:
                 assert (factor_keys(n, ell, codes, circular) == keys).all()
                 assert (first[0, keys] == ell).all() and (least[0, keys] == codes).all()
                 np.add.at(listed, keys, 1)
             assert (listed == (first[0] != 0)).all()
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_split_key_is_the_word_key(self, data):
-        # F(p·x) = F(p) | F(t·x), and circularly F(p) | F(t·x·h), with the
-        # suffix key read from the table built for the scan
-        n = data.draw(st.integers(1, 5), "n")
-        split_bits = data.draw(st.integers(1, 5), "split_bits")
-        circular = data.draw(st.booleans(), "circular")
-        ell = data.draw(st.integers(split_bits + n, split_bits + n + 10), "ell")
-        code = data.draw(st.integers(0, (1 << ell) - 1), "code")
-        hlen = n - 1 if circular else 0
-        plen = ell - split_bits
-        p, x = code >> split_bits, code & ((1 << split_bits) - 1)
-        t, h = p & ((1 << (n - 1)) - 1), p >> (plen - hlen)
-        tkeys, txs = suffix_table(n, split_bits, hlen)
-        row = (t << hlen) | h
-        suffix = factor_keys(n, n - 1 + split_bits + hlen,
-                             [(((t << split_bits) | x) << hlen) | h])[0]
-        assert txs[row][tkeys[row] == suffix].min() <= x
-        split = factor_keys(n, plen, [p])[0] | suffix
-        assert split == factor_keys(n, ell, [code], circular)[0]
+            shorter = list(word_scan(n, max_len - cut, BudgetMeter(Budget()), circular))
+            assert [ell for ell, _, _ in shorter] == [
+                ell for ell, _, _ in batches if ell <= max_len - cut]
+            for (_, keys, codes), (_, want_keys, want_codes) in zip(shorter, batches):
+                assert (keys == want_keys).all() and (codes == want_codes).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             next(word_scan(5, 20, BudgetMeter(Budget())))
-        with pytest.raises(ValueError):
-            next(word_scan(3, 20, BudgetMeter(Budget()), split_bits=0))
 
-    @pytest.mark.parametrize("n,max_len,split_bits", [
+    @pytest.mark.parametrize("n,max_len,short", [
         (4, 25, 14), (4, 20, 4), (3, 16, 3), (2, 12, 1), (1, 9, 2)])
-    def test_each_state_is_expanded_once(self, n, max_len, split_bits):
-        # the scan expands as many states as there are distinct pairs
-        # (F(p), row(p)) over the prefixes p of every split length: none
-        # twice, such as a pair met again at a longer prefix
+    def test_each_state_is_expanded_once(self, n, max_len, short):
+        # by each length, the scan has expanded as many states as there are
+        # distinct pairs (F(p), row(p)) over the prefixes p so far: none
+        # twice, such as a pair met again at a longer prefix. The reference
+        # reads all 2^plen prefixes, so it stops short letters before the scan
         for circular in (False, True):
             hlen = n - 1 if circular else 0
+            meter = BudgetMeter(Budget())
+            noted = {ell: meter.progress.get("states", 0)
+                     for ell, _, _ in word_scan(n, max_len, meter, circular)}
             pairs = set()
-            for plen in range(n, max_len - split_bits + 1):
+            for plen in range(n, max_len - short + 1):
                 p = np.arange(1 << plen)
                 rows = ((p & ((1 << (n - 1)) - 1)) << hlen) | (p >> (plen - hlen))
                 pairs.update(zip(factor_keys(n, plen, p).tolist(), rows.tolist()))
-            meter = BudgetMeter(Budget())
-            for batch in word_scan(n, max_len, meter, circular, split_bits):
-                pass
-            assert meter.progress["states"] == len(pairs)
+                assert noted[max(ell for ell in noted if ell <= plen)] == len(pairs), plen
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_new_states_pinned(self, n):
@@ -558,7 +510,8 @@ class TestWordScan:
 
     def test_codes_past_63_letters_refused(self, monkeypatch):
         # at order 4 no state is new past 34 prefix letters, so the scan ends
-        # well inside 63 letters; states new for ever would reach the limit
+        # well inside 63 letters; states new for ever would reach the limit,
+        # capped past it or not
         def endless(n, hlen):
             for state in real(n, hlen):
                 yield state
@@ -566,28 +519,33 @@ class TestWordScan:
                 yield state
 
         real = words._new_states
-        assert [ell for ell, _, _ in word_scan(4, 64, BudgetMeter(Budget()), True)][-1] <= 63
+        assert [ell for ell, _, _ in word_scan(4, 64, BudgetMeter(Budget()), True)][-1] == 34
         monkeypatch.setattr(words, "_new_states", endless)
-        with pytest.raises(ValueError, match="63 letters"):
-            for batch in word_scan(4, 64, BudgetMeter(Budget()), True):
-                pass
+        for cap in (64, None):
+            with pytest.raises(ValueError, match="63 letters"):
+                for batch in word_scan(4, cap, BudgetMeter(Budget()), True):
+                    pass
 
-    @pytest.mark.parametrize("n,max_len,circular,split_bits", [
-        (3, 16, True, 14), (4, 17, False, 14), (4, 20, False, 14), (4, 20, True, 14),
-        (1, 20, True, 1), (4, 20, True, 6), (3, 20, True, 5), (2, 20, False, 3),
-        (4, 25, False, 14), (4, 25, True, 14),  # the oracle's own scans
-        (4, 25, False, SPLIT_BITS), (4, 25, True, SPLIT_BITS),
+    @pytest.mark.parametrize("n,max_len,circular", [
+        (3, 16, True), (4, 17, False), (4, 20, False), (4, 20, True),
+        (1, 20, True), (4, 20, True), (3, 20, True), (2, 20, False),
+        (4, 25, False), (4, 25, True),  # the oracle's scans, capped and not
+        (4, 25, False), (4, 25, True), (4, None, True),
+    ], ids=[  # as first pinned, when a fourth field named a split length
+        "3-16-True-14", "4-17-False-14", "4-20-False-14", "4-20-True-14",
+        "1-20-True-1", "4-20-True-6", "3-20-True-5", "2-20-False-3",
+        "4-25-False-14", "4-25-True-14", "4-25-False-3", "4-25-True-3", "4-None-True",
     ])
-    def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len, circular, split_bits):
-        # word_scan_nbytes is charged up front, the suffix table and the
-        # state flags included: with any charge on top it must not undercount
+    def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len, circular):
+        # word_scan_nbytes is charged up front, the state flags included; the
+        # scan charges nothing itself
         meter = PeakMeter(Budget())
         tracemalloc.start()
         try:
-            for batch in word_scan(n, max_len, meter, circular, split_bits):
+            for batch in word_scan(n, max_len, meter, circular):
                 pass  # holds each batch while the next one is made
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert meter.charged_bytes == 0  # the table is released at the end
-        assert peak <= word_scan_nbytes(n, max_len, circular, split_bits) + meter.peak
+        assert meter.peak == 0
+        assert peak <= word_scan_nbytes(n, max_len, circular)
