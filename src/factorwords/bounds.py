@@ -337,9 +337,9 @@ def _optimal_closed_cover(g: Digraph) -> list[int]:
     if nv == 1:
         return [0, 0] if 0 in g.edges[0] else [0]
     full = (1 << nv - 1) - 1
-    has = (0, *_containing(nv - 1))
-    moves = [(sorted(e), 1 << x >> 1, has[x] or (2 << full) - 1, has[x])
-             for x, e in enumerate(g.edges)]
+    keeps = ((2 << full) - 1, *_containing(nv - 1))
+    moves = [(sorted(e), 1 << x >> 1, keep, None)
+             for x, (e, keep) in enumerate(zip(g.edges, keeps))]
     layers = [[1] + [0] * (nv - 1)]  # ({0}, 0): mask 0
     while not layers[-1][0] >> full & 1:  # (all, 0)
         layers.append(_step_forward(moves, layers[-1]))

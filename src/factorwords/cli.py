@@ -12,7 +12,8 @@ Commands:
 Each command takes only the options it reads: every one --format text or
 json (ttable also csv and md), every one but factors --budget-mb and
 --max-seconds, verify --seed with --hamiltonian and --allow-out-of-region
-with --theorem1.
+with --theorem1. factors charges its set's table, and its hex text when
+printed, against the default memory budget (FACTORSET_BUDGET_MB or 2048).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 budget exhaustion. Data goes to stdout; progress notes to stderr.
@@ -61,6 +62,12 @@ def _budget(budget_mb: int | None, max_seconds: float | None) -> Budget:
     return Budget(max_memory_bytes=memory, max_seconds=max_seconds)
 
 
+def _charge_table(meter: BudgetMeter, which: str, order: int, top: int) -> None:
+    """Charge the membership table of ``which``, a set of order ``order`` with
+    top member ``top``, before it is built: a table can take 2^order bits."""
+    meter.charge_memory((top >> 3) + 1, f"the membership table of {which} of order {order}")
+
+
 def _emit_json(command: str, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
@@ -105,7 +112,15 @@ def main():
 def cmd_factors(word, order, circular, as_hex, output_format):
     """Print the set of length-N factors of WORD."""
     w = Word.from_text(word)
+    if order < 1:
+        _fail_usage("factor length must be positive")
+    meter = BudgetMeter(Budget.default())
+    text = str(w.repeated_to(w.length + order - 1)) if circular else word
+    top = max((text[i:i + order] for i in range(len(text) - order + 1)), default="0")
+    _charge_table(meter, "the factor set", order, int(top, 2))
     fs = circular_factors(w, order) if circular else factors(w, order)
+    if as_hex or output_format == "json":  # 2^order / 4 digits
+        meter.charge_memory(((1 << order) + 3) >> 2, f"the hex text of an order-{order} set")
     if output_format == "json":
         _emit_json("factors", {
             "word": str(w), "n": order, "circular": circular,
@@ -132,8 +147,12 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
         _fail_usage("provide exactly one of a set and --full")
     if use_full and as_hex:
         _fail_usage("--hex reads SET_SPEC, which --full does not take")
-    if use_full:  # its table of 2^n bits is charged before it is built
-        BudgetMeter(budget).charge_memory((1 << order) // 8, f"the full set of order {order}")
+    if not as_hex:  # a hex table is no larger than the argument giving it
+        # parse refuses every other word before it builds the table
+        top = (1 << order) - 1 if use_full else max(
+            (int(t, 2) for t in map(str.strip, set_spec.split(","))
+             if t and len(t) == order and not t.strip("01")), default=0)
+        _charge_table(BudgetMeter(budget), f"the {'full ' * use_full}set", order, top)
     fs = (FactorSet.full(order) if use_full
           else FactorSet.parse(set_spec, order=order, hex_bitmap=as_hex))
     result = (shortest_circular_witness if circular else shortest_witness)(fs, budget)
@@ -212,16 +231,16 @@ def cmd_bounds(order, output_format, budget_mb, max_seconds):
         _fail_usage("order must be positive")
     m = max(1, order - 1)          # de Bruijn order of the construction
     target = m + 1                 # the order whose count is sandwiched
-    lower = bounds_mod.lower_bound(m)
-    upper = bounds_mod.upper_bound(m)
     if target <= enumeration.ARRAY_MAX_ORDER:
         count = enumeration.enumerate_representable(target, budget).circ_count
         source = "enumerated"
     elif target in PUBLISHED_CIRC_COUNTS:
         count = PUBLISHED_CIRC_COUNTS[target]
         source = "published"
-    else:
+    else:  # before the bounds, whose digits grow as 2^m
         _fail_usage(f"no known count for order {target}")
+    lower = bounds_mod.lower_bound(m)
+    upper = bounds_mod.upper_bound(m)
     ratio = bounds_mod.growth_ratio(target, count)
     ok = lower <= count <= upper
     if output_format == "json":

@@ -402,17 +402,18 @@ class TTable:
 
 def t_table(t_max: int, n_max: int, budget: Budget | None = None) -> TTable:
     """Fill the table: brute force for t up to BRUTE_MAX_T, the closed form
-    on its region; overlapping cells must agree exactly and are marked
-    "both". The budget's seconds cover the whole table, and its memory each
-    brute-force scan: a scan over either raises BudgetExceededError, whose
-    progress names the cell's t and n."""
+    on its region n <= t < 2n, no t past both visited; overlapping cells
+    must agree exactly and are marked "both". The budget's seconds cover
+    the whole table, and its memory each brute-force scan: a scan over
+    either raises BudgetExceededError, whose progress names the cell's t
+    and n."""
     if t_max < 1 or n_max < 1:
         raise ValueError("table extents must be positive")
     budget = budget or Budget.default()
     started = time.monotonic()
     table = TTable(t_max, n_max)
     for n in range(1, n_max + 1):
-        for t in range(n, t_max + 1):
+        for t in range(n, min(t_max, max(BRUTE_MAX_T, 2 * n - 1)) + 1):
             closed = count_T_closed(t, n) if n <= t < 2 * n else None
             brute = count_T_bruteforce(t, n, budget, started) if t <= BRUTE_MAX_T else None
             if brute and closed:

@@ -89,14 +89,14 @@ class EnumerationResult:
 # -- walk layers --------------------------------------------------------------
 
 def _run(preds: list[list[int]], layer: list[int], meter: BudgetMeter, name: str,
-         gain: Iterator[int] | None = None) -> Iterator[tuple[int, list[int]]]:
+         gain: list[int] | None = None) -> Iterator[tuple[int, list[int]]]:
     """(d, the states first reached at depth d) for each d while there are
     any, from the start states ``layer`` on the graph with predecessor lists
-    ``preds``, each vertex keeping and growing into the states not reached
-    yet, a mask c + 2^x only if the x-th bit set of ``gain`` (when given)
-    holds it; the run and depth are noted and the time checked per layer."""
+    ``preds``: each vertex x keeps and grows into its unreached states, a
+    mask c + 2^x only if the fixed gain[x], when given, holds it; a keep
+    empties (0: gains only) only at order 1, where no gain follows."""
     unreached = map(xor, _containing(len(layer)), layer)
-    moves = [[vs, 1 << x, keep, keep if gain is None else keep & next(gain)]
+    moves = [[vs, 1 << x, keep, None if gain is None else gain[x]]
              for x, (vs, keep) in enumerate(zip(preds, unreached))]
     d = 0
     while any(layer):
@@ -105,7 +105,6 @@ def _run(preds: list[list[int]], layer: list[int], meter: BudgetMeter, name: str
         layer = _step_forward(moves, layer)
         for move, states in zip(moves, layer):
             move[2] ^= states
-            move[3] = move[2] if gain is None else move[3] & move[2]
         meter.note(run=name, depth=d)
         meter.check_time(f"{name}, depth {d}")
 
@@ -126,17 +125,18 @@ def _levels(found: Iterable[tuple[int, int]]) -> tuple[dict[int, int], int, int]
 
 def _closed_walks(preds: list[list[int]], meter: BudgetMeter) -> Iterator[tuple[int, int]]:
     """(d, the sets whose shortest closed covering walk has d >= 1 moves), by
-    ascending d, from one run from every ({u}, u) in which a mask gains x
-    only if it holds a member below x. No walk gets a new least member, so S
-    closes at the first depth d >= 1 holding (S, min S): per layer, the
-    states at u whose masks hold no member below u."""
+    ascending d, from one run from every ({u}, u) whose fixed gain table
+    lets a mask gain x only if it holds a member below x. No walk gets a new
+    least member, so S closes at the first depth d >= 1 holding (S, min S):
+    per layer, the states at u whose masks hold no member below u."""
     width = len(preds)
     full = (1 << (1 << width)) - 1
-    least = [full ^ b for b in accumulate(_containing(width)[:-1], or_, initial=0)]
+    below = list(accumulate(_containing(width)[:-1], or_, initial=0))
+    least = [full ^ b for b in below]
     # ({u}, u) closes only by a self-loop: the one-letter circular word 0 or 1
     yield 1, 1 << 1 | 1 << (1 << (width - 1))
     for d, layer in _run(preds, [1 << (1 << u) for u in range(width)], meter,
-                         "closed walks", (full ^ b for b in least)):
+                         "closed walks", below):
         if d:
             yield d, reduce(or_, map(and_, layer, least))
 
@@ -162,7 +162,7 @@ def _result(n: int, ordinary: tuple, circular: tuple) -> EnumerationResult:
 def census_nbytes(n: int) -> int:
     """The bytes ``enumerate_representable`` charges up front: per set, a bit
     per vertex in each of seven tables (the layer, the next, the unreached
-    states to keep and to grow into, the masks of ``_containing`` and least
+    states, the closed-walk run's gains, the masks of ``_containing`` and least
     members, and a step's temporaries and Python's 30-bit int digits); then
     64 KiB for the searches and the result (0.98 MB at order 4, tracemalloc's peak 0.91).
     Set listings (collect_sets) are charged on top, before each is built."""

@@ -11,19 +11,19 @@ table (bit code(x) set iff x is a member). On top of it live:
     connected for circular words, which needs equal prefix and suffix
     projections, checked first on the table's bits),
   * the walk-layer kernel over (covered-subset, current-vertex) states, a
-    bit set per vertex: one step forward, which per vertex keeps the masks
-    of one table and adds the vertex's bit to those whose sum another holds
-    (the census's unreached states, gaining only above the least member in
-    its closed walks; the covering walks' masks over all vertices but 0,
-    which every mask holds; simple paths, which only gain), and a greedy
-    walk read off layers stepped on the reversed graph (bounds); and shortest
-    (circular) witness search: not found from those tests before any search,
-    else one breadth-first search over those states with a parent link per
-    state, whose first goal state reached ends the lexicographically least
-    shortest walk, pruned by the strong components, each covered before a
-    covering walk leaves it; the circular search runs once, from the least
-    member; it keeps only the states it reaches, as bit sets over every
-    covered mask would not fit for 32 members.
+    bit set per vertex: one step on fixed per-vertex moves adds the vertex's
+    bit to masks whose sum a grow table (None: all) holds and keeps those a
+    keep table holds (the census's unreached states, gaining only above the
+    least member in its closed walks; the covering walks' masks over all
+    vertices but 0, which every mask holds; simple paths, which only gain),
+    and a greedy walk read off layers stepped on the reversed graph
+    (bounds); and shortest (circular) witness search: not found from those
+    tests before any search, else one breadth-first search over those states
+    with a parent link per state, whose first goal state reached ends the
+    lexicographically least shortest walk, pruned by the strong components,
+    each covered before a covering walk leaves it; the circular search runs
+    once, from the least member; it keeps only the states it reaches, as
+    bit sets over every covered mask would not fit for 32 members.
 
 All values are immutable; the searches keep only private state.
 """
@@ -118,10 +118,10 @@ class FactorSet:
         items = [t.strip() for t in text.split(",") if t.strip()]
         if not items:
             raise EmptySet("empty factor-set text")
-        fs = cls.from_texts(items)
-        if order is not None and fs.order != order:
-            raise ValueError(f"words have length {fs.order}, expected {order}")
-        return fs
+        ws = [Word.from_text(t) for t in items]
+        if order is not None and ws[0].length != order:  # before the table is built
+            raise ValueError(f"words have length {ws[0].length}, expected {order}")
+        return cls.from_words(ws)
 
     # -- views -------------------------------------------------------------
 
@@ -322,21 +322,21 @@ def _step_forward(moves: list, layer: list[int]) -> list[int]:
     """The states one move after ``layer``: per vertex x, with moves[x] =
     (preds, shift, keep, grow) and p the masks at the vertices of preds (with
     a move to x; given successor lists, it steps the reversed graph), the bit
-    set p & keep | p << shift & grow. So a mask c stays if keep holds it and
-    becomes c + shift, x's bit in the masks, if grow holds that; a grow of
-    masks holding x drops the sums of masks that held x. The branches only
-    skip what a keep that is grow, or is 0, makes redundant."""
+    set (p | p << shift & grow) & keep. So a mask c becomes c + shift, x's
+    bit in the masks, if grow holds that, and either stays if keep holds it:
+    a keep of masks holding x drops the sums of masks that held x. A grow of
+    None stands for every mask; a keep of 0, for gains only: p << shift & grow."""
     nxt = []
     for vs, shift, keep, grow in moves:
         p = 0
         for v in vs:
             p |= layer[v]
-        if keep is grow:
+        if grow is None:
             nxt.append((p | p << shift) & keep)
-        elif not keep:
-            nxt.append(p << shift & grow)
+        elif keep:
+            nxt.append((p | p << shift & grow) & keep)
         else:
-            nxt.append(p << shift & grow | p & keep)
+            nxt.append(p << shift & grow)
     return nxt
 
 

@@ -46,6 +46,18 @@ class TestFactors:
     def test_unknown_flag_rejected(self, run):
         assert run("factors", "001", "--n", "2", "--bogus").exit_code == 2
 
+    def test_table_charged_against_the_default_budget(self, run, monkeypatch):
+        # the factor set of 1^70 has top member 2^70 - 1: its table is refused
+        r = run("factors", "1" * 70, "--n", "70")
+        assert r.exit_code == 3 and "Traceback" not in r.output
+        assert "the membership table of the factor set of order 70" in r.output
+        assert "progress:" in r.output
+        monkeypatch.setenv("FACTORSET_BUDGET_MB", "1")
+        assert run("factors", "1" * 24, "--n", "24").exit_code == 3
+        assert run("factors", "0" * 24, "--n", "24").output.strip() == "0" * 24
+        r = run("factors", "0" * 24, "--n", "24", "--hex")  # 2^22 hex digits
+        assert r.exit_code == 3 and "the hex text of an order-24 set" in r.output
+
     def test_no_schema_version_option(self, run):
         r = run("factors", "001", "--n", "2", "--schema-version", "1")
         assert r.exit_code == 2 and "No such option" in r.output
@@ -102,6 +114,23 @@ class TestWitness:
         # refused from its strong components, before the search's first layer
         r = run("witness", "fffffffff3ffffbf", "--hex", "--n", "6", "--budget-mb", "64")
         assert r.exit_code == 0 and r.output.strip() == "not representable"
+
+    def test_set_table_charged_before_it_is_built(self, run):
+        # a word list's table is charged up to its top member: 2^30 bits
+        # over 64 MiB, and 2^70 bits over the default budget
+        for ones, budget in ((30, ("--budget-mb", "64")), (70, ())):
+            r = run("witness", "1" * ones, "--n", str(ones), *budget)
+            assert r.exit_code == 3 and "Traceback" not in r.output
+            assert f"the membership table of the set of order {ones}" in r.output
+            assert "progress:" in r.output
+
+    def test_json(self, run):
+        r = run("witness", "00,01", "--n", "2", "-f", "json")
+        doc = json.loads(r.output)
+        assert (doc["found"], doc["length"], doc["witness"]) == (True, 3, "001")
+        r = run("witness", "00,11", "--n", "2", "-f", "json")
+        doc = json.loads(r.output)
+        assert (doc["found"], doc["length"], doc["witness"]) == (False, 0, None)
 
     def test_order_forty_singleton(self, run):
         zeros = "0" * 40
@@ -223,6 +252,15 @@ class TestBounds:
 
     def test_unknown_order_exits_2(self, run):
         assert run("bounds", "--n", "7").exit_code == 2
+
+    def test_unknown_order_refused_before_the_bounds(self, run, monkeypatch):
+        # 10^(2^39) would take hours to compute: the count source is decided first
+        def unreachable(m):
+            raise AssertionError("a bound was computed")
+        monkeypatch.setattr(factorwords.bounds, "upper_bound", unreachable)
+        monkeypatch.setattr(factorwords.bounds, "lower_bound", unreachable)
+        r = run("bounds", "--n", "40")
+        assert r.exit_code == 2 and "no known count for order 40" in r.output
 
 
 class TestVerify:

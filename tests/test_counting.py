@@ -1,5 +1,6 @@
 """T(t, n) counting, the equal-factor characterization, the 2n boundary."""
 
+import time
 import tracemalloc
 from collections import defaultdict
 from itertools import combinations, count, product
@@ -394,6 +395,21 @@ class TestTable:
         with pytest.raises(BudgetExceededError) as e:
             t_table(16, 2, Budget(max_memory_bytes=1 << 20))
         assert e.value.progress["n"] == 1 and 1 <= e.value.progress["t"] <= 16
+
+    def test_closed_only_cells(self, monkeypatch):
+        # past the brute-force limit, the closed form alone fills its region
+        monkeypatch.setattr(factorwords.counting, "BRUTE_MAX_T", 8)
+        tab = t_table(11, 6)
+        assert [tab.get(t, 6).method for t in range(6, 12)] == ["both"] * 3 + ["closed"] * 3
+        assert all(tab.get(t, 6) == count_T_closed(t, 6) for t in range(9, 12))
+
+    def test_visits_only_the_t_that_can_hold_a_cell(self, monkeypatch):
+        # no cell lies past max(BRUTE_MAX_T, 2n - 1), so a huge t_max costs nothing
+        monkeypatch.setattr(factorwords.counting, "BRUTE_MAX_T", 4)
+        started = time.monotonic()
+        tab = t_table(10 ** 7, 3)
+        assert time.monotonic() - started < 1
+        assert tab.cells == t_table(5, 3).cells
 
     def test_emitters(self):
         tab = t_table(6, 2)
