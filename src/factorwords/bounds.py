@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, repeat, zip_longest
 from operator import mul
 
@@ -285,14 +285,7 @@ class WalkReport:
     optimal_length: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "walk": list(self.walk),
-            "length": self.length,
-            "covers_all": self.covers_all,
-            "bound": self.bound,
-            "optimal_walk": list(self.optimal_walk),
-            "optimal_length": self.optimal_length,
-        }
+        return asdict(self)
 
 
 def _shortest_path(g: Digraph, s: int, t: int) -> list[int]:

@@ -49,7 +49,7 @@ class Budget:
     def __post_init__(self):
         if self.max_memory_bytes <= 0:
             raise ValueError("max_memory_bytes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:  # NaN too
             raise ValueError("max_seconds must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")

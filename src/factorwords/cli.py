@@ -143,6 +143,8 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
                 budget_mb, max_seconds):
     """Shortest word whose factor set is exactly SET_SPEC."""
     budget = _budget(budget_mb, max_seconds)
+    if order < 1:
+        _fail_usage("order must be positive")
     if use_full == (set_spec is not None):
         _fail_usage("provide exactly one of a set and --full")
     if use_full and as_hex:
@@ -179,7 +181,6 @@ def cmd_enumerate(order, oracle, output_format, budget_mb, max_seconds):
     """Counts, extremal witness lengths and witnesses for one order."""
     budget = _budget(budget_mb, max_seconds)
     started = time.monotonic()
-    enumeration.check_order(order)
     if oracle:  # the scan runs until no longer word lists a set
         result = enumeration.brute_force_enumerate(order, budget=budget)
     else:

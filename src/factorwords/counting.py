@@ -31,7 +31,7 @@ members; Theorem 1's backward direction compares sets of classes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
@@ -200,16 +200,7 @@ class Theorem1Report:
         return self.forward_ok and self.backward_ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t, "n": self.n, "k": self.k,
-            "in_region": self.in_region,
-            "forward_ok": self.forward_ok,
-            "backward_ok": self.backward_ok,
-            "nontrivial_classes": self.nontrivial_classes,
-            "backward_classes": self.backward_classes,
-            "passed": self.passed,
-            "counterexamples": list(self.counterexamples),
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 _COUNTEREXAMPLE_CAP = 20
@@ -311,17 +302,7 @@ class Conjecture2nReport:
         return not self.period_violations and not self.conjugacy_violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "t": self.t,
-            "pair_count": self.pair_count,
-            "nontrivial_classes": self.nontrivial_classes,
-            "period_violations": list(self.period_violations),
-            "conjugacy_violations": list(self.conjugacy_violations),
-            "high_period_pairs": list(self.high_period_pairs),
-            "shape_misses": list(self.shape_misses),
-            "period_law_misses": list(self.period_law_misses),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _shape_factorizations(sx: str, sy: str, n: int) -> list[dict]:
@@ -374,19 +355,22 @@ class TTable:
         return self.cells.get((t, n))
 
     def _grid(self) -> list[list[str]]:
-        """The header row, then per n the cells' values, "" where none."""
-        ts = range(1, self.t_max + 1)
+        """The header row, then per n the cells' values, "" where none, for t
+        up to the last that holds a cell: no column past it, whatever t_max."""
+        ts = range(1, min(self.t_max, max((t for t, _ in self.cells), default=0)) + 1)
         return [["n\\t", *map(str, ts)]] + [
             [str(n), *(str(self.cells[t, n].value) if (t, n) in self.cells else "" for t in ts)]
             for n in range(1, self.n_max + 1)]
 
     def to_csv(self) -> str:
+        """The grid as CSV, one line per row."""
         return "".join(",".join(row) + "\n" for row in self._grid())
 
     def to_markdown(self) -> str:
-        header, *rows = ("".join(f"| {x} " if x else "| " for x in row) + "|"
-                         for row in self._grid())
-        return "\n".join([header, "|" + "---|" * (self.t_max + 1), *rows]) + "\n"
+        """The grid as a Markdown table, its separator as wide as its header."""
+        grid = self._grid()
+        header, *rows = ("".join(f"| {x} " if x else "| " for x in row) + "|" for row in grid)
+        return "\n".join([header, "|" + "---|" * len(grid[0]), *rows]) + "\n"
 
     def to_json_dict(self) -> dict:
         return {

@@ -100,6 +100,8 @@ class FactorSet:
 
     @classmethod
     def full(cls, order: int) -> "FactorSet":
+        if order < 1:  # before the shift, which a negative order cannot make
+            raise ValueError("order must be positive")
         return cls(order, (1 << (1 << order)) - 1)
 
     @classmethod
@@ -229,43 +231,43 @@ def _successors(fs: FactorSet) -> dict[int, tuple[int, ...]]:
 
 def strong_components(adjacency: Mapping[int, Iterable[int]]) -> list[list[int]]:
     """The strongly connected components of the digraph mapping each vertex
-    to its successors, in topological order, sources first (Tarjan's
-    algorithm, iterative)."""
-    index: dict[int, int] = {}
+    to its successors, in topological order, sources first, each from its
+    last vertex reached back to its first (Tarjan's algorithm, iterative).
+
+    A vertex's one entry in ``low`` is its low link, a stack position, while
+    it is on the stack, and ``done``, above every position, once its
+    component is out, so a finished component lowers no link."""
+    done = len(adjacency)
     low: dict[int, int] = {}
     stack: list[int] = []
-    on_stack: set[int] = set()
     comps: list[list[int]] = []
     for root in adjacency:
-        if root in index:
+        if root in low:
             continue
-        index[root] = low[root] = len(index)
+        low[root] = 0
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(adjacency[root]))]
+        work = [(root, iter(adjacency[root]), 0)]
         while work:
-            v, succs = work[-1]
+            v, succs, pos = work[-1]
             for w in succs:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if w not in low:
+                    low[w] = len(stack)
+                    work.append((w, iter(adjacency[w]), len(stack)))
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adjacency[w])))
                     break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
+                if low[w] < low[v]:
+                    low[v] = low[w]
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        on_stack.discard(comp[-1])
+                if low[v] == pos:
+                    comp = stack[pos:]
+                    del stack[pos:]
+                    for x in comp:
+                        low[x] = done
+                    comp.reverse()
                     comps.append(comp)
+                elif low[v] < low[work[-1][0]]:  # not the root, which roots at 0
+                    low[work[-1][0]] = low[v]
     comps.reverse()  # Tarjan emits each component after all it reaches
     return comps
 

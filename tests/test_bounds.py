@@ -122,6 +122,11 @@ class TestBoundValues:
         assert upper_bound(3) == 10000
         assert upper_bound(4) == 10 ** 8
 
+    def test_validation(self):
+        for fn in (lower_bound, upper_bound, upper_bound_audit, witness_length_bound):
+            with pytest.raises(ValueError, match="order must be positive"):
+                fn(0)
+
     def test_audit_exact(self):
         for n in range(1, 7):
             audit = upper_bound_audit(n)
@@ -382,6 +387,18 @@ class TestWalks:
     def test_vertex_limit(self):
         with pytest.raises(ValueError):
             hamiltonian_walk(Digraph(16))
+
+    def test_digraph_validation(self):
+        with pytest.raises(ValueError, match="at least two vertices"):
+            chain_fan(1)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Digraph(0)
+        with pytest.raises(ValueError, match="adjacency size mismatch"):
+            Digraph(2, [set()])
+        with pytest.raises(ValueError, match=r"edge \(0,2\) out of range"):
+            Digraph(2).add_edge(0, 2)
+        with pytest.raises(ValueError, match="empty digraph text"):
+            Digraph.from_text("")
 
     def test_text_roundtrip(self):
         g = chain_fan(5)

@@ -36,6 +36,8 @@ class TestFactors:
     def test_too_short_exits_2(self, run):
         r = run("factors", "0", "--n", "3")
         assert r.exit_code == 2
+        r = run("factors", "01", "--n", "0")
+        assert r.exit_code == 2 and "factor length must be positive" in r.output
 
     def test_json(self, run):
         r = run("factors", "0011", "--n", "3", "--circular", "-f", "json")
@@ -79,6 +81,16 @@ class TestWitness:
     def test_hex_spec(self, run):
         r = run("witness", "3", "--n", "2", "--hex")  # bits 0,1 = {00, 01}
         assert r.output.strip() == "3 001"
+
+    def test_non_positive_order_exits_2(self, run):
+        for order in ("-3", "0"):
+            r = run("witness", "--full", "--n", order)
+            assert r.exit_code == 2 and "order must be positive" in r.output
+            assert "shift" not in r.output
+
+    def test_nan_time_budget_exits_2(self, run):
+        r = run("witness", "00", "--n", "2", "--max-seconds", "nan")
+        assert r.exit_code == 2 and "max_seconds must be positive" in r.output
 
     def test_budget_exhaustion_exits_3(self, run):
         r = run("witness", "--full", "--n", "5", "--budget-mb", "16")
@@ -252,6 +264,8 @@ class TestBounds:
 
     def test_unknown_order_exits_2(self, run):
         assert run("bounds", "--n", "7").exit_code == 2
+        r = run("bounds", "--n", "0")
+        assert r.exit_code == 2 and "order must be positive" in r.output
 
     def test_unknown_order_refused_before_the_bounds(self, run, monkeypatch):
         # 10^(2^39) would take hours to compute: the count source is decided first

@@ -57,6 +57,16 @@ class TestBruteForce:
             count_T_bruteforce(3, 4)
         with pytest.raises(ValueError):
             count_T_bruteforce(25, 3)
+        with pytest.raises(ValueError, match="factor length must be positive"):
+            count_T_bruteforce(3, 0)
+        with pytest.raises(ValueError, match="need 1 <= n <= t"):
+            check_theorem1(3, 5)
+        with pytest.raises(ValueError, match="k >= 2"):
+            counterexample_family(1)
+        with pytest.raises(ValueError, match="order must be positive"):
+            check_conjecture_2n(0)
+        with pytest.raises(ValueError, match="table extents must be positive"):
+            t_table(0, 3)
 
     def test_worker_independence(self):
         a = count_T_bruteforce(12, 4, Budget.default(workers=1))
@@ -410,6 +420,18 @@ class TestTable:
         tab = t_table(10 ** 7, 3)
         assert time.monotonic() - started < 1
         assert tab.cells == t_table(5, 3).cells
+
+    def test_grid_ends_at_the_last_cell(self, monkeypatch):
+        # the emitters print no column past the last t that holds a cell
+        monkeypatch.setattr(factorwords.counting, "BRUTE_MAX_T", 4)
+        started = time.monotonic()
+        tab = t_table(10 ** 7, 2)
+        csv, md = tab.to_csv(), tab.to_markdown()
+        assert time.monotonic() - started < 1
+        assert csv.splitlines()[0] == "n\\t,1,2,3,4"
+        header, separator = md.splitlines()[:2]
+        assert header.endswith("| 4 |") and separator == "|" + "---|" * 5
+        assert (csv, md) == (t_table(4, 2).to_csv(), t_table(4, 2).to_markdown())
 
     def test_emitters(self):
         tab = t_table(6, 2)

@@ -318,6 +318,14 @@ class TestDeterminism:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("limits", [
+        {"max_memory_bytes": 0}, {"max_seconds": 0}, {"max_seconds": float("nan")},
+        {"workers": 0}])
+    def test_limits_refused(self, limits):
+        # NaN compares false with every bound, so it would never stop a run
+        with pytest.raises(ValueError):
+            Budget(**limits)
+
     def test_memory_ceiling_enforced(self):
         with pytest.raises(BudgetExceededError) as exc:
             enumerate_representable(4, Budget(max_memory_bytes=1 << 16))

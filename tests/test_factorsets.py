@@ -5,6 +5,7 @@ share no code with the library's bit-table paths.
 """
 
 import hashlib
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -101,6 +102,9 @@ class TestFactorExtraction:
         from factorwords import InvalidLength
         with pytest.raises(InvalidLength):
             factors(Word.from_text("0"), 3)
+        for extract in (factors, circular_factors):
+            with pytest.raises(ValueError, match="factor length must be positive"):
+                extract(Word(2, 0), 0)
 
     def test_against_string_oracle(self):
         for ell in range(1, 9):
@@ -142,6 +146,17 @@ class TestFactorSetValue:
             FactorSet(2, 1 << 4)
         with pytest.raises(ValueError):
             FactorSet(2, -1)
+        with pytest.raises(ValueError, match="order must be positive"):
+            FactorSet(0, 0)
+        with pytest.raises(ValueError, match="order must be positive"):
+            FactorSet.full(-3)  # not the shift's "negative shift count"
+        with pytest.raises(ValueError, match="code 4 out of range"):
+            FactorSet.from_codes(2, [4])
+        with pytest.raises(EmptySet):
+            FactorSet.from_words([])
+        with pytest.raises(ValueError, match="expected 3"):
+            FactorSet.parse("00", order=3)
+        assert Word(3, 0) not in FactorSet(2, 1)
         assert len(FactorSet(2, (1 << 4) - 1)) == 4
         # checked on the bit length: 2^40-bit tables are never built
         assert len(FactorSet(40, 1)) == 1
@@ -178,6 +193,31 @@ class TestOverlapGraph:
         assert strong_components(_successors(fs("00,01,11"))) == [[0b00], [0b01], [0b11]]
         comps = strong_components(_successors(fs("001,010,100,011,110")))
         assert [sorted(c) for c in comps] == [[1, 2, 3, 4, 6]]
+
+    def test_strong_components_pinned(self):
+        # every set of orders 1..4, member order included
+        comps = [strong_components(_successors(FactorSet(n, m)))
+                 for n in range(1, 5) for m in range(1, 1 << (1 << n))]
+        assert hashlib.sha256(json.dumps(comps).encode()).hexdigest() == (
+            "c7967abe8b2f0e5b98d1833d2e9e16d4465db2510f6b9890ed1f1ac1245551b2")
+
+    def test_strong_components_match_reachability(self):
+        # the classes of mutual reachability, sources first, on graphs with
+        # sparse labels, self-loops and many components
+        rng = random.Random(9)
+        for _ in range(300):
+            labels = rng.sample(range(100), rng.randint(1, 12))
+            adj = {v: [w for w in labels if rng.random() < 0.2] for v in labels}
+            reach = {v: {v} for v in labels}
+            for _ in labels:
+                for v in labels:
+                    reach[v] |= {x for w in adj[v] for x in reach[w]}
+            comps = strong_components(adj)
+            assert sorted(map(sorted, comps)) == sorted(map(list, {
+                tuple(sorted(w for w in labels if v in reach[w] and w in reach[v]))
+                for v in labels}))
+            rank = {v: i for i, c in enumerate(comps) for v in c}
+            assert all(rank[v] <= rank[w] for v in labels for w in adj[v])
 
     def test_edge_condition(self):
         # x -> y exactly when the last n-1 letters of x are the first n-1 of

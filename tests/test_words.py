@@ -58,6 +58,12 @@ class TestWordBasics:
             Word(0, 0)
         with pytest.raises(IndexError):
             w("01").letter(3)
+        with pytest.raises(ValueError, match="code 4 out of range"):
+            Word(2, 4)
+        with pytest.raises(IndexError, match="bad segment 2..1"):
+            w("000").segment(2, 1)
+        with pytest.raises(InvalidLength):
+            w("00").repeated_to(0)
 
     def test_repeated_to(self):
         assert str(w("01").repeated_to(5)) == "01010"
@@ -225,6 +231,11 @@ class TestMobiusLyndon:
         assert [str(x) for x in lyndon_words(1)] == ["0", "1"]
         assert [str(x) for x in lyndon_words(2)] == ["01"]
         assert [str(x) for x in lyndon_words(3)] == ["001", "011"]
+
+    def test_validation(self):
+        for fn in (mobius, lyndon_count, lyndon_words):
+            with pytest.raises(ValueError, match="positive"):
+                fn(0)
 
     def test_counts_match_enumeration(self):
         for i in range(1, 17):
