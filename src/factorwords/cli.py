@@ -17,6 +17,10 @@ printed, against the default memory budget (FACTORSET_BUDGET_MB or 2048).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 budget exhaustion. Data goes to stdout; progress notes to stderr.
+
+Only the array scans load numpy: ttable, verify --theorem1 and
+--conjecture2n import ``counting`` when they run, and enumerate --oracle the
+word scan. Every other command, and every refusal, starts without it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from click.core import ParameterSource
 
 from . import __version__
 from . import bounds as bounds_mod
-from . import counting, enumeration
+from . import enumeration
 from .budget import Budget, BudgetExceededError, BudgetMeter
 from .factorsets import (EmptySet, FactorSet, circular_factors, factors,
                          shortest_circular_witness, shortest_witness)
@@ -210,6 +214,7 @@ def cmd_enumerate(order, oracle, output_format, budget_mb, max_seconds):
 @_guard
 def cmd_ttable(t_max, n_max, output_format, budget_mb, max_seconds):
     """The table of T(t, n) counts."""
+    from . import counting
     table = counting.t_table(t_max, n_max, _budget(budget_mb, max_seconds))
     if output_format == "json":
         _emit_json("ttable", table.to_json_dict())
@@ -288,6 +293,7 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
         _fail_usage("--seed reads --hamiltonian")
 
     if theorem1 is not None:
+        from . import counting
         t, n = theorem1
         report = counting.check_theorem1(
             t, n, allow_out_of_region=allow_out_of_region, budget=budget)
@@ -296,6 +302,7 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
         label = f"theorem1 t={t} n={n}" + ("" if report.in_region
                                            else " (outside validity region)")
     elif conjecture2n is not None:
+        from . import counting
         report = counting.check_conjecture_2n(conjecture2n, budget=budget)
         payload = report.to_json_dict()
         passed = report.passed

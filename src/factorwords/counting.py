@@ -15,16 +15,16 @@ here, as is the t = 2n boundary case, where equality of periods and root
 conjugacy is conjectural and words of large period empirically factor as
 u v 01 v^R u against u v 10 v^R u with u a palindrome.
 
-Counts and checks read the package's one word scan, ``words.factor_keys``.
+Counts and checks read the package's one word scan, ``scan.factor_keys``.
 Up to order 6 a count sorts each chunk's bitmap keys in place and counts
-their runs; above, it is the count of ``words.factor_classes``, whose
+their runs; above, it is the count of ``scan.factor_classes``, whose
 classes of two or more words the checks walk. That class scan hashes each
 word's factor set and keys exactly only the words whose hashes collide,
 checking the time budget after each chunk. Budgets are charged the scans'
-buffers (``words.scan_nbytes``, ``words.class_scan_nbytes``) up front, the
+buffers (``scan.scan_nbytes``, ``scan.class_scan_nbytes``) up front, the
 colliding words' keys once counted, and the checks' members and pairs
 before they are built. The checks compare minimal periods and root classes
-as integers, from one ``words.period_classes`` call over the shared classes'
+as integers, from one ``scan.period_classes`` call over the shared classes'
 members; Theorem 1's backward direction compares sets of classes.
 """
 
@@ -37,8 +37,9 @@ from itertools import combinations, islice
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .words import (_BITMAP_MAX_ORDER, SCAN_CHUNK_BITS, Word, _duval, class_scan_nbytes,
-                    factor_classes, factor_keys, lyndon_count, period_classes, scan_nbytes)
+from .scan import (_BITMAP_MAX_ORDER, SCAN_CHUNK_BITS, class_scan_nbytes, factor_classes,
+                   factor_keys, period_classes, scan_nbytes)
+from .words import Word, _duval, lyndon_count
 
 BRUTE_MAX_T = 24
 
@@ -124,7 +125,7 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
                        started: float | None = None) -> TCell:
     """T(t, n) by scanning all 2^t words in-process: above order 6 with
-    ``words.factor_classes``, else in chunks. The budget's seconds run from
+    ``scan.factor_classes``, else in chunks. The budget's seconds run from
     ``started`` (a ``time.monotonic()`` reading), when given, so a scan that
     is part of a longer run gets what that run has left; else from the call."""
     hashed = n > _BITMAP_MAX_ORDER

@@ -17,7 +17,7 @@ orders 1..4; order 5 is refused. The extremal witnesses are the least of
 the per-set searches' witnesses over the sets of extremal depth.
 
 The brute-force oracle shares no search with the census: it folds the
-batches of the package's one word scan, ``words.word_scan``, which lists
+batches of the package's one word scan, ``scan.word_scan``, which lists
 each factor set of the words and circular words once, at the first length
 reaching it. Past the short circular words, it reads per length only the
 states (factor set, last n - 1 letters, and read circularly the first) no
@@ -25,7 +25,9 @@ shorter word reached, each advanced by one letter from the last length's
 new ones, and it ends when none is new, so the oracle needs no scan length
 from the census it checks. Both hand one builder, ``_result``, per-length
 histograms, read from the bits each depth first holds or from the batches,
-so neither keeps an array with an entry per set.
+so neither keeps an array with an entry per set. Only the oracle reads
+numpy, which it imports, with the scan, when it runs: the census, and
+``bounds`` and ``factorsets`` beneath it, start without numpy.
 """
 
 from __future__ import annotations
@@ -36,12 +38,10 @@ from itertools import accumulate
 from operator import and_, or_, xor
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .budget import Budget, BudgetMeter
 from .factorsets import (FactorSet, _containing, _set_bits, _step_forward, _table,
                          shortest_circular_witness, shortest_witness)
-from .words import Word, word_scan, word_scan_nbytes
+from .words import Word
 
 ARRAY_MAX_ORDER = 4      # the census and the oracle cover orders 1..4
 # bytes charged per set listed on request (collect_sets): tracemalloc's peak
@@ -209,6 +209,7 @@ def brute_force_nbytes(n: int, max_len: int | None) -> int:
     a MB of it the circular scan's flags). Set listings (collect_sets) are
     charged on top, each batch as it is kept and each sorted listing before
     it is built."""
+    from .scan import word_scan_nbytes
     return max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
 
 
@@ -217,7 +218,7 @@ def brute_force_enumerate(n: int, max_len: int | None = None, budget: Budget | N
     """Independent oracle: scan the words and circular words until no longer
     one lists a set, or up to max_len letters when given.
 
-    ``words.word_scan`` lists each factor set of the words (ordinary, then
+    ``scan.word_scan`` lists each factor set of the words (ordinary, then
     circular) once, at its shortest witness length, with the least code of
     that length giving it. Uncapped, the result is exact by itself; a cap
     below the order's longest shortest witness truncates the row.
@@ -225,6 +226,9 @@ def brute_force_enumerate(n: int, max_len: int | None = None, budget: Budget | N
     check_order(n)
     if max_len is not None and max_len < n:
         raise ValueError("max_len must be at least the order")
+    import numpy as np  # with the scan, only once the arguments hold
+
+    from .scan import word_scan
     meter = BudgetMeter(budget or Budget.default())
     meter.charge_memory(brute_force_nbytes(n, max_len), "scan buffers")
     flavours = []

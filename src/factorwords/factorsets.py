@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 from .budget import Budget, BudgetMeter
@@ -363,8 +363,8 @@ def _greedy_walk(moves: list, layers: Iterable[list[int]], v: int, states: int) 
 # frontier): tracemalloc's peak over the states reached on FactorSet.full(4)
 # was 71.5 for shortest_witness and 104.6 to 105.2 for
 # shortest_circular_witness, varying with what the process held before; the
-# larger, rounded up, is charged, plus a byte per 8 bits of the set's
-# membership table, which a state's covered mask grows with.
+# larger, rounded up, is charged, plus a byte per 8 members, which a state's
+# covered mask grows with.
 _STATE_BYTES = 106
 # States' bytes charged per member for the component and move tables: their
 # tracemalloc peak was at most 3.4 states' bytes per member over full, random
@@ -383,9 +383,11 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
     a chain of them one by one: one exists iff they are chained, a start is
     in the source one and ``end``, if given, in the sink one. Then one
     breadth-first search over states (covered << n) | v, covered having the
-    bit 1 << x of each vertex x passed, starts in the source component and
-    drops a move into a later one unless all earlier ones are covered: it
-    keeps every covering walk. Each layer is expanded in the
+    bit 1 << r of each vertex passed, r its rank among the members listed
+    component by component, starts in the source component and drops a move
+    into a later one unless all earlier ones are covered: it keeps every
+    covering walk. A state thus takes about |fs| + n bits, however wide the
+    set's table. Each layer is expanded in the
     order its states were first reached and each state's moves by ascending
     next vertex, so every state is first reached by its least shortest walk,
     and the first goal state reached ends the least shortest walk. The word
@@ -393,11 +395,11 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
     """
     n = fs.order
     wmask = (1 << n) - 1
-    members = fs.members
-    # the goal states (members, v), v == end if given, lie in [lo, hi]
-    lo = members << n | (end or 0)
-    hi = members << n | (wmask if end is None else end)
-    size = _STATE_BYTES + members.bit_length() // 8
+    # the goal states (every member covered, v), v == end if given, lie in [lo, hi]
+    covered = (1 << len(fs)) - 1
+    lo = covered << n | (end or 0)
+    hi = covered << n | (wmask if end is None else end)
+    size = _STATE_BYTES + len(fs) // 8
 
     def word(st: int, d: int) -> Word:
         # d parent links back from a state of depth d; a state's low bit is
@@ -416,20 +418,24 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
         meter.charge_memory(len(fs) * _TABLE_STATES * size, "witness search tables")
     adj = _successors(fs)
     comps = strong_components(adj)
-    comp_of = {x: j for j, comp in enumerate(comps) for x in comp}
-    frontier = [1 << u << n | u for u in FactorSet(n, starts).codes() if comp_of[u] == 0]
+    # members ranked in component order: per member, its covered bit and
+    # the covered bits of every member of the earlier components
+    bit, earlier = {}, {}
+    for comp in comps:
+        below = (1 << len(bit) << n) - (1 << n)
+        for x in comp:
+            bit[x], earlier[x] = 1 << len(bit) << n, below
+    frontier = [bit[u] | u for u in sorted(comps[0]) if starts >> u & 1]
     if not (frontier and _chained(adj, comps) and end in (None, *comps[-1])):
         return None  # the one not-found verdict
-    # per component, the covered bits of every member of the earlier ones
-    earlier = list(accumulate((sum(1 << (x + n) for x in comp) for comp in comps[:-1]), initial=0))
     # per vertex, its moves: the bits a move adds to a state, and the covered
     # bits it needs (0 for a move within the component)
     moves = {}
     for v, xs in adj.items():
         moves[v] = out = []
         for x in xs:
-            j = comp_of[x]
-            out.append((1 << (x + n) | x, earlier[j] if j != comp_of[v] else 0))
+            need = earlier[x]
+            out.append((bit[x] | x, need if need != earlier[v] else 0))
     if meter is not None:
         meter.release_memory((count - len(frontier)) * size)
     parent: dict[int, int | None] = dict.fromkeys(frontier)

@@ -6,29 +6,15 @@ equal-length words coincides with numeric order on codes. Positions are
 1-based throughout: ``w.letter(1)`` is the leftmost letter.
 
 Also provides minimal periods and roots, (root-)conjugacy, the Möbius
-function, Lyndon word counting/enumeration, lexicographically least
-de Bruijn words, and the package's one word scan: ``factor_keys`` turns a
-batch of word codes into canonical factor-set keys with numpy,
-``factor_classes`` groups the words of a length by factor set, and ``word_scan``
-lists each factor set of the words once, orders 1..4, reading per length
-only the states (key, last n - 1 letters, and read circularly the first)
-no shorter word reached, until none is new.
-
-Above order 6, ``factor_classes`` sorts no key per word. It gives each word
-a 64-bit set hash, the wrapping sum over its distinct factors of a fixed
-splitmix64 value read from a table (Zobrist hashing), and sorts the hashes
-once; only the words holding a hash another word holds get exact row keys,
-which split any collision. Equal sets hash equally, so the classes are exact.
+function, Lyndon word counting/enumeration and lexicographically least
+de Bruijn words, all in pure Python: the package's numpy word scan is
+``scan``, so a command that scans no array of words never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
-
-from .budget import BudgetMeter
 
 
 class InvalidLength(ValueError):
@@ -158,24 +144,6 @@ def are_root_conjugate(w: Word, w2: Word) -> bool:
     return are_conjugate(period(w).root, period(w2).root)
 
 
-def period_classes(t: int, codes) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal periods and root classes (least rotations of the roots) of
-    length-t words given by code, as uint64 arrays: two words are
-    root-conjugate exactly when both agree."""
-    if not 1 <= t <= 63:
-        raise ValueError("period_classes reads words of 1..63 letters")
-    c = np.asarray(codes, np.uint64)
-    periods = np.full(c.shape, t, np.uint64)
-    for q in range(t - 1, 0, -1):  # q is a period: the first t - q letters are the last
-        periods[(c >> q) == (c & ((1 << (t - q)) - 1))] = q
-    roots = c >> (t - periods)
-    least, mask = roots.copy(), (1 << periods) - 1
-    for j in range(1, t):
-        turn = j % periods
-        np.minimum(least, ((roots << turn) & mask) | (roots >> (periods - turn)), out=least)
-    return periods, least
-
-
 def mobius(m: int) -> int:
     """Möbius function by trial factorization."""
     if m < 1:
@@ -257,349 +225,3 @@ def debruijn(n: int) -> Word:
         if n % len(bits) == 0:
             chunks.append("".join(map(str, bits)))
     return Word.from_text("".join(chunks))
-
-
-# -- the word scan ----------------------------------------------------------------
-
-_BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
-# codes per scan call in counting's chunked T(t, n) scan: on the order-4
-# brute-force scan, 2^18 ran faster and with a third of the memory of 2^21
-SCAN_CHUNK_BITS = 18
-
-
-def _scan_dtypes(n: int, ell: int, circular: bool):
-    """Letters read per word, the code dtype, and the key dtype and width."""
-    span = ell + n - 1 if circular else ell
-    code_dt = np.dtype(np.uint32 if span <= 32 else np.uint64)
-    if n <= _BITMAP_MAX_ORDER:
-        return span, code_dt, np.min_scalar_type((1 << (1 << n)) - 1), 1
-    return span, code_dt, np.min_scalar_type(1 << n), span - n + 1
-
-
-def _windows(n: int, ell: int, codes, circular: bool):
-    """The codes of length-``ell`` words (a range, sequence or array) as an
-    array, and a generator of their length-n windows left to right, one array
-    per position. Read circularly, each word is extended by its first letters,
-    cyclically, so that short circular words wrap repeatedly, as in
-    ``circular_factors``."""
-    if n < 1 or ell < 1:
-        raise ValueError("lengths must be positive")
-    if ell < n and not circular:
-        raise InvalidLength(f"a word of length {ell} has no factors of length {n}")
-    span, code_dt, _, _ = _scan_dtypes(n, ell, circular)
-    if span > 64:
-        raise ValueError("the scan reads at most 64 letters per word")
-    dt = code_dt.type
-    codes = (np.arange(codes.start, codes.stop, dtype=dt) if isinstance(codes, range)
-             else np.asarray(codes, dt))
-    ext, got = codes, ell
-    while got < span:  # append the word's first letters, cyclically
-        take = min(ell, span - got)
-        ext = (ext << dt(take)) | (codes >> dt(ell - take))
-        got += take
-    mask = dt((1 << n) - 1)
-    return codes, ((ext >> dt(sh)) & mask for sh in range(span - n, -1, -1))
-
-
-def factor_keys(n: int, ell: int, codes, circular: bool = False) -> np.ndarray:
-    """One canonical factor-set key per word of length ``ell``, for a range,
-    sequence or array of codes. Keys are equal exactly when the words' sets
-    of length-n factors, read ordinarily or circularly (short circular words
-    wrap repeatedly, as in ``circular_factors``), are equal, and they sort as
-    the sets' bitmaps do. For 2^n <= 64 the key is the bitmap, in the least
-    unsigned dtype holding it; otherwise a row with one entry per factor
-    occurrence: the distinct factor codes plus one, ascending, left-padded
-    with zeros, which compared from the last column back order as bitmaps.
-    """
-    codes, windows = _windows(n, ell, codes, circular)
-    _, _, key_dt, width = _scan_dtypes(n, ell, circular)
-    if n <= _BITMAP_MAX_ORDER:
-        one = key_dt.type(1)
-        keys = np.zeros(codes.size, key_dt)
-        for win in windows:
-            keys |= one << win.astype(key_dt)
-        return keys
-    keys = np.empty((codes.size, width), key_dt)
-    for i, win in enumerate(windows):
-        keys[:, i] = win
-    keys += key_dt.type(1)
-    keys.sort(axis=1)
-    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = 0
-    keys.sort(axis=1)
-    return keys
-
-
-def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable order sorting ``keys`` (bitmap order) and the positions in
-    it where each run of equal keys starts."""
-    rows = keys.reshape(len(keys), -1)
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    fresh = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order, np.flatnonzero(np.concatenate(([len(keys) > 0], fresh)))
-
-
-# The hashed class scan (orders above 6) hashes 2^HASH_CHUNK_BITS codes per
-# chunk; at (n, t) = (10, 20), chunks of 2^14..2^16 ran about equally fast
-# and 2^12 slower, and the smallest of them holds the least
-HASH_CHUNK_BITS = 14
-_GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in
-                         (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-
-
-def _factor_hash(factors: np.ndarray) -> np.ndarray:
-    """A fixed pseudo-random uint64 per factor code: splitmix64's output for
-    the state (code + 1) * golden."""
-    z = (factors.astype(np.uint64) + np.uint64(1)) * _GOLDEN
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
-    """Per word of length ``ell``, by code, the wrapping uint64 sum of
-    ``_factor_hash`` over its distinct length-n factors: a window equal to an
-    earlier one of the same word adds nothing, so equal sets hash equally.
-    Its table of 2^n factor hashes is no larger than the 2^ell it fills."""
-    table = _factor_hash(np.arange(1 << n))
-    key_dt = _scan_dtypes(n, ell, False)[2]
-    hashes = np.zeros(1 << ell, np.uint64)
-    fresh = np.empty(min(1 << ell, 1 << HASH_CHUNK_BITS), bool)
-    differs = np.empty_like(fresh)
-    for lo in range(0, 1 << ell, 1 << HASH_CHUNK_BITS):
-        hi = min(1 << ell, lo + (1 << HASH_CHUNK_BITS))
-        part, seen = hashes[lo:hi], []
-        for win in _windows(n, ell, range(lo, hi), False)[1]:
-            win = win.astype(key_dt)  # compared narrow, into reused flags
-            fresh.fill(True)
-            for earlier in seen:
-                fresh &= np.not_equal(win, earlier, out=differs)
-            np.add(part, table.take(win), out=part, where=fresh)
-            seen.append(win)
-        meter.note(words_scanned=hi)
-        meter.check_time(f"factor classes of length {ell}")
-    return hashes
-
-
-def _holding(hashes: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """The ascending positions of the hashes found in ``shared`` (sorted),
-    chunk by chunk: a table of flags per low bits of the shared hashes, four
-    per shared hash and at least 2^16, passes few others to the exact search."""
-    low = np.uint64((1 << max(16, (4 * shared.size - 1).bit_length())) - 1)
-    flagged = np.zeros(int(low) + 1, bool)
-    flagged[shared & low] = True
-    found = []
-    for lo in range(0, hashes.size, 1 << HASH_CHUNK_BITS):
-        part = hashes[lo:lo + (1 << HASH_CHUNK_BITS)]
-        maybe = np.flatnonzero(flagged[part & low])
-        hit = shared.take(np.searchsorted(shared, part[maybe]), mode="clip") == part[maybe]
-        found.append(lo + maybe[hit])
-    return np.concatenate(found)
-
-
-def _shared_runs(keys: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """The number of distinct keys and, in key order, the positions of every
-    key held two or more times, ascending."""
-    order, starts = sorted_runs(keys)
-    ends = np.append(starts[1:], order.size)
-    shared = ends - starts > 1
-    return starts.size, [order[a:b] for a, b in zip(starts[shared], ends[shared])]
-
-
-def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.ndarray]]:
-    """Group the words of length ``ell`` by factor set.
-
-    Returns the number of distinct sets and, in bitmap order, the ascending
-    codes of every set that two or more of the words share.
-
-    Orders up to 6 sort every word's bitmap key. Above that, each word gets
-    a 64-bit set hash (``_set_hashes``) and one sort of the hashes finds
-    those two or more words hold. Equal sets hash equally, so a word whose
-    hash no other word holds is alone in its set; only the words holding a
-    shared hash get exact row keys, which split any collision and put the
-    classes in bitmap order. ``class_scan_nbytes`` bounds the buffers other
-    than those row keys. The hash pass notes ``words_scanned`` to the meter
-    and checks the time after each chunk, and the row keys are charged to it
-    while they are held.
-    """
-    if n <= _BITMAP_MAX_ORDER:
-        return _shared_runs(factor_keys(n, ell, range(1 << ell)))
-    hashes = _set_hashes(n, ell, meter)
-    ordered = np.sort(hashes)
-    repeats = ordered[1:] == ordered[:-1]
-    first = repeats.copy()
-    first[1:] &= ~repeats[:-1]  # the first repeat of each shared hash
-    groups = np.count_nonzero(first)
-    if groups == 0:
-        return hashes.size, []
-    sharing = int(groups + np.count_nonzero(repeats))  # words holding a shared hash
-    held = scan_nbytes(n, ell, sharing)
-    meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
-    shared = ordered[1:][first]
-    del ordered, repeats, first
-    members = _holding(hashes, shared)
-    del hashes
-    count, runs = _shared_runs(factor_keys(n, ell, members))
-    meter.release_memory(held)
-    return (1 << ell) - sharing + count, [members[run] for run in runs]
-
-
-def scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
-    """An upper bound on the bytes held at once by ``factor_keys`` on a range
-    of ``count`` codes, then ``sorted_runs`` (not the lists ``factor_classes``
-    returns): per word, the larger of making the keys (codes, extension, keys,
-    temporaries) and sorting them (keys, copy, order, buffer, run starts).
-    """
-    _, code_dt, key_dt, width = _scan_dtypes(n, ell, circular)
-    key = key_dt.itemsize * width
-    making = (code_dt.itemsize * (3 if circular else 2) + key
-              + (3 * key_dt.itemsize if n <= _BITMAP_MAX_ORDER else width))
-    sorting = 2 * key + 8 * 3 + width + 2
-    return count * max(making, sorting)
-
-
-def class_scan_nbytes(n: int, ell: int, count: int) -> int:
-    """An upper bound on the bytes ``factor_classes`` holds at once on a range
-    of ``count`` codes, beside the lists it returns and, above order 6, the
-    row keys of the words sharing a set hash, which it charges to its meter:
-    up to order 6, ``scan_nbytes``; above, per word its hash, a sorted copy
-    and three flags, plus the 2^n factor hashes and one chunk's temporaries.
-    """
-    if n <= _BITMAP_MAX_ORDER:
-        return scan_nbytes(n, ell, count)
-    _, code_dt, _, width = _scan_dtypes(n, ell, False)
-    chunk = min(count, 1 << HASH_CHUNK_BITS)
-    return count * 19 + chunk * (code_dt.itemsize * (width + 4) + 40) + (8 << n)
-
-
-def _first_pairs(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """The ascending positions of the first of each distinct (key, tag)
-    pair: one lexsort of the two narrow arrays, several times faster than a
-    stable sort of their wide combination."""
-    order = np.lexsort((keys, tags))
-    a, b = keys[order], tags[order]
-    fresh = np.ones(order.size, bool)
-    fresh[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return np.sort(order[fresh])
-
-
-def _new_states(n: int, hlen: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per prefix length from n on, while there are any, the new states:
-    the pairs (F(p), row(p)), row(p) = (t << hlen) | h with t the last
-    n - 1 letters of p and h its first hlen, that no shorter prefix
-    reaches, each with the least p of the length reaching it, as (keys,
-    rows, codes) in ascending p.
-
-    A letter a takes the state of p to that of p·a: the key gains the
-    window t·a, t becomes the last n - 1 letters of t·a, and h stays. So a
-    state new at length plen + 1 has only new predecessors at plen (from
-    one reached before, it would have been reached before), and its least
-    p·a is the least over them. Each length's states are therefore the
-    successors of the last length's new ones, deduplicated keeping the least
-    p and filtered through one bit per (key, row), set when first reached.
-    Only the first length reads ``factor_keys``."""
-    rbits = n - 1 + hlen  # bits per row
-    tmask = (1 << (n - 1)) - 1
-    p = np.arange(1 << n, dtype=np.int64)
-    keys = factor_keys(n, n, p)
-    rows = (((p & tmask) << hlen) | (p >> (n - hlen))).astype(np.uint8)
-    # per row and letter a: the window t·a as a key bit, and the next row
-    every = np.arange(1 << rbits)
-    win = ((every >> hlen) << 1)[:, None] | np.arange(2)
-    gain = keys.dtype.type(1) << win.astype(keys.dtype)
-    succ = (((win & tmask) << hlen) | (every & ((1 << hlen) - 1))[:, None]).astype(np.uint8)
-    seen = np.zeros(-(-(1 << ((1 << n) + rbits)) // 8), np.uint8)
-    letters = np.arange(2, dtype=np.int64)
-    while True:
-        ids = (keys.astype(np.int64) << rbits) | rows
-        fresh = np.flatnonzero((seen[ids >> 3] >> (ids & 7).astype(np.uint8)) & 1 == 0)
-        kept = fresh[_first_pairs(keys[fresh], rows[fresh])]
-        if not kept.size:
-            return
-        ids, p, keys, rows = ids[kept], p[kept], keys[kept], rows[kept]
-        np.bitwise_or.at(seen, ids >> 3, (1 << (ids & 7)).astype(np.uint8))
-        yield keys, rows, p
-        keys = (keys[:, None] | gain[rows]).ravel()
-        rows = succ[rows].ravel()
-        p = ((p << 1)[:, None] | letters).ravel()
-
-
-def word_scan(n: int, max_len: int | None, meter: BudgetMeter, circular: bool = False):
-    """Yield (length, keys, codes) batches listing each factor set of the
-    words (circular words) of length n..max_len (1..max_len) once, at the
-    first length reaching it, with the least code of that length giving it;
-    with max_len None, until no longer word lists a set. One batch per
-    length, in length order; its ``keys`` are the ``factor_keys`` no earlier
-    batch listed, ascending, possibly none. Orders 1..4: keys are filtered
-    through a mask of 2^(2^n) flags, the sets listed, before the dedupe.
-
-    Circular words shorter than n wrap repeatedly and are scanned directly.
-    A longer word p has the state (F(p), row(p)), row(p) = (t << hlen) | h
-    with t its last n - 1 letters and h its first hlen (n - 1 read
-    circularly, else none), and its set is F(p), or read circularly
-    F(p) | F(t·h): the windows wrapping past its end are those of t·h. A set
-    first listed at a length is reached there only from states no shorter
-    word reached (an old state gave it before), so each length reads only
-    its new states, each with the least word reaching it (``_new_states``).
-    When no state is new, no longer word lists a set, and the scan ends.
-    The codes hold at most 63 letters: a length past that with new states
-    is refused. Each length notes its new states and their running total to
-    the meter.
-
-    ``word_scan_nbytes`` bounds the bytes it holds.
-    """
-    if not 1 <= n <= 4:  # the mask of listed sets holds 2^(2^n) flags, 64 KiB at order 4
-        raise ValueError("the word scan supports orders 1..4")
-    last = 64 if max_len is None else max_len  # uncapped: to the first length refused
-    listed = np.zeros(1 << (1 << n), bool)
-
-    def unlisted(keys):  # the keys not listed yet, now listed, and their first positions
-        pos = np.flatnonzero(~listed.take(keys))
-        sets, first = np.unique(keys[pos], return_index=True)
-        listed[sets] = True
-        return sets, pos[first]
-
-    if circular:  # the words shorter than n, which wrap repeatedly
-        for ell in range(1, min(n, last + 1)):
-            yield ell, *unlisted(factor_keys(n, ell, range(1 << ell), True))
-    hlen = n - 1 if circular else 0
-    wrap = factor_keys(n, 2 * hlen, range(1 << 2 * hlen)) if hlen else None
-    states = 0
-    for ell, (keys, rows, p) in zip(range(n, last + 1), _new_states(n, hlen)):
-        if ell > 63:
-            raise ValueError("the scan's codes hold at most 63 letters")
-        states += p.size
-        meter.note(new_states=p.size, states=states)
-        sets, pos = unlisted(keys if wrap is None else keys | wrap[rows])
-        yield ell, sets, p[pos]
-
-
-# per order, the most new states one prefix length holds, read ordinarily and
-# circularly: they depend on nothing else (TestWordScan pins them)
-_NEW_STATES_MOST = {1: (2, 2), 2: (6, 8), 3: (40, 86), 4: (2060, 7496)}
-# bytes per new state while the next length's are made: it, its successors,
-# their flag lookups and the dedupe (tracemalloc at order 4: 110 ordinary,
-# 107 circular)
-_STATE_BYTES = 128
-
-
-def word_scan_nbytes(n: int, max_len: int | None, circular: bool = False) -> int:
-    """An upper bound on the bytes ``word_scan`` holds at once: the mask of
-    listed sets and the flags of the states reached; beside them, one
-    length's new states with their keys; and 32 KiB for numpy's fixed
-    temporaries, the short circular words and the per-row tables
-    (tracemalloc: 15.4 KB at order 1).
-    """
-    key = _scan_dtypes(n, n, circular)[2].itemsize
-    # per key made, as if unlisted: the filter's flags and positions, the dedupe's
-    # copies, order and flags, the batch yielded and the caller's hold on the one before
-    listing = 5 * key + 51
-    rbits = (n - 1) * (2 if circular else 1)
-    held = (1 << (1 << n)) + (1 << ((1 << n) + rbits)) // 8 + 1
-    states = _NEW_STATES_MOST[n][circular]
-    if max_len is not None:
-        states = min(states, 1 << max_len)
-    return (32 << 10) + held + states * (_STATE_BYTES + listing)

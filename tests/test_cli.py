@@ -361,3 +361,52 @@ def test_cli_import_starts_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+
+STARTUP_PROBE = """
+import json, sys
+import factorwords, factorwords.cli
+from click.testing import CliRunner
+
+def loaded():
+    return [m for m in ("numpy", "factorwords.counting", "factorwords.scan") if m in sys.modules]
+
+print(json.dumps(loaded()))
+runner = CliRunner()
+for args in sys.argv[1:]:
+    r = runner.invoke(factorwords.cli.main, args.split())
+    print(json.dumps([r.exit_code, loaded(), r.output]))
+"""
+
+
+def _startup(*commands):
+    """What a fresh interpreter holds after importing the CLI, then the exit
+    code, the scan modules held and the output of each command run in it."""
+    src = Path(factorwords.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *commands],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def test_commands_without_an_array_scan_load_no_numpy():
+    # numpy's import is most of a cold start; only ttable, verify --theorem1 and
+    # --conjecture2n and enumerate --oracle scan arrays
+    commands = ["factors 0011 --n 2", "witness 00,01,11 --n 2", "enumerate --n 3",
+                "bounds --n 3", "verify --hamiltonian 20", "--help",
+                "witness 00 --n 2 --max-seconds nan"]
+    first, *runs = _startup(*commands)
+    assert first == []
+    assert [(code, held) for code, held, _ in runs] == [(0, [])] * 6 + [(2, [])]
+    assert runs[1][2] == "4 0011\n"
+
+
+def test_array_scans_print_as_before():
+    [_, (code, held, out)] = _startup("ttable --t-max 6 --n-max 3 -f csv")
+    assert (code, held) == (0, ["numpy", "factorwords.counting", "factorwords.scan"])
+    assert out == "n\\t,1,2,3,4,5,6\n1,2,3,3,3,3,3\n2,,4,7,11,12,12\n3,,,8,15,27,48\n"
+    [_, (code, held, out)] = _startup("enumerate --n 3 --oracle")
+    assert (code, held) == (0, ["numpy", "factorwords.scan"])
+    assert out == ("n 3\n|C_3| 27\n|R_3| 121\nnu 9\nmu 10\n"
+                   "longest_circ_witness 000100111\nlongest_witness 0001011100\n")

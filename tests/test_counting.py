@@ -15,7 +15,7 @@ from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
                          count_T_bruteforce, count_T_closed, counterexample_family,
                          equal_factor_pairs, lyndon_words, period, t_table)
 from factorwords.budget import BudgetMeter
-from factorwords.words import factor_classes
+from factorwords.scan import factor_classes
 
 
 @pytest.fixture

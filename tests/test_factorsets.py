@@ -386,6 +386,20 @@ class TestWitnesses:
         assert (r.length, str(r.witness)) == (25, "0" * 24 + "1")
         assert peak < 64 << 10
 
+    def test_states_sized_by_the_members(self):
+        # 181 members of order 20: a state's covered mask over member ranks
+        # takes 181 bits; over member codes it took 2^20 (a 64 MB peak)
+        w = Word(200, random.Random(5).getrandbits(200))
+        s = factors(w, 20)
+        tracemalloc.start()
+        try:
+            r = shortest_witness(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(s), r.length, factors(r.witness, 20)) == (181, 200, s)
+        assert peak < 2 << 20
+
     def test_order_four_histograms_and_reextraction(self, enum_results):
         r = enum_results[4]
         for sets, search, extract, histogram in (

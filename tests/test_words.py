@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from factorwords import (Budget, InvalidLength, Word, are_conjugate, are_root_conjugate,
                          circular_factors, debruijn, divisors, factors,
                          lyndon_count, lyndon_words, mobius, period, root)
-from factorwords import words
+from factorwords import scan as words
 from factorwords.budget import BudgetMeter
 from factorwords.counting import BRUTE_MAX_T
-from factorwords.words import (_NEW_STATES_MOST, _holding, _new_states, class_scan_nbytes,
-                               factor_classes, factor_keys, period_classes, scan_nbytes,
-                               sorted_runs, word_scan, word_scan_nbytes)
+from factorwords.scan import (_NEW_STATES_MOST, _holding, _new_states, class_scan_nbytes,
+                              factor_classes, factor_keys, period_classes, scan_nbytes,
+                              sorted_runs, word_scan, word_scan_nbytes)
 
 
 def w(text):
@@ -350,7 +350,7 @@ class TestScanKernel:
     def test_classes_with_colliding_hashes(self, monkeypatch):
         # four factor values: above order 6 nearly every word shares its set
         # hash, so the exact row keys must split the hash groups
-        monkeypatch.setattr("factorwords.words._factor_hash",
+        monkeypatch.setattr("factorwords.scan._factor_hash",
                             lambda c: c.astype(np.uint64) & np.uint64(3))
         for n, ell in GROUPING_CASES:
             assert classes(n, ell) == direct_classes(n, ell)
