@@ -60,6 +60,12 @@ class Budget:
         return cls(max_memory_bytes=mb << 20, workers=workers)
 
 
+def _count(nbytes: int) -> str:
+    """A byte count in decimal, or from 2^64 on as the power of two it
+    reaches: Python refuses to write an int of over 4300 digits."""
+    return str(nbytes) if nbytes < 1 << 64 else f"at least 2^{nbytes.bit_length() - 1}"
+
+
 @dataclass
 class BudgetMeter:
     """Tracks charged memory and elapsed time against a Budget."""
@@ -73,8 +79,9 @@ class BudgetMeter:
         """Charge nbytes, or refuse them, leaving the charge as it was."""
         if self.charged_bytes + nbytes > self.budget.max_memory_bytes:
             raise BudgetExceededError(
-                f"memory budget exceeded (requested {nbytes} with {self.charged_bytes} "
-                f"held, budget {self.budget.max_memory_bytes} bytes)"
+                f"memory budget exceeded (requested {_count(nbytes)} with "
+                f"{_count(self.charged_bytes)} held, budget "
+                f"{_count(self.budget.max_memory_bytes)} bytes)"
                 f"{' at ' + what if what else ''}",
                 self.stats(),
             )

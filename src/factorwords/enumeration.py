@@ -19,15 +19,15 @@ the per-set searches' witnesses over the sets of extremal depth.
 The brute-force oracle shares no search with the census: it folds the
 batches of the package's one word scan, ``scan.word_scan``, which lists
 each factor set of the words and circular words once, at the first length
-reaching it. Past the short circular words, it reads per length only the
-states (factor set, last n - 1 letters, and read circularly the first) no
-shorter word reached, each advanced by one letter from the last length's
-new ones, and it ends when none is new, so the oracle needs no scan length
-from the census it checks. Both hand one builder, ``_result``, per-length
-histograms, read from the bits each depth first holds or from the batches,
-so neither keeps an array with an entry per set. Only the oracle reads
-numpy, which it imports, with the scan, when it runs: the census, and
-``bounds`` and ``factorsets`` beneath it, start without numpy.
+reaching it. Past the short circular words, one run lists both flavours:
+it reads per length only the states (factor set, last and first n - 1
+letters) no shorter word reached, each advanced by one letter from the last
+length's new ones, and it ends when none is new, so the oracle needs no
+scan length from the census it checks. Both hand one builder, ``_result``,
+per-length histograms, read from the bits each depth first holds or from
+the batches, so neither keeps an array with an entry per set. Only the
+oracle reads numpy, which it imports, with the scan, when it runs: the
+census, and ``bounds`` and ``factorsets`` beneath it, start without numpy.
 """
 
 from __future__ import annotations
@@ -203,14 +203,13 @@ def enumerate_representable(n: int, budget: Budget | None = None,
 # -- brute-force oracle -------------------------------------------------------
 
 def brute_force_nbytes(n: int, max_len: int | None) -> int:
-    """The bytes ``brute_force_enumerate`` charges up front: the larger of its
-    two word scans' ``word_scan_nbytes``, state flags included (at order 4,
-    2.04 MB; tracemalloc's peak was 1.40 MB, 1.63 MB with the listings, half
-    a MB of it the circular scan's flags). Set listings (collect_sets) are
-    charged on top, each batch as it is kept and each sorted listing before
-    it is built."""
+    """The bytes ``brute_force_enumerate`` charges up front: its one word
+    scan's ``word_scan_nbytes``, state flags included (at order 4, 1.65 MB;
+    tracemalloc's peak was 1.46 MB, 1.48 MB with the listings). Set listings
+    (collect_sets) are charged on top, each batch as it is kept and each
+    sorted listing before it is built."""
     from .scan import word_scan_nbytes
-    return max(word_scan_nbytes(n, max_len, circ) for circ in (False, True))
+    return word_scan_nbytes(n, max_len)
 
 
 def brute_force_enumerate(n: int, max_len: int | None = None, budget: Budget | None = None,
@@ -218,10 +217,11 @@ def brute_force_enumerate(n: int, max_len: int | None = None, budget: Budget | N
     """Independent oracle: scan the words and circular words until no longer
     one lists a set, or up to max_len letters when given.
 
-    ``scan.word_scan`` lists each factor set of the words (ordinary, then
-    circular) once, at its shortest witness length, with the least code of
-    that length giving it. Uncapped, the result is exact by itself; a cap
-    below the order's longest shortest witness truncates the row.
+    ``scan.word_scan`` lists each factor set of the words and of the
+    circular words once, at its shortest witness length, with the least code
+    of that length giving it, both from one run. Uncapped, the result is
+    exact by itself; a cap below the order's longest shortest witness
+    truncates the row.
     """
     check_order(n)
     if max_len is not None and max_len < n:
@@ -231,19 +231,20 @@ def brute_force_enumerate(n: int, max_len: int | None = None, budget: Budget | N
     from .scan import word_scan
     meter = BudgetMeter(budget or Budget.default())
     meter.charge_memory(brute_force_nbytes(n, max_len), "scan buffers")
-    flavours = []
-    for circ in (False, True):
-        hist, code, listed = {}, 0, []
-        for ell, sets, codes in word_scan(n, max_len, meter, circ):
-            if sets.size:  # one batch per length, the lengths ascending
-                hist[ell], code = sets.size, int(codes.min())
+    hists, least, listed = ({}, {}), [0, 0], ([], [])  # ordinary, circular
+    for ell, *batches in word_scan(n, max_len, meter):
+        for f, (sets, codes) in enumerate(batches):
+            if sets.size:  # the lengths ascend: the last code kept is the greatest length's
+                hists[f][ell], least[f] = sets.size, int(codes.min())
                 if collect_sets:
                     meter.charge_memory(sets.nbytes, f"set listing, length {ell}")
-                    listed.append(sets)
-            meter.note(scanned=f"length {ell}")
-            meter.check_time(f"length {ell}")
+                    listed[f].append(sets)
+        meter.note(scanned=f"length {ell}")
+        meter.check_time(f"length {ell}")
+    flavours = []
+    for hist, code, sets in zip(hists, least, listed):
         if collect_sets:
             meter.charge_memory(sum(hist.values()) * _LISTED_BYTES, "set listing")
-        flavours.append((hist, code, tuple(np.sort(np.concatenate(listed)).tolist())
+        flavours.append((hist, code, tuple(np.sort(np.concatenate(sets)).tolist())
                          if collect_sets else None))
     return _result(n, *flavours)

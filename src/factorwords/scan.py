@@ -2,10 +2,11 @@
 
 ``factor_keys`` turns a batch of word codes into canonical factor-set keys,
 ``factor_classes`` groups the words of a length by factor set, ``word_scan``
-lists each factor set of the words once, orders 1..4, reading per length
-only the states (key, last n - 1 letters, and read circularly the first)
-no shorter word reached, until none is new, and ``period_classes`` gives
-minimal periods and root classes of a batch of words.
+lists each factor set of the words and of the circular words once, orders
+1..4, from one run reading per length only the states (key, last and first
+n - 1 letters) no shorter word reached, until none is new, and
+``period_classes`` gives minimal periods and root classes of a batch of
+words.
 
 Above order 6, ``factor_classes`` sorts no key per word. It gives each word
 a 64-bit set hash, the wrapping sum over its distinct factors of a fixed
@@ -230,15 +231,15 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     return (1 << ell) - sharing + count, [members[run] for run in runs]
 
 
-def scan_nbytes(n: int, ell: int, count: int, circular: bool = False) -> int:
+def scan_nbytes(n: int, ell: int, count: int) -> int:
     """An upper bound on the bytes held at once by ``factor_keys`` on a range
     of ``count`` codes, then ``sorted_runs`` (not the lists ``factor_classes``
-    returns): per word, the larger of making the keys (codes, extension, keys,
+    returns): per word, the larger of making the keys (codes, a window, keys,
     temporaries) and sorting them (keys, copy, order, buffer, run starts).
     """
-    _, code_dt, key_dt, width = _scan_dtypes(n, ell, circular)
+    _, code_dt, key_dt, width = _scan_dtypes(n, ell, False)
     key = key_dt.itemsize * width
-    making = (code_dt.itemsize * (3 if circular else 2) + key
+    making = (code_dt.itemsize * 2 + key
               + (3 * key_dt.itemsize if n <= _BITMAP_MAX_ORDER else width))
     sorting = 2 * key + 8 * 3 + width + 2
     return count * max(making, sorting)
@@ -269,10 +270,10 @@ def _first_pairs(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:
     return np.sort(order[fresh])
 
 
-def _new_states(n: int, hlen: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _new_states(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per prefix length from n on, while there are any, the new states:
-    the pairs (F(p), row(p)), row(p) = (t << hlen) | h with t the last
-    n - 1 letters of p and h its first hlen, that no shorter prefix
+    the pairs (F(p), row(p)), row(p) = (t << n - 1) | h with t the last
+    n - 1 letters of p and h its first n - 1, that no shorter prefix
     reaches, each with the least p of the length reaching it, as (keys,
     rows, codes) in ascending p.
 
@@ -284,16 +285,17 @@ def _new_states(n: int, hlen: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.
     successors of the last length's new ones, deduplicated keeping the least
     p and filtered through one bit per (key, row), set when first reached.
     Only the first length reads ``factor_keys``."""
-    rbits = n - 1 + hlen  # bits per row
-    tmask = (1 << (n - 1)) - 1
+    hlen = n - 1
+    rbits = 2 * hlen  # bits per row
+    tmask = (1 << hlen) - 1
     p = np.arange(1 << n, dtype=np.int64)
     keys = factor_keys(n, n, p)
-    rows = (((p & tmask) << hlen) | (p >> (n - hlen))).astype(np.uint8)
+    rows = (((p & tmask) << hlen) | (p >> 1)).astype(np.uint8)
     # per row and letter a: the window t·a as a key bit, and the next row
     every = np.arange(1 << rbits)
     win = ((every >> hlen) << 1)[:, None] | np.arange(2)
     gain = keys.dtype.type(1) << win.astype(keys.dtype)
-    succ = (((win & tmask) << hlen) | (every & ((1 << hlen) - 1))[:, None]).astype(np.uint8)
+    succ = (((win & tmask) << hlen) | (every & tmask)[:, None]).astype(np.uint8)
     seen = np.zeros(-(-(1 << ((1 << n) + rbits)) // 8), np.uint8)
     letters = np.arange(2, dtype=np.int64)
     while True:
@@ -310,79 +312,77 @@ def _new_states(n: int, hlen: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.
         p = ((p << 1)[:, None] | letters).ravel()
 
 
-def word_scan(n: int, max_len: int | None, meter: BudgetMeter, circular: bool = False):
-    """Yield (length, keys, codes) batches listing each factor set of the
-    words (circular words) of length n..max_len (1..max_len) once, at the
-    first length reaching it, with the least code of that length giving it;
-    with max_len None, until no longer word lists a set. One batch per
-    length, in length order; its ``keys`` are the ``factor_keys`` no earlier
-    batch listed, ascending, possibly none. Orders 1..4: keys are filtered
-    through a mask of 2^(2^n) flags, the sets listed, before the dedupe.
+def word_scan(n: int, max_len: int | None, meter: BudgetMeter):
+    """Yield (length, ordinary, circular) batches, each a pair (keys, codes),
+    listing each factor set of the words of length n..max_len, and of the
+    circular words of length 1..max_len, once, at the first length reaching
+    it, with the least code of that length giving it; with max_len None,
+    until no prefix state is new. One pair per length, in length order; a
+    batch's ``keys`` are the ``factor_keys`` no earlier batch of its flavour
+    listed, ascending, possibly none. Orders 1..4: keys are filtered through
+    one row of 2^(2^n) flags per flavour, the sets listed, before the dedupe.
 
-    Circular words shorter than n wrap repeatedly and are scanned directly.
-    A longer word p has the state (F(p), row(p)), row(p) = (t << hlen) | h
-    with t its last n - 1 letters and h its first hlen (n - 1 read
-    circularly, else none), and its set is F(p), or read circularly
-    F(p) | F(t·h): the windows wrapping past its end are those of t·h. A set
-    first listed at a length is reached there only from states no shorter
-    word reached (an old state gave it before), so each length reads only
-    its new states, each with the least word reaching it (``_new_states``).
-    When no state is new, no longer word lists a set, and the scan ends.
-    The codes hold at most 63 letters: a length past that with new states
-    is refused. Each length notes its new states and their running total to
-    the meter.
+    Circular words shorter than n wrap repeatedly and are scanned directly;
+    there the ordinary batch is empty. A longer word p has the state (F(p),
+    row(p)), row(p) = (t << n - 1) | h with t its last n - 1 letters and h
+    its first n - 1, which fixes both its sets: F(p), and read circularly
+    F(p) | F(t·h), as the windows wrapping past its end are those of t·h.
+    So one run lists both flavours. Let S be first listed in a flavour at
+    length L, by c, the least word of that length giving it there. No
+    shorter word shares c's state, so it is new at L; ``_new_states`` keeps
+    the least word of each new state, which is c (a lesser one would give S
+    too), and the listing keeps the first position of each key: S is listed
+    at L with code c. A new state whose set was listed before is dropped by
+    the flags. When no state is new, no longer word lists a set, and the
+    scan ends. The codes hold at most 63 letters: a length past that with
+    new states is refused. Each length notes its new states and their
+    running total to the meter.
 
     ``word_scan_nbytes`` bounds the bytes it holds.
     """
-    if not 1 <= n <= 4:  # the mask of listed sets holds 2^(2^n) flags, 64 KiB at order 4
+    if not 1 <= n <= 4:  # the flags of listed sets hold 2^(2^n) per flavour, 64 KiB at order 4
         raise ValueError("the word scan supports orders 1..4")
     last = 64 if max_len is None else max_len  # uncapped: to the first length refused
-    listed = np.zeros(1 << (1 << n), bool)
+    listed = np.zeros((2, 1 << (1 << n)), bool)
 
-    def unlisted(keys):  # the keys not listed yet, now listed, and their first positions
-        pos = np.flatnonzero(~listed.take(keys))
+    def unlisted(flavour, keys, codes):  # the keys not listed, now listed, and their least codes
+        pos = np.flatnonzero(~listed[flavour].take(keys))
         sets, first = np.unique(keys[pos], return_index=True)
-        listed[sets] = True
-        return sets, pos[first]
+        listed[flavour, sets] = True
+        return sets, codes[pos[first]]
 
-    if circular:  # the words shorter than n, which wrap repeatedly
-        for ell in range(1, min(n, last + 1)):
-            yield ell, *unlisted(factor_keys(n, ell, range(1 << ell), True))
-    hlen = n - 1 if circular else 0
-    wrap = factor_keys(n, 2 * hlen, range(1 << 2 * hlen)) if hlen else None
+    for ell in range(1, min(n, last + 1)):  # the circular words shorter than n
+        codes = np.arange(1 << ell)
+        keys = factor_keys(n, ell, codes, True)
+        yield ell, (keys[:0], codes[:0]), unlisted(1, keys, codes)
+    # per row t·h, the windows wrapping past a word's end (none at order 1)
+    wrap = factor_keys(n, 2 * n - 2, range(4 ** (n - 1))) if n > 1 else np.zeros(1, np.uint8)
     states = 0
-    for ell, (keys, rows, p) in zip(range(n, last + 1), _new_states(n, hlen)):
+    for ell, (keys, rows, p) in zip(range(n, last + 1), _new_states(n)):
         if ell > 63:
             raise ValueError("the scan's codes hold at most 63 letters")
         states += p.size
         meter.note(new_states=p.size, states=states)
-        sets, pos = unlisted(keys if wrap is None else keys | wrap[rows])
-        yield ell, sets, p[pos]
+        yield ell, unlisted(0, keys, p), unlisted(1, keys | wrap[rows], p)
 
 
-# per order, the most new states one prefix length holds, read ordinarily and
-# circularly: they depend on nothing else (TestWordScan pins them)
-_NEW_STATES_MOST = {1: (2, 2), 2: (6, 8), 3: (40, 86), 4: (2060, 7496)}
-# bytes per new state while the next length's are made: it, its successors,
-# their flag lookups and the dedupe (tracemalloc at order 4: 110 ordinary,
-# 107 circular)
+# per order, the most new states one prefix length holds: they depend on
+# nothing else (TestWordScan pins them)
+_NEW_STATES_MOST = {1: 2, 2: 8, 3: 86, 4: 7496}
+# bytes per new state, the larger of making the next length's states (it, its
+# successors, their flag lookups, the dedupe and the batches held: tracemalloc
+# at order 4, 106) and listing its sets in both flavours (52)
 _STATE_BYTES = 128
 
 
-def word_scan_nbytes(n: int, max_len: int | None, circular: bool = False) -> int:
-    """An upper bound on the bytes ``word_scan`` holds at once: the mask of
-    listed sets and the flags of the states reached; beside them, one
-    length's new states with their keys; and 32 KiB for numpy's fixed
-    temporaries, the short circular words and the per-row tables
-    (tracemalloc: 15.4 KB at order 1).
+def word_scan_nbytes(n: int, max_len: int | None) -> int:
+    """An upper bound on the bytes ``word_scan`` holds at once: the flags of
+    the sets listed and of the states reached; beside them, one length's new
+    states; and 32 KiB for numpy's fixed temporaries, the short circular
+    words and the per-row tables (tracemalloc: 15.4 KB at order 1).
     """
-    key = _scan_dtypes(n, n, circular)[2].itemsize
-    # per key made, as if unlisted: the filter's flags and positions, the dedupe's
-    # copies, order and flags, the batch yielded and the caller's hold on the one before
-    listing = 5 * key + 51
-    rbits = (n - 1) * (2 if circular else 1)
-    held = (1 << (1 << n)) + (1 << ((1 << n) + rbits)) // 8 + 1
-    states = _NEW_STATES_MOST[n][circular]
+    held = 2 * (1 << (1 << n)) + (1 << ((1 << n) + 2 * n - 2)) // 8 + 1
+    states = _NEW_STATES_MOST[n]
     if max_len is not None:
         states = min(states, 1 << max_len)
-    return (32 << 10) + held + states * (_STATE_BYTES + listing)
+    return (32 << 10) + held + states * _STATE_BYTES

@@ -110,6 +110,13 @@ class TestWitness:
         assert r.exit_code == 3 and "the full set of order 40" in r.output
         assert "progress:" in r.output and "Traceback" not in r.output
 
+    def test_tables_past_4300_digits_refused(self, run):
+        # requests too large to write in decimal are refused as any other
+        for args in (("witness", "--full", "--n", "20000", "--budget-mb", "16"),
+                     ("factors", "1", "--n", "15000", "--circular")):
+            r = run(*args)
+            assert r.exit_code == 3 and "requested at least 2^" in r.output, args
+
     def test_missing_spec_exits_2(self, run):
         assert run("witness", "--n", "2").exit_code == 2
 

@@ -52,8 +52,9 @@ class TestEnumerate:
 
     def test_safe_scan_lengths(self, enum_results, monkeypatch):
         # uncapped, the oracle needs no scan length from the census: it reads
-        # until no prefix state is new (test_new_states_pinned's last lengths)
-        # and gives the census's row, least codes and sets
+        # each length once, both flavours from one run, until no prefix state
+        # is new (test_new_states_pinned's last length), and gives the
+        # census's row, least codes and sets
         read = []
 
         class LengthMeter(BudgetMeter):
@@ -63,14 +64,13 @@ class TestEnumerate:
                     read.append(int(fields["scanned"].split()[1]))
 
         monkeypatch.setattr(enumeration, "BudgetMeter", LengthMeter)
-        last = {1: (2, 2), 2: (5, 6), 3: (11, 14), 4: (29, 34)}
+        last = {1: 2, 2: 6, 3: 14, 4: 34}
         for n, r in enum_results.items():
             read.clear()
             b = brute_force_enumerate(n, collect_sets=True)
             assert [b.to_json_dict(), b.rep_sets, b.circ_sets] == [
                 r.to_json_dict(), r.rep_sets, r.circ_sets]
-            turn = next(i for i in range(1, len(read)) if read[i] <= read[i - 1])
-            assert (read[turn - 1], read[-1]) == last[n]
+            assert read == list(range(1, last[n] + 1))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -348,6 +348,16 @@ class TestBudget:
         assert "requested 500 with 600 held" in str(exc.value)
         assert meter.charged_bytes == exc.value.progress["charged_bytes"] == 600
         meter.charge_memory(400)  # exactly the budget still fits
+
+    def test_huge_refused_charge_is_written_as_a_power_of_two(self):
+        # Python writes no int of over 4300 digits in decimal; from 2^64 on a
+        # count is written as the power of two it reaches
+        meter = BudgetMeter(Budget(max_memory_bytes=1000))
+        for nbytes, shown in (((1 << 64) - 1, str((1 << 64) - 1)), (1 << 64, "at least 2^64"),
+                              ((1 << 20000) + 5, "at least 2^20000")):
+            with pytest.raises(BudgetExceededError) as exc:
+                meter.charge_memory(nbytes)
+            assert f"requested {shown} with 0 held, budget 1000 bytes" in str(exc.value)
 
     @pytest.mark.parametrize("n,max_len", [(3, 16), (4, 20), (4, 25), (4, None)])
     def test_oracle_charge_bounds_its_buffers(self, n, max_len):

@@ -395,23 +395,24 @@ class TestScanKernel:
         with pytest.raises(ValueError):
             factor_keys(10, 60, [0], circular=True)
 
-    @pytest.mark.parametrize("n,ell,circular", [
-        (3, 16, False), (4, 16, True), (5, 16, False), (6, 16, True),
-        (7, 16, False), (8, 16, True), (10, 18, False), (17, 18, False),
-        (10, 17, True),
+    @pytest.mark.parametrize("n,ell", [
+        (3, 16), (4, 16), (5, 16), (6, 16), (7, 16), (8, 16), (10, 18), (17, 18), (10, 17),
+    ], ids=[  # as first pinned, when a third field read the words circularly
+        "3-16-False", "4-16-True", "5-16-False", "6-16-True", "7-16-False", "8-16-True",
+        "10-18-False", "17-18-False", "10-17-True",
     ])
-    def test_scan_nbytes_bounds_the_buffers(self, n, ell, circular):
+    def test_scan_nbytes_bounds_the_buffers(self, n, ell):
         # budgets charge scan_nbytes before a scan, so it must not undercount
         tracemalloc.start()
         try:
-            keys = factor_keys(n, ell, range(1 << ell), circular)
+            keys = factor_keys(n, ell, range(1 << ell))
             order, starts = sorted_runs(keys)
             distinct = keys[order[starts]]  # as the counting scan takes them
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(distinct) == len(starts)
-        assert peak <= scan_nbytes(n, ell, 1 << ell, circular)
+        assert peak <= scan_nbytes(n, ell, 1 << ell)
 
     @pytest.mark.parametrize("n,ell", [(7, 14), (9, 18), (10, 20), (5, 12)],
                              ids=["7-14-False", "9-18-False", "10-20-False", "5-12-False"])
@@ -429,59 +430,63 @@ class TestScanKernel:
 
 def first_and_least(n, batches):
     """Per set, ordinary then circular: the first length listing it (0:
-    none) and the least code of that length giving it."""
+    none) and the least code of that length giving it, from (length,
+    ordinary, circular) batches, each a pair (keys, codes)."""
     first = np.zeros((2, 1 << (1 << n)), np.int64)
     least = np.zeros_like(first)
-    for circ, scan in enumerate(batches):
-        for ell, sets, codes in scan:
+    for ell, *flavours in batches:
+        for circ, (sets, codes) in enumerate(flavours):
             fresh = first[circ, sets] == 0
             first[circ, sets[fresh]] = ell
             least[circ, sets[fresh]] = codes[fresh]
     return first, least
 
 
-def direct_batches(n, max_len, circular):
-    """One batch per length from a plain scan of every word."""
-    for ell in range(1 if circular else n, max_len + 1):
-        sets, codes = np.unique(factor_keys(n, ell, range(1 << ell), circular),
-                                return_index=True)
-        yield ell, sets, codes
+def direct_batches(n, max_len):
+    """One pair of batches per length, ordinary and circular, from a plain
+    scan of every word; the ordinary batch is empty below n letters."""
+    for ell in range(1, max_len + 1):
+        yield ell, *(np.unique(factor_keys(n, ell, range(1 << ell), circ), return_index=True)
+                     if circ or ell >= n else (np.zeros(0, int), np.zeros(0, int))
+                     for circ in (False, True))
 
 
 class TestWordScan:
     @pytest.mark.parametrize("n,max_len", [(1, 9), (2, 12), (3, 14), (4, 18), (3, 18)])
     def test_split_scan_matches_direct_scan(self, n, max_len):
         # the scan splits into a direct scan of the circular words shorter
-        # than n and one of the new prefix states; (1, 9), (2, 12) and
-        # (3, 18) read past the last length with a new state, where it ends
-        # by itself. Uncapped, it lists as far as it reads and agrees up to
-        # max_len
-        want = first_and_least(n, [direct_batches(n, max_len, c) for c in (False, True)])
+        # than n and one run of the new prefix states, listing both flavours;
+        # (1, 9), (2, 12) and (3, 18) read past the last length with a new
+        # state, where it ends by itself. Uncapped, it lists as far as it
+        # reads and agrees up to max_len
+        want = first_and_least(n, direct_batches(n, max_len))
         for cap in (max_len, None):
-            first, least = first_and_least(n, [word_scan(n, cap, BudgetMeter(Budget()), c)
-                                               for c in (False, True)])
+            first, least = first_and_least(n, word_scan(n, cap, BudgetMeter(Budget())))
             past = first > max_len
             first[past], least[past] = 0, 0
             assert (first == want[0]).all() and (least == want[1]).all(), cap
 
     @pytest.mark.parametrize("n,max_len,cut", [(3, 12, 4), (4, 14, 6), (2, 10, 2)])
     def test_each_set_is_listed_once_at_its_first_length(self, n, max_len, cut):
-        # every set in exactly one batch, of its first length, with the
-        # least code of that length; a scan capped cut letters shorter
-        # yields the same batches up to its cap
-        for circular in (False, True):
-            first, least = first_and_least(n, [direct_batches(n, max_len, circular)])
+        # every set in exactly one batch of its flavour, of its first length,
+        # with the least code of that length; a scan capped cut letters
+        # shorter yields the same batches up to its cap
+        first, least = first_and_least(n, direct_batches(n, max_len))
+        batches = list(word_scan(n, max_len, BudgetMeter(Budget())))
+        shorter = list(word_scan(n, max_len - cut, BudgetMeter(Budget())))
+        assert [ell for ell, _, _ in shorter] == [
+            ell for ell, _, _ in batches if ell <= max_len - cut]
+        for circ, circular in enumerate((False, True)):
             listed = np.zeros(1 << (1 << n), np.int64)
-            batches = list(word_scan(n, max_len, BudgetMeter(Budget()), circular))
-            for ell, keys, codes in batches:
-                assert (factor_keys(n, ell, codes, circular) == keys).all()
-                assert (first[0, keys] == ell).all() and (least[0, keys] == codes).all()
+            for ell, *flavours in batches:
+                keys, codes = flavours[circ]
+                if keys.size:
+                    assert (factor_keys(n, ell, codes, circular) == keys).all()
+                assert (first[circ, keys] == ell).all() and (least[circ, keys] == codes).all()
                 np.add.at(listed, keys, 1)
-            assert (listed == (first[0] != 0)).all()
-            shorter = list(word_scan(n, max_len - cut, BudgetMeter(Budget()), circular))
-            assert [ell for ell, _, _ in shorter] == [
-                ell for ell, _, _ in batches if ell <= max_len - cut]
-            for (_, keys, codes), (_, want_keys, want_codes) in zip(shorter, batches):
+            assert (listed == (first[circ] != 0)).all()
+            for (_, *got), (_, *want) in zip(shorter, batches):
+                (keys, codes), (want_keys, want_codes) = got[circ], want[circ]
                 assert (keys == want_keys).all() and (codes == want_codes).all()
 
     def test_validation(self):
@@ -495,68 +500,64 @@ class TestWordScan:
         # distinct pairs (F(p), row(p)) over the prefixes p so far: none
         # twice, such as a pair met again at a longer prefix. The reference
         # reads all 2^plen prefixes, so it stops short letters before the scan
-        for circular in (False, True):
-            hlen = n - 1 if circular else 0
-            meter = BudgetMeter(Budget())
-            noted = {ell: meter.progress.get("states", 0)
-                     for ell, _, _ in word_scan(n, max_len, meter, circular)}
-            pairs = set()
-            for plen in range(n, max_len - short + 1):
-                p = np.arange(1 << plen)
-                rows = ((p & ((1 << (n - 1)) - 1)) << hlen) | (p >> (plen - hlen))
-                pairs.update(zip(factor_keys(n, plen, p).tolist(), rows.tolist()))
-                assert noted[max(ell for ell in noted if ell <= plen)] == len(pairs), plen
+        hlen = n - 1
+        meter = BudgetMeter(Budget())
+        noted = {ell: meter.progress.get("states", 0)
+                 for ell, _, _ in word_scan(n, max_len, meter)}
+        pairs = set()
+        for plen in range(n, max_len - short + 1):
+            p = np.arange(1 << plen)
+            rows = ((p & ((1 << hlen) - 1)) << hlen) | (p >> (plen - hlen))
+            pairs.update(zip(factor_keys(n, plen, p).tolist(), rows.tolist()))
+            assert noted[max(ell for ell in noted if ell <= plen)] == len(pairs), plen
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_new_states_pinned(self, n):
-        # per flavour: the prefix length after which no state is new, the
-        # states in all, and the most at one length, which word_scan_nbytes reads
-        pinned = {1: ((2, 3), (2, 3)), 2: ((5, 18), (6, 26)), 3: ((11, 222), (14, 500)),
-                  4: ((29, 19190), (34, 74446))}
-        for circular in (False, True):
-            states = zip(range(64), _new_states(n, n - 1 if circular else 0))
-            sizes = [p.size for _, (_, _, p) in states]
-            assert (n + len(sizes) - 1, sum(sizes)) == pinned[n][circular]
-            assert max(sizes) == _NEW_STATES_MOST[n][circular]
+        # the prefix length after which no state is new, the states in all,
+        # and the most at one length, which word_scan_nbytes reads
+        pinned = {1: (2, 3, 2), 2: (6, 26, 8), 3: (14, 500, 86), 4: (34, 74446, 7496)}
+        sizes = [p.size for _, (_, _, p) in zip(range(64), _new_states(n))]
+        assert (n + len(sizes) - 1, sum(sizes), max(sizes)) == pinned[n]
+        assert max(sizes) == _NEW_STATES_MOST[n]
 
     def test_codes_past_63_letters_refused(self, monkeypatch):
         # at order 4 no state is new past 34 prefix letters, so the scan ends
         # well inside 63 letters; states new for ever would reach the limit,
         # capped past it or not
-        def endless(n, hlen):
-            for state in real(n, hlen):
+        def endless(n):
+            for state in real(n):
                 yield state
             while True:
                 yield state
 
         real = words._new_states
-        assert [ell for ell, _, _ in word_scan(4, 64, BudgetMeter(Budget()), True)][-1] == 34
+        assert [ell for ell, _, _ in word_scan(4, 64, BudgetMeter(Budget()))][-1] == 34
         monkeypatch.setattr(words, "_new_states", endless)
         for cap in (64, None):
             with pytest.raises(ValueError, match="63 letters"):
-                for batch in word_scan(4, cap, BudgetMeter(Budget()), True):
+                for batch in word_scan(4, cap, BudgetMeter(Budget())):
                     pass
 
-    @pytest.mark.parametrize("n,max_len,circular", [
-        (3, 16, True), (4, 17, False), (4, 20, False), (4, 20, True),
-        (1, 20, True), (4, 20, True), (3, 20, True), (2, 20, False),
-        (4, 25, False), (4, 25, True),  # the oracle's scans, capped and not
-        (4, 25, False), (4, 25, True), (4, None, True),
-    ], ids=[  # as first pinned, when a fourth field named a split length
+    @pytest.mark.parametrize("n,max_len", [
+        (3, 16), (4, 17), (4, 20), (4, 20), (1, 20), (4, 20), (3, 20), (2, 20),
+        (4, 25), (4, 25),  # the oracle's scan, capped and not
+        (4, 25), (4, 25), (4, None),
+    ], ids=[  # as first pinned, when a third field chose the flavour and a fourth
+        # named a split length
         "3-16-True-14", "4-17-False-14", "4-20-False-14", "4-20-True-14",
         "1-20-True-1", "4-20-True-6", "3-20-True-5", "2-20-False-3",
         "4-25-False-14", "4-25-True-14", "4-25-False-3", "4-25-True-3", "4-None-True",
     ])
-    def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len, circular):
+    def test_word_scan_nbytes_bounds_the_buffers(self, n, max_len):
         # word_scan_nbytes is charged up front, the state flags included; the
         # scan charges nothing itself
         meter = PeakMeter(Budget())
         tracemalloc.start()
         try:
-            for batch in word_scan(n, max_len, meter, circular):
+            for batch in word_scan(n, max_len, meter):
                 pass  # holds each batch while the next one is made
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert meter.peak == 0
-        assert peak <= word_scan_nbytes(n, max_len, circular)
+        assert peak <= word_scan_nbytes(n, max_len)
