@@ -35,13 +35,13 @@ import math
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from itertools import accumulate, repeat, zip_longest
-from operator import mul
+from operator import add, mul
 
 from .budget import Budget
 from .enumeration import enumerate_representable
-from .factorsets import (_containing, _greedy_walk, _sides, _step_forward, circular_factors,
-                         strong_components)
+from .factorsets import _containing, _greedy_walk, _sides, _step_forward, circular_factors
 from .words import Word
 
 
@@ -102,12 +102,7 @@ def construct_ts(b: Word, absent: list[Word]) -> Word:
     factors: the cyclic factor set of the result is the input set united
     with the factors of b. An empty input yields b b.
     """
-    if not absent:
-        return b + b
-    out = construct_ty(b, absent[0])
-    for y in absent[1:]:
-        out = out + construct_ty(b, y)
-    return out
+    return reduce(add, (construct_ty(b, y) for y in absent)) if absent else b + b
 
 
 def lower_bound(n: int) -> int:
@@ -225,6 +220,20 @@ def net_audit(n: int, budget: Budget | None = None) -> NetAudit:
 
 # -- covering walks -------------------------------------------------------------
 
+def _closure(adjacency: list[int]) -> int:
+    """The bit set of the vertices reached from vertex 0; successors as bit sets."""
+    reached = frontier = 1
+    while frontier:
+        step = 0
+        while frontier:
+            v = frontier.bit_length() - 1
+            step |= adjacency[v]
+            frontier ^= 1 << v
+        frontier = step & ~reached
+        reached |= frontier
+    return reached
+
+
 @dataclass
 class Digraph:
     """Directed graph as adjacency sets; self-loops allowed, no parallels."""
@@ -246,7 +255,14 @@ class Digraph:
         self.edges[u].add(v)
 
     def strongly_connected(self) -> bool:
-        return len(strong_components(dict(enumerate(self.edges)))) == 1
+        """Vertex 0 reaches every vertex and every vertex reaches it."""
+        succ, pred = [0] * self.vertex_count, [0] * self.vertex_count
+        for u, e in enumerate(self.edges):
+            for v in e:
+                succ[u] |= 1 << v
+                pred[v] |= 1 << u
+        everyone = (1 << self.vertex_count) - 1
+        return _closure(succ) == everyone and _closure(pred) == everyone
 
     def to_text(self) -> str:
         lines = [str(self.vertex_count)]

@@ -401,14 +401,9 @@ def t_table(t_max: int, n_max: int, budget: Budget | None = None) -> TTable:
         for t in range(n, min(t_max, max(BRUTE_MAX_T, 2 * n - 1)) + 1):
             closed = count_T_closed(t, n) if n <= t < 2 * n else None
             brute = count_T_bruteforce(t, n, budget, started) if t <= BRUTE_MAX_T else None
-            if brute and closed:
-                if brute.value != closed.value:
-                    raise AssertionError(
-                        f"closed form disagrees with brute force at "
-                        f"t={t} n={n}: {closed.value} vs {brute.value}")
-                table.cells[(t, n)] = TCell(t, n, brute.value, "both")
-            elif brute:
-                table.cells[(t, n)] = brute
-            elif closed:
-                table.cells[(t, n)] = closed
+            if brute and closed and brute.value != closed.value:
+                raise AssertionError(f"closed form disagrees with brute force at "
+                                     f"t={t} n={n}: {closed.value} vs {brute.value}")
+            cell = brute or closed  # t <= BRUTE_MAX_T or t < 2n: one is computed
+            table.cells[(t, n)] = TCell(t, n, cell.value, "both") if brute and closed else cell
     return table

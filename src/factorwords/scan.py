@@ -9,10 +9,10 @@ n - 1 letters) no shorter word reached, until none is new, and
 words.
 
 Above order 6, ``factor_classes`` sorts no key per word. It gives each word
-a 64-bit set hash, the wrapping sum over its distinct factors of a fixed
-splitmix64 value read from a table (Zobrist hashing), and sorts the hashes
-once; only the words holding a hash another word holds get exact row keys,
-which split any collision. Equal sets hash equally, so the classes are exact.
+a 32-bit set hash, the wrapping sum over its distinct factors of a fixed
+value from a table (Zobrist hashing), and sorts the hashes once; only the
+words holding a hash another word holds get exact row keys, which split any
+collision. Equal sets hash equally, so the classes are exact at any width.
 
 With ``counting``, its one user beside the oracle, this is the only module
 that imports numpy when loaded.
@@ -132,25 +132,25 @@ _GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in
 
 
 def _factor_hash(factors: np.ndarray) -> np.ndarray:
-    """A fixed pseudo-random uint64 per factor code: splitmix64's output for
-    the state (code + 1) * golden."""
+    """A fixed pseudo-random uint32 per factor code: the high half of
+    splitmix64's output for the state (code + 1) * golden."""
     z = (factors.astype(np.uint64) + np.uint64(1)) * _GOLDEN
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
     z *= _MIX2
     z ^= z >> np.uint64(31)
-    return z
+    return np.right_shift(z, np.uint64(32), out=z).astype(np.uint32)
 
 
 def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
-    """Per word of length ``ell``, by code, the wrapping uint64 sum of
+    """Per word of length ``ell``, by code, the sum mod 2^32 (uint32) of
     ``_factor_hash`` over its distinct length-n factors: a window equal to an
     earlier one of the same word adds nothing, so equal sets hash equally.
     Its table of 2^n factor hashes is no larger than the 2^ell it fills."""
     table = _factor_hash(np.arange(1 << n))
     key_dt = _scan_dtypes(n, ell, False)[2]
-    hashes = np.zeros(1 << ell, np.uint64)
+    hashes = np.zeros(1 << ell, table.dtype)
     fresh = np.empty(min(1 << ell, 1 << HASH_CHUNK_BITS), bool)
     differs = np.empty_like(fresh)
     for lo in range(0, 1 << ell, 1 << HASH_CHUNK_BITS):
@@ -172,7 +172,7 @@ def _holding(hashes: np.ndarray, shared: np.ndarray) -> np.ndarray:
     """The ascending positions of the hashes found in ``shared`` (sorted),
     chunk by chunk: a table of flags per low bits of the shared hashes, four
     per shared hash and at least 2^16, passes few others to the exact search."""
-    low = np.uint64((1 << max(16, (4 * shared.size - 1).bit_length())) - 1)
+    low = hashes.dtype.type((1 << max(16, (4 * shared.size - 1).bit_length())) - 1)
     flagged = np.zeros(int(low) + 1, bool)
     flagged[shared & low] = True
     found = []
@@ -200,30 +200,29 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     codes of every set that two or more of the words share.
 
     Orders up to 6 sort every word's bitmap key. Above that, each word gets
-    a 64-bit set hash (``_set_hashes``) and one sort of the hashes finds
+    a 32-bit set hash (``_set_hashes``) and one sort of the hashes finds
     those two or more words hold. Equal sets hash equally, so a word whose
     hash no other word holds is alone in its set; only the words holding a
     shared hash get exact row keys, which split any collision and put the
-    classes in bitmap order. ``class_scan_nbytes`` bounds the buffers other
-    than those row keys. The hash pass notes ``words_scanned`` to the meter
-    and checks the time after each chunk, and the row keys are charged to it
-    while they are held.
+    classes in bitmap order. So the hash width sets only how many words get
+    row keys: at 2^24 words, 32 bits add some (2^24)^2 / 2^33 = 2^15 pairs.
+    ``class_scan_nbytes`` bounds the buffers other than those row keys. The
+    hash pass notes ``words_scanned`` to the meter and checks the time after
+    each chunk, and the row keys are charged to it while they are held.
     """
     if n <= _BITMAP_MAX_ORDER:
         return _shared_runs(factor_keys(n, ell, range(1 << ell)))
     hashes = _set_hashes(n, ell, meter)
     ordered = np.sort(hashes)
-    repeats = ordered[1:] == ordered[:-1]
-    first = repeats.copy()
-    first[1:] &= ~repeats[:-1]  # the first repeat of each shared hash
-    groups = np.count_nonzero(first)
-    if groups == 0:
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]  # a hash k words hold, k - 1 times
+    del ordered
+    if repeats.size == 0:
         return hashes.size, []
-    sharing = int(groups + np.count_nonzero(repeats))  # words holding a shared hash
+    shared = repeats[np.append(True, repeats[1:] != repeats[:-1])]
+    sharing = repeats.size + shared.size  # words holding a shared hash
+    del repeats
     held = scan_nbytes(n, ell, sharing)
     meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
-    shared = ordered[1:][first]
-    del ordered, repeats, first
     members = _holding(hashes, shared)
     del hashes
     count, runs = _shared_runs(factor_keys(n, ell, members))
@@ -249,14 +248,17 @@ def class_scan_nbytes(n: int, ell: int, count: int) -> int:
     """An upper bound on the bytes ``factor_classes`` holds at once on a range
     of ``count`` codes, beside the lists it returns and, above order 6, the
     row keys of the words sharing a set hash, which it charges to its meter:
-    up to order 6, ``scan_nbytes``; above, per word its hash, a sorted copy
-    and three flags, plus the 2^n factor hashes and one chunk's temporaries.
+    up to order 6, ``scan_nbytes``; above, per word a 4-byte hash, a sorted
+    copy and a flag; per word of a chunk its code, a window, a temporary, the
+    narrow windows, flags and a factor hash; 24 bytes per factor while their
+    hashes are made; and ``_holding``'s 2^16 flags (tracemalloc: 9.0 bytes
+    per word at (n, ell) = (10, 20), 30 at (7, 14), 24 at (20, 20)).
     """
     if n <= _BITMAP_MAX_ORDER:
         return scan_nbytes(n, ell, count)
-    _, code_dt, _, width = _scan_dtypes(n, ell, False)
-    chunk = min(count, 1 << HASH_CHUNK_BITS)
-    return count * 19 + chunk * (code_dt.itemsize * (width + 4) + 40) + (8 << n)
+    _, code_dt, key_dt, width = _scan_dtypes(n, ell, False)
+    chunk = min(count, 1 << HASH_CHUNK_BITS) * (3 * code_dt.itemsize + key_dt.itemsize * width + 8)
+    return count * 9 + chunk + (24 << n) + (1 << 16)
 
 
 def _first_pairs(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:

@@ -90,11 +90,7 @@ class Word:
         if total < 1:
             raise InvalidLength("cannot extend to an empty word")
         reps = -(-total // self.length)
-        code = 0
-        for _ in range(reps):
-            code = (code << self.length) | self.code
-        excess = reps * self.length - total
-        return Word(total, code >> excess)
+        return Word(total, int(str(self) * reps, 2) >> (reps * self.length - total))
 
 
 @dataclass(frozen=True)
@@ -198,14 +194,7 @@ def lyndon_words(i: int) -> list[Word]:
     """All binary Lyndon words of length exactly i, in lexicographic order."""
     if i < 1:
         raise ValueError("length must be positive")
-    out = []
-    for bits in _duval(i):
-        if len(bits) == i:
-            code = 0
-            for b in bits:
-                code = (code << 1) | b
-            out.append(Word(i, code))
-    return out
+    return [Word(i, int("".join(map(str, bits)), 2)) for bits in _duval(i) if len(bits) == i]
 
 
 DEBRUIJN_MAX_ORDER = 24
@@ -220,8 +209,5 @@ def debruijn(n: int) -> Word:
     """
     if not 1 <= n <= DEBRUIJN_MAX_ORDER:
         raise ValueError(f"order must be in 1..{DEBRUIJN_MAX_ORDER}")
-    chunks = []
-    for bits in _duval(n):
-        if n % len(bits) == 0:
-            chunks.append("".join(map(str, bits)))
-    return Word.from_text("".join(chunks))
+    chunks = (bits for bits in _duval(n) if n % len(bits) == 0)
+    return Word.from_text("".join(str(b) for bits in chunks for b in bits))

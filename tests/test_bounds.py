@@ -8,6 +8,8 @@ from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factorwords import (AlreadyPresent, Digraph, FactorSet, NotStronglyConnected, Word,
                          chain_fan, circular_factors, construct_ts, construct_ty,
@@ -16,6 +18,7 @@ from factorwords import (AlreadyPresent, Digraph, FactorSet, NotStronglyConnecte
                          witness_length_bound)
 from factorwords import bounds
 from factorwords.bounds import WALK_MAX_VERTICES, _longest_simple_path, _optimal_closed_cover
+from factorwords.factorsets import strong_components
 
 
 def dense_graph(seed: int, nv: int, p: float = 0.9) -> Digraph:
@@ -376,6 +379,22 @@ class TestWalks:
                     if k in reach[v]:
                         reach[v] |= reach[k]
             assert g.strongly_connected() == all(len(r) == nv for r in reach)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda nv: st.tuples(
+        st.just(nv), st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))))))
+    @example((1, []))
+    @example((1, [(0, 0)]))
+    @example((3, [(0, 1), (1, 1), (1, 2), (2, 0)]))
+    @example((3, [(0, 0), (0, 1), (1, 0), (2, 2), (2, 0)]))  # 2 reaches 0, not back
+    def test_strong_connectivity_matches_components(self, graph):
+        # the two closures from vertex 0 decide what Tarjan's algorithm
+        # does: whether the graph is one strong component
+        nv, edges = graph
+        g = Digraph(nv)
+        for u, v in edges:
+            g.add_edge(u, v)
+        assert g.strongly_connected() == (len(strong_components(dict(enumerate(g.edges)))) == 1)
 
     def test_not_strongly_connected_rejected(self):
         g = Digraph(3)

@@ -351,19 +351,21 @@ class TestScanKernel:
         # four factor values: above order 6 nearly every word shares its set
         # hash, so the exact row keys must split the hash groups
         monkeypatch.setattr("factorwords.scan._factor_hash",
-                            lambda c: c.astype(np.uint64) & np.uint64(3))
+                            lambda c: c.astype(np.uint32) & np.uint32(3))
         for n, ell in GROUPING_CASES:
             assert classes(n, ell) == direct_classes(n, ell)
 
     def test_set_hashes_sum_each_distinct_factor_once(self):
-        # a word's hash is the wrapping sum of the factor hashes over its
+        # a word's hash is the sum mod 2^32 of the factor hashes over its
         # factor set, however often a factor repeats in it
         for n, ell in ((7, 12), (9, 11), (8, 15)):
-            table = words._factor_hash(np.arange(1 << n)).tolist()
-            hashes = words._set_hashes(n, ell, BudgetMeter(Budget())).tolist()
+            table = words._factor_hash(np.arange(1 << n))
+            hashes = words._set_hashes(n, ell, BudgetMeter(Budget()))
+            assert table.dtype == hashes.dtype == np.uint32
+            table, hashes = table.tolist(), hashes.tolist()
             for c in range(0, 1 << ell, 7):
                 got = sum(table[x] for x in factors(Word(ell, c), n).codes())
-                assert hashes[c] == got % (1 << 64)
+                assert hashes[c] == got % (1 << 32)
 
     def test_hashed_classes_match_row_key_classes(self):
         # above order 6 only the words sharing a set hash get row keys; the
@@ -378,14 +380,17 @@ class TestScanKernel:
 
     def test_holding_matches_isin(self):
         # more shared hashes than a 2^16-flag table holds at four per hash,
-        # half of them with equal low 16 bits, and some held by no word
+        # half of them with equal low 16 bits, and some held by no word; in
+        # the scan's hash dtype and a wider one
         rng = np.random.default_rng(13)
-        hashes = rng.integers(0, 1 << 63, 200_000, dtype=np.uint64)
-        hashes[::2] &= np.uint64(0xFFFF_FFFF_FFFF_0000)
-        shared = np.unique(np.concatenate([rng.choice(hashes, 30_000),
-                                           rng.integers(0, 1 << 63, 1000, dtype=np.uint64)]))
-        assert shared.size > 1 << 14
-        assert (_holding(hashes, shared) == np.flatnonzero(np.isin(hashes, shared))).all()
+        for dt in (np.uint32, np.uint64):
+            top = np.iinfo(dt).max
+            hashes = rng.integers(0, top, 200_000, dtype=dt, endpoint=True)
+            hashes[::2] &= dt(top ^ 0xFFFF)
+            shared = np.unique(np.concatenate([rng.choice(hashes, 30_000),
+                                               rng.integers(0, top, 1000, dt, endpoint=True)]))
+            assert shared.size > 1 << 14
+            assert (_holding(hashes, shared) == np.flatnonzero(np.isin(hashes, shared))).all()
 
     def test_validation(self):
         with pytest.raises(InvalidLength):
@@ -426,6 +431,11 @@ class TestScanKernel:
         finally:
             tracemalloc.stop()
         assert peak <= class_scan_nbytes(n, ell, 1 << ell) + meter.peak
+
+    def test_class_scan_nbytes_per_word(self):
+        # a 4-byte hash, its sorted copy and a flag per word, and little
+        # besides at 2^20 words
+        assert class_scan_nbytes(10, 20, 1 << 20) <= 12 << 20
 
 
 def first_and_least(n, batches):
