@@ -300,6 +300,13 @@ class TestVerify:
         r = run("verify", "--conjecture2n", "3", "-f", "json")
         doc = json.loads(r.output)
         assert r.exit_code == 0 and doc["passed"]
+        assert "period_law_misses" not in r.output and "factorizations" not in r.output
+
+    @pytest.mark.parametrize("args, t", [("--conjecture2n 13", 26), ("--theorem1 30 20", 30)])
+    def test_scans_past_the_brute_force_limit_are_usage_errors(self, run, args, t):
+        # a scan longer than t = 24 is refused as a request, not as a budget (exit 3)
+        r = run("verify", *args.split())
+        assert r.exit_code == 2 and f"brute force scans words of length t <= 24, got t={t}" in r.output
 
     def test_hamiltonian(self, run):
         r = run("verify", "--hamiltonian", "25", "--seed", "7")

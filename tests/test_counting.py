@@ -314,6 +314,14 @@ class TestTheorem1:
                 assert p <= k + 1 and len(codes) == p
 
 
+def _mirrored(x: str, y: str) -> bool:
+    """x = c v s v^R c, with c one letter, v nonempty and s 01 or 10; y = x^R."""
+    n = len(x) // 2
+    c, v, s = x[0], x[1:n - 1], x[n - 1:n + 1]
+    return (v != "" and s in ("01", "10") and x == c + v + s + v[::-1] + c
+            and y == "".join(reversed(x)))
+
+
 class TestConjecture2n:
     def test_small_orders_pass(self):
         for n in range(1, 7):
@@ -323,15 +331,16 @@ class TestConjecture2n:
         rep = check_conjecture_2n(3)
         hp = [p for p in rep.high_period_pairs if "010110" in p["words"]]
         assert hp and hp[0]["periods"] == [5, 5]
-        assert hp[0]["factorizations"] == [{"u": "0", "v": "1", "middle": "01"}]
-        # the shape itself always appears ...
+        # the pair is a word and its reversal: 0 1 01 1 0 against 0 1 10 1 0
+        x, y = hp[0]["words"]
+        assert (x, y) == ("010110", "011010") and y == x[::-1]
         assert not rep.shape_misses
-        # ... but the tentative period == n + |u| law already fails here
-        assert rep.period_law_misses
 
-    def test_shape_always_found_up_to_six(self):
-        for n in range(2, 7):
-            assert not check_conjecture_2n(n).shape_misses
+    def test_shape_always_found_up_to_ten(self):
+        for n in range(2, 11):
+            rep = check_conjecture_2n(n)
+            assert not rep.shape_misses
+            assert all(y == x[::-1] for x, y in (e["words"] for e in rep.high_period_pairs))
 
     def test_violations_against_the_scalar_route(self, monkeypatch):
         # the class scan joins every shared class of length 8 into one, so
@@ -350,14 +359,31 @@ class TestConjecture2n:
             (str(a), str(b)) for a, b in pairs if periods[a] != periods[b]]
         assert words(rep.conjugacy_violations) == [
             (str(a), str(b)) for a, b in pairs if not are_root_conjugate(a, b)]
-        assert words(rep.high_period_pairs) == [
-            (str(a), str(b)) for a, b in pairs if periods[a] > 5]
-        assert not rep.passed and rep.high_period_pairs
+        high = [(str(a), str(b)) for a, b in pairs if periods[a] > 5]
+        assert words(rep.high_period_pairs) == high
+        assert words(rep.shape_misses) == [(x, y) for x, y in high if not _mirrored(x, y)]
+        assert 0 < len(rep.shape_misses) < len(high)
+        assert not rep.passed
+
+    def test_shape_test_on_every_reversal_pair(self, monkeypatch):
+        # classes {x, x^R} for every word x of length 10 that is no palindrome:
+        # every high-period pair passes the reversal check, so only the rest
+        # of the shape, x = c v s v^R c, tells the misses apart
+        rev = lambda x: int(f"{x:010b}"[::-1], 2)
+        monkeypatch.setattr(factorwords.counting, "factor_classes", lambda n, ell, meter: (
+            0, [np.array([x, rev(x)]) for x in range(1 << 10) if x < rev(x)]))
+        rep = check_conjecture_2n(5)
+        high = [tuple(e["words"]) for e in rep.high_period_pairs]
+        assert [tuple(e["words"]) for e in rep.shape_misses] == [
+            (x, y) for x, y in high if not _mirrored(x, y)]
+        assert 0 < len(rep.shape_misses) < len(high)
 
     def test_json_shape(self):
-        doc = check_conjecture_2n(2).to_json_dict()
+        doc = check_conjecture_2n(3).to_json_dict()
         assert doc["passed"] is True
-        assert {"n", "t", "pair_count", "period_violations"} <= set(doc)
+        assert set(doc) == {"n", "t", "pair_count", "nontrivial_classes", "period_violations",
+                            "conjugacy_violations", "high_period_pairs", "shape_misses", "passed"}
+        assert [set(e) for e in doc["high_period_pairs"]] == [{"words", "periods"}] * 2
 
     def test_time_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
