@@ -18,15 +18,17 @@ printed, against the default memory budget (FACTORSET_BUDGET_MB or 2048).
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 budget exhaustion. Data goes to stdout; progress notes to stderr.
 
-Only the array scans load numpy: ttable, verify --theorem1 and
---conjecture2n import ``counting`` when they run, and enumerate --oracle the
-word scan. Every other command, and every refusal, starts without it.
+Each command imports the modules it runs when it runs, so importing the CLI
+and --help load none of them: factors and witness load ``factorsets``,
+enumerate ``enumeration``, bounds that and ``bounds``, verify --hamiltonian
+``bounds``. Only the array scans load numpy: ttable, verify --theorem1 and
+--conjecture2n import ``counting``, and enumerate --oracle the word scan.
+Every other command, and every refusal, starts without it.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import sys
 import time
 
@@ -34,12 +36,7 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from . import bounds as bounds_mod
-from . import enumeration
 from .budget import Budget, BudgetExceededError, BudgetMeter
-from .factorsets import (EmptySet, FactorSet, circular_factors, factors,
-                         shortest_circular_witness, shortest_witness)
-from .words import InvalidLength, Word
 
 SCHEMA_VERSION = "1"
 
@@ -95,7 +92,7 @@ def _guard(fn):
             click.echo(f"budget exhausted: {e}", err=True)
             click.echo(f"progress: {json.dumps(e.progress, sort_keys=True)}", err=True)
             sys.exit(3)
-        except (InvalidLength, EmptySet, ValueError) as e:
+        except ValueError as e:  # InvalidLength and EmptySet among them
             _fail_usage(str(e))
     return wrapper
 
@@ -115,6 +112,8 @@ def main():
 @_guard
 def cmd_factors(word, order, circular, as_hex, output_format):
     """Print the set of length-N factors of WORD."""
+    from .factorsets import circular_factors, factors
+    from .words import Word
     w = Word.from_text(word)
     if order < 1:
         _fail_usage("factor length must be positive")
@@ -146,6 +145,7 @@ def cmd_factors(word, order, circular, as_hex, output_format):
 def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
                 budget_mb, max_seconds):
     """Shortest word whose factor set is exactly SET_SPEC."""
+    from .factorsets import FactorSet, shortest_circular_witness, shortest_witness
     budget = _budget(budget_mb, max_seconds)
     if order < 1:
         _fail_usage("order must be positive")
@@ -183,6 +183,7 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
 @_guard
 def cmd_enumerate(order, oracle, output_format, budget_mb, max_seconds):
     """Counts, extremal witness lengths and witnesses for one order."""
+    from . import enumeration
     budget = _budget(budget_mb, max_seconds)
     started = time.monotonic()
     if oracle:  # the scan runs until no longer word lists a set
@@ -232,6 +233,8 @@ def cmd_ttable(t_max, n_max, output_format, budget_mb, max_seconds):
 def cmd_bounds(order, output_format, budget_mb, max_seconds):
     """Sandwich lower <= |C_n| <= upper for the circularly representable
     count of one order (order 1 reports the degenerate order-2 sandwich)."""
+    from . import bounds as bounds_mod
+    from . import enumeration
     budget = _budget(budget_mb, max_seconds)
     if order < 1:
         _fail_usage("order must be positive")
@@ -308,6 +311,9 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
         passed = report.passed
         label = f"conjecture2n n={conjecture2n}"
     else:
+        import random
+
+        from . import bounds as bounds_mod
         rng = random.Random(seed)
         meter = BudgetMeter(budget)
         failures = []

@@ -21,8 +21,9 @@ Counts and checks read the package's one word scan, ``scan.factor_keys``.
 Up to order 6 a count sorts each chunk's bitmap keys in place and counts
 their runs; above, it is the count of ``scan.factor_classes``, whose
 classes of two or more words the checks walk. That class scan hashes each
-word's factor set and keys exactly only the words whose hashes collide,
-checking the time budget after each chunk. Budgets are charged the scans'
+word's factor set, one letter at a time from its prefix's hash, and keys
+exactly only the words whose hashes collide, checking the time budget
+after each chunk of each prefix length. Budgets are charged the scans'
 buffers (``scan.scan_nbytes``, ``scan.class_scan_nbytes``) up front, the
 colliding words' keys once counted, and the checks' members and pairs
 before they are built. The checks compare minimal periods and root classes

@@ -10,8 +10,9 @@ words.
 
 Above order 6, ``factor_classes`` sorts no key per word. It gives each word
 a 32-bit set hash, the wrapping sum over its distinct factors of a fixed
-value from a table (Zobrist hashing), and sorts the hashes once; only the
-words holding a hash another word holds get exact row keys, which split any
+value from a table (Zobrist hashing), built one letter at a time from the
+hashes of the words' prefixes, and sorts the hashes once; only the words
+holding a hash another word holds get exact row keys, which split any
 collision. Equal sets hash equally, so the classes are exact at any width.
 
 With ``counting``, its one user beside the oracle, this is the only module
@@ -123,9 +124,10 @@ def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(np.concatenate(([len(keys) > 0], fresh)))
 
 
-# The hashed class scan (orders above 6) hashes 2^HASH_CHUNK_BITS codes per
-# chunk; at (n, t) = (10, 20), chunks of 2^14..2^16 ran about equally fast
-# and 2^12 slower, and the smallest of them holds the least
+# The hashed class scan (orders above 6) fills 2^HASH_CHUNK_BITS codes of a
+# prefix length per chunk; at (n, t) = (10, 20) and (11, 22), chunks of
+# 2^13..2^16 ran within about a fifth of each other and 2^12 slower (best of
+# 7, 2-core Xeon), and 2^14 keeps a chunk's temporaries near 256 KiB
 HASH_CHUNK_BITS = 14
 _GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in
                          (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
@@ -145,26 +147,59 @@ def _factor_hash(factors: np.ndarray) -> np.ndarray:
 
 def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
     """Per word of length ``ell``, by code, the sum mod 2^32 (uint32) of
-    ``_factor_hash`` over its distinct length-n factors: a window equal to an
-    earlier one of the same word adds nothing, so equal sets hash equally.
-    Its table of 2^n factor hashes is no larger than the 2^ell it fills."""
-    table = _factor_hash(np.arange(1 << n))
-    key_dt = _scan_dtypes(n, ell, False)[2]
-    hashes = np.zeros(1 << ell, table.dtype)
-    fresh = np.empty(min(1 << ell, 1 << HASH_CHUNK_BITS), bool)
-    differs = np.empty_like(fresh)
-    for lo in range(0, 1 << ell, 1 << HASH_CHUNK_BITS):
-        hi = min(1 << ell, lo + (1 << HASH_CHUNK_BITS))
-        part, seen = hashes[lo:hi], []
-        for win in _windows(n, ell, range(lo, hi), False)[1]:
-            win = win.astype(key_dt)  # compared narrow, into reused flags
-            fresh.fill(True)
-            for earlier in seen:
-                fresh &= np.not_equal(win, earlier, out=differs)
-            np.add(part, table.take(win), out=part, where=fresh)
-            seen.append(win)
-        meter.note(words_scanned=hi)
-        meter.check_time(f"factor classes of length {ell}")
+    ``_factor_hash`` over its distinct length-n factors, so equal sets hash
+    equally.
+
+    The hashes are built one letter at a time, for prefix lengths L = n + 1
+    .. ell. The distinct windows of an L-letter word c are those of its first
+    L - 1 letters, c >> 1, and its last window unless that repeats an earlier
+    one: H_L[c] = H_{L-1}[c >> 1], plus the last window's factor hash unless
+    R_L[c]. The last window repeats the one k letters back exactly when
+    ((c >> k) ^ c) & mask == 0; for k < L - n that reads only the last L - 1
+    letters, c mod 2^(L-1), so level L - 1 decided it for that word, and
+    R_L[c] is R_{L-1}[c mod 2^(L-1)] or the one new distance, k = L - n.
+
+    Every level is written into the output, chunk by chunk from the top
+    down: a chunk [lo, hi) reads only the prefixes [lo/2, hi/2), which no
+    chunk above it overwrites. The flags of levels below ``ell`` live in one
+    array of 2^(ell-1), each level's written over the last's in place (a
+    chunk of the upper half reads the lower half, not yet overwritten). The
+    table of factor hashes is made a chunk at a time; at n == ell it is the
+    result. After each chunk the level and the codes filled at it
+    (``words_scanned``) are noted to the meter, and the time is checked.
+    """
+    table = np.empty(1 << n, np.uint32)
+    for lo in range(0, 1 << n, 1 << HASH_CHUNK_BITS):
+        hi = min(1 << n, lo + (1 << HASH_CHUNK_BITS))
+        table[lo:hi] = _factor_hash(np.arange(lo, hi))
+    if ell == n:
+        return table
+    code_dt = _scan_dtypes(n, ell, False)[1].type
+    mask = code_dt((1 << n) - 1)
+    hashes = np.empty(1 << ell, np.uint32)
+    hashes[:1 << n] = table
+    repeats = np.zeros(1 << (ell - 1), bool)  # R_n: a word of n letters repeats no window
+    for level in range(n + 1, ell + 1):
+        half = 1 << (level - 1)
+        size = min(half, 1 << HASH_CHUNK_BITS)
+        width = min(size, 1 << n)  # per row of a chunk, c & mask runs through a table slice
+        back = code_dt(level - n)
+        for lo in range(2 * half - size, -1, -size):
+            hi = lo + size
+            codes = np.arange(lo, hi, dtype=code_dt)
+            rep = ((codes >> back) ^ codes) & mask == 0
+            carried = repeats[lo & (half - 1):][:size]
+            if level < ell:
+                rep = np.logical_or(carried, rep, out=repeats[lo:hi])
+            else:
+                rep |= carried
+            part = hashes[lo:hi]
+            part.reshape(-1, 2)[:] = hashes[lo >> 1:hi >> 1, None]
+            col = int(lo & mask)
+            np.add(part.reshape(-1, width), table[col:col + width],
+                   out=part.reshape(-1, width), where=~rep.reshape(-1, width))
+            meter.note(level=level, words_scanned=2 * half - lo)
+            meter.check_time(f"factor classes of length {ell}")
     return hashes
 
 
@@ -207,8 +242,9 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     classes in bitmap order. So the hash width sets only how many words get
     row keys: at 2^24 words, 32 bits add some (2^24)^2 / 2^33 = 2^15 pairs.
     ``class_scan_nbytes`` bounds the buffers other than those row keys. The
-    hash pass notes ``words_scanned`` to the meter and checks the time after
-    each chunk, and the row keys are charged to it while they are held.
+    hash pass notes its prefix length and ``words_scanned`` to the meter and
+    checks the time after each chunk of each length, and the row keys are
+    charged to it while they are held.
     """
     if n <= _BITMAP_MAX_ORDER:
         return _shared_runs(factor_keys(n, ell, range(1 << ell)))
@@ -248,17 +284,20 @@ def class_scan_nbytes(n: int, ell: int, count: int) -> int:
     """An upper bound on the bytes ``factor_classes`` holds at once on a range
     of ``count`` codes, beside the lists it returns and, above order 6, the
     row keys of the words sharing a set hash, which it charges to its meter:
-    up to order 6, ``scan_nbytes``; above, per word a 4-byte hash, a sorted
-    copy and a flag; per word of a chunk its code, a window, a temporary, the
-    narrow windows, flags and a factor hash; 24 bytes per factor while their
-    hashes are made; and ``_holding``'s 2^16 flags (tracemalloc: 9.0 bytes
-    per word at (n, ell) = (10, 20), 30 at (7, 14), 24 at (20, 20)).
+    up to order 6, ``scan_nbytes``; above, per word a 4-byte hash and then a
+    sorted copy and a flag (while the hashes are made, half a byte of repeat
+    flags); 4 bytes per factor for their hash table, and 24 per factor of a
+    chunk while it is made; per word of a chunk its code, two temporaries and
+    flags; and ``_holding``'s 2^16 flags (tracemalloc: 9.0 bytes per word at
+    (n, ell) = (10, 20) and (20, 20), 17 at (7, 14); per chunk word, 24 while
+    the table is made and 13 while the hashes are).
     """
     if n <= _BITMAP_MAX_ORDER:
         return scan_nbytes(n, ell, count)
-    _, code_dt, key_dt, width = _scan_dtypes(n, ell, False)
-    chunk = min(count, 1 << HASH_CHUNK_BITS) * (3 * code_dt.itemsize + key_dt.itemsize * width + 8)
-    return count * 9 + chunk + (24 << n) + (1 << 16)
+    code_dt = _scan_dtypes(n, ell, False)[1]
+    chunk = min(count, 1 << HASH_CHUNK_BITS) * (3 * code_dt.itemsize + 4)
+    table = (4 << n) + 24 * min(1 << n, 1 << HASH_CHUNK_BITS)
+    return count * 9 + chunk + table + (1 << 16)
 
 
 def _first_pairs(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:

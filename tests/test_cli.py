@@ -384,21 +384,25 @@ import factorwords, factorwords.cli
 from click.testing import CliRunner
 
 def loaded():
-    return [m for m in ("numpy", "factorwords.counting", "factorwords.scan") if m in sys.modules]
+    return [m for m in json.loads(sys.argv[1]) if m in sys.modules]
 
 print(json.dumps(loaded()))
 runner = CliRunner()
-for args in sys.argv[1:]:
+for args in sys.argv[2:]:
     r = runner.invoke(factorwords.cli.main, args.split())
     print(json.dumps([r.exit_code, loaded(), r.output]))
 """
+SCAN_MODULES = ("numpy", "factorwords.counting", "factorwords.scan")
+PACKAGE_MODULES = tuple(f"factorwords.{m}" for m in (
+    "bounds", "enumeration", "factorsets", "words", "counting", "scan"))
 
 
-def _startup(*commands):
-    """What a fresh interpreter holds after importing the CLI, then the exit
-    code, the scan modules held and the output of each command run in it."""
+def _startup(*commands, watched=SCAN_MODULES):
+    """Which of the ``watched`` modules a fresh interpreter holds after
+    importing the CLI, then the exit code, the watched modules held and the
+    output of each command run in it, one after another."""
     src = Path(factorwords.__file__).parents[1]
-    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *commands],
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(watched), *commands],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     return [json.loads(line) for line in out.stdout.splitlines()]
@@ -414,6 +418,22 @@ def test_commands_without_an_array_scan_load_no_numpy():
     assert first == []
     assert [(code, held) for code, held, _ in runs] == [(0, [])] * 6 + [(2, [])]
     assert runs[1][2] == "4 0011\n"
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # importing the CLI and --help load no package module beside budget; the
+    # commands run in one interpreter, so each adds to what the last loaded
+    first, *runs = _startup("--help", "verify --theorem1 5 3 --seed 4",
+                            "witness 00,01,11 --n 2", "enumerate --n 3", "bounds --n 3",
+                            watched=PACKAGE_MODULES)
+    assert first == []
+    assert [(code, held) for code, held, _ in runs] == [
+        (0, []), (2, []),
+        (0, ["factorwords.factorsets", "factorwords.words"]),
+        (0, ["factorwords.enumeration", "factorwords.factorsets", "factorwords.words"]),
+        (0, ["factorwords.bounds", "factorwords.enumeration", "factorwords.factorsets",
+             "factorwords.words"]),
+    ]
 
 
 def test_array_scans_print_as_before():

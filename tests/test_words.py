@@ -357,15 +357,33 @@ class TestScanKernel:
 
     def test_set_hashes_sum_each_distinct_factor_once(self):
         # a word's hash is the sum mod 2^32 of the factor hashes over its
-        # factor set, however often a factor repeats in it
-        for n, ell in ((7, 12), (9, 11), (8, 15)):
+        # factor set, however often a factor repeats in it: every word up to
+        # 13 letters and of (7, 16), where repeats lie more than n letters
+        # apart, and a sample of (10, 20)
+        cells = [(n, ell, 1) for ell in range(7, 14) for n in range(7, ell + 1)]
+        for n, ell, step in cells + [(7, 16, 1), (10, 20, 97)]:
             table = words._factor_hash(np.arange(1 << n))
             hashes = words._set_hashes(n, ell, BudgetMeter(Budget()))
             assert table.dtype == hashes.dtype == np.uint32
             table, hashes = table.tolist(), hashes.tolist()
-            for c in range(0, 1 << ell, 7):
+            for c in range(0, 1 << ell, step):
                 got = sum(table[x] for x in factors(Word(ell, c), n).codes())
                 assert hashes[c] == got % (1 << 32)
+
+    def test_set_hashes_pinned_to_a_direct_sum(self):
+        # byte for byte, the sum over each word's distinct windows, found by
+        # sorting its row of windows, not one letter at a time
+        for ell in range(7, 17):
+            codes = np.arange(1 << ell, dtype=np.uint64)
+            for n in range(7, ell + 1):
+                shifts = np.arange(ell - n + 1, dtype=np.uint64)
+                windows = np.sort((codes[:, None] >> shifts) & np.uint64((1 << n) - 1), axis=1)
+                fresh = np.ones(windows.shape, bool)
+                fresh[:, 1:] = windows[:, 1:] != windows[:, :-1]
+                table = words._factor_hash(np.arange(1 << n)).astype(np.uint64)
+                want = (table[windows] * fresh).sum(axis=1).astype(np.uint32)
+                got = words._set_hashes(n, ell, BudgetMeter(Budget()))
+                assert got.tobytes() == want.tobytes()
 
     def test_hashed_classes_match_row_key_classes(self):
         # above order 6 only the words sharing a set hash get row keys; the
@@ -419,10 +437,13 @@ class TestScanKernel:
         assert len(distinct) == len(starts)
         assert peak <= scan_nbytes(n, ell, 1 << ell)
 
-    @pytest.mark.parametrize("n,ell", [(7, 14), (9, 18), (10, 20), (5, 12)],
-                             ids=["7-14-False", "9-18-False", "10-20-False", "5-12-False"])
+    @pytest.mark.parametrize("n,ell", [(7, 14), (9, 18), (10, 20), (5, 12), (20, 20)],
+                             ids=["7-14-False", "9-18-False", "10-20-False", "5-12-False",
+                                  "20-20-False"])
     def test_class_scan_nbytes_bounds_the_buffers(self, n, ell):
-        # charged up front, plus the row keys factor_classes charges its meter
+        # charged up front, plus the row keys factor_classes charges its meter;
+        # at 2^20 words or fewer it holds under 12 MiB, even when its table
+        # holds a hash per word, as at (20, 20)
         meter = PeakMeter(Budget())
         tracemalloc.start()
         try:
@@ -431,6 +452,7 @@ class TestScanKernel:
         finally:
             tracemalloc.stop()
         assert peak <= class_scan_nbytes(n, ell, 1 << ell) + meter.peak
+        assert peak <= 12 << 20
 
     def test_class_scan_nbytes_per_word(self):
         # a 4-byte hash, its sorted copy and a flag per word, and little
