@@ -160,13 +160,20 @@ def upper_bound_audit(n: int) -> UpperBoundAudit:
     if n < 1:
         raise ValueError("order must be positive")
     m = 1 << (n - 1)
-    # C(m - i, k - 2i) is 0 past m - i, where no loose element is left
-    table = [[math.comb(m, i) * math.comb(m - i, k - 2 * i) << (k - 2 * i)
+    # loose[r][j] = C(r, j) 2^j, the ways to take j loose elements, one of
+    # two per pair, from r pairs, by Pascal's rule: row r - 1 plus twice it
+    # shifted one place
+    loose = [[1]]
+    for _ in range(m):
+        loose.append(list(map(add, loose[-1] + [0], [0, *(2 * v for v in loose[-1])])))
+    pairs = [math.comb(m, i) for i in range(m + 1)]
+    # past k - i = m, the k - 2i loose elements outnumber the m - i pairs left
+    table = [[pairs[i] * loose[m - i][k - 2 * i] if k - i <= m else 0
               for i in range(k // 2 + 1)] for k in range(2 * m + 1)]
     columns = [sum(col) for col in zip_longest(*table, fillvalue=0)]
     sevens = list(accumulate(repeat(7, m), mul, initial=1))
     # column i sums to C(m, i) 3^(m-i) iff its inner sum over k is 3^(m-i)
-    collapsed = [math.comb(m, i) * 3 ** (m - i) for i in range(m + 1)]
+    collapsed = [c * 3 ** (m - i) for i, c in enumerate(pairs)]
     return UpperBoundAudit(n, upper_bound(n), table, sum(map(mul, columns, sevens)),
                            sum(map(mul, collapsed, sevens)), columns == collapsed)
 
@@ -327,7 +334,8 @@ def _longest_simple_path(g: Digraph) -> list[int]:
     nv = g.vertex_count
     moves = [(list(e), 1 << v, 0, has) for v, (e, has) in enumerate(zip(g.edges, _containing(nv)))]
     layers = [[1 << (1 << v) for v in range(nv)]]
-    while any(nxt := _step_forward(moves, layers[-1])):
+    # a simple path makes at most nv - 1 moves: no step past that layer holds any
+    while len(layers) < nv and any(nxt := _step_forward(moves, layers[-1])):
         layers.append(nxt)
     start, states = next((v, states) for v, states in enumerate(layers[-1]) if states)
     return _greedy_walk(moves, layers[-2::-1], start, states)

@@ -137,7 +137,9 @@ def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
     if started is not None:
         meter.started = started
     if hashed:
-        return TCell(t, n, factor_classes(n, t, meter)[0], "brute")
+        count = factor_classes(n, t, meter)[0]
+        meter.check_time(f"T({t},{n})")
+        return TCell(t, n, count, "brute")
     parts: list[np.ndarray] = []
     for start in range(0, 1 << t, chunk):
         parts.append(_distinct(factor_keys(n, t, range(start, start + chunk))))

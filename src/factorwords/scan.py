@@ -15,6 +15,16 @@ hashes of the words' prefixes, and sorts the hashes once; only the words
 holding a hash another word holds get exact row keys, which split any
 collision. Equal sets hash equally, so the classes are exact at any width.
 
+The kernels keep off numpy idioms that run per row or per element rather
+than as one pass over a 1-D array, each measured several times slower at
+the scan's sizes (2^14-word chunks, a few thousand states): a gather with a
+uint8 or uint32 index array goes through ``take``, as indexing first casts
+the index; a masked add multiplies by the mask instead of passing
+``where=``; and pairs are written one member at a time through the strided
+views ``a[0::2]`` and ``a[1::2]``, not by broadcasting against a length-2
+axis. Buffers rewritten per window or chunk are allocated once, and filled
+through ``out=``.
+
 With ``counting``, its one user beside the oracle, this is the only module
 that imports numpy when loaded.
 """
@@ -63,10 +73,11 @@ def _scan_dtypes(n: int, ell: int, circular: bool):
 
 def _windows(n: int, ell: int, codes, circular: bool):
     """The codes of length-``ell`` words (a range, sequence or array) as an
-    array, and a generator of their length-n windows left to right, one array
-    per position. Read circularly, each word is extended by its first letters,
-    cyclically, so that short circular words wrap repeatedly, as in
-    ``circular_factors``."""
+    array, and a generator of their length-n windows left to right, one
+    position at a time, each written over the last in one buffer: read each
+    before taking the next. Read circularly, each word is extended by its
+    first letters, cyclically, so that short circular words wrap repeatedly,
+    as in ``circular_factors``."""
     if n < 1 or ell < 1:
         raise ValueError("lengths must be positive")
     if ell < n and not circular:
@@ -83,7 +94,9 @@ def _windows(n: int, ell: int, codes, circular: bool):
         ext = (ext << dt(take)) | (codes >> dt(ell - take))
         got += take
     mask = dt((1 << n) - 1)
-    return codes, ((ext >> dt(sh)) & mask for sh in range(span - n, -1, -1))
+    win = np.empty_like(ext)
+    return codes, (np.bitwise_and(np.right_shift(ext, dt(sh), win), mask, win)
+                   for sh in range(span - n, -1, -1))
 
 
 def factor_keys(n: int, ell: int, codes, circular: bool = False) -> np.ndarray:
@@ -101,8 +114,10 @@ def factor_keys(n: int, ell: int, codes, circular: bool = False) -> np.ndarray:
     if n <= _BITMAP_MAX_ORDER:
         one = key_dt.type(1)
         keys = np.zeros(codes.size, key_dt)
+        bit = np.empty_like(keys)
         for win in windows:
-            keys |= one << win.astype(key_dt)
+            bit[...] = win
+            keys |= np.left_shift(one, bit, bit)
         return keys
     keys = np.empty((codes.size, width), key_dt)
     for i, win in enumerate(windows):
@@ -188,34 +203,43 @@ def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
             hi = lo + size
             codes = np.arange(lo, hi, dtype=code_dt)
             rep = ((codes >> back) ^ codes) & mask == 0
+            del codes  # not held past the chunk's masked add, nor into the next chunk
             carried = repeats[lo & (half - 1):][:size]
             if level < ell:
                 rep = np.logical_or(carried, rep, out=repeats[lo:hi])
             else:
                 rep |= carried
             part = hashes[lo:hi]
-            part.reshape(-1, 2)[:] = hashes[lo >> 1:hi >> 1, None]
+            prefix = hashes[lo >> 1:hi >> 1]
+            if lo == 0:  # the lowest chunk's prefixes lie inside it
+                prefix = prefix.copy()
+            part[0::2] = prefix
+            part[1::2] = prefix
             col = int(lo & mask)
-            np.add(part.reshape(-1, width), table[col:col + width],
-                   out=part.reshape(-1, width), where=~rep.reshape(-1, width))
-            meter.note(level=level, words_scanned=2 * half - lo)
-            meter.check_time(f"factor classes of length {ell}")
+            grid = part.reshape(-1, width)
+            grid += table[col:col + width] * ~rep.reshape(-1, width)
+            meter.note(phase="set hashes", level=level, words_scanned=2 * half - lo)
+            meter.check_time(f"set hashes of length {ell}")
     return hashes
 
 
-def _holding(hashes: np.ndarray, shared: np.ndarray) -> np.ndarray:
+def _holding(hashes: np.ndarray, shared: np.ndarray, meter: BudgetMeter) -> np.ndarray:
     """The ascending positions of the hashes found in ``shared`` (sorted),
     chunk by chunk: a table of flags per low bits of the shared hashes, four
-    per shared hash and at least 2^16, passes few others to the exact search."""
+    per shared hash and at least 2^16, passes few others to the exact search.
+    After each chunk the hashes read (``words_scanned``) are noted to the
+    meter, and the time is checked."""
     low = hashes.dtype.type((1 << max(16, (4 * shared.size - 1).bit_length())) - 1)
     flagged = np.zeros(int(low) + 1, bool)
     flagged[shared & low] = True
     found = []
     for lo in range(0, hashes.size, 1 << HASH_CHUNK_BITS):
         part = hashes[lo:lo + (1 << HASH_CHUNK_BITS)]
-        maybe = np.flatnonzero(flagged[part & low])
+        maybe = np.flatnonzero(flagged.take(part & low))
         hit = shared.take(np.searchsorted(shared, part[maybe]), mode="clip") == part[maybe]
         found.append(lo + maybe[hit])
+        meter.note(phase="shared hashes", words_scanned=lo + part.size)
+        meter.check_time("words holding a shared set hash")
     return np.concatenate(found)
 
 
@@ -241,10 +265,14 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     shared hash get exact row keys, which split any collision and put the
     classes in bitmap order. So the hash width sets only how many words get
     row keys: at 2^24 words, 32 bits add some (2^24)^2 / 2^33 = 2^15 pairs.
-    ``class_scan_nbytes`` bounds the buffers other than those row keys. The
-    hash pass notes its prefix length and ``words_scanned`` to the meter and
-    checks the time after each chunk of each length, and the row keys are
-    charged to it while they are held.
+    ``class_scan_nbytes`` bounds the buffers other than those row keys,
+    which are charged to the meter while they are held.
+
+    The meter's ``phase`` names the step last run: "set hashes" (with the
+    prefix length and ``words_scanned``, after each chunk of each length),
+    "hash sort", "shared hashes" (after each chunk), "row keys" and
+    "row-key sort". The time is checked after each but the last, which the
+    callers check when this returns.
     """
     if n <= _BITMAP_MAX_ORDER:
         return _shared_runs(factor_keys(n, ell, range(1 << ell)))
@@ -252,6 +280,8 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     ordered = np.sort(hashes)
     repeats = ordered[1:][ordered[1:] == ordered[:-1]]  # a hash k words hold, k - 1 times
     del ordered
+    meter.note(phase="hash sort")
+    meter.check_time(f"sort of the set hashes of length {ell}")
     if repeats.size == 0:
         return hashes.size, []
     shared = repeats[np.append(True, repeats[1:] != repeats[:-1])]
@@ -259,9 +289,14 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     del repeats
     held = scan_nbytes(n, ell, sharing)
     meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
-    members = _holding(hashes, shared)
+    members = _holding(hashes, shared, meter)
     del hashes
-    count, runs = _shared_runs(factor_keys(n, ell, members))
+    keys = factor_keys(n, ell, members)
+    meter.note(phase="row keys")
+    meter.check_time(f"row keys of length {ell}")
+    count, runs = _shared_runs(keys)
+    del keys
+    meter.note(phase="row-key sort")
     meter.release_memory(held)
     return (1 << ell) - sharing + count, [members[run] for run in runs]
 
@@ -288,9 +323,10 @@ def class_scan_nbytes(n: int, ell: int, count: int) -> int:
     sorted copy and a flag (while the hashes are made, half a byte of repeat
     flags); 4 bytes per factor for their hash table, and 24 per factor of a
     chunk while it is made; per word of a chunk its code, two temporaries and
-    flags; and ``_holding``'s 2^16 flags (tracemalloc: 9.0 bytes per word at
-    (n, ell) = (10, 20) and (20, 20), 17 at (7, 14); per chunk word, 24 while
-    the table is made and 13 while the hashes are).
+    flags, or in ``_holding`` its hash's low bits, those as an index and a
+    flag; and ``_holding``'s 2^16 flags (tracemalloc: 9.0 bytes per word at
+    (n, ell) = (10, 20) and (20, 20), 21 at (7, 14); per chunk word, 24 while
+    the table is made and 14 while the hashes are).
     """
     if n <= _BITMAP_MAX_ORDER:
         return scan_nbytes(n, ell, count)
@@ -338,7 +374,6 @@ def _new_states(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     gain = keys.dtype.type(1) << win.astype(keys.dtype)
     succ = (((win & tmask) << hlen) | (every & tmask)[:, None]).astype(np.uint8)
     seen = np.zeros(-(-(1 << ((1 << n) + rbits)) // 8), np.uint8)
-    letters = np.arange(2, dtype=np.int64)
     while True:
         ids = (keys.astype(np.int64) << rbits) | rows
         fresh = np.flatnonzero((seen[ids >> 3] >> (ids & 7).astype(np.uint8)) & 1 == 0)
@@ -348,9 +383,16 @@ def _new_states(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         ids, p, keys, rows = ids[kept], p[kept], keys[kept], rows[kept]
         np.bitwise_or.at(seen, ids >> 3, (1 << (ids & 7)).astype(np.uint8))
         yield keys, rows, p
-        keys = (keys[:, None] | gain[rows]).ravel()
-        rows = succ[rows].ravel()
-        p = ((p << 1)[:, None] | letters).ravel()
+        # the successors p·0 and p·1 of each p, in ascending p: whole table
+        # rows gathered by take, each letter's keys and codes written through
+        # a strided 1-D view
+        succ_keys = gain.take(rows, axis=0).ravel()
+        succ_keys[0::2] |= keys
+        succ_keys[1::2] |= keys
+        succ_p = np.empty(succ_keys.size, np.int64)
+        succ_p[0::2] = p << 1
+        succ_p[1::2] = succ_p[0::2] | 1
+        keys, rows, p = succ_keys, succ.take(rows, axis=0).ravel(), succ_p
 
 
 def word_scan(n: int, max_len: int | None, meter: BudgetMeter):
@@ -404,7 +446,7 @@ def word_scan(n: int, max_len: int | None, meter: BudgetMeter):
             raise ValueError("the scan's codes hold at most 63 letters")
         states += p.size
         meter.note(new_states=p.size, states=states)
-        yield ell, unlisted(0, keys, p), unlisted(1, keys | wrap[rows], p)
+        yield ell, unlisted(0, keys, p), unlisted(1, keys | wrap.take(rows), p)
 
 
 # per order, the most new states one prefix length holds: they depend on

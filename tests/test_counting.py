@@ -98,6 +98,32 @@ class TestBruteForce:
             count_T_bruteforce(20, 10, tiny)
         assert check_conjecture_2n(10, Budget(max_memory_bytes=100 << 20)).passed
 
+    def test_time_budget_stops_the_class_scan_past_the_hashes(self):
+        # on a 2-core Xeon the hash pass of 2^22 words takes 0.09 s and the
+        # phases after it about 0.8 s more: a 0.1 s budget runs out in one
+        with pytest.raises(BudgetExceededError) as e:
+            count_T_bruteforce(22, 7, Budget(max_seconds=0.1))
+        assert e.value.progress["phase"] in {"set hashes", "hash sort", "shared hashes",
+                                             "row keys", "row-key sort"}
+
+    @pytest.mark.parametrize("phase", ["hash sort", "shared hashes", "row keys", "row-key sort"])
+    def test_class_scan_checks_the_time_after_each_phase(self, monkeypatch, phase):
+        # a clock that reads 0 until the meter notes the phase, then 1 s: the
+        # next time check refuses, before any later phase is noted
+        meters = []
+
+        class Meter(BudgetMeter):
+            def __init__(self, budget):
+                super().__init__(budget)
+                meters.append(self)
+
+        monkeypatch.setattr(factorwords.counting, "BudgetMeter", Meter)
+        monkeypatch.setattr(budget_mod.time, "monotonic",
+                            lambda: float(any(m.progress.get("phase") == phase for m in meters)))
+        with pytest.raises(BudgetExceededError) as e:
+            count_T_bruteforce(16, 7, Budget(max_seconds=0.5), started=0.0)
+        assert e.value.progress["phase"] == phase
+
 
 class TestClosedForm:
     @pytest.mark.parametrize("t,n,expected", [

@@ -408,7 +408,8 @@ class TestScanKernel:
             shared = np.unique(np.concatenate([rng.choice(hashes, 30_000),
                                                rng.integers(0, top, 1000, dt, endpoint=True)]))
             assert shared.size > 1 << 14
-            assert (_holding(hashes, shared) == np.flatnonzero(np.isin(hashes, shared))).all()
+            found = _holding(hashes, shared, BudgetMeter(Budget()))
+            assert (found == np.flatnonzero(np.isin(hashes, shared))).all()
 
     def test_validation(self):
         with pytest.raises(InvalidLength):
@@ -542,6 +543,28 @@ class TestWordScan:
             rows = ((p & ((1 << hlen) - 1)) << hlen) | (p >> (plen - hlen))
             pairs.update(zip(factor_keys(n, plen, p).tolist(), rows.tolist()))
             assert noted[max(ell for ell in noted if ell <= plen)] == len(pairs), plen
+
+    @pytest.mark.parametrize("n,max_len", [(1, 4), (2, 8), (3, 15), (4, 16)])
+    def test_new_states_match_a_dict_reference(self, n, max_len):
+        # per prefix length, each pair (F(p), row(p)) that no shorter prefix
+        # reaches, with the least p of the length reaching it, in ascending
+        # p; orders 1..3 read one length past the last with a new state
+        hlen = n - 1
+        reached, want = set(), []
+        for plen in range(n, max_len + 1):
+            p = np.arange(1 << plen)
+            rows = ((p & ((1 << hlen) - 1)) << hlen) | (p >> (plen - hlen))
+            new = {}
+            for state, code in zip(zip(factor_keys(n, plen, p).tolist(), rows.tolist()),
+                                   p.tolist()):
+                if state not in reached:
+                    new.setdefault(state, code)
+            reached.update(new)
+            want.append(sorted((code, key, row) for (key, row), code in new.items()))
+        got = [list(zip(p.tolist(), keys.tolist(), rows.tolist()))
+               for _, (keys, rows, p) in zip(range(n, max_len + 1), _new_states(n))]
+        assert got == want[:len(got)] and not any(want[len(got):])
+        assert len(got) < len(want) if n < 4 else len(got) == len(want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_new_states_pinned(self, n):
