@@ -19,12 +19,13 @@ u = c w c splits again with u = c.
 
 Counts and checks read the package's one word scan, ``scan.factor_keys``.
 Up to order 6 a count sorts each chunk's bitmap keys in place and counts
-their runs; above, it is the count of ``scan.factor_classes``, whose
-classes of two or more words the checks walk. That class scan hashes each
-word's factor set, one letter at a time from its prefix's hash, and keys
-exactly only the words whose hashes collide, checking the time budget
-after each chunk of each prefix length. Budgets are charged the scans'
-buffers (``scan.scan_nbytes``, ``scan.class_scan_nbytes``) up front, the
+their runs; above, it is the count of ``scan.factor_classes``' scan,
+which lists no class for it; the checks walk the classes of two or more
+words it lists. That class scan hashes each word's factor set, one letter
+at a time from its prefix's hash, and keys exactly only the words whose
+hashes collide, checking the time budget after each chunk of its phases
+and after its sort. Budgets are charged the scans' buffers
+(``scan.scan_nbytes``, ``scan.class_scan_nbytes``) up front, the
 colliding words' keys once counted, and the checks' members and pairs
 before they are built. The checks compare minimal periods and root classes
 as integers, from one ``scan.period_classes`` call over the shared classes'
@@ -40,8 +41,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .scan import (_BITMAP_MAX_ORDER, SCAN_CHUNK_BITS, class_scan_nbytes, factor_classes,
-                   factor_keys, period_classes, scan_nbytes)
+from .scan import (_BITMAP_MAX_ORDER, SCAN_CHUNK_BITS, _class_runs, class_scan_nbytes,
+                   factor_classes, factor_keys, period_classes, scan_nbytes)
 from .words import Word, _duval, lyndon_count
 
 BRUTE_MAX_T = 24
@@ -128,7 +129,8 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
                        started: float | None = None) -> TCell:
     """T(t, n) by scanning all 2^t words in-process: above order 6 with
-    ``scan.factor_classes``, else in chunks. The budget's seconds run from
+    ``scan.factor_classes``' scan, which lists no class and checks the time
+    after its last phase, else in chunks. The budget's seconds run from
     ``started`` (a ``time.monotonic()`` reading), when given, so a scan that
     is part of a longer run gets what that run has left; else from the call."""
     hashed = n > _BITMAP_MAX_ORDER
@@ -137,9 +139,7 @@ def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
     if started is not None:
         meter.started = started
     if hashed:
-        count = factor_classes(n, t, meter)[0]
-        meter.check_time(f"T({t},{n})")
-        return TCell(t, n, count, "brute")
+        return TCell(t, n, _class_runs(n, t, meter)[0], "brute")
     parts: list[np.ndarray] = []
     for start in range(0, 1 << t, chunk):
         parts.append(_distinct(factor_keys(n, t, range(start, start + chunk))))

@@ -15,15 +15,24 @@ table (bit code(x) set iff x is a member). On top of it live:
     bit to masks whose sum a grow table (None: all) holds and keeps those a
     keep table holds (the census's unreached states, gaining only above the
     least member in its closed walks; the covering walks' masks over all
-    vertices but 0, which every mask holds; simple paths, which only gain),
+    vertices but 0, which every mask holds, and the open ones' masks holding
+    the vertex; simple paths, which only gain),
     and a greedy walk read off layers stepped on the reversed graph
-    (bounds); and shortest (circular) witness search: not found from those
-    tests before any search, else one breadth-first search over those states
-    with a parent link per state, whose first goal state reached ends the
-    lexicographically least shortest walk, pruned by the strong components,
-    each covered before a covering walk leaves it; the circular search runs
-    once, from the least member; it keeps only the states it reaches, as
-    bit sets over every covered mask would not fit for 32 members.
+    (bounds, and the ordinary witness search below); and shortest (circular)
+    witness search: not found from those tests before any search. The
+    ordinary search of a set of at most 16 members that is one strong
+    component, at least half of its members having both successors, runs on
+    walk layers from every ({v}, v), stopped at the first layer in which a
+    start covers the set: a bit set of 2^members bits per member and move,
+    however much the set branches. Every other search is one breadth-first search over those
+    states with a parent link per state, whose first goal state reached ends
+    the lexicographically least shortest walk, pruned by the strong
+    components, each covered before a covering walk leaves it; it keeps
+    only the states it reaches, as bit sets over every covered mask would
+    not fit for 32 members. It stays where it is cheaper: the circular
+    search runs once, from the least member, so its frontier stays narrow;
+    the prune bounds the states of a set of several components; and on a
+    sparse set few states branch.
 
 All values are immutable; the searches keep only private state.
 """
@@ -359,9 +368,9 @@ def _greedy_walk(moves: list, layers: Iterable[list[int]], v: int, states: int) 
     return walk
 
 
-# Bytes per state reached by the witness search (its parent dict and
-# frontier): tracemalloc's peak over the states reached on FactorSet.full(4)
-# was 71.5 for shortest_witness and 104.6 to 105.2 for
+# Bytes per state reached by the breadth-first witness search (its parent
+# dict and frontier): tracemalloc's peak over the states reached on
+# FactorSet.full(4) was 71.5 for the ordinary search and 104.6 to 105.2 for
 # shortest_circular_witness, varying with what the process held before; the
 # larger, rounded up, is charged, plus a byte per 8 members, which a state's
 # covered mask grows with.
@@ -372,8 +381,14 @@ _STATE_BYTES = 106
 _TABLE_STATES = 4
 
 
-def _cover_word(fs: FactorSet, starts: int, end: int | None,
-                budget: Budget | None) -> Word | None:
+def _structure(fs: FactorSet) -> tuple[dict[int, tuple[int, ...]], list[list[int]]]:
+    """The overlap graph of fs and its strong components."""
+    adj = _successors(fs)
+    return adj, strong_components(adj)
+
+
+def _cover_word(fs: FactorSet, starts: int, end: int | None, budget: Budget | None,
+                structure: tuple | None = None) -> Word | None:
     """The least word of a shortest walk over the overlap graph of fs that
     starts at a vertex of the bit set ``starts`` (members of fs), covers
     every member and, unless ``end`` is None, ends at ``end``; None, decided
@@ -392,6 +407,7 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
     next vertex, so every state is first reached by its least shortest walk,
     and the first goal state reached ends the least shortest walk. The word
     is that walk's first vertex, then the last letter of each next one.
+    ``structure``, when given, is ``_structure(fs)``, made by the caller.
     """
     n = fs.order
     wmask = (1 << n) - 1
@@ -416,8 +432,7 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
         meter.note(depth=0, states=count, frontier=count)
         meter.charge_memory(count * size, "witness search start")
         meter.charge_memory(len(fs) * _TABLE_STATES * size, "witness search tables")
-    adj = _successors(fs)
-    comps = strong_components(adj)
+    adj, comps = structure or _structure(fs)
     # members ranked in component order: per member, its covered bit and
     # the covered bits of every member of the earlier components
     bit, earlier = {}, {}
@@ -471,21 +486,104 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None,
     raise AssertionError("the witness search ran dry on a chained overlap graph")
 
 
+# The ordinary search takes the walk layers only on sets of at most this many
+# members: a layer then holds at most 2^16 bits per vertex, the census's width
+_LAYER_MAX_MEMBERS = 16
+
+
+def _takes_layers(adj: Mapping[int, tuple[int, ...]], comps: list[list[int]]) -> bool:
+    """Whether the ordinary search of a set of at most _LAYER_MAX_MEMBERS
+    members with overlap graph ``adj`` and strong components ``comps`` runs
+    on walk layers: the graph is one strong component, and at least half of
+    its members have both successors.
+
+    A layer costs m 2^m bits for m members, whatever the set; the
+    breadth-first states grow with the branching and the starts. So the
+    layers take what the search handles worst, a set branching within one
+    component (FactorSet.full(4): 1.5 ms on layers, 6.6 ms breadth-first),
+    and leave it the rest: the component prune bounds the states of a set
+    of several components (0xbedf of order 4, components of 1, 1, 9, 1 and 1
+    members: 86 us, 301 us on layers), and a sparse set reaches few states
+    while its walk can take many more moves than it has members (0x365c7ab0
+    of order 5, 16 members, 21 moves: 1.0 ms, 2.8 ms on layers). Timed with
+    timeit, least of 5 or 7, on a 2-core Xeon."""
+    return len(comps) == 1 and 2 * sum(len(xs) == 2 for xs in adj.values()) >= len(adj)
+
+
+def _layer_cover(fs: FactorSet, adj: Mapping[int, tuple[int, ...]],
+                 budget: Budget | None) -> Word:
+    """The least word of a shortest walk covering every member of fs, whose
+    overlap graph ``adj`` is strongly connected, read off walk layers.
+
+    Members are ranked by code. Layer d holds, per member v, the masks that
+    walks of d moves from v cover: layer 0 holds ({v}, v), and each next
+    layer is ``_step_forward`` on the successor ranks, v's bit, the masks
+    holding v and every mask grown. The first layer in which some start
+    holds every member gives the length; the least such start, then
+    ``_greedy_walk`` down the layers, gives the least walk, as successors
+    are listed by ascending code, i.e. next letter. With a budget, the
+    tables and step temporaries, then each layer, are charged before they
+    are built, each layer's depth and the states held are noted, and the
+    time is checked after each layer.
+    """
+    codes = list(adj)  # ascending
+    m = len(codes)
+    full = (1 << m) - 1
+    rank = {x: r for r, x in enumerate(codes)}
+    # a bit set over the masks, a Python int of 2^m bits (4 bytes per 30 bits
+    # and a header), with its list slot; a layer holds one per member
+    bits = (1 << m) // 7 + 40
+    size = m * bits
+    meter = BudgetMeter(budget) if budget is not None else None
+    if meter is not None:
+        # the move tables, four states per member as in the breadth-first
+        # search, the masks holding each member, layer 0 and a step's temporaries
+        meter.charge_memory(m * _TABLE_STATES * _STATE_BYTES + 2 * size + 8 * bits,
+                            "witness layer tables")
+    moves = [([rank[y] for y in adj[x]], 1 << r, keep, None)
+             for r, (x, keep) in enumerate(zip(codes, _containing(m)))]
+    layers = [[1 << (1 << r) for r in range(m)]]
+    states = m
+    while not any(masks >> full for masks in layers[-1]):
+        if meter is not None:
+            meter.charge_memory(size, f"witness layer {len(layers)}")
+        layers.append(_step_forward(moves, layers[-1]))
+        if meter is not None:
+            states += sum(map(int.bit_count, layers[-1]))
+            meter.note(depth=len(layers) - 1, states=states)
+            meter.check_time(f"witness layer {len(layers) - 1}")
+    start = next(r for r, masks in enumerate(layers[-1]) if masks >> full)
+    walk = _greedy_walk(moves, layers[-2::-1], start, 1 << full)
+    code = codes[start]
+    for r in walk[1:]:
+        code = code << 1 | codes[r] & 1
+    return Word(fs.order + len(walk) - 1, code)
+
+
 def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResult:
     """Shortest ordinary witness, lexicographically least among minimal.
 
-    Not found as in is_representable, before any search; else one
-    breadth-first search over (covered, vertex) states from each
-    single-member state of the source strong component, ascending, ends at
-    the first covering the set; a walk of d edges gives a witness of length
-    order + d. With a budget, the start layer, the component and move tables
-    and each later layer are charged against the memory limit at their
-    largest possible size before they are built, so the charge never passes
-    the limit, and the time limit is checked after each layer.
+    Not found as in is_representable, before any search. Else the overlap
+    graph and its components, made once, pick the search (``_takes_layers``):
+    walk layers (``_layer_cover``) for a set of at most 16 members that is
+    one strong component with at least half of its members branching, and
+    otherwise one breadth-first search over (covered, vertex) states from
+    each single-member state of the source strong component, ascending,
+    ended at the first covering the set. Both give the same word; a walk of
+    d edges gives a witness of length order + d. With a budget, each search
+    charges what it holds before building it, at its largest possible size,
+    so the charge never passes the limit, and checks the time after each
+    layer: the breadth-first search its start layer, component and move
+    tables and each later layer; the walk layers their tables and step
+    temporaries and each layer, all kept for the walk read back.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
-    w = _cover_word(fs, fs.members, None, budget)
+    structure = _structure(fs) if len(fs) <= _LAYER_MAX_MEMBERS else None
+    if structure and _takes_layers(*structure):
+        w = _layer_cover(fs, structure[0], budget)
+    else:
+        w = _cover_word(fs, fs.members, None, budget, structure)
     return WitnessResult(False) if w is None else WitnessResult(True, w.length, w)
 
 

@@ -243,13 +243,44 @@ def _holding(hashes: np.ndarray, shared: np.ndarray, meter: BudgetMeter) -> np.n
     return np.concatenate(found)
 
 
-def _shared_runs(keys: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """The number of distinct keys and, in key order, the positions of every
-    key held two or more times, ascending."""
+def _class_runs(n: int, ell: int, meter: BudgetMeter
+                ) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarray]:
+    """``factor_classes`` up to its lists: the number of distinct sets; the
+    ascending codes of the words given keys (None: every word); and, as
+    ``sorted_runs`` gives them, the stable order of those keys and where its
+    runs of equal keys start. A caller that needs only the count makes no
+    list."""
+    if n <= _BITMAP_MAX_ORDER:
+        order, starts = sorted_runs(factor_keys(n, ell, range(1 << ell)))
+        return starts.size, None, order, starts
+    hashes = _set_hashes(n, ell, meter)
+    ordered = np.sort(hashes)
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]  # a hash k words hold, k - 1 times
+    del ordered
+    meter.note(phase="hash sort")
+    meter.check_time(f"sort of the set hashes of length {ell}")
+    if repeats.size == 0:
+        return hashes.size, None, np.empty(0, np.intp), np.empty(0, np.intp)
+    shared = repeats[np.append(True, repeats[1:] != repeats[:-1])]
+    sharing = repeats.size + shared.size  # words holding a shared hash
+    del repeats
+    held = scan_nbytes(n, ell, sharing)
+    meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
+    members = _holding(hashes, shared, meter)
+    del hashes
+    _, _, key_dt, width = _scan_dtypes(n, ell, False)
+    keys = np.empty((sharing, width), key_dt)
+    for lo in range(0, sharing, 1 << HASH_CHUNK_BITS):
+        hi = min(sharing, lo + (1 << HASH_CHUNK_BITS))
+        keys[lo:hi] = factor_keys(n, ell, members[lo:hi])
+        meter.note(phase="row keys", words_scanned=hi)
+        meter.check_time(f"row keys of length {ell}")
     order, starts = sorted_runs(keys)
-    ends = np.append(starts[1:], order.size)
-    shared = ends - starts > 1
-    return starts.size, [order[a:b] for a, b in zip(starts[shared], ends[shared])]
+    del keys
+    meter.note(phase="row-key sort")
+    meter.check_time(f"sort of the row keys of length {ell}")
+    meter.release_memory(held)
+    return (1 << ell) - sharing + starts.size, members, order, starts
 
 
 def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.ndarray]]:
@@ -270,35 +301,16 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
 
     The meter's ``phase`` names the step last run: "set hashes" (with the
     prefix length and ``words_scanned``, after each chunk of each length),
-    "hash sort", "shared hashes" (after each chunk), "row keys" and
-    "row-key sort". The time is checked after each but the last, which the
-    callers check when this returns.
+    "hash sort", "shared hashes" and "row keys" (each after each chunk of
+    2^HASH_CHUNK_BITS words, with ``words_scanned``), and "row-key sort",
+    one lexsort; the time is checked after each. Up to order 6 the scan
+    notes nothing and checks no time: the callers check when it returns.
     """
-    if n <= _BITMAP_MAX_ORDER:
-        return _shared_runs(factor_keys(n, ell, range(1 << ell)))
-    hashes = _set_hashes(n, ell, meter)
-    ordered = np.sort(hashes)
-    repeats = ordered[1:][ordered[1:] == ordered[:-1]]  # a hash k words hold, k - 1 times
-    del ordered
-    meter.note(phase="hash sort")
-    meter.check_time(f"sort of the set hashes of length {ell}")
-    if repeats.size == 0:
-        return hashes.size, []
-    shared = repeats[np.append(True, repeats[1:] != repeats[:-1])]
-    sharing = repeats.size + shared.size  # words holding a shared hash
-    del repeats
-    held = scan_nbytes(n, ell, sharing)
-    meter.charge_memory(held, f"row keys of {sharing} words sharing a set hash")
-    members = _holding(hashes, shared, meter)
-    del hashes
-    keys = factor_keys(n, ell, members)
-    meter.note(phase="row keys")
-    meter.check_time(f"row keys of length {ell}")
-    count, runs = _shared_runs(keys)
-    del keys
-    meter.note(phase="row-key sort")
-    meter.release_memory(held)
-    return (1 << ell) - sharing + count, [members[run] for run in runs]
+    count, members, order, starts = _class_runs(n, ell, meter)
+    ends = np.append(starts[1:], order.size)
+    shared = ends - starts > 1
+    runs = [order[a:b] for a, b in zip(starts[shared], ends[shared])]
+    return count, runs if members is None else [members[run] for run in runs]
 
 
 def scan_nbytes(n: int, ell: int, count: int) -> int:

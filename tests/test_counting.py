@@ -15,7 +15,7 @@ from factorwords import (Budget, BudgetExceededError, OutOfValidityRegion, Word,
                          count_T_bruteforce, count_T_closed, counterexample_family,
                          equal_factor_pairs, lyndon_words, period, t_table)
 from factorwords.budget import BudgetMeter
-from factorwords.scan import factor_classes
+from factorwords.scan import HASH_CHUNK_BITS, factor_classes
 
 
 @pytest.fixture
@@ -106,10 +106,15 @@ class TestBruteForce:
         assert e.value.progress["phase"] in {"set hashes", "hash sort", "shared hashes",
                                              "row keys", "row-key sort"}
 
-    @pytest.mark.parametrize("phase", ["hash sort", "shared hashes", "row keys", "row-key sort"])
-    def test_class_scan_checks_the_time_after_each_phase(self, monkeypatch, phase):
+    @pytest.mark.parametrize("phase,t", [("hash sort", 16), ("shared hashes", 16),
+                                         ("row keys", 16), ("row-key sort", 16), ("row keys", 18)],
+                             ids=["hash sort", "shared hashes", "row keys", "row-key sort",
+                                  "row keys, first of two chunks"])
+    def test_class_scan_checks_the_time_after_each_phase(self, monkeypatch, phase, t):
         # a clock that reads 0 until the meter notes the phase, then 1 s: the
-        # next time check refuses, before any later phase is noted
+        # next time check refuses, before any later phase is noted; at t = 18
+        # the words sharing a set hash fill two row-key chunks, and the check
+        # after the first refuses
         meters = []
 
         class Meter(BudgetMeter):
@@ -121,8 +126,11 @@ class TestBruteForce:
         monkeypatch.setattr(budget_mod.time, "monotonic",
                             lambda: float(any(m.progress.get("phase") == phase for m in meters)))
         with pytest.raises(BudgetExceededError) as e:
-            count_T_bruteforce(16, 7, Budget(max_seconds=0.5), started=0.0)
+            count_T_bruteforce(t, 7, Budget(max_seconds=0.5), started=0.0)
         assert e.value.progress["phase"] == phase
+        if t == 18:
+            members = sum(map(len, factor_classes(7, t, BudgetMeter(Budget()))[1]))
+            assert e.value.progress["words_scanned"] == 1 << HASH_CHUNK_BITS < members
 
 
 class TestClosedForm:

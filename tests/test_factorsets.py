@@ -9,6 +9,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -21,8 +22,8 @@ from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, Word,
                          shortest_witness)
 from factorwords import factorsets
 from factorwords.budget import BudgetMeter
-from factorwords.factorsets import (WitnessResult, _cover_word, _sides, _successors,
-                                    strong_components)
+from factorwords.factorsets import (WitnessResult, _cover_word, _layer_cover, _sides,
+                                    _structure, _successors, _takes_layers, strong_components)
 
 
 def fs(text):
@@ -459,6 +460,29 @@ class TestWitnesses:
             for starts, end in ((s.members, None), (1 << u, u)):
                 assert _cover_word(s, starts, end, None) == reference_cover_word(s, starts, end)
 
+    def test_layers_match_the_breadth_first_search(self, monkeypatch):
+        # every set of orders 1..4 the rule sends to the walk layers, and 300
+        # seeded order-5 ones, unions of the circular factor sets of one to
+        # four words: the layers give the word the breadth-first search gives
+        # alone, and shortest_witness takes them without that search
+        rng = random.Random(37)
+        sets = [s for n in (1, 2, 3, 4) for s in map(partial(FactorSet, n), range(1, 1 << (1 << n)))
+                if _takes_layers(*_structure(s))]
+        assert len(sets) == 529
+        while len(sets) < 529 + 300:
+            members = 0
+            for _ in range(rng.randint(1, 4)):
+                ell = rng.randint(2, 16)
+                members |= circular_factors(Word(ell, rng.getrandbits(ell)), 5).members
+            s = FactorSet(5, members)
+            if len(s) <= 16 and _takes_layers(*_structure(s)):
+                sets.append(s)
+        bfs = [_cover_word(s, s.members, None, None) for s in sets]
+        monkeypatch.setattr(factorsets, "_cover_word", None)
+        for s, word in zip(sets, bfs):
+            assert _layer_cover(s, _successors(s), None) == word, s.to_hex()
+            assert shortest_witness(s) == WitnessResult(True, word.length, word)
+
     def test_prune_cuts_the_states_reached(self, monkeypatch):
         # 0xbedf, one of the hardest order-4 sets (mu_4 = 24), has strong
         # components of sizes 1, 1, 9, 1, 1; without the prune, the search
@@ -497,18 +521,24 @@ class TestWitnesses:
     @pytest.mark.parametrize("n,members", [(3, 0xff), (4, 0xffff), (4, 0xbedf)])
     def test_charge_bounds_the_peak(self, n, members, monkeypatch):
         # the start layer, the component and move tables and each later
-        # layer's worst case, held at most at once, cover the search's peak
-        held = []
+        # layer's worst case, held at most at once, cover the search's peak;
+        # the ordinary search of full(3) and full(4) runs on walk layers, each
+        # charged before it is built, with the tables and step temporaries
+        held, on_layers = [], [False]  # the flag is set in place, allocating nothing traced
 
         class PeakMeter(BudgetMeter):
             def charge_memory(self, nbytes, what=""):
                 super().charge_memory(nbytes, what)
                 held.append(self.charged_bytes)
+                on_layers[0] |= what == "witness layer tables"
 
         monkeypatch.setattr(factorsets, "BudgetMeter", PeakMeter)
         s = FactorSet(n, members)
+        layered = members != 0xbedf
+        assert _takes_layers(*_structure(s)) == layered
         for search in (shortest_witness, shortest_circular_witness):
             held.clear()
+            on_layers[0] = False
             tracemalloc.start()
             try:
                 search(s, Budget())
@@ -516,10 +546,13 @@ class TestWitnesses:
             finally:
                 tracemalloc.stop()
             assert peak <= max(held), (search.__name__, s.to_hex())
+            assert on_layers[0] == (layered and search is shortest_witness)
 
     def test_state_bytes_cover_the_peak_per_state(self, monkeypatch):
-        # _STATE_BYTES is the most tracemalloc measured per state the search
-        # notes on full(4), in either flavour
+        # _STATE_BYTES is the most tracemalloc measured per state the
+        # breadth-first search notes on full(4), in either flavour; the
+        # ordinary one is called directly, as shortest_witness takes full(4)
+        # on walk layers
         noted = []
 
         class LoggingMeter(BudgetMeter):
@@ -528,7 +561,8 @@ class TestWitnesses:
                 super().note(**kwargs)
 
         monkeypatch.setattr(factorsets, "BudgetMeter", LoggingMeter)
-        for search in (shortest_witness, shortest_circular_witness):
+        ordinary = lambda s, budget: _cover_word(s, s.members, None, budget)
+        for search in (ordinary, shortest_circular_witness):
             noted.clear()
             tracemalloc.start()
             try:
@@ -543,8 +577,11 @@ class TestWitnesses:
             with pytest.raises(BudgetExceededError) as exc:
                 search(FactorSet.full(5), Budget(max_memory_bytes=1 << 20))
             assert exc.value.progress["depth"] >= 1
-            with pytest.raises(BudgetExceededError):
+            with pytest.raises(BudgetExceededError) as exc:
                 search(FactorSet.full(4), Budget(max_seconds=1e-9))
+            # the ordinary search of full(4) runs on walk layers
+            layer = "witness layer 1" if search is shortest_witness else "witness search depth 1"
+            assert str(exc.value).endswith(layer)
             assert search(FactorSet.full(4), Budget()) == search(FactorSet.full(4))
 
     def test_budget_stop_never_overshoots(self):
