@@ -21,18 +21,17 @@ table (bit code(x) set iff x is a member). On top of it live:
     (bounds, and the ordinary witness search below); and shortest (circular)
     witness search: not found from those tests before any search. The
     ordinary search of a set of at most 16 members that is one strong
-    component, at least half of its members having both successors, runs on
-    walk layers from every ({v}, v), stopped at the first layer in which a
-    start covers the set: a bit set of 2^members bits per member and move,
-    however much the set branches. Every other search is one breadth-first search over those
-    states with a parent link per state, whose first goal state reached ends
-    the lexicographically least shortest walk, pruned by the strong
-    components, each covered before a covering walk leaves it; it keeps
-    only the states it reaches, as bit sets over every covered mask would
-    not fit for 32 members. It stays where it is cheaper: the circular
-    search runs once, from the least member, so its frontier stays narrow;
-    the prune bounds the states of a set of several components; and on a
-    sparse set few states branch.
+    component runs on walk layers from every ({v}, v), stopped at the first
+    layer in which a start covers the set: a bit set of 2^members bits per
+    member and move, however much the set branches. Every other search is
+    one breadth-first search over those states with a parent link per
+    state, whose first goal state reached ends the lexicographically least
+    shortest walk, pruned by the strong components, each covered before a
+    covering walk leaves it; it keeps only the states it reaches, as bit
+    sets over every covered mask would not fit for 32 members. It stays
+    where it is cheaper: the circular search runs once, from the least
+    member, so its frontier stays narrow, and the prune bounds the states
+    of a set of several components.
 
 All values are immutable; the searches keep only private state.
 """
@@ -407,7 +406,13 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None, budget: Budget | No
     next vertex, so every state is first reached by its least shortest walk,
     and the first goal state reached ends the least shortest walk. The word
     is that walk's first vertex, then the last letter of each next one.
-    ``structure``, when given, is ``_structure(fs)``, made by the caller.
+    ``structure``, when given, is ``_structure(fs)``, made by the caller:
+    shortest_witness, which makes it to pick the search for a set of at most
+    16 members, passes it on. Over the ordinary queries of perfbench's seeds
+    1, 41 and 57 (batches 0..2, about 1950 breadth-first searches each)
+    that took 103, 104 and 107 ms against 127, 122 and 133 ms with the
+    structure made again here (process time, median of 11 interleaved runs
+    on a 2-core Xeon).
     """
     n = fs.order
     wmask = (1 << n) - 1
@@ -491,25 +496,6 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None, budget: Budget | No
 _LAYER_MAX_MEMBERS = 16
 
 
-def _takes_layers(adj: Mapping[int, tuple[int, ...]], comps: list[list[int]]) -> bool:
-    """Whether the ordinary search of a set of at most _LAYER_MAX_MEMBERS
-    members with overlap graph ``adj`` and strong components ``comps`` runs
-    on walk layers: the graph is one strong component, and at least half of
-    its members have both successors.
-
-    A layer costs m 2^m bits for m members, whatever the set; the
-    breadth-first states grow with the branching and the starts. So the
-    layers take what the search handles worst, a set branching within one
-    component (FactorSet.full(4): 1.5 ms on layers, 6.6 ms breadth-first),
-    and leave it the rest: the component prune bounds the states of a set
-    of several components (0xbedf of order 4, components of 1, 1, 9, 1 and 1
-    members: 86 us, 301 us on layers), and a sparse set reaches few states
-    while its walk can take many more moves than it has members (0x365c7ab0
-    of order 5, 16 members, 21 moves: 1.0 ms, 2.8 ms on layers). Timed with
-    timeit, least of 5 or 7, on a 2-core Xeon."""
-    return len(comps) == 1 and 2 * sum(len(xs) == 2 for xs in adj.values()) >= len(adj)
-
-
 def _layer_cover(fs: FactorSet, adj: Mapping[int, tuple[int, ...]],
                  budget: Budget | None) -> Word:
     """The least word of a shortest walk covering every member of fs, whose
@@ -564,23 +550,41 @@ def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResu
     """Shortest ordinary witness, lexicographically least among minimal.
 
     Not found as in is_representable, before any search. Else the overlap
-    graph and its components, made once, pick the search (``_takes_layers``):
-    walk layers (``_layer_cover``) for a set of at most 16 members that is
-    one strong component with at least half of its members branching, and
-    otherwise one breadth-first search over (covered, vertex) states from
-    each single-member state of the source strong component, ascending,
-    ended at the first covering the set. Both give the same word; a walk of
-    d edges gives a witness of length order + d. With a budget, each search
-    charges what it holds before building it, at its largest possible size,
-    so the charge never passes the limit, and checks the time after each
-    layer: the breadth-first search its start layer, component and move
-    tables and each later layer; the walk layers their tables and step
-    temporaries and each layer, all kept for the walk read back.
+    graph and its components, made once, pick the search: walk layers
+    (``_layer_cover``) for a set of at most 16 members that is one strong
+    component, and otherwise one breadth-first search (``_cover_word``)
+    over (covered, vertex) states from each single-member state of the
+    source strong component, ascending, ended at the first covering the
+    set. Both give the same word; a walk of d edges gives a witness of
+    length order + d.
+
+    A layer costs m 2^m bits for m members, whatever the set; the
+    breadth-first states grow with the branching and the starts. So the
+    layers take a set branching within one component (FactorSet.full(4):
+    1.5 ms on layers, 6.6 ms breadth-first) and leave the search a set of
+    several components, whose states the prune bounds (0xbedf of order 4,
+    components of 1, 1, 9, 1 and 1 members: 86 us, 301 us on layers). A
+    sparse one-component set can run slower on layers, when its walk takes
+    many more moves than it has members (0x365c7ab0 of order 5, 16 members,
+    21 moves: 1.0 ms, 2.8 ms on layers), but not the sparse ones the
+    witness queries draw: the 333, 345 and 328 one-component sets of at
+    most 16 members, fewer than half of them branching, among the ordinary
+    queries of perfbench's seeds 1, 41 and 57 (batches 0..2) took 14.3,
+    25.5 and 13.6 ms on layers against 15.4, 29.6 and 14.5 ms
+    breadth-first (process time, median of 7 interleaved runs). Timed on a
+    2-core Xeon.
+
+    With a budget, each search charges what it holds before building it,
+    at its largest possible size, so the charge never passes the limit, and
+    checks the time after each layer: the breadth-first search its start
+    layer, component and move tables and each later layer; the walk layers
+    their tables and step temporaries and each layer, all kept for the walk
+    read back.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
     structure = _structure(fs) if len(fs) <= _LAYER_MAX_MEMBERS else None
-    if structure and _takes_layers(*structure):
+    if structure and len(structure[1]) == 1:
         w = _layer_cover(fs, structure[0], budget)
     else:
         w = _cover_word(fs, fs.members, None, budget, structure)

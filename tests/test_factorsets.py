@@ -23,7 +23,7 @@ from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, Word,
 from factorwords import factorsets
 from factorwords.budget import BudgetMeter
 from factorwords.factorsets import (WitnessResult, _cover_word, _layer_cover, _sides,
-                                    _structure, _successors, _takes_layers, strong_components)
+                                    _structure, _successors, strong_components)
 
 
 def fs(text):
@@ -461,21 +461,22 @@ class TestWitnesses:
                 assert _cover_word(s, starts, end, None) == reference_cover_word(s, starts, end)
 
     def test_layers_match_the_breadth_first_search(self, monkeypatch):
-        # every set of orders 1..4 the rule sends to the walk layers, and 300
-        # seeded order-5 ones, unions of the circular factor sets of one to
-        # four words: the layers give the word the breadth-first search gives
-        # alone, and shortest_witness takes them without that search
+        # every set of orders 1..4 the rule sends to the walk layers, one
+        # strong component of at most 16 members, and 300 seeded order-5
+        # ones, unions of the circular factor sets of one to four words: the
+        # layers give the word the breadth-first search gives alone, and
+        # shortest_witness takes them without that search
         rng = random.Random(37)
         sets = [s for n in (1, 2, 3, 4) for s in map(partial(FactorSet, n), range(1, 1 << (1 << n)))
-                if _takes_layers(*_structure(s))]
-        assert len(sets) == 529
-        while len(sets) < 529 + 300:
+                if len(s) <= 16 and len(_structure(s)[1]) == 1]
+        assert len(sets) == 1031
+        while len(sets) < 1031 + 300:
             members = 0
             for _ in range(rng.randint(1, 4)):
                 ell = rng.randint(2, 16)
                 members |= circular_factors(Word(ell, rng.getrandbits(ell)), 5).members
             s = FactorSet(5, members)
-            if len(s) <= 16 and _takes_layers(*_structure(s)):
+            if len(s) <= 16 and len(_structure(s)[1]) == 1:
                 sets.append(s)
         bfs = [_cover_word(s, s.members, None, None) for s in sets]
         monkeypatch.setattr(factorsets, "_cover_word", None)
@@ -535,7 +536,7 @@ class TestWitnesses:
         monkeypatch.setattr(factorsets, "BudgetMeter", PeakMeter)
         s = FactorSet(n, members)
         layered = members != 0xbedf
-        assert _takes_layers(*_structure(s)) == layered
+        assert (len(_structure(s)[1]) == 1) == layered
         for search in (shortest_witness, shortest_circular_witness):
             held.clear()
             on_layers[0] = False
