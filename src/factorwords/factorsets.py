@@ -566,13 +566,13 @@ def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResu
     components of 1, 1, 9, 1 and 1 members: 86 us, 301 us on layers). A
     sparse one-component set can run slower on layers, when its walk takes
     many more moves than it has members (0x365c7ab0 of order 5, 16 members,
-    21 moves: 1.0 ms, 2.8 ms on layers), but not the sparse ones the
-    witness queries draw: the 333, 345 and 328 one-component sets of at
-    most 16 members, fewer than half of them branching, among the ordinary
-    queries of perfbench's seeds 1, 41 and 57 (batches 0..2) took 14.3,
-    25.5 and 13.6 ms on layers against 15.4, 29.6 and 14.5 ms
-    breadth-first (process time, median of 7 interleaved runs). Timed on a
-    2-core Xeon.
+    21 moves: 1.0 ms, 2.8 ms on layers), but the sparse ones the witness
+    queries draw take less on layers in total: the 333, 345 and 328
+    one-component sets of at most 16 members, fewer than half of them
+    branching, among the ordinary queries of perfbench's seeds 1, 41 and 57
+    (batches 0..2) took 14.3, 25.5 and 13.6 ms on layers against 15.4, 29.6
+    and 14.5 ms breadth-first (process time, median of 7 interleaved runs).
+    Timed on a 2-core Xeon.
 
     With a budget, each search charges what it holds before building it,
     at its largest possible size, so the charge never passes the limit, and
