@@ -18,6 +18,12 @@ printed, against the default memory budget (FACTORSET_BUDGET_MB or 2048).
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 budget exhaustion. Data goes to stdout; progress notes to stderr.
 
+The parser is the standard library's argparse, built once at import from the
+table ``_COMMANDS``, so the CLI needs no package beyond numpy. An option is
+read only when spelled out in full, never from a prefix, and --help has no -h
+form. argparse's own usage errors (an unknown option, a missing or badly
+typed value) exit 2, as the commands' own refusals do.
+
 Each command imports the modules it runs when it runs, so importing the CLI
 and --help load none of them: factors and witness load ``factorsets``,
 enumerate ``enumeration``, bounds that and ``bounds``, verify --hamiltonian
@@ -28,12 +34,10 @@ Every other command, and every refusal, starts without it.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import time
-
-import click
-from click.core import ParameterSource
 
 from . import __version__
 from .budget import Budget, BudgetExceededError, BudgetMeter
@@ -42,20 +46,6 @@ SCHEMA_VERSION = "1"
 
 # published reference count for the one order we cannot recompute quickly
 PUBLISHED_CIRC_COUNTS = {5: 2466131}
-
-
-def _format_option(*extra: str):
-    return click.option("--format", "-f", "output_format", default="text",
-                        type=click.Choice(["text", "json", *extra]),
-                        help="Output format.")
-
-
-def _budget_options(fn):
-    fn = click.option("--max-seconds", default=None, type=float,
-                      help="Wall-clock budget in seconds.")(fn)
-    return click.option("--budget-mb", default=None, type=int,
-                        help="Memory budget in MiB (default: "
-                             "FACTORSET_BUDGET_MB or 2048).")(fn)
 
 
 def _budget(budget_mb: int | None, max_seconds: float | None) -> Budget:
@@ -72,11 +62,11 @@ def _charge_table(meter: BudgetMeter, which: str, order: int, top: int) -> None:
 def _emit_json(command: str, payload: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     doc.update(payload)
-    click.echo(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True))
 
 
 def _fail_usage(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -89,26 +79,14 @@ def _guard(fn):
         try:
             return fn(*args, **kwargs)
         except BudgetExceededError as e:
-            click.echo(f"budget exhausted: {e}", err=True)
-            click.echo(f"progress: {json.dumps(e.progress, sort_keys=True)}", err=True)
+            print(f"budget exhausted: {e}", file=sys.stderr)
+            print(f"progress: {json.dumps(e.progress, sort_keys=True)}", file=sys.stderr)
             sys.exit(3)
         except ValueError as e:  # InvalidLength and EmptySet among them
             _fail_usage(str(e))
     return wrapper
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="factorwords")
-def main():
-    """Factor sets of binary words: representability, witnesses, counts."""
-
-
-@main.command("factors")
-@click.argument("word")
-@click.option("--n", "order", type=int, required=True, help="Factor length.")
-@click.option("--circular", is_flag=True, help="Read the word circularly.")
-@click.option("--hex", "as_hex", is_flag=True, help="Print the hex bitmap.")
-@_format_option()
 @_guard
 def cmd_factors(word, order, circular, as_hex, output_format):
     """Print the set of length-N factors of WORD."""
@@ -129,18 +107,9 @@ def cmd_factors(word, order, circular, as_hex, output_format):
             "word": str(w), "n": order, "circular": circular,
             "factors": [str(x) for x in fs], "hex": fs.to_hex()})
     else:
-        click.echo(fs.to_hex() if as_hex else fs.to_text())
+        print(fs.to_hex() if as_hex else fs.to_text())
 
 
-@main.command("witness")
-@click.argument("set_spec", required=False)
-@click.option("--n", "order", type=int, required=True, help="Word length of the set.")
-@click.option("--circular", is_flag=True, help="Search for a circular witness.")
-@click.option("--hex", "as_hex", is_flag=True,
-              help="SET_SPEC is a hex bitmap of 2^n bits.")
-@click.option("--full", "use_full", is_flag=True, help="Use the full set.")
-@_format_option()
-@_budget_options
 @_guard
 def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
                 budget_mb, max_seconds):
@@ -168,18 +137,11 @@ def cmd_witness(set_spec, order, circular, as_hex, use_full, output_format,
             "found": result.found, "length": result.length,
             "witness": str(result.witness) if result.witness else None})
     elif result.found:
-        click.echo(f"{result.length} {result.witness}")
+        print(f"{result.length} {result.witness}")
     else:
-        click.echo("not circularly representable" if circular
-                   else "not representable")
+        print("not circularly representable" if circular else "not representable")
 
 
-@main.command("enumerate")
-@click.option("--n", "order", type=int, required=True, help="Order to enumerate.")
-@click.option("--oracle", is_flag=True,
-              help="Use the brute-force scan instead of the graph search.")
-@_format_option()
-@_budget_options
 @_guard
 def cmd_enumerate(order, oracle, output_format, budget_mb, max_seconds):
     """Counts, extremal witness lengths and witnesses for one order."""
@@ -198,20 +160,15 @@ def cmd_enumerate(order, oracle, output_format, budget_mb, max_seconds):
                       "memory_budget_bytes": budget.max_memory_bytes}})
     else:
         r = result
-        click.echo(f"n {r.n}")
-        click.echo(f"|C_{r.n}| {r.circ_count}")
-        click.echo(f"|R_{r.n}| {r.rep_count}")
-        click.echo(f"nu {r.nu}")
-        click.echo(f"mu {r.mu}")
-        click.echo(f"longest_circ_witness {r.longest_circ_witness}")
-        click.echo(f"longest_witness {r.longest_witness}")
+        print(f"n {r.n}")
+        print(f"|C_{r.n}| {r.circ_count}")
+        print(f"|R_{r.n}| {r.rep_count}")
+        print(f"nu {r.nu}")
+        print(f"mu {r.mu}")
+        print(f"longest_circ_witness {r.longest_circ_witness}")
+        print(f"longest_witness {r.longest_witness}")
 
 
-@main.command("ttable")
-@click.option("--t-max", type=int, default=16, show_default=True)
-@click.option("--n-max", type=int, default=8, show_default=True)
-@_format_option("csv", "md")
-@_budget_options
 @_guard
 def cmd_ttable(t_max, n_max, output_format, budget_mb, max_seconds):
     """The table of T(t, n) counts."""
@@ -220,15 +177,11 @@ def cmd_ttable(t_max, n_max, output_format, budget_mb, max_seconds):
     if output_format == "json":
         _emit_json("ttable", table.to_json_dict())
     elif output_format == "csv":
-        click.echo(table.to_csv(), nl=False)
+        print(table.to_csv(), end="")
     else:
-        click.echo(table.to_markdown(), nl=False)
+        print(table.to_markdown(), end="")
 
 
-@main.command("bounds")
-@click.option("--n", "order", type=int, required=True, help="Order to report on.")
-@_format_option()
-@_budget_options
 @_guard
 def cmd_bounds(order, output_format, budget_mb, max_seconds):
     """Sandwich lower <= |C_n| <= upper for the circularly representable
@@ -258,27 +211,14 @@ def cmd_bounds(order, output_format, budget_mb, max_seconds):
             "count_source": source, "holds": ok,
             "growth_ratio": round(ratio, 6)})
     else:
-        click.echo(f"2^(2^{m}) = {lower} <= |C_{target}| = {count} "
-                   f"<= 10^(2^{m - 1}) = {upper}")
-        click.echo(f"count source: {source}; growth ratio "
-                   f"|C_{target}|^(1/2^{target}) = {ratio:.4f}")
+        print(f"2^(2^{m}) = {lower} <= |C_{target}| = {count} "
+              f"<= 10^(2^{m - 1}) = {upper}")
+        print(f"count source: {source}; growth ratio "
+              f"|C_{target}|^(1/2^{target}) = {ratio:.4f}")
     if not ok:
         sys.exit(1)
 
 
-@main.command("verify")
-@click.option("--theorem1", nargs=2, type=int, default=None,
-              help="t n: check the equal-factor characterization.")
-@click.option("--allow-out-of-region", is_flag=True,
-              help="Scan --theorem1 outside its validity region.")
-@click.option("--conjecture2n", type=int, default=None,
-              help="n: scan the t = 2n boundary conjecture.")
-@click.option("--hamiltonian", type=int, default=None,
-              help="TRIALS: random strongly connected digraphs vs the walk bound.")
-@click.option("--seed", default=0, show_default=True,
-              help="Seed of the --hamiltonian digraphs.")
-@_format_option()
-@_budget_options
 @_guard
 def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
                output_format, budget_mb, max_seconds):
@@ -291,8 +231,7 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
         _fail_usage("--hamiltonian needs at least one trial")
     if allow_out_of_region and theorem1 is None:
         _fail_usage("--allow-out-of-region reads --theorem1")
-    if hamiltonian is None and (click.get_current_context().get_parameter_source("seed")
-                                is not ParameterSource.DEFAULT):
+    if hamiltonian is None and seed is not None:
         _fail_usage("--seed reads --hamiltonian")
 
     if theorem1 is not None:
@@ -314,6 +253,7 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
         import random
 
         from . import bounds as bounds_mod
+        seed = seed or 0
         rng = random.Random(seed)
         meter = BudgetMeter(budget)
         failures = []
@@ -336,11 +276,99 @@ def cmd_verify(theorem1, allow_out_of_region, conjecture2n, hamiltonian, seed,
         _emit_json("verify", {"check": label, "passed": passed,
                               "report": payload})
     else:
-        click.echo(f"{label}: {'PASS' if passed else 'FAIL'}")
+        print(f"{label}: {'PASS' if passed else 'FAIL'}")
         if not passed:
-            click.echo(json.dumps(payload, sort_keys=True))
+            print(json.dumps(payload, sort_keys=True))
     if not passed:
         sys.exit(1)
+
+
+
+def _opt(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+def _format(*extra: str) -> tuple:
+    return _opt("--format", "-f", dest="output_format", default="text",
+                choices=("text", "json", *extra), help="Output format.")
+
+
+_HELP = _opt("--help", action="help", help="Show this message and exit.")
+_ORDER = {"dest": "order", "type": int, "required": True, "metavar": "N"}
+_FLAG = {"action": "store_true"}
+_BUDGET = (
+    _opt("--budget-mb", type=int, metavar="MIB",
+         help="Memory budget in MiB (default: FACTORSET_BUDGET_MB or 2048)."),
+    _opt("--max-seconds", type=float, metavar="SECONDS", help="Wall-clock budget in seconds."),
+)
+
+# each command's name, function and options besides --help
+_COMMANDS = (
+    ("factors", cmd_factors, (
+        _opt("word", metavar="WORD"),
+        _opt("--n", **_ORDER, help="Factor length."),
+        _opt("--circular", **_FLAG, help="Read the word circularly."),
+        _opt("--hex", dest="as_hex", **_FLAG, help="Print the hex bitmap."),
+        _format())),
+    ("witness", cmd_witness, (
+        _opt("set_spec", nargs="?", metavar="SET_SPEC"),
+        _opt("--n", **_ORDER, help="Word length of the set."),
+        _opt("--circular", **_FLAG, help="Search for a circular witness."),
+        _opt("--hex", dest="as_hex", **_FLAG, help="SET_SPEC is a hex bitmap of 2^n bits."),
+        _opt("--full", dest="use_full", **_FLAG, help="Use the full set."),
+        _format(), *_BUDGET)),
+    ("enumerate", cmd_enumerate, (
+        _opt("--n", **_ORDER, help="Order to enumerate."),
+        _opt("--oracle", **_FLAG, help="Use the brute-force scan instead of the graph search."),
+        _format(), *_BUDGET)),
+    ("ttable", cmd_ttable, (
+        _opt("--t-max", type=int, default=16, metavar="T",
+             help="Longest word length (default: 16)."),
+        _opt("--n-max", type=int, default=8, metavar="N",
+             help="Largest factor length (default: 8)."),
+        _format("csv", "md"), *_BUDGET)),
+    ("bounds", cmd_bounds, (
+        _opt("--n", **_ORDER, help="Order to report on."),
+        _format(), *_BUDGET)),
+    ("verify", cmd_verify, (
+        _opt("--theorem1", nargs=2, type=int, metavar=("T", "N"),
+             help="Check the equal-factor characterization."),
+        _opt("--allow-out-of-region", **_FLAG,
+             help="Scan --theorem1 outside its validity region."),
+        _opt("--conjecture2n", type=int, metavar="N", help="Scan the t = 2n boundary conjecture."),
+        _opt("--hamiltonian", type=int, metavar="TRIALS",
+             help="Random strongly connected digraphs vs the walk bound."),
+        _opt("--seed", type=int, help="Seed of the --hamiltonian digraphs (default: 0)."),
+        _format(), *_BUDGET)),
+)
+
+
+def _build() -> argparse.ArgumentParser:
+    # no parser takes an option's prefix for the option, or -h for --help
+    top = argparse.ArgumentParser(
+        prog="factorwords", allow_abbrev=False, add_help=False,
+        description="Factor sets of binary words: representability, witnesses, counts.")
+    top.add_argument(*_HELP[0], **_HELP[1])
+    top.add_argument("--version", action="version", version=f"factorwords, version {__version__}",
+                     help="Show the version and exit.")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    for name, run, options in _COMMANDS:
+        doc = " ".join((run.__doc__ or "").split())
+        parser = commands.add_parser(name, help=doc, description=doc,
+                                     allow_abbrev=False, add_help=False)
+        for flags, kwargs in (_HELP, *options):
+            parser.add_argument(*flags, **kwargs)
+        parser.set_defaults(run=run)
+    return top
+
+
+_PARSER = _build()
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command ``argv`` names (default: the process's arguments)."""
+    args = vars(_PARSER.parse_args(argv))
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":

@@ -438,6 +438,9 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None, budget: Budget | No
         meter.charge_memory(count * size, "witness search start")
         meter.charge_memory(len(fs) * _TABLE_STATES * size, "witness search tables")
     adj, comps = structure or _structure(fs)
+    firsts = [u for u in sorted(comps[0]) if starts >> u & 1]
+    if not (firsts and _chained(adj, comps) and end in (None, *comps[-1])):
+        return None  # the one not-found verdict, before any table is built
     # members ranked in component order: per member, its covered bit and
     # the covered bits of every member of the earlier components
     bit, earlier = {}, {}
@@ -445,9 +448,7 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None, budget: Budget | No
         below = (1 << len(bit) << n) - (1 << n)
         for x in comp:
             bit[x], earlier[x] = 1 << len(bit) << n, below
-    frontier = [bit[u] | u for u in sorted(comps[0]) if starts >> u & 1]
-    if not (frontier and _chained(adj, comps) and end in (None, *comps[-1])):
-        return None  # the one not-found verdict
+    frontier = [bit[u] | u for u in firsts]
     # per vertex, its moves: the bits a move adds to a state, and the covered
     # bits it needs (0 for a move within the component)
     moves = {}

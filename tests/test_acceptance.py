@@ -67,18 +67,15 @@ def test_criterion_02_order_five_policy():
     # the census covers orders 1..4: no search of this package finishes the
     # order-5 row, so order 5 is refused at once instead of searched until
     # its budget runs out, and the order-5 count is the published one
-    from click.testing import CliRunner
-
-    from factorwords.cli import main
+    from cli_runner import invoke
     try:
         enumerate_representable(5, Budget(max_memory_bytes=32 << 20))
     except ValueError as e:
         assert "orders 1..4" in str(e)
     else:
         raise AssertionError("an order-5 census should be refused")
-    runner = CliRunner()
-    assert runner.invoke(main, ["enumerate", "--n", "5", "--budget-mb", "16"]).exit_code == 2
-    doc = json.loads(runner.invoke(main, ["bounds", "--n", "5", "-f", "json"]).output)
+    assert invoke(["enumerate", "--n", "5", "--budget-mb", "16"]).exit_code == 2
+    doc = json.loads(invoke(["bounds", "--n", "5", "-f", "json"]).output)
     assert (doc["count"], doc["count_source"]) == (PUBLISHED_CIRC_COUNT_5, "published")
     report(2, "order 5 refused by the census (CLI exit 2); bounds --n 5 quotes "
               f"the published |C_5| = {PUBLISHED_CIRC_COUNT_5}")

@@ -1,27 +1,25 @@
 """Command-line surface: formats, exit codes, schema round-trips."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 
 import factorwords
+from factorwords import cli
 from factorwords.bounds import WalkReport
-from factorwords.cli import main
 
 
 @pytest.fixture
 def run():
-    runner = CliRunner()
-
-    def invoke(*args):
-        return runner.invoke(main, list(args))
-    return invoke
+    return lambda *args: invoke(args)
 
 
 class TestFactors:
@@ -62,7 +60,7 @@ class TestFactors:
 
     def test_no_schema_version_option(self, run):
         r = run("factors", "001", "--n", "2", "--schema-version", "1")
-        assert r.exit_code == 2 and "No such option" in r.output
+        assert r.exit_code == 2 and "unrecognized arguments: --schema-version" in r.output
 
 
 class TestWitness:
@@ -214,14 +212,14 @@ class TestEnumerate:
         # for: it scans until no longer word lists a set
         r = run("enumerate", "--n", "4", "--oracle", "--max-len", "12")
         assert r.exit_code == 2 and r.stdout == ""
-        assert "No such option" in r.output
+        assert "unrecognized arguments: --max-len" in r.output
         r = run("enumerate", "--n", "2", "--oracle")
         assert r.exit_code == 0 and "|C_2| 6" in r.stdout and "mu 5" in r.stdout
 
     def test_no_workers_or_checkpoint_options(self, run, tmp_path):
         for extra in (("--workers", "2"), ("--checkpoint", str(tmp_path / "f"))):
             r = run("enumerate", "--n", "4", *extra)
-            assert r.exit_code == 2 and "No such option" in r.output
+            assert r.exit_code == 2 and f"unrecognized arguments: {extra[0]}" in r.output
         assert not (tmp_path / "f").exists()
 
 
@@ -356,15 +354,51 @@ def test_options_a_command_ignores_are_refused(run, args):
     assert run(*args.split()).exit_code == 2
 
 
+@pytest.mark.parametrize("args, prefix", [
+    ("witness 00 --n 2 --circ", "--circ"), ("enumerate --n 2 --budget 5", "--budget"),
+    ("verify --hamiltonian 3 --se 1", "--se"), ("--vers bounds --n 3", "--vers"),
+])
+def test_abbreviated_options_are_refused(run, args, prefix):
+    # an option is read only when spelled out in full
+    r = run(*args.split())
+    assert r.exit_code == 2 and r.stdout == ""
+    assert f"unrecognized arguments: {prefix}" in r.output
+
+
+def test_version(run):
+    r = run("--version")
+    assert r.exit_code == 0 and r.stdout == f"factorwords, version {factorwords.__version__}\n"
+
+
+def test_no_command_exits_2(run):
+    r = run()
+    assert r.exit_code == 2 and r.stdout == ""
+
+
+def _parses(*argv):
+    """Whether the CLI's parser accepts ``argv``; nothing is run."""
+    with redirect_stderr(io.StringIO()):
+        try:
+            cli._PARSER.parse_args(argv)
+        except SystemExit:
+            return False
+    return True
+
+
 def test_each_command_declares_only_the_options_it_reads():
     budget = {"--budget-mb", "--max-seconds"}
     want = {"factors": set(), "witness": budget, "enumerate": budget, "ttable": budget,
             "bounds": budget, "verify": budget | {"--seed"}}
-    for name, cmd in main.commands.items():
-        opts = {o for p in cmd.params for o in p.opts}
-        assert opts & (budget | {"--seed"}) == want[name], name
-        formats = next(p.type.choices for p in cmd.params if p.name == "output_format")
-        assert list(formats) == ["text", "json"] + (["csv", "md"] if name == "ttable" else [])
+    base = {"factors": ("0011", "--n", "2"), "witness": ("00", "--n", "2"),
+            "enumerate": ("--n", "2"), "ttable": (), "bounds": ("--n", "2"), "verify": ()}
+    assert [name for name, *_ in cli._COMMANDS] == list(want)
+    for name, args in base.items():
+        assert _parses(name, *args), name
+        opts = {o for o in budget | {"--seed"} if _parses(name, *args, o, "1")}
+        assert opts == want[name], name
+        formats = [f for f in ("text", "json", "csv", "md", "xml")
+                   if _parses(name, *args, "-f", f)]
+        assert formats == ["text", "json"] + (["csv", "md"] if name == "ttable" else [])
 
 
 def test_cli_import_starts_no_process_machinery():
@@ -380,16 +414,19 @@ def test_cli_import_starts_no_process_machinery():
 
 STARTUP_PROBE = """
 import json, sys
+before = set(sys.modules)
 import factorwords, factorwords.cli
-from click.testing import CliRunner
+watched = json.loads(sys.argv[1])
 
 def loaded():
-    return [m for m in json.loads(sys.argv[1]) if m in sys.modules]
+    outside = {m.split(".")[0] for m in sys.modules.keys() - before}
+    outside -= {*sys.stdlib_module_names, "factorwords", "cli_runner", *watched}
+    return [m for m in watched if m in sys.modules] + sorted(outside)
 
 print(json.dumps(loaded()))
-runner = CliRunner()
+from cli_runner import invoke
 for args in sys.argv[2:]:
-    r = runner.invoke(factorwords.cli.main, args.split())
+    r = invoke(args.split())
     print(json.dumps([r.exit_code, loaded(), r.output]))
 """
 SCAN_MODULES = ("numpy", "factorwords.counting", "factorwords.scan")
@@ -400,11 +437,15 @@ PACKAGE_MODULES = tuple(f"factorwords.{m}" for m in (
 def _startup(*commands, watched=SCAN_MODULES):
     """Which of the ``watched`` modules a fresh interpreter holds after
     importing the CLI, then the exit code, the watched modules held and the
-    output of each command run in it, one after another."""
-    src = Path(factorwords.__file__).parents[1]
+    output of each command run in it, one after another. Each list of the
+    modules held ends with the top-level names of any other module loaded
+    from outside the standard library, so that the CLI's dependencies are
+    watched too."""
+    path = os.pathsep.join((str(Path(factorwords.__file__).parents[1]),
+                            str(Path(__file__).parent)))
     out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(watched), *commands],
                          capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
     return [json.loads(line) for line in out.stdout.splitlines()]
 
 
