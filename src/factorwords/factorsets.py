@@ -8,8 +8,10 @@ table (bit code(x) set iff x is a member). On top of it live:
     its strong components,
   * structural representability tests: does some word have exactly this
     factor set? (the overlap graph unilaterally connected, or strongly
-    connected for circular words, which needs equal prefix and suffix
-    projections, checked first on the table's bits),
+    connected for circular words). Each first runs a test on the table's
+    bits, read a byte at a time, before the graph is built: at most one
+    member without a predecessor and one without a successor for ordinary
+    words, equal prefix and suffix projections for circular ones,
   * the walk-layer kernel over (covered-subset, current-vertex) states, a
     bit set per vertex: one step on fixed per-vertex moves adds the vertex's
     bit to masks whose sum a grow table (None: all) holds and keeps those a
@@ -19,7 +21,8 @@ table (bit code(x) set iff x is a member). On top of it live:
     the vertex; simple paths, which only gain),
     and a greedy walk read off layers stepped on the reversed graph
     (bounds, and the ordinary witness search below); and shortest (circular)
-    witness search: not found from those tests before any search. The
+    witness search: not found from those tests before any search, from the
+    table test before the overlap graph. The
     ordinary search of a set of at most 16 members that is one strong
     component runs on walk layers from every ({v}, v), stopped at the first
     layer in which a start covers the set: a bit set of 2^members bits per
@@ -199,15 +202,34 @@ def circular_factors(w: Word, n: int) -> FactorSet:
     return factors(w.repeated_to(w.length + n - 1), n)
 
 
+# per byte value, its even bits (0, 2, 4, 6) and its odd bits, packed low
+def _packed(nibble: tuple[int, ...]) -> bytes:
+    return bytes([lo | hi << 2 for hi in nibble for lo in nibble])
+
+
+_EVEN_BITS = _packed((0, 1, 0, 1, 2, 3, 2, 3) * 2)
+_ODD_BITS = _packed((0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 3, 3))
+
+
 def _sides(members: int, n: int) -> tuple[int, int, int, int]:
     """Bit tables, over the words x of n-1 letters, of the words 0x, 1x, x0
     and x1 of the order-n set ``members``: the table's low and high halves,
-    and its even and odd bits, read with stride 2 from its binary string
-    padded to even length (no longer than the table up to its top member)."""
+    and its even and odd bits. Byte k of the even (odd) table packs those of
+    the table's bytes 2k and 2k + 1, read through 256-entry ``translate``
+    tables, so the temporaries are sized like the table's bytes."""
+    table = _table(members)
+    low, high = table[::2], table[1::2]
+    del table  # the halves hold its bytes: two tables at most, not three
+    frombytes = int.from_bytes
+    even = (frombytes(low.translate(_EVEN_BITS), "little")
+            | frombytes(high.translate(_EVEN_BITS), "little") << 4)
+    odd = (frombytes(low.translate(_ODD_BITS), "little")
+           | frombytes(high.translate(_ODD_BITS), "little") << 4)
+    del low, high
     half = 1 << (n - 1)
     hi = members >> half
-    bits = format(members, f"0{(members.bit_length() + 2) & ~1}b")
-    return members ^ hi << half, hi, int(bits[1::2], 2), int(bits[::2], 2)
+    # a mask as wide as the low half only where the table reaches past it
+    return members & (1 << half) - 1 if hi else members, hi, even, odd
 
 
 def _balanced(fs: FactorSet) -> bool:
@@ -216,6 +238,23 @@ def _balanced(fs: FactorSet) -> bool:
     n-1 letters and its predecessor ends with its first."""
     lo, hi, even, odd = _sides(fs.members, fs.order)
     return lo | hi == even | odd
+
+
+def _open_ends(fs: FactorSet) -> bool:
+    """Whether at most one member has no predecessor among the members and
+    at most one has no successor, as a covering walk needs: each vertex on
+    it but the first is entered from the one before, and each but the last
+    is left to the one after, so a member no member precedes can only be
+    the walk's first vertex, one no member follows only its last. A member
+    x0 or x1 has a predecessor iff some member ends with x, i.e. x is a
+    tail, and 0y or 1y a successor iff some member begins with y, a head:
+    the members without one number the set's size less those of even and
+    odd at a tail, or of lo and hi at a head."""
+    lo, hi, even, odd = _sides(fs.members, fs.order)
+    heads, tails = even | odd, lo | hi
+    size = len(fs)
+    return (size - (even & tails).bit_count() - (odd & tails).bit_count() < 2
+            and size - (lo & heads).bit_count() - (hi & heads).bit_count() < 2)
 
 
 # -- overlap graph ---------------------------------------------------------
@@ -310,9 +349,17 @@ def is_representable(fs: FactorSet) -> bool:
     witness is a walk visiting every vertex, which crosses the strong
     components in topological order; conversely such a walk can cover each
     component before taking an edge to the next one.
+
+    The table test ``_open_ends`` runs first, on the membership table
+    alone: two members no member precedes (or follows) would both have to
+    begin (end) the walk, so such a set is refused before the overlap graph
+    is built. It never refuses a chained set, and it settles 49482 of the
+    59614 unrepresentable order-4 sets, the strong components the rest.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
+    if not _open_ends(fs):
+        return False
     adj = _successors(fs)
     return _chained(adj, strong_components(adj))
 
@@ -378,6 +425,30 @@ _STATE_BYTES = 106
 # tracemalloc peak was at most 3.4 states' bytes per member over full, random
 # and sparse sets of 8 or more members of orders 2..12.
 _TABLE_STATES = 4
+# Bytes a witness search holds whatever the set: the meter, the result and
+# its tables' headers. Over every set of orders 2 and 3 and every 7th of
+# order 4, tracemalloc's peak passed the largest charge made without them by
+# at most 1498 bytes (breadth-first, 0x3 of order 2), 1302 circularly, 872
+# on walk layers and 493 on a set the table test refuses.
+_FIXED_BYTES = 2048
+# Bytes charged per byte of the membership table for the table tests'
+# temporaries: tracemalloc's peak was at most 3.74 of them, plus 250 bytes of
+# object headers, over full, random and sparse sets of orders 2..22.
+_TEST_TABLES = 4
+
+
+def _passes(test, fs: FactorSet, meter: BudgetMeter | None) -> bool:
+    """test(fs), a table test (_open_ends or _balanced), with its
+    temporaries and the search's fixed part charged before it runs and
+    released after it: a search that follows charges its fixed part with
+    its first tables, in one request."""
+    if meter is None:
+        return test(fs)
+    nbytes = _FIXED_BYTES + _TEST_TABLES * ((fs.members.bit_length() + 7) >> 3)
+    meter.charge_memory(nbytes, "witness table test")
+    ok = test(fs)
+    meter.release_memory(nbytes)
+    return ok
 
 
 def _structure(fs: FactorSet) -> tuple[dict[int, tuple[int, ...]], list[list[int]]]:
@@ -386,7 +457,7 @@ def _structure(fs: FactorSet) -> tuple[dict[int, tuple[int, ...]], list[list[int
     return adj, strong_components(adj)
 
 
-def _cover_word(fs: FactorSet, starts: int, end: int | None, budget: Budget | None,
+def _cover_word(fs: FactorSet, starts: int, end: int | None, meter: BudgetMeter | None,
                 structure: tuple | None = None) -> Word | None:
     """The least word of a shortest walk over the overlap graph of fs that
     starts at a vertex of the bit set ``starts`` (members of fs), covers
@@ -431,11 +502,10 @@ def _cover_word(fs: FactorSet, starts: int, end: int | None, budget: Budget | No
             st = parent[st]
         return Word(n + d, (st & wmask) << d | code)
 
-    meter = BudgetMeter(budget) if budget is not None else None
     if meter is not None:
         count = starts.bit_count()
         meter.note(depth=0, states=count, frontier=count)
-        meter.charge_memory(count * size, "witness search start")
+        meter.charge_memory(_FIXED_BYTES + count * size, "witness search start")
         meter.charge_memory(len(fs) * _TABLE_STATES * size, "witness search tables")
     adj, comps = structure or _structure(fs)
     firsts = [u for u in sorted(comps[0]) if starts >> u & 1]
@@ -498,7 +568,7 @@ _LAYER_MAX_MEMBERS = 16
 
 
 def _layer_cover(fs: FactorSet, adj: Mapping[int, tuple[int, ...]],
-                 budget: Budget | None) -> Word:
+                 meter: BudgetMeter | None) -> Word:
     """The least word of a shortest walk covering every member of fs, whose
     overlap graph ``adj`` is strongly connected, read off walk layers.
 
@@ -508,10 +578,10 @@ def _layer_cover(fs: FactorSet, adj: Mapping[int, tuple[int, ...]],
     holding v and every mask grown. The first layer in which some start
     holds every member gives the length; the least such start, then
     ``_greedy_walk`` down the layers, gives the least walk, as successors
-    are listed by ascending code, i.e. next letter. With a budget, the
-    tables and step temporaries, then each layer, are charged before they
-    are built, each layer's depth and the states held are noted, and the
-    time is checked after each layer.
+    are listed by ascending code, i.e. next letter. With a meter, the fixed
+    part, tables and step temporaries, then each layer, are charged before
+    they are built, each layer's depth and the states held are noted, and
+    the time is checked after each layer.
     """
     codes = list(adj)  # ascending
     m = len(codes)
@@ -521,12 +591,12 @@ def _layer_cover(fs: FactorSet, adj: Mapping[int, tuple[int, ...]],
     # and a header), with its list slot; a layer holds one per member
     bits = (1 << m) // 7 + 40
     size = m * bits
-    meter = BudgetMeter(budget) if budget is not None else None
     if meter is not None:
-        # the move tables, four states per member as in the breadth-first
-        # search, the masks holding each member, layer 0 and a step's temporaries
-        meter.charge_memory(m * _TABLE_STATES * _STATE_BYTES + 2 * size + 8 * bits,
-                            "witness layer tables")
+        # the search's fixed part, the move tables, four states per member as
+        # in the breadth-first search, the masks holding each member, layer 0
+        # and a step's temporaries
+        meter.charge_memory(_FIXED_BYTES + m * _TABLE_STATES * _STATE_BYTES
+                            + 2 * size + 8 * bits, "witness layer tables")
     moves = [([rank[y] for y in adj[x]], 1 << r, keep, None)
              for r, (x, keep) in enumerate(zip(codes, _containing(m)))]
     layers = [[1 << (1 << r) for r in range(m)]]
@@ -550,8 +620,10 @@ def _layer_cover(fs: FactorSet, adj: Mapping[int, tuple[int, ...]],
 def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResult:
     """Shortest ordinary witness, lexicographically least among minimal.
 
-    Not found as in is_representable, before any search. Else the overlap
-    graph and its components, made once, pick the search: walk layers
+    Not found as in is_representable: first from the table
+    (``_open_ends``), before the overlap graph is built, then from the
+    strong components, before any search. Else the overlap graph and its
+    components, made once, pick the search: walk layers
     (``_layer_cover``) for a set of at most 16 members that is one strong
     component, and otherwise one breadth-first search (``_cover_word``)
     over (covered, vertex) states from each single-member state of the
@@ -575,20 +647,27 @@ def shortest_witness(fs: FactorSet, budget: Budget | None = None) -> WitnessResu
     and 14.5 ms breadth-first (process time, median of 7 interleaved runs).
     Timed on a 2-core Xeon.
 
-    With a budget, each search charges what it holds before building it,
-    at its largest possible size, so the charge never passes the limit, and
-    checks the time after each layer: the breadth-first search its start
-    layer, component and move tables and each later layer; the walk layers
-    their tables and step temporaries and each layer, all kept for the walk
-    read back.
+    With a budget, one meter charges what the call holds before building
+    it, at its largest possible size, so the charge never passes the limit,
+    and checks the time after each layer: first the table test's
+    temporaries, four bytes per byte of the membership table, with the fixed
+    part every search holds (the meter, the result and its tables'
+    headers), which is all a set the table refuses is charged; then the
+    breadth-first search its fixed part, start layer, component and move
+    tables and each later layer, or the walk layers their fixed part,
+    tables and step temporaries and each layer, all kept for the walk read
+    back.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
+    meter = BudgetMeter(budget) if budget is not None else None
+    if not _passes(_open_ends, fs, meter):
+        return WitnessResult(False)
     structure = _structure(fs) if len(fs) <= _LAYER_MAX_MEMBERS else None
     if structure and len(structure[1]) == 1:
-        w = _layer_cover(fs, structure[0], budget)
+        w = _layer_cover(fs, structure[0], meter)
     else:
-        w = _cover_word(fs, fs.members, None, budget, structure)
+        w = _cover_word(fs, fs.members, None, meter, structure)
     return WitnessResult(False) if w is None else WitnessResult(True, w.length, w)
 
 
@@ -604,18 +683,20 @@ def shortest_circular_witness(fs: FactorSet,
     its start vertex begins with that vertex, starting from the least member
     gives the lex-least one.
     Reported length is that of the circular word itself. ``budget`` is used
-    as in shortest_witness. A set whose prefix and suffix projections differ
-    or whose overlap graph is not strongly connected has none: no search.
+    as in shortest_witness, the table test being ``_balanced``. A set whose
+    prefix and suffix projections differ or whose overlap graph is not
+    strongly connected has none: no search.
     """
     if fs.is_empty():
         raise EmptySet("no word witnesses the empty set")
-    if not _balanced(fs):
+    meter = BudgetMeter(budget) if budget is not None else None
+    if not _passes(_balanced, fs, meter):
         return WitnessResult(False)
     n = fs.order
     u0 = next(fs.codes())
     if len(fs) == 1:  # with equal projections, a constant word: 0 or 1 circularly
         return WitnessResult(True, 1, Word(1, u0 & 1))
-    w = _cover_word(fs, 1 << u0, u0, budget)
+    w = _cover_word(fs, 1 << u0, u0, meter)
     if w is None:
         return WitnessResult(False)
     d = w.length - n

@@ -128,8 +128,16 @@ class TestWitness:
         assert r.exit_code == 2 and "--hex" in r.output
 
     def test_set_without_a_witness_needs_no_search(self, run):
-        # refused from its strong components, before the search's first layer
+        # refused from its table, before the overlap graph is built
         r = run("witness", "fffffffff3ffffbf", "--hex", "--n", "6", "--budget-mb", "64")
+        assert r.exit_code == 0 and r.output.strip() == "not representable"
+
+    def test_dense_set_without_a_witness_answered_from_its_table(self, run):
+        # the full order-16 set less 0101010101010100 and 0101010101010101:
+        # its search asked for 544 MB at its start and exited 3
+        x = 0b010101010101010
+        spec = format(((1 << 65536) - 1) & ~(3 << 2 * x), "x")
+        r = run("witness", spec, "--hex", "--n", "16", "--budget-mb", "16")
         assert r.exit_code == 0 and r.output.strip() == "not representable"
 
     def test_set_table_charged_before_it_is_built(self, run):

@@ -22,12 +22,18 @@ from factorwords import (Budget, BudgetExceededError, EmptySet, FactorSet, Word,
                          shortest_witness)
 from factorwords import factorsets
 from factorwords.budget import BudgetMeter
-from factorwords.factorsets import (WitnessResult, _cover_word, _layer_cover, _sides,
-                                    _structure, _successors, strong_components)
+from factorwords.factorsets import (WitnessResult, _chained, _cover_word, _layer_cover,
+                                    _open_ends, _sides, _structure, _successors,
+                                    strong_components)
 
 
 def fs(text):
     return FactorSet.parse(text)
+
+
+# the full order-16 set less 0101010101010100 and 0101010101010101: the two
+# members 0010101010101010 and 1010101010101010 have no successor
+DENSE_16 = FactorSet(16, ((1 << (1 << 16)) - 1) & ~(3 << 2 * 0b010101010101010))
 
 
 def str_factors(s, n):
@@ -302,6 +308,30 @@ class TestRepresentability:
             assert not is_circ_representable(s)
             assert shortest_circular_witness(s) == WitnessResult(False)
 
+    def test_open_ends_refuse_only_unrepresentable_sets(self, enum_results):
+        # a set with two members that no member precedes, or two that no
+        # member follows, has no covering walk; over orders 1..4 the table
+        # test refuses 0, 0, 74 and 49482 sets and never a representable one
+        refused = []
+        for n in (1, 2, 3, 4):
+            rep = set(enum_results[n].rep_sets)
+            out = [m for m in range(1, 1 << (1 << n)) if not _open_ends(FactorSet(n, m))]
+            assert rep.isdisjoint(out), n
+            refused.append(len(out))
+        assert refused == [0, 0, 74, 49482]
+
+    def test_open_ends_skip_the_overlap_graph(self, monkeypatch):
+        # a set the table test refuses is answered without its overlap graph,
+        # with or without a budget; the dense order-16 set too, whose search
+        # asked for 544 MB at its start
+        refused = [s for s in map(partial(FactorSet, 3), range(1, 256)) if not _open_ends(s)]
+        assert len(refused) == 74
+        monkeypatch.setattr(factorsets, "_successors", None)
+        for s in [*refused, DENSE_16]:
+            assert not is_representable(s)
+            assert shortest_witness(s) == WitnessResult(False)
+            assert shortest_witness(s, Budget(max_memory_bytes=1 << 20)) == WitnessResult(False)
+
     def test_circular_implies_ordinary(self, enum_results):
         for n in (1, 2, 3, 4):
             for members in enum_results[n].circ_sets:
@@ -326,6 +356,25 @@ def small_factor_sets(draw):
 @given(small_factor_sets())
 def test_structural_decider_agrees_with_search(s):
     assert is_representable(s) == shortest_witness(s).found
+
+
+@st.composite
+def tables_and_word_sets(draw):
+    """Sets of orders 5..10: a uniform random table, or the factors of a
+    random word."""
+    n = draw(st.integers(5, 10))
+    if draw(st.booleans()):
+        return FactorSet(n, draw(st.integers(1, (1 << (1 << n)) - 1)))
+    ell = draw(st.integers(n, 4 << n))
+    return factors(Word(ell, draw(st.integers(0, (1 << ell) - 1))), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_word_sets())
+def test_open_ends_refuse_only_what_the_structure_refuses(s):
+    if not _open_ends(s):
+        adj = _successors(s)
+        assert not _chained(adj, strong_components(adj)), s.to_hex()
 
 
 class TestWitnesses:
@@ -504,8 +553,12 @@ class TestWitnesses:
     def test_no_search_on_a_set_without_a_witness(self, monkeypatch):
         # 0xfffffffff3ffffbf lacks 000110, 011010 and 011011, so 001101 and
         # 101101 have no successor: two sink components, which no walk both
-        # reaches. The structure refuses it before a search layer; a search
-        # run until it ran dry outgrew 1 MiB
+        # reaches. The table test refuses it before the meter notes a depth;
+        # a search run until it ran dry outgrew 1 MiB. 0xbfffffbb7ffffff7
+        # lacks 000011, 011111, 100010, 100110 and 111110: every member has
+        # a predecessor and a successor, but 111111, on its own loop, is a
+        # component the others neither reach nor leave to. The structure
+        # refuses it before a search layer
         depths = []
 
         class LoggingMeter(BudgetMeter):
@@ -516,6 +569,10 @@ class TestWitnesses:
         monkeypatch.setattr(factorsets, "BudgetMeter", LoggingMeter)
         s = FactorSet(6, 0xfffffffff3ffffbf)
         assert [len(comp) for comp in strong_components(_successors(s))] == [59, 1, 1]
+        assert shortest_witness(s, Budget(max_memory_bytes=1 << 20)) == WitnessResult(False)
+        assert depths == []
+        s = FactorSet(6, 0xbfffffbb7ffffff7)
+        assert [len(comp) for comp in strong_components(_successors(s))] == [1, 58]
         assert shortest_witness(s, Budget(max_memory_bytes=1 << 20)) == WitnessResult(False)
         assert depths and max(depths) == 0
 
@@ -549,6 +606,57 @@ class TestWitnesses:
             assert peak <= max(held), (search.__name__, s.to_hex())
             assert on_layers[0] == (layered and search is shortest_witness)
 
+    def test_charge_bounds_the_peak_on_small_sets(self, monkeypatch):
+        # every set of orders 2 and 3 and every 7th of order 4, in both
+        # flavours and on every route (the table test's refusal, walk
+        # layers, breadth-first, a lone circular member): the largest charge
+        # covers tracemalloc's peak, the meter, the result and the tables'
+        # headers included
+        top = [0]
+
+        class PeakMeter(BudgetMeter):
+            def charge_memory(self, nbytes, what=""):
+                super().charge_memory(nbytes, what)
+                if self.charged_bytes > top[0]:
+                    top[0] = self.charged_bytes
+
+        monkeypatch.setattr(factorsets, "BudgetMeter", PeakMeter)
+        sets = [FactorSet(n, m) for n in (2, 3) for m in range(1, 1 << (1 << n))]
+        sets += map(partial(FactorSet, 4), range(1, 1 << 16, 7))
+        assert len(sets) == 9633
+        over = []
+        for search in (shortest_witness, shortest_circular_witness):
+            for s in sets:
+                budget = Budget()
+                search(s, budget)  # fills the caches the search reads
+                top[0] = 0
+                tracemalloc.start()
+                try:
+                    search(s, budget)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                if peak > top[0]:
+                    over.append((search.__name__, s.to_hex(), peak, top[0]))
+        assert over == []
+
+    def test_table_test_charges_its_temporaries(self, monkeypatch):
+        # a set the table test refuses charges only the test: its fixed part
+        # and four bytes per byte of its membership table
+        charges = []
+
+        class LoggingMeter(BudgetMeter):
+            def charge_memory(self, nbytes, what=""):
+                charges.append((what, nbytes))
+                super().charge_memory(nbytes, what)
+
+        monkeypatch.setattr(factorsets, "BudgetMeter", LoggingMeter)
+        assert shortest_witness(DENSE_16, Budget(max_memory_bytes=16 << 20)) == WitnessResult(False)
+        assert charges == [("witness table test", factorsets._FIXED_BYTES + 4 * 8192)]
+        with pytest.raises(BudgetExceededError) as exc:
+            shortest_witness(DENSE_16, Budget(max_memory_bytes=32 << 10))
+        assert "witness table test" in str(exc.value)
+
     def test_state_bytes_cover_the_peak_per_state(self, monkeypatch):
         # _STATE_BYTES is the most tracemalloc measured per state the
         # breadth-first search notes on full(4), in either flavour; the
@@ -562,7 +670,8 @@ class TestWitnesses:
                 super().note(**kwargs)
 
         monkeypatch.setattr(factorsets, "BudgetMeter", LoggingMeter)
-        ordinary = lambda s, budget: _cover_word(s, s.members, None, budget)
+        ordinary = lambda s, budget: _cover_word(s, s.members, None,
+                                                 factorsets.BudgetMeter(budget))
         for search in (ordinary, shortest_circular_witness):
             noted.clear()
             tracemalloc.start()
@@ -635,6 +744,15 @@ def reference_skeletons(fs):
     return count
 
 
+def reference_sides(members, n):
+    """_sides read from the table's binary string: its halves, and its even
+    and odd bits by stride-2 slices of the string padded to even length."""
+    half = 1 << (n - 1)
+    hi = members >> half
+    bits = format(members, f"0{(members.bit_length() + 2) & ~1}b")
+    return members ^ hi << half, hi, int(bits[1::2], 2), int(bits[::2], 2)
+
+
 def projection(fs):
     lo, hi, even, odd = _sides(fs.members, fs.order)
     return FactorSet(fs.order - 1, lo | hi | even | odd)
@@ -672,6 +790,28 @@ class TestIncidence:
                     if ell >= n + 1:
                         assert projection(circular_factors(w, n + 1)) \
                             == circular_factors(w, n)
+
+    def test_sides_match_the_string_form(self):
+        # the bit tables read through bytes.translate against the string
+        # slices they replaced, on every table of orders 1..4 and random ones
+        # of orders 5..14
+        rng = random.Random(40)
+        tables = [(n, m) for n in (1, 2, 3, 4) for m in range(1 << (1 << n))]
+        tables += [(n, rng.getrandbits(1 << n)) for n in range(5, 15) for _ in range(50)]
+        for n, m in tables:
+            assert _sides(m, n) == reference_sides(m, n), (n, hex(m))
+
+    def test_sides_sized_like_the_table(self):
+        # the order-20 set of 181 members has a 128 KiB table: the string
+        # form peaked at 2.16 MB on it
+        s = factors(Word(200, random.Random(5).getrandbits(200)), 20)
+        tracemalloc.start()
+        try:
+            _sides(s.members, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 700_000
 
     def test_bit_forms_match_the_loops(self):
         rng = random.Random(16)
