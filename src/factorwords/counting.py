@@ -17,19 +17,20 @@ a word c v 01 v^R c or c v 10 v^R c (c one letter) and its reversal: the
 shape u v 01 v^R u against u v 10 v^R u with u a palindrome, as a longer
 u = c w c splits again with u = c.
 
-Counts and checks read the package's one word scan, ``scan.factor_keys``.
-Up to order 6 a count sorts each chunk's bitmap keys in place and counts
-their runs; above, it is the count of ``scan.factor_classes``' scan,
-which lists no class for it; the checks walk the classes of two or more
-words it lists. That class scan hashes each word's factor set, one letter
-at a time from its prefix's hash, and keys exactly only the words whose
-hashes collide, checking the time budget after each chunk of its phases
-and after its sort. Budgets are charged the scans' buffers
-(``scan.scan_nbytes``, ``scan.class_scan_nbytes``) up front, the
-colliding words' keys once counted, and the checks' members and pairs
-before they are built. The checks compare minimal periods and root classes
-as integers, from one ``scan.period_classes`` call over the shared classes'
-members; Theorem 1's backward direction compares sets of classes.
+Counts and checks read the package's one scan over all words of a length,
+``scan._set_hashes``: each word's key is its prefix's plus its last window,
+built one letter at a time, with the time budget checked after each chunk.
+Up to order 6 the key is the word's factor bitmap, and a count sorts the
+keys in place and counts their runs; above, it is a hash of the set, and a
+count is that of ``scan.factor_classes``' scan, which lists no class for it
+and keys exactly only the words whose hashes collide, checking the time
+after each chunk of its phases and after its sort. The checks walk the
+classes of two or more words ``factor_classes`` lists. Budgets are charged
+the scan's buffers (``scan.class_scan_nbytes``) up front, the colliding
+words' keys once counted, and the class lists and the checks' members and
+pairs before they are built. The checks compare minimal periods and root
+classes as integers, from one ``scan.period_classes`` call over the shared
+classes' members; Theorem 1's backward direction compares sets of classes.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .scan import (_BITMAP_MAX_ORDER, SCAN_CHUNK_BITS, _class_runs, class_scan_nbytes,
-                   factor_classes, factor_keys, period_classes, scan_nbytes)
+from .scan import (_BITMAP_MAX_ORDER, _class_runs, _set_hashes, class_scan_nbytes,
+                   factor_classes, period_classes)
 from .words import Word, _duval, lyndon_count
 
 BRUTE_MAX_T = 24
@@ -77,10 +78,9 @@ class EqualFactorPair:
 
 # -- scanning all words of one length ---------------------------------------
 
-def _scan_meter(t: int, n: int, budget: Budget | None, words: int,
-                nbytes) -> BudgetMeter:
-    """Validate a scan of length-t words, noting (t, n) in its progress;
-    charge the buffers for ``words`` (``nbytes(n, t, words)``) at once."""
+def _scan_meter(t: int, n: int, budget: Budget | None) -> BudgetMeter:
+    """Validate a scan of the length-t words, noting (t, n) in its progress;
+    charge its buffers (``class_scan_nbytes``) at once."""
     if n < 1:
         raise ValueError("factor length must be positive")
     if t < n:
@@ -89,7 +89,7 @@ def _scan_meter(t: int, n: int, budget: Budget | None, words: int,
         raise ValueError(f"brute force scans words of length t <= {BRUTE_MAX_T}, got t={t}")
     meter = BudgetMeter(budget or Budget.default())
     meter.note(t=t, n=n)
-    meter.charge_memory(nbytes(n, t, words), f"scan of length {t}")
+    meter.charge_memory(class_scan_nbytes(n, t, 1 << t), f"scan of length {t}")
     return meter
 
 
@@ -102,7 +102,7 @@ def _shared_classes(t: int, n: int, budget: Budget | None) -> tuple[list, Budget
     """In bitmap order, every class of two or more words of length t with one
     factor set: its codes ascending, each with its period and root class;
     and the meter charged the scan and the members."""
-    meter = _scan_meter(t, n, budget, 1 << t, class_scan_nbytes)
+    meter = _scan_meter(t, n, budget)
     classes = factor_classes(n, t, meter)[1]
     meter.check_time(f"factor classes of length {t}")
     codes = np.concatenate([np.empty(0, np.int64), *classes])
@@ -135,29 +135,19 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
                        started: float | None = None) -> TCell:
-    """T(t, n) by scanning all 2^t words in-process: above order 6 with
-    ``scan.factor_classes``' scan, which lists no class and checks the time
-    after its last phase, else in chunks. The budget's seconds run from
-    ``started`` (a ``time.monotonic()`` reading), when given, so a scan that
-    is part of a longer run gets what that run has left; else from the call."""
-    hashed = n > _BITMAP_MAX_ORDER
-    chunk = 1 << (t if hashed else min(t, SCAN_CHUNK_BITS))
-    meter = _scan_meter(t, n, budget, chunk, class_scan_nbytes if hashed else scan_nbytes)
+    """T(t, n) by scanning all 2^t words in-process: up to order 6 the
+    distinct keys of ``scan._set_hashes``, above the count of its class scan.
+    The budget's seconds run from ``started`` (a ``time.monotonic()``
+    reading), when given, so a scan that is part of a longer run gets what
+    that run has left; else from the call."""
+    meter = _scan_meter(t, n, budget)
     if started is not None:
         meter.started = started
-    if hashed:
+    if n > _BITMAP_MAX_ORDER:
         return TCell(t, n, _class_runs(n, t, meter)[0], "brute")
-    parts: list[np.ndarray] = []
-    for start in range(0, 1 << t, chunk):
-        parts.append(_distinct(factor_keys(n, t, range(start, start + chunk))))
-        meter.charge_memory(parts[-1].nbytes, f"T({t},{n}) chunk keys")
-        meter.check_time(f"T({t},{n})")
-    if len(parts) == 1:
-        return TCell(t, n, len(parts[0]), "brute")
-    meter.release_memory(scan_nbytes(n, t, chunk))
-    merged = np.concatenate(parts)
-    meter.charge_memory(scan_nbytes(n, t, len(merged)), f"T({t},{n}) merge")
-    return TCell(t, n, len(_distinct(merged)), "brute")
+    value = len(_distinct(_set_hashes(n, t, meter)))
+    meter.check_time(f"T({t},{n})")
+    return TCell(t, n, value, "brute")
 
 
 def count_T_closed(t: int, n: int) -> TCell:

@@ -202,16 +202,6 @@ def enumerate_representable(n: int, budget: Budget | None = None,
 
 # -- brute-force oracle -------------------------------------------------------
 
-def brute_force_nbytes(n: int, max_len: int | None) -> int:
-    """The bytes ``brute_force_enumerate`` charges up front: its one word
-    scan's ``word_scan_nbytes``, state flags included (at order 4, 1.65 MB;
-    tracemalloc's peak was 1.46 MB, 1.48 MB with the listings). Set listings
-    (collect_sets) are charged on top, each batch as it is kept and each
-    sorted listing before it is built."""
-    from .scan import word_scan_nbytes
-    return word_scan_nbytes(n, max_len)
-
-
 def brute_force_enumerate(n: int, max_len: int | None = None, budget: Budget | None = None,
                           collect_sets: bool = False) -> EnumerationResult:
     """Independent oracle: scan the words and circular words until no longer
@@ -221,16 +211,18 @@ def brute_force_enumerate(n: int, max_len: int | None = None, budget: Budget | N
     circular words once, at its shortest witness length, with the least code
     of that length giving it, both from one run. Uncapped, the result is
     exact by itself; a cap below the order's longest shortest witness
-    truncates the row.
+    truncates the row. ``scan.word_scan_nbytes`` is charged up front (at
+    order 4, 1.65 MB; tracemalloc's peak, 1.48 MB with the listings), and
+    each set listing kept (collect_sets) before it is built.
     """
     check_order(n)
     if max_len is not None and max_len < n:
         raise ValueError("max_len must be at least the order")
     import numpy as np  # with the scan, only once the arguments hold
 
-    from .scan import word_scan
+    from .scan import word_scan, word_scan_nbytes
     meter = BudgetMeter(budget or Budget.default())
-    meter.charge_memory(brute_force_nbytes(n, max_len), "scan buffers")
+    meter.charge_memory(word_scan_nbytes(n, max_len), "scan buffers")
     hists, least, listed = ({}, {}), [0, 0], ([], [])  # ordinary, circular
     for ell, *batches in word_scan(n, max_len, meter):
         for f, (sets, codes) in enumerate(batches):

@@ -8,12 +8,13 @@ n - 1 letters) no shorter word reached, until none is new, and
 ``period_classes`` gives minimal periods and root classes of a batch of
 words.
 
-Above order 6, ``factor_classes`` sorts no key per word. It gives each word
-a 32-bit set hash, the wrapping sum over its distinct factors of a fixed
-value from a table (Zobrist hashing), built one letter at a time from the
-hashes of the words' prefixes, and sorts the hashes once; only the words
-holding a hash another word holds get exact row keys, which split any
-collision. Equal sets hash equally, so the classes are exact at any width.
+One scan keys all the words of a length, ``_set_hashes``, each word's key
+built from its prefix's one letter at a time: up to order 6 its factor
+bitmap; above, a 32-bit set hash, the wrapping sum over its distinct factors
+of a fixed value from a table (Zobrist hashing). ``factor_classes`` sorts
+the keys once; above order 6 only the words holding a hash another word
+holds get exact row keys, which split any collision. Equal sets hash
+equally, so the classes are exact at any width.
 
 The kernels keep off numpy idioms that run per row or per element rather
 than as one pass over a 1-D array, each measured several times slower at
@@ -39,9 +40,6 @@ from .budget import BudgetMeter
 from .words import InvalidLength
 
 _BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
-# codes per scan call in counting's chunked T(t, n) scan: on the order-4
-# brute-force scan, 2^18 ran faster and with a third of the memory of 2^21
-SCAN_CHUNK_BITS = 18
 
 
 def period_classes(t: int, codes) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +137,10 @@ def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(np.concatenate(([len(keys) > 0], fresh)))
 
 
-# The hashed class scan (orders above 6) fills 2^HASH_CHUNK_BITS codes of a
-# prefix length per chunk; at (n, t) = (10, 20) and (11, 22), chunks of
-# 2^13..2^16 ran within about a fifth of each other and 2^12 slower (best of
-# 7, 2-core Xeon), and 2^14 keeps a chunk's temporaries near 256 KiB
+# The class scan fills 2^HASH_CHUNK_BITS codes of a prefix length per chunk;
+# at (n, t) = (10, 20) and (11, 22), chunks of 2^13..2^16 ran within about a
+# fifth of each other and 2^12 slower (best of 7, 2-core Xeon), and 2^14
+# keeps a chunk's temporaries near 256 KiB
 HASH_CHUNK_BITS = 14
 _GOLDEN, _MIX1, _MIX2 = (np.uint64(c) for c in
                          (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
@@ -161,66 +159,72 @@ def _factor_hash(factors: np.ndarray) -> np.ndarray:
 
 
 def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
-    """Per word of length ``ell``, by code, the sum mod 2^32 (uint32) of
-    ``_factor_hash`` over its distinct length-n factors, so equal sets hash
-    equally.
+    """Per word of length ``ell``, by code, a key of its length-n factor
+    set: up to order 6 its bitmap, as ``factor_keys`` gives it; above, the
+    sum mod 2^32 (uint32) of ``_factor_hash`` over its distinct factors.
 
-    The hashes are built one letter at a time, for prefix lengths L = n + 1
+    The keys are built one letter at a time, for prefix lengths L = n + 1
     .. ell. The distinct windows of an L-letter word c are those of its first
-    L - 1 letters, c >> 1, and its last window unless that repeats an earlier
-    one: H_L[c] = H_{L-1}[c >> 1], plus the last window's factor hash unless
-    R_L[c]. The last window repeats the one k letters back exactly when
-    ((c >> k) ^ c) & mask == 0; for k < L - n that reads only the last L - 1
-    letters, c mod 2^(L-1), so level L - 1 decided it for that word, and
-    R_L[c] is R_{L-1}[c mod 2^(L-1)] or the one new distance, k = L - n.
+    L - 1 letters, c >> 1, and its last window. A bitmap ORs in that
+    window's bit, which a repeat leaves as it was; a hash adds its factor
+    hash unless R_L[c], the window repeats. It repeats the one k letters
+    back exactly when ((c >> k) ^ c) & mask == 0; for k < L - n that reads
+    only the last L - 1 letters, c mod 2^(L-1), so level L - 1 decided it
+    for that word, and R_L[c] is R_{L-1}[c mod 2^(L-1)] or the one new
+    distance, k = L - n.
 
     Every level is written into the output, chunk by chunk from the top
     down: a chunk [lo, hi) reads only the prefixes [lo/2, hi/2), which no
     chunk above it overwrites. The flags of levels below ``ell`` live in one
     array of 2^(ell-1), each level's written over the last's in place (a
     chunk of the upper half reads the lower half, not yet overwritten). The
-    table of factor hashes is made a chunk at a time; at n == ell it is the
-    result. After each chunk the level and the codes filled at it
-    (``words_scanned``) are noted to the meter, and the time is checked.
+    table of factor hashes is made a chunk at a time. After each chunk the
+    level and the codes filled at it (``words_scanned``) are noted to the
+    meter, and the time is checked.
     """
-    table = np.empty(1 << n, np.uint32)
-    for lo in range(0, 1 << n, 1 << HASH_CHUNK_BITS):
-        hi = min(1 << n, lo + (1 << HASH_CHUNK_BITS))
-        table[lo:hi] = _factor_hash(np.arange(lo, hi))
-    if ell == n:
-        return table
-    code_dt = _scan_dtypes(n, ell, False)[1].type
-    mask = code_dt((1 << n) - 1)
-    hashes = np.empty(1 << ell, np.uint32)
-    hashes[:1 << n] = table
-    repeats = np.zeros(1 << (ell - 1), bool)  # R_n: a word of n letters repeats no window
+    _, code_dt, key_dt, _ = _scan_dtypes(n, ell, False)
+    bitmap = n <= _BITMAP_MAX_ORDER
+    if bitmap:
+        table = np.left_shift(key_dt.type(1), np.arange(1 << n, dtype=key_dt))
+    else:
+        table = np.empty(1 << n, np.uint32)
+        for lo in range(0, 1 << n, 1 << HASH_CHUNK_BITS):
+            hi = min(1 << n, lo + (1 << HASH_CHUNK_BITS))
+            table[lo:hi] = _factor_hash(np.arange(lo, hi))
+    mask = code_dt.type((1 << n) - 1)
+    keys = np.empty(1 << ell, table.dtype)
+    keys[:1 << n] = table
+    repeats = None if bitmap else np.zeros(1 << (ell - 1), bool)  # R_n: none repeats
     for level in range(n + 1, ell + 1):
         half = 1 << (level - 1)
         size = min(half, 1 << HASH_CHUNK_BITS)
         width = min(size, 1 << n)  # per row of a chunk, c & mask runs through a table slice
-        back = code_dt(level - n)
+        back = code_dt.type(level - n)
         for lo in range(2 * half - size, -1, -size):
             hi = lo + size
-            codes = np.arange(lo, hi, dtype=code_dt)
-            rep = ((codes >> back) ^ codes) & mask == 0
-            del codes  # not held past the chunk's masked add, nor into the next chunk
-            carried = repeats[lo & (half - 1):][:size]
-            if level < ell:
-                rep = np.logical_or(carried, rep, out=repeats[lo:hi])
-            else:
-                rep |= carried
-            part = hashes[lo:hi]
-            prefix = hashes[lo >> 1:hi >> 1]
+            part = keys[lo:hi]
+            prefix = keys[lo >> 1:hi >> 1]
             if lo == 0:  # the lowest chunk's prefixes lie inside it
                 prefix = prefix.copy()
             part[0::2] = prefix
             part[1::2] = prefix
             col = int(lo & mask)
             grid = part.reshape(-1, width)
-            grid += table[col:col + width] * ~rep.reshape(-1, width)
+            if bitmap:
+                grid |= table[col:col + width]
+            else:
+                codes = np.arange(lo, hi, dtype=code_dt)
+                rep = ((codes >> back) ^ codes) & mask == 0
+                del codes  # not held past the chunk's masked add, nor into the next chunk
+                carried = repeats[lo & (half - 1):][:size]
+                if level < ell:
+                    rep = np.logical_or(carried, rep, out=repeats[lo:hi])
+                else:
+                    rep |= carried
+                grid += table[col:col + width] * ~rep.reshape(-1, width)
             meter.note(phase="set hashes", level=level, words_scanned=2 * half - lo)
-            meter.check_time(f"set hashes of length {ell}")
-    return hashes
+            meter.check_time(f"set hashes of T({ell},{n})")
+    return keys
 
 
 def _holding(hashes: np.ndarray, shared: np.ndarray, meter: BudgetMeter) -> np.ndarray:
@@ -250,15 +254,15 @@ def _class_runs(n: int, ell: int, meter: BudgetMeter
     ``sorted_runs`` gives them, the stable order of those keys and where its
     runs of equal keys start. A caller that needs only the count makes no
     list."""
-    if n <= _BITMAP_MAX_ORDER:
-        order, starts = sorted_runs(factor_keys(n, ell, range(1 << ell)))
-        return starts.size, None, order, starts
     hashes = _set_hashes(n, ell, meter)
+    if n <= _BITMAP_MAX_ORDER:
+        order, starts = sorted_runs(hashes)
+        return starts.size, None, order, starts
     ordered = np.sort(hashes)
     repeats = ordered[1:][ordered[1:] == ordered[:-1]]  # a hash k words hold, k - 1 times
     del ordered
     meter.note(phase="hash sort")
-    meter.check_time(f"sort of the set hashes of length {ell}")
+    meter.check_time(f"sort of the set hashes of T({ell},{n})")
     if repeats.size == 0:
         return hashes.size, None, np.empty(0, np.intp), np.empty(0, np.intp)
     shared = repeats[np.append(True, repeats[1:] != repeats[:-1])]
@@ -274,13 +278,18 @@ def _class_runs(n: int, ell: int, meter: BudgetMeter
         hi = min(sharing, lo + (1 << HASH_CHUNK_BITS))
         keys[lo:hi] = factor_keys(n, ell, members[lo:hi])
         meter.note(phase="row keys", words_scanned=hi)
-        meter.check_time(f"row keys of length {ell}")
+        meter.check_time(f"row keys of T({ell},{n})")
     order, starts = sorted_runs(keys)
     del keys
     meter.note(phase="row-key sort")
-    meter.check_time(f"sort of the row keys of length {ell}")
+    meter.check_time(f"sort of the row keys of T({ell},{n})")
     meter.release_memory(held)
     return (1 << ell) - sharing + starts.size, members, order, starts
+
+
+# Bytes per class listed: tracemalloc's peak was 137-145 per view of the sort
+# order (10^2..10^4 classes); a copy from the members adds one more, and 8 per member
+_LIST_BYTES = 152
 
 
 def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.ndarray]]:
@@ -289,60 +298,67 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     Returns the number of distinct sets and, in bitmap order, the ascending
     codes of every set that two or more of the words share.
 
-    Orders up to 6 sort every word's bitmap key. Above that, each word gets
-    a 32-bit set hash (``_set_hashes``) and one sort of the hashes finds
-    those two or more words hold. Equal sets hash equally, so a word whose
-    hash no other word holds is alone in its set; only the words holding a
-    shared hash get exact row keys, which split any collision and put the
-    classes in bitmap order. So the hash width sets only how many words get
-    row keys: at 2^24 words, 32 bits add some (2^24)^2 / 2^33 = 2^15 pairs.
-    ``class_scan_nbytes`` bounds the buffers other than those row keys,
-    which are charged to the meter while they are held.
+    Every word gets a key (``_set_hashes``), sorted once: up to order 6 its
+    bitmap; above, a 32-bit set hash. Equal sets hash equally, so a word
+    whose hash no other word holds is alone in its set; only the words
+    holding a shared hash get exact row keys, which split any collision and
+    put the classes in bitmap order. So the hash width sets only how many
+    words get row keys: at 2^24 words, 32 bits add some (2^24)^2 / 2^33 =
+    2^15 pairs. ``class_scan_nbytes`` bounds the buffers other than those
+    row keys, charged to the meter while they are held, and the lists
+    returned, charged before they are built.
 
     The meter's ``phase`` names the step last run: "set hashes" (with the
     prefix length and ``words_scanned``, after each chunk of each length),
-    "hash sort", "shared hashes" and "row keys" (each after each chunk of
-    2^HASH_CHUNK_BITS words, with ``words_scanned``), and "row-key sort",
-    one lexsort; the time is checked after each. Up to order 6 the scan
-    notes nothing and checks no time: the callers check when it returns.
+    and above order 6 "hash sort", "shared hashes" and "row keys" (each
+    after each chunk of 2^HASH_CHUNK_BITS words, with ``words_scanned``),
+    and "row-key sort", one lexsort; the time is checked after each. The
+    callers check it after the sort up to order 6.
     """
     count, members, order, starts = _class_runs(n, ell, meter)
     ends = np.append(starts[1:], order.size)
     shared = ends - starts > 1
-    runs = [order[a:b] for a, b in zip(starts[shared], ends[shared])]
+    starts, ends = starts[shared], ends[shared]
+    lists = starts.size * _LIST_BYTES
+    if members is not None:
+        lists += starts.size * _LIST_BYTES + 8 * int((ends - starts).sum())
+    meter.charge_memory(lists, f"{starts.size} factor classes of length {ell}")
+    runs = [order[a:b] for a, b in zip(starts, ends)]
     return count, runs if members is None else [members[run] for run in runs]
 
 
 def scan_nbytes(n: int, ell: int, count: int) -> int:
-    """An upper bound on the bytes held at once by ``factor_keys`` on a range
-    of ``count`` codes, then ``sorted_runs`` (not the lists ``factor_classes``
-    returns): per word, the larger of making the keys (codes, a window, keys,
-    temporaries) and sorting them (keys, copy, order, buffer, run starts).
+    """An upper bound on the bytes held at once by ``factor_keys`` on
+    ``count`` codes above order 6, then ``sorted_runs``: per word, the
+    larger of making the row keys (codes, a window, keys, temporaries) and
+    sorting them (keys, copy, order, buffer, run starts).
     """
     _, code_dt, key_dt, width = _scan_dtypes(n, ell, False)
     key = key_dt.itemsize * width
-    making = (code_dt.itemsize * 2 + key
-              + (3 * key_dt.itemsize if n <= _BITMAP_MAX_ORDER else width))
+    making = code_dt.itemsize * 2 + key + width
     sorting = 2 * key + 8 * 3 + width + 2
     return count * max(making, sorting)
 
 
 def class_scan_nbytes(n: int, ell: int, count: int) -> int:
-    """An upper bound on the bytes ``factor_classes`` holds at once on a range
-    of ``count`` codes, beside the lists it returns and, above order 6, the
-    row keys of the words sharing a set hash, which it charges to its meter:
-    up to order 6, ``scan_nbytes``; above, per word a 4-byte hash and then a
-    sorted copy and a flag (while the hashes are made, half a byte of repeat
-    flags); 4 bytes per factor for their hash table, and 24 per factor of a
-    chunk while it is made; per word of a chunk its code, two temporaries and
+    """An upper bound on the bytes ``factor_classes``, or a count of the
+    distinct keys of ``_set_hashes``, holds at once over ``count`` words of
+    length ``ell``, beside what ``factor_classes`` charges its meter. Up to
+    order 6, per word its key, the sort order, a sorted copy, three flags
+    and a run start, and 8 KiB (tracemalloc, per word at ell = 18: 12.0 at
+    order 1 and 32.5 at order 6, the count 4.0 and 15.5; at most 6.5 KB
+    more, at (1, 1)). Above, per word a 4-byte hash and then a sorted copy
+    and a flag (while the hashes are made, half a byte of repeat flags); 4
+    bytes per factor for their hash table, and 24 per factor of a chunk
+    while it is made; per word of a chunk its code, two temporaries and
     flags, or in ``_holding`` its hash's low bits, those as an index and a
     flag; and ``_holding``'s 2^16 flags (tracemalloc: 9.0 bytes per word at
-    (n, ell) = (10, 20) and (20, 20), 21 at (7, 14); per chunk word, 24 while
-    the table is made and 14 while the hashes are).
+    (n, ell) = (10, 20) and (20, 20), 21 at (7, 14); per chunk word, 24
+    while the table is made and 14 while the hashes are).
     """
+    _, code_dt, key_dt, _ = _scan_dtypes(n, ell, False)
     if n <= _BITMAP_MAX_ORDER:
-        return scan_nbytes(n, ell, count)
-    code_dt = _scan_dtypes(n, ell, False)[1]
+        return count * (2 * key_dt.itemsize + 19) + (8 << 10)
     chunk = min(count, 1 << HASH_CHUNK_BITS) * (3 * code_dt.itemsize + 4)
     table = (4 << n) + 24 * min(1 << n, 1 << HASH_CHUNK_BITS)
     return count * 9 + chunk + table + (1 << 16)

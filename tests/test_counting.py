@@ -74,21 +74,35 @@ class TestBruteForce:
         assert a.value == b.value
 
     def test_pool_path_matches_one_worker(self):
-        # t = 19 is two chunks of 2^18, so the chunks' keys are merged; the
-        # scan runs in-process, so the worker count must not matter. n = 5
-        # keys are bitmaps, n = 10 keys are rows (and in closed-form range)
+        # the scan runs in-process, so the worker count must not matter at
+        # t = 19: n = 5 counts the distinct bitmaps, n = 10 the hashed
+        # class scan's classes (and is in closed-form range)
         for n in (5, 10):
             one = count_T_bruteforce(19, n, Budget.default(workers=1))
             two = count_T_bruteforce(19, n, Budget.default(workers=2))
             assert one == two
         assert one.value == count_T_closed(19, 10).value
 
-    @pytest.mark.parametrize("t,n", [(16, 5), (19, 5), (16, 8), (19, 10)])
+    @pytest.mark.parametrize("t,n", [(16, 5), (19, 5), (16, 8), (19, 10),
+                                     (22, 1), (22, 4), (22, 6)])
     def test_charges_bound_the_count(self, t, n, charged_peak):
-        # (19, 5) merges two chunks' bitmap keys; (16, 8) and (19, 10) take
-        # the hashed class scan: the most the meter held covers the peak
+        # up to order 6 the distinct bitmaps among every word's key, in one
+        # byte (22, 1), two (22, 4), four (16, 5) and eight (22, 6); (16, 8)
+        # and (19, 10) take the hashed class scan: the most the meter held
+        # covers the peak
         peak, charged = charged_peak(lambda: count_T_bruteforce(t, n))
         assert peak <= charged
+
+    def test_time_budget_stops_the_bitmap_scan(self):
+        # the keys of 2^24 words are built chunk by chunk, with a time check
+        # after each, and the cell checks again after their distinct count:
+        # the longest step between two checks of an order <= 6 cell is that
+        # count's sort, 0.34 s at (24, 6) on a 2-core Xeon (0.04 s at (24, 3))
+        started = time.monotonic()
+        with pytest.raises(BudgetExceededError) as e:
+            count_T_bruteforce(24, 3, Budget(max_seconds=0.05))
+        assert e.value.progress["phase"] == "set hashes"
+        assert time.monotonic() - started < 0.05 + 0.34
 
     def test_memory_budget_covers_the_scan(self):
         tiny = Budget(max_memory_bytes=8 << 20)
@@ -310,12 +324,13 @@ class TestTheorem1:
 
     def test_one_class_scan_and_no_root_windows(self, monkeypatch):
         # one period_classes call over the class members, no factor_keys
-        # call of counting's own, and out of region no Lyndon root is listed
+        # (counting does not import it), and out of region no Lyndon root is
+        # listed
+        assert not hasattr(factorwords.counting, "factor_keys")
         calls = []
-        for name in ("period_classes", "factor_keys"):
-            real = getattr(factorwords.counting, name)
-            monkeypatch.setattr(factorwords.counting, name,
-                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        real = factorwords.counting.period_classes
+        monkeypatch.setattr(factorwords.counting, "period_classes",
+                            lambda *a: calls.append("period_classes") or real(*a))
         for t, n in ((9, 5), (15, 8), (16, 8), (12, 2)):
             calls.clear()
             check_theorem1(t, n, allow_out_of_region=True)

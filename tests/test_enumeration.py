@@ -16,9 +16,9 @@ from factorwords import (Budget, BudgetExceededError, FactorSet, brute_force_enu
 from factorwords import enumeration
 from factorwords import budget as budget_mod
 from factorwords.budget import BudgetMeter
-from factorwords.enumeration import (_closed_walks, _levels, _run, brute_force_nbytes,
-                                     census_nbytes)
+from factorwords.enumeration import _closed_walks, _levels, _run, census_nbytes
 from factorwords.factorsets import _containing, _cover_word, _set_bits, _table
+from factorwords.scan import word_scan_nbytes
 
 EXPECTED_ROWS = {
     1: (3, 3, 2, 2),
@@ -367,10 +367,10 @@ class TestBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= brute_force_nbytes(n, max_len)
+        assert peak <= word_scan_nbytes(n, max_len)
 
     def test_oracle_table_charge_bounds_its_buffers(self, monkeypatch):
-        # the set listings are charged on top of brute_force_nbytes, which
+        # the set listings are charged on top of word_scan_nbytes, which
         # holds the state flags: the most the meter holds covers the peak
         class PeakMeter(BudgetMeter):
             peak = 0
@@ -386,15 +386,15 @@ class TestBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert brute_force_nbytes(4, 25) < PeakMeter.peak < 10 << 20
+        assert word_scan_nbytes(4, 25) < PeakMeter.peak < 10 << 20
         assert peak <= PeakMeter.peak
 
     def test_oracle_memory_ceiling_enforced(self):
-        tight = Budget(max_memory_bytes=brute_force_nbytes(4, 25) - 1)
+        tight = Budget(max_memory_bytes=word_scan_nbytes(4, 25) - 1)
         with pytest.raises(BudgetExceededError) as exc:
             brute_force_enumerate(4, 25, tight)
         assert exc.value.progress["charged_bytes"] == 0
-        fits = Budget(max_memory_bytes=brute_force_nbytes(3, 11))
+        fits = Budget(max_memory_bytes=word_scan_nbytes(3, 11))
         assert brute_force_enumerate(3, 11, fits).circ_count == 27
 
     def test_order_five_refused_before_charging(self, monkeypatch):

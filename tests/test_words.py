@@ -370,6 +370,15 @@ class TestScanKernel:
                 got = sum(table[x] for x in factors(Word(ell, c), n).codes())
                 assert hashes[c] == got % (1 << 32)
 
+    def test_set_hashes_are_bitmaps_up_to_order_6(self):
+        # up to order 6 the keys built one letter at a time are the bitmaps
+        # of factor_keys' window scan, dtype and all
+        for n in range(1, 7):
+            for ell in range(n, 17):
+                keys = words._set_hashes(n, ell, BudgetMeter(Budget()))
+                want = factor_keys(n, ell, range(1 << ell))
+                assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes(), (n, ell)
+
     def test_set_hashes_pinned_to_a_direct_sum(self):
         # byte for byte, the sum over each word's distinct windows, found by
         # sorting its row of windows, not one letter at a time
@@ -420,13 +429,13 @@ class TestScanKernel:
             factor_keys(10, 60, [0], circular=True)
 
     @pytest.mark.parametrize("n,ell", [
-        (3, 16), (4, 16), (5, 16), (6, 16), (7, 16), (8, 16), (10, 18), (17, 18), (10, 17),
+        (7, 16), (8, 16), (10, 18), (17, 18), (10, 17),
     ], ids=[  # as first pinned, when a third field read the words circularly
-        "3-16-False", "4-16-True", "5-16-False", "6-16-True", "7-16-False", "8-16-True",
-        "10-18-False", "17-18-False", "10-17-True",
+        "7-16-False", "8-16-True", "10-18-False", "17-18-False", "10-17-True",
     ])
     def test_scan_nbytes_bounds_the_buffers(self, n, ell):
-        # budgets charge scan_nbytes before a scan, so it must not undercount
+        # the class scan charges scan_nbytes before it makes the row keys of
+        # the words sharing a set hash, so it must not undercount
         tracemalloc.start()
         try:
             keys = factor_keys(n, ell, range(1 << ell))
@@ -438,12 +447,13 @@ class TestScanKernel:
         assert len(distinct) == len(starts)
         assert peak <= scan_nbytes(n, ell, 1 << ell)
 
-    @pytest.mark.parametrize("n,ell", [(7, 14), (9, 18), (10, 20), (5, 12), (20, 20)],
+    @pytest.mark.parametrize("n,ell", [(7, 14), (9, 18), (10, 20), (5, 12), (20, 20), (5, 16)],
                              ids=["7-14-False", "9-18-False", "10-20-False", "5-12-False",
-                                  "20-20-False"])
+                                  "20-20-False", "5-16-False"])
     def test_class_scan_nbytes_bounds_the_buffers(self, n, ell):
-        # charged up front, plus the row keys factor_classes charges its meter;
-        # at 2^20 words or fewer it holds under 12 MiB, even when its table
+        # charged up front, plus the row keys and the lists returned, which
+        # factor_classes charges its meter; (5, 16) lists 11234 classes; at
+        # 2^20 words or fewer it holds under 12 MiB, even when its table
         # holds a hash per word, as at (20, 20)
         meter = PeakMeter(Budget())
         tracemalloc.start()
