@@ -17,33 +17,24 @@ a word c v 01 v^R c or c v 10 v^R c (c one letter) and its reversal: the
 shape u v 01 v^R u against u v 10 v^R u with u a palindrome, as a longer
 u = c w c splits again with u = c.
 
-Counts and checks read the package's one scan over all words of a length,
-``scan._set_hashes``: each word's key is its prefix's plus its last window,
-built one letter at a time, with the time budget checked after each chunk.
-Up to order 6 the key is the word's factor bitmap, and a count sorts the
-keys in place and counts their runs; above, it is a hash of the set, and a
-count is that of ``scan.factor_classes``' scan, which lists no class for it
-and keys exactly only the words whose hashes collide, checking the time
-after each chunk of its phases and after its sort. The checks walk the
-classes of two or more words ``factor_classes`` lists. Budgets are charged
-the scan's buffers (``scan.class_scan_nbytes``) up front, the colliding
-words' keys once counted, and the class lists and the checks' members and
-pairs before they are built. The checks compare minimal periods and root
-classes as integers, from one ``scan.period_classes`` call over the shared
-classes' members; Theorem 1's backward direction compares sets of classes.
+Counts read ``scan.set_count``, the checks the classes of two or more words
+of ``scan.factor_classes``; each charges what it holds and checks the time
+after each phase. The checks compare minimal periods and root classes as
+integers, from one ``scan.period_classes`` call charged with the members,
+and walk the classes one at a time, making only the pairs they read;
+Theorem 1's backward direction compares sets of classes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 
 import numpy as np
 
 from .budget import Budget, BudgetMeter
-from .scan import (_BITMAP_MAX_ORDER, _class_runs, _set_hashes, class_scan_nbytes,
-                   factor_classes, period_classes)
+from .scan import HASH_CHUNK_BITS, factor_classes, period_classes, set_count
 from .words import Word, _duval, lyndon_count
 
 BRUTE_MAX_T = 24
@@ -79,8 +70,7 @@ class EqualFactorPair:
 # -- scanning all words of one length ---------------------------------------
 
 def _scan_meter(t: int, n: int, budget: Budget | None) -> BudgetMeter:
-    """Validate a scan of the length-t words, noting (t, n) in its progress;
-    charge its buffers (``class_scan_nbytes``) at once."""
+    """Validate a scan of the length-t words; a meter noting (t, n)."""
     if n < 1:
         raise ValueError("factor length must be positive")
     if t < n:
@@ -89,65 +79,56 @@ def _scan_meter(t: int, n: int, budget: Budget | None) -> BudgetMeter:
         raise ValueError(f"brute force scans words of length t <= {BRUTE_MAX_T}, got t={t}")
     meter = BudgetMeter(budget or Budget.default())
     meter.note(t=t, n=n)
-    meter.charge_memory(class_scan_nbytes(n, t, 1 << t), f"scan of length {t}")
     return meter
 
 
-# Bytes per class member: tracemalloc's peak while building the member tuples (lists and
-# period_classes' arrays included) was 163 per member at (t, n) = (18, 1), 161 at (16, 1).
-_MEMBER_BYTES = 168
+# Bytes per class member beside the lists: its code, period, root class and one walked
+# row's flags and positions (tracemalloc: 29 at (t, n) = (18, 1)); per chunk word, 72.
+_MEMBER_BYTES = 40
+_PERIOD_BYTES = 72
 
 
-def _shared_classes(t: int, n: int, budget: Budget | None) -> tuple[list, BudgetMeter]:
-    """In bitmap order, every class of two or more words of length t with one
-    factor set: its codes ascending, each with its period and root class;
-    and the meter charged the scan and the members."""
+def _shared_classes(t: int, n: int, budget: Budget | None):
+    """In bitmap order, the classes of two or more length-t words with one
+    factor set (codes ascending), an iterator giving each with its periods
+    and root classes, and the meter, charged the scan, lists and members."""
     meter = _scan_meter(t, n, budget)
     classes = factor_classes(n, t, meter)[1]
-    meter.check_time(f"factor classes of length {t}")
-    codes = np.concatenate([np.empty(0, np.int64), *classes])
-    meter.charge_memory(codes.size * _MEMBER_BYTES, f"{codes.size} class members of length {t}")
-    members = iter(zip(codes.tolist(), *(a.tolist() for a in period_classes(t, codes))))
-    return [list(islice(members, len(cls))) for cls in classes], meter
+    codes = np.concatenate([np.empty(0, np.intp), *classes])
+    chunk = min(codes.size, 1 << HASH_CHUNK_BITS) * _PERIOD_BYTES
+    meter.charge_memory(codes.size * _MEMBER_BYTES + chunk,
+                        f"{codes.size} class members of length {t}")
+    periods, roots = period_classes(t, codes)
+    meter.release_memory(chunk)
+    ends = accumulate(cls.size for cls in classes)
+    return classes, ((cls, periods[end - cls.size:end], roots[end - cls.size:end])
+                     for cls, end in zip(classes, ends)), meter
 
 
-def _odd_pairs(classes: list, bound: int):
-    """Class by class, the pairs of members whose periods or root classes
-    differ, or whose period exceeds ``bound``."""
-    for cls in classes:
-        for x, y in combinations(cls, 2):
-            if x[1] != y[1] or x[2] != y[2] or x[1] > bound:
-                yield x, y
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct bitmap keys, ascending, sorting ``keys`` in place, or a
-    uint16 copy of one-byte keys (orders 1..3): numpy sorts those in a small
-    fraction of the time it takes for bytes. Over the 45 key arrays of
-    ``t_table(16, 8)``'s orders 1..3 this took 0.60 ms against 4.82 ms for
-    the bytes and 2.05 ms for a stable (radix) sort of them (medians of 21
-    alternating rounds, 2-core Xeon, numpy 2.4)."""
-    if keys.dtype == np.uint8:
-        keys = keys.astype(np.uint16)
-    keys.sort()
-    return keys[np.append(True, keys[1:] != keys[:-1])]
+def _odd_pairs(members, bound: int):
+    """Class by class, as ``combinations`` orders them, the pairs of members
+    (code, period, root class) whose periods or root classes differ or whose
+    period exceeds ``bound``. A member's row of later ones is flagged at
+    once, and only the pairs yielded are made."""
+    for codes, per, root in members:
+        if per[0] <= bound and not ((per != per[0]) | (root != root[0])).any():
+            continue  # one period, within the bound, and one root class
+        for i in range(codes.size - 1):
+            x = int(codes[i]), int(per[i]), int(root[i])
+            odd = (per[i + 1:] != per[i]) | (root[i + 1:] != root[i]) | (x[1] > bound)
+            for j in np.flatnonzero(odd) + (i + 1):
+                yield x, (int(codes[j]), int(per[j]), int(root[j]))
 
 
 def count_T_bruteforce(t: int, n: int, budget: Budget | None = None,
                        started: float | None = None) -> TCell:
-    """T(t, n) by scanning all 2^t words in-process: up to order 6 the
-    distinct keys of ``scan._set_hashes``, above the count of its class scan.
-    The budget's seconds run from ``started`` (a ``time.monotonic()``
-    reading), when given, so a scan that is part of a longer run gets what
-    that run has left; else from the call."""
+    """T(t, n) by scanning all 2^t words (``scan.set_count``). The budget's
+    seconds run from ``started`` (a ``time.monotonic()`` reading), when
+    given, so a scan in a longer run gets what that run has left."""
     meter = _scan_meter(t, n, budget)
     if started is not None:
         meter.started = started
-    if n > _BITMAP_MAX_ORDER:
-        return TCell(t, n, _class_runs(n, t, meter)[0], "brute")
-    value = len(_distinct(_set_hashes(n, t, meter)))
-    meter.check_time(f"T({t},{n})")
-    return TCell(t, n, value, "brute")
+    return TCell(t, n, set_count(n, t, meter), "brute")
 
 
 def count_T_closed(t: int, n: int) -> TCell:
@@ -174,13 +155,14 @@ def equal_factor_pairs(t: int, n: int,
 
     The pairs are charged against the budget, beside the scan and its
     members, before any is built."""
-    classes, meter = _shared_classes(t, n, budget)
-    pairs = sum(len(cls) * (len(cls) - 1) // 2 for cls in classes)
+    classes, members, meter = _shared_classes(t, n, budget)
+    pairs = sum(cls.size * (cls.size - 1) // 2 for cls in classes)
     meter.charge_memory(pairs * _PAIR_BYTES, f"{pairs} equal-factor pairs of length {t}")
     return [EqualFactorPair(w=a, w2=b, n=n, period_w=pa, period_w2=pb,
                             root_conjugate=(pa, ra) == (pb, rb))
-            for cls in classes for (a, pa, ra), (b, pb, rb)
-            in combinations([(Word(t, c), p, r) for c, p, r in cls], 2)]
+            for cls, per, root in members
+            for (a, pa, ra), (b, pb, rb) in combinations(
+                zip([Word(t, c) for c in cls.tolist()], per.tolist(), root.tolist()), 2)]
 
 
 @dataclass(frozen=True)
@@ -234,18 +216,18 @@ def check_theorem1(t: int, n: int, allow_out_of_region: bool = False,
             f"characterization needs n >= k+1 (t={t}, n={n}, k={k}); "
             "pass allow_out_of_region=True to scan anyway")
 
-    nontrivial = _shared_classes(t, n, budget)[0]
+    nontrivial, members, _ = _shared_classes(t, n, budget)
     counterexamples = [
         {"direction": "forward", "words": [str(Word(t, a)), str(Word(t, b))],
          "periods": [pa, pb], "root_conjugate": (pa, ra) == (pb, rb)}
-        for (a, pa, ra), (b, pb, rb) in islice(_odd_pairs(nontrivial, k + 1), _COUNTEREXAMPLE_CAP)]
+        for (a, pa, ra), (b, pb, rb) in islice(_odd_pairs(members, k + 1), _COUNTEREXAMPLE_CAP)]
     forward_ok = not counterexamples
 
     backward_ok = True
     if in_region:  # each Lyndon root of length 2..k+1, in Lyndon order, by its class
         spelled = ("".join(map(str, r)) for r in sorted(_duval(k + 1), key=len)[2:])
         roots = {tuple(sorted(int((r * t)[j:j + t], 2) for j in range(len(r)))): r for r in spelled}
-        found = {tuple(c for c, _, _ in cls) for cls in nontrivial}
+        found = {tuple(cls.tolist()) for cls in nontrivial}
         if found != roots.keys():
             backward_ok = False
             missing = [(r, cls) for cls, r in roots.items() if cls not in found]
@@ -321,12 +303,12 @@ def check_conjecture_2n(n: int, budget: Budget | None = None) -> Conjecture2nRep
     if n < 1:
         raise ValueError("order must be positive")
     t = 2 * n
-    classes = _shared_classes(t, n, budget)[0]
+    classes, members, _ = _shared_classes(t, n, budget)
     odd = [({"words": [str(Word(t, x)), str(Word(t, y))], "periods": [px, py]}, (px, rx) == (py, ry))
-           for (x, px, rx), (y, py, ry) in _odd_pairs(classes, n + 1)]
+           for (x, px, rx), (y, py, ry) in _odd_pairs(members, n + 1)]
     high = [e for e, _ in odd if e["periods"][0] > n + 1]
     return Conjecture2nReport(
-        n=n, t=t, pair_count=sum(len(c) * (len(c) - 1) // 2 for c in classes),
+        n=n, t=t, pair_count=sum(c.size * (c.size - 1) // 2 for c in classes),
         nontrivial_classes=len(classes),
         period_violations=tuple(e for e, _ in odd if e["periods"][0] != e["periods"][1]),
         conjugacy_violations=tuple(e for e, conjugate in odd if not conjugate),

@@ -11,23 +11,21 @@ words.
 One scan keys all the words of a length, ``_set_hashes``, each word's key
 built from its prefix's one letter at a time: up to order 6 its factor
 bitmap; above, a 32-bit set hash, the wrapping sum over its distinct factors
-of a fixed value from a table (Zobrist hashing). ``factor_classes`` sorts
-the keys once; above order 6 only the words holding a hash another word
-holds get exact row keys, which split any collision. Equal sets hash
-equally, so the classes are exact at any width.
+of a fixed value from a table (Zobrist hashing). Two users sort the keys
+once: ``set_count`` counts the distinct sets, T(t, n), and ``factor_classes``
+lists them; above order 6 only the words holding a hash another word holds
+get exact row keys, which split any collision. Equal sets hash equally, so
+counts and classes are exact at any width. Each charges its meter what it
+holds before it scans.
 
-The kernels keep off numpy idioms that run per row or per element rather
-than as one pass over a 1-D array, each measured several times slower at
-the scan's sizes (2^14-word chunks, a few thousand states): a gather with a
-uint8 or uint32 index array goes through ``take``, as indexing first casts
-the index; a masked add multiplies by the mask instead of passing
-``where=``; and pairs are written one member at a time through the strided
-views ``a[0::2]`` and ``a[1::2]``, not by broadcasting against a length-2
-axis. Buffers rewritten per window or chunk are allocated once, and filled
-through ``out=``.
-
-With ``counting``, its one user beside the oracle, this is the only module
-that imports numpy when loaded.
+The kernels keep off numpy idioms that run per row or per element, each
+measured several times slower at the scan's sizes (2^14-word chunks, a few
+thousand states): a gather with a uint8 or uint32 index array goes through
+``take``, as indexing first casts the index; a masked add multiplies by the
+mask instead of passing ``where=``; pairs are written through the strided
+views ``a[0::2]`` and ``a[1::2]``. Buffers rewritten per window or chunk are
+allocated once, filled through ``out=``. With ``counting``, its one user
+beside the oracle, this is the only module that imports numpy when loaded.
 """
 
 from __future__ import annotations
@@ -45,18 +43,22 @@ _BITMAP_MAX_ORDER = 6     # 2^n membership bits fit one uint64
 def period_classes(t: int, codes) -> tuple[np.ndarray, np.ndarray]:
     """Minimal periods and root classes (least rotations of the roots) of
     length-t words given by code, as uint64 arrays: two words are
-    root-conjugate exactly when both agree."""
+    root-conjugate exactly when both agree. Made 2^HASH_CHUNK_BITS words at
+    a time, a chunk's buffers holding 72 bytes per word (tracemalloc)."""
     if not 1 <= t <= 63:
         raise ValueError("period_classes reads words of 1..63 letters")
-    c = np.asarray(codes, np.uint64)
-    periods = np.full(c.shape, t, np.uint64)
-    for q in range(t - 1, 0, -1):  # q is a period: the first t - q letters are the last
-        periods[(c >> q) == (c & ((1 << (t - q)) - 1))] = q
-    roots = c >> (t - periods)
-    least, mask = roots.copy(), (1 << periods) - 1
-    for j in range(1, t):
-        turn = j % periods
-        np.minimum(least, ((roots << turn) & mask) | (roots >> (periods - turn)), out=least)
+    codes = np.asarray(codes)
+    periods, least = np.full(codes.size, t, np.uint64), np.empty(codes.size, np.uint64)
+    for lo in range(0, codes.size, 1 << HASH_CHUNK_BITS):
+        c = codes[lo:lo + (1 << HASH_CHUNK_BITS)].astype(np.uint64)
+        per, best = periods[lo:lo + c.size], least[lo:lo + c.size]
+        for q in range(t - 1, 0, -1):  # q is a period: the first t - q letters are the last
+            per[(c >> q) == (c & ((1 << (t - q)) - 1))] = q
+        roots = c >> (t - per)
+        best[...], mask = roots, (1 << per) - 1
+        for j in range(1, t):
+            turn = j % per
+            np.minimum(best, ((roots << turn) & mask) | (roots >> (per - turn)), out=best)
     return periods, least
 
 
@@ -162,7 +164,6 @@ def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
     """Per word of length ``ell``, by code, a key of its length-n factor
     set: up to order 6 its bitmap, as ``factor_keys`` gives it; above, the
     sum mod 2^32 (uint32) of ``_factor_hash`` over its distinct factors.
-
     The keys are built one letter at a time, for prefix lengths L = n + 1
     .. ell. The distinct windows of an L-letter word c are those of its first
     L - 1 letters, c >> 1, and its last window. A bitmap ORs in that
@@ -171,21 +172,19 @@ def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
     back exactly when ((c >> k) ^ c) & mask == 0; for k < L - n that reads
     only the last L - 1 letters, c mod 2^(L-1), so level L - 1 decided it
     for that word, and R_L[c] is R_{L-1}[c mod 2^(L-1)] or the one new
-    distance, k = L - n.
-
-    Every level is written into the output, chunk by chunk from the top
-    down: a chunk [lo, hi) reads only the prefixes [lo/2, hi/2), which no
-    chunk above it overwrites. The flags of levels below ``ell`` live in one
-    array of 2^(ell-1), each level's written over the last's in place (a
-    chunk of the upper half reads the lower half, not yet overwritten). The
-    table of factor hashes is made a chunk at a time. After each chunk the
-    level and the codes filled at it (``words_scanned``) are noted to the
-    meter, and the time is checked.
-    """
+    distance, k = L - n. Every level is written into the output, chunk by
+    chunk from the top down: a chunk [lo, hi) reads only the prefixes [lo/2,
+    hi/2), which no chunk above it overwrites. The flags of levels below
+    ``ell`` live in one array of 2^(ell-1), each level's written over the
+    last's in place (a chunk of the upper half reads the lower half, not yet
+    overwritten). The table of factor hashes is made a chunk at a time.
+    After each chunk the level and the codes filled at it (``words_scanned``)
+    are noted to the meter, and the time is checked."""
     _, code_dt, key_dt, _ = _scan_dtypes(n, ell, False)
     bitmap = n <= _BITMAP_MAX_ORDER
-    if bitmap:
-        table = np.left_shift(key_dt.type(1), np.arange(1 << n, dtype=key_dt))
+    if bitmap:  # tiled to 64 entries, so a chunk's rows are 64 words wide at every order
+        table = np.tile(np.left_shift(key_dt.type(1), np.arange(1 << n, dtype=key_dt)),
+                        max(1, 64 >> n))
     else:
         table = np.empty(1 << n, np.uint32)
         for lo in range(0, 1 << n, 1 << HASH_CHUNK_BITS):
@@ -193,12 +192,12 @@ def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
             table[lo:hi] = _factor_hash(np.arange(lo, hi))
     mask = code_dt.type((1 << n) - 1)
     keys = np.empty(1 << ell, table.dtype)
-    keys[:1 << n] = table
+    keys[:1 << n] = table[:1 << n]
     repeats = None if bitmap else np.zeros(1 << (ell - 1), bool)  # R_n: none repeats
     for level in range(n + 1, ell + 1):
         half = 1 << (level - 1)
         size = min(half, 1 << HASH_CHUNK_BITS)
-        width = min(size, 1 << n)  # per row of a chunk, c & mask runs through a table slice
+        width = min(size, table.size)  # per row of a chunk, c & mask runs through a table slice
         back = code_dt.type(level - n)
         for lo in range(2 * half - size, -1, -size):
             hi = lo + size
@@ -208,7 +207,7 @@ def _set_hashes(n: int, ell: int, meter: BudgetMeter) -> np.ndarray:
                 prefix = prefix.copy()
             part[0::2] = prefix
             part[1::2] = prefix
-            col = int(lo & mask)
+            col = lo & (table.size - 1)
             grid = part.reshape(-1, width)
             if bitmap:
                 grid |= table[col:col + width]
@@ -247,24 +246,23 @@ def _holding(hashes: np.ndarray, shared: np.ndarray, meter: BudgetMeter) -> np.n
     return np.concatenate(found)
 
 
-def _class_runs(n: int, ell: int, meter: BudgetMeter
-                ) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarray]:
+def _class_runs(n: int, ell: int, meter: BudgetMeter) -> tuple[int, np.ndarray, np.ndarray]:
     """``factor_classes`` up to its lists: the number of distinct sets; the
-    ascending codes of the words given keys (None: every word); and, as
-    ``sorted_runs`` gives them, the stable order of those keys and where its
-    runs of equal keys start. A caller that needs only the count makes no
-    list."""
+    codes of the words given keys (every word, up to order 6) in the stable
+    order sorting their keys; and where its runs of equal keys start."""
     hashes = _set_hashes(n, ell, meter)
     if n <= _BITMAP_MAX_ORDER:
         order, starts = sorted_runs(hashes)
-        return starts.size, None, order, starts
+        meter.note(phase="bitmap sort")
+        meter.check_time(f"sort of the bitmaps of T({ell},{n})")
+        return starts.size, order, starts
     ordered = np.sort(hashes)
     repeats = ordered[1:][ordered[1:] == ordered[:-1]]  # a hash k words hold, k - 1 times
     del ordered
     meter.note(phase="hash sort")
     meter.check_time(f"sort of the set hashes of T({ell},{n})")
     if repeats.size == 0:
-        return hashes.size, None, np.empty(0, np.intp), np.empty(0, np.intp)
+        return hashes.size, np.empty(0, np.intp), np.empty(0, np.intp)
     shared = repeats[np.append(True, repeats[1:] != repeats[:-1])]
     sharing = repeats.size + shared.size  # words holding a shared hash
     del repeats
@@ -284,12 +282,12 @@ def _class_runs(n: int, ell: int, meter: BudgetMeter
     meter.note(phase="row-key sort")
     meter.check_time(f"sort of the row keys of T({ell},{n})")
     meter.release_memory(held)
-    return (1 << ell) - sharing + starts.size, members, order, starts
+    return (1 << ell) - sharing + starts.size, members[order], starts
 
 
-# Bytes per class listed: tracemalloc's peak was 137-145 per view of the sort
-# order (10^2..10^4 classes); a copy from the members adds one more, and 8 per member
-_LIST_BYTES = 152
+# Bytes per class listed beside 8 per member: tracemalloc's peak was 137-145 per
+# view of the sort order (10^2..10^4 classes), and its copy adds one more
+_LIST_BYTES = 304
 
 
 def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.ndarray]]:
@@ -304,27 +302,48 @@ def factor_classes(n: int, ell: int, meter: BudgetMeter) -> tuple[int, list[np.n
     holding a shared hash get exact row keys, which split any collision and
     put the classes in bitmap order. So the hash width sets only how many
     words get row keys: at 2^24 words, 32 bits add some (2^24)^2 / 2^33 =
-    2^15 pairs. ``class_scan_nbytes`` bounds the buffers other than those
-    row keys, charged to the meter while they are held, and the lists
-    returned, charged before they are built.
-
-    The meter's ``phase`` names the step last run: "set hashes" (with the
-    prefix length and ``words_scanned``, after each chunk of each length),
-    and above order 6 "hash sort", "shared hashes" and "row keys" (each
-    after each chunk of 2^HASH_CHUNK_BITS words, with ``words_scanned``),
-    and "row-key sort", one lexsort; the time is checked after each. The
-    callers check it after the sort up to order 6.
-    """
-    count, members, order, starts = _class_runs(n, ell, meter)
+    2^15 pairs. The meter is charged ``class_scan_nbytes`` while the scan
+    runs, and the lists, copied out of the sort, before they are built. Its
+    ``phase`` names the step last run, the time checked after each: "set
+    hashes" (with the prefix length and ``words_scanned``, after each chunk
+    of each length); up to order 6 "bitmap sort"; above, "hash sort",
+    "shared hashes" and "row keys" (each after each chunk of
+    2^HASH_CHUNK_BITS words, with ``words_scanned``), and "row-key sort"."""
+    held = class_scan_nbytes(n, ell, 1 << ell)
+    meter.charge_memory(held, f"scan of length {ell}")
+    count, order, starts = _class_runs(n, ell, meter)
     ends = np.append(starts[1:], order.size)
     shared = ends - starts > 1
     starts, ends = starts[shared], ends[shared]
-    lists = starts.size * _LIST_BYTES
-    if members is not None:
-        lists += starts.size * _LIST_BYTES + 8 * int((ends - starts).sum())
+    lists = starts.size * _LIST_BYTES + 8 * int((ends - starts).sum())
     meter.charge_memory(lists, f"{starts.size} factor classes of length {ell}")
-    runs = [order[a:b] for a, b in zip(starts, ends)]
-    return count, runs if members is None else [members[run] for run in runs]
+    classes = [order[a:b].copy() for a, b in zip(starts, ends)]
+    meter.release_memory(held)
+    return count, classes
+
+
+def set_count(n: int, ell: int, meter: BudgetMeter) -> int:
+    """T(ell, n), the number of length-n factor sets of the words of length
+    ``ell``, charged before the scan. Up to order 6 the bitmaps of
+    ``_set_hashes`` are sorted in place ("bitmap sort"), bytes widened to two
+    (numpy sorts those 8 times faster), and neighbours that differ counted:
+    a wide key and a flag per word, and a key per word of a chunk for the
+    lowest chunk's prefix copy and numpy's buffer (tracemalloc, n = 1..6,
+    ell = n..22: those took at most 101 KB, at (6, 15)). Above order 6, the
+    count of ``factor_classes``' scan, charged ``class_scan_nbytes``."""
+    if n > _BITMAP_MAX_ORDER:
+        meter.charge_memory(class_scan_nbytes(n, ell, 1 << ell), f"scan of length {ell}")
+        return _class_runs(n, ell, meter)[0]
+    key = _scan_dtypes(n, ell, False)[2].itemsize
+    meter.charge_memory(((max(2, key) + 1) << ell) + (key << HASH_CHUNK_BITS),
+                        f"scan of length {ell}")
+    keys = _set_hashes(n, ell, meter)
+    if keys.dtype == np.uint8:
+        keys = keys.astype(np.uint16)
+    keys.sort()
+    meter.note(phase="bitmap sort")
+    meter.check_time(f"sort of the bitmaps of T({ell},{n})")
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def scan_nbytes(n: int, ell: int, count: int) -> int:
@@ -341,21 +360,19 @@ def scan_nbytes(n: int, ell: int, count: int) -> int:
 
 
 def class_scan_nbytes(n: int, ell: int, count: int) -> int:
-    """An upper bound on the bytes ``factor_classes``, or a count of the
-    distinct keys of ``_set_hashes``, holds at once over ``count`` words of
-    length ``ell``, beside what ``factor_classes`` charges its meter. Up to
-    order 6, per word its key, the sort order, a sorted copy, three flags
-    and a run start, and 8 KiB (tracemalloc, per word at ell = 18: 12.0 at
-    order 1 and 32.5 at order 6, the count 4.0 and 15.5; at most 6.5 KB
-    more, at (1, 1)). Above, per word a 4-byte hash and then a sorted copy
-    and a flag (while the hashes are made, half a byte of repeat flags); 4
-    bytes per factor for their hash table, and 24 per factor of a chunk
-    while it is made; per word of a chunk its code, two temporaries and
-    flags, or in ``_holding`` its hash's low bits, those as an index and a
-    flag; and ``_holding``'s 2^16 flags (tracemalloc: 9.0 bytes per word at
-    (n, ell) = (10, 20) and (20, 20), 21 at (7, 14); per chunk word, 24
-    while the table is made and 14 while the hashes are).
-    """
+    """An upper bound on the bytes the class route (``factor_classes``, and
+    a count above order 6) holds at once over ``count`` words of length
+    ``ell``, beside the row keys and lists it charges. Up to order 6, per
+    word its key, the sort order, a sorted copy, three flags and a run
+    start, and 8 KiB (tracemalloc at ell = 18: 12.0 bytes per word at order
+    1, 32.5 at order 6; at most 6.5 KB more, at (1, 1)). Above, per word a
+    4-byte hash, then a sorted copy and a flag (half a byte of repeat flags
+    while the hashes are made); 4 bytes per factor for their hash table, 24
+    per factor of a chunk while it is made; per word of a chunk its code,
+    two temporaries and flags, or in ``_holding`` its hash's low bits, those
+    as an index and a flag; and ``_holding``'s 2^16 flags (tracemalloc: 9.0
+    bytes per word at (10, 20) and (20, 20), 21 at (7, 14); per chunk word,
+    24 while the table is made and 14 while the hashes are)."""
     _, code_dt, key_dt, _ = _scan_dtypes(n, ell, False)
     if n <= _BITMAP_MAX_ORDER:
         return count * (2 * key_dt.itemsize + 19) + (8 << 10)

@@ -83,26 +83,31 @@ class TestBruteForce:
             assert one == two
         assert one.value == count_T_closed(19, 10).value
 
-    @pytest.mark.parametrize("t,n", [(16, 5), (19, 5), (16, 8), (19, 10),
-                                     (22, 1), (22, 4), (22, 6)])
+    @pytest.mark.parametrize("t,n", [(16, 5), (19, 5), (16, 8), (19, 10), (14, 4), (15, 5),
+                                     (16, 6), (22, 1), (22, 4), (22, 6)])
     def test_charges_bound_the_count(self, t, n, charged_peak):
-        # up to order 6 the distinct bitmaps among every word's key, in one
-        # byte (22, 1), two (22, 4), four (16, 5) and eight (22, 6); (16, 8)
-        # and (19, 10) take the hashed class scan: the most the meter held
-        # covers the peak
+        # up to order 6 the sorted bitmaps of every word's key, in one byte
+        # widened to two (22, 1), two (22, 4), four (16, 5) and eight (22, 6);
+        # at (14, 4), (15, 5) and (16, 6) the chunk's temporaries weigh most
+        # beside the keys; (16, 8) and (19, 10) take the hashed class scan:
+        # the most the meter held covers the peak, and at 2^22 words it is
+        # at most half as much again
         peak, charged = charged_peak(lambda: count_T_bruteforce(t, n))
         assert peak <= charged
+        if t == 22:
+            assert charged <= 1.5 * peak
 
     def test_time_budget_stops_the_bitmap_scan(self):
         # the keys of 2^24 words are built chunk by chunk, with a time check
-        # after each, and the cell checks again after their distinct count:
-        # the longest step between two checks of an order <= 6 cell is that
-        # count's sort, 0.34 s at (24, 6) on a 2-core Xeon (0.04 s at (24, 3))
+        # after each, and again after their sort: the hash pass of (24, 3),
+        # 0.04 s on a 2-core Xeon, overruns a 3 ms budget tenfold, and the
+        # longest step between two checks of an order <= 6 cell is the
+        # count's sort, 0.26 s at (24, 6) there
         started = time.monotonic()
         with pytest.raises(BudgetExceededError) as e:
-            count_T_bruteforce(24, 3, Budget(max_seconds=0.05))
+            count_T_bruteforce(24, 3, Budget(max_seconds=0.003))
         assert e.value.progress["phase"] == "set hashes"
-        assert time.monotonic() - started < 0.05 + 0.34
+        assert time.monotonic() - started < 0.003 + 0.26
 
     def test_memory_budget_covers_the_scan(self):
         tiny = Budget(max_memory_bytes=8 << 20)
@@ -327,6 +332,9 @@ class TestTheorem1:
         # (counting does not import it), and out of region no Lyndon root is
         # listed
         assert not hasattr(factorwords.counting, "factor_keys")
+        # the scan's keys stay in scan: counting reads its counts and classes
+        for name in ("_set_hashes", "_class_runs", "_BITMAP_MAX_ORDER", "_distinct"):
+            assert not hasattr(factorwords.counting, name), name
         calls = []
         real = factorwords.counting.period_classes
         monkeypatch.setattr(factorwords.counting, "period_classes",
@@ -343,13 +351,18 @@ class TestTheorem1:
         assert check_theorem1(12, 2, allow_out_of_region=True).backward_ok
 
     def test_out_of_region_members_are_charged(self, charged_peak):
-        # one class of 2^t - 2 words at n = 1: its members are charged before
-        # they are built, so a budget below them refuses the scan
+        # one class of 2^t - 2 words at n = 1: its members' arrays are
+        # charged before they are made, and the walk stops at 20
+        # counterexamples among its first words, so (18, 1) answers within
+        # 16 MiB; 4 MiB is below its scan's charge, and refuses it
         peak, charged = charged_peak(lambda: check_theorem1(16, 1, allow_out_of_region=True))
         assert peak <= charged
+        rep = check_theorem1(18, 1, allow_out_of_region=True,
+                             budget=Budget(max_memory_bytes=16 << 20))
+        assert not rep.in_region and not rep.forward_ok and len(rep.counterexamples) == 20
         with pytest.raises(BudgetExceededError):
             check_theorem1(18, 1, allow_out_of_region=True,
-                           budget=Budget(max_memory_bytes=16 << 20))
+                           budget=Budget(max_memory_bytes=4 << 20))
 
     def test_class_sizes_equal_periods(self):
         # within the region, each non-singleton class has as many words as
@@ -477,9 +490,10 @@ class TestTable:
         assert e.value.progress["elapsed_seconds"] > 0.02
 
     def test_memory_budget_refuses_a_cell(self):
+        # a count holds 3 bytes per word at order 1: 2^19 words pass 1 MiB
         with pytest.raises(BudgetExceededError) as e:
-            t_table(16, 2, Budget(max_memory_bytes=1 << 20))
-        assert e.value.progress["n"] == 1 and 1 <= e.value.progress["t"] <= 16
+            t_table(19, 2, Budget(max_memory_bytes=1 << 20))
+        assert e.value.progress["n"] == 1 and 1 <= e.value.progress["t"] <= 19
 
     def test_closed_only_cells(self, monkeypatch):
         # past the brute-force limit, the closed form alone fills its region
